@@ -9,6 +9,7 @@ users, and the enumeration size C(ell + 2^k - 1, ell) is independent of n.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import time
@@ -20,6 +21,7 @@ from .constraints import eval_profile, wbound_suggestion
 from .matching import INF, assignment_cost, min_cost_assignment
 from .model import (
     AuthorizationRelation,
+    GuardError,
     Instance,
     SolveResult,
     UserProfile,
@@ -27,6 +29,8 @@ from .model import (
 )
 
 log = logging.getLogger("vapep.solver")
+
+MAX_PROFILES = 10**9
 
 
 def count_profiles(k: int, ell: int) -> int:
@@ -103,6 +107,42 @@ def _profile_counts(instance: Instance, usr: UserProfile) -> dict[int, int]:
     return counts
 
 
+def cheapest_users(instance: Instance, masks: list[int], m: int) -> list[list[int]]:
+    """For each mask, the min(m, n) users of least `omega_mask` cost, ordered
+    by (cost, user index).
+
+    Under a uniform pair penalty without a custom cost, a user's cost depends
+    only on its authorized mask, so one pass keeps the first m users of each
+    mask type and each mask then ranks at most 2^k * m users.  Per-pair
+    matrices and custom costs rank all n users per mask.
+    """
+    n = instance.n
+    m = min(m, n)
+    if instance.auth.custom is not None or instance._pen is not None:
+        return [
+            heapq.nsmallest(
+                m, range(n), key=lambda u: (instance.omega_mask(u, mask), u)
+            )
+            for mask in masks
+        ]
+    types: dict[int, list[int]] = {}
+    for u, base in enumerate(instance._base_mask):
+        group = types.get(base)
+        if group is None:
+            types[base] = [u]
+        elif len(group) < m:
+            group.append(u)
+    out = []
+    for mask in masks:
+        ranked = []
+        for group in types.values():
+            w = instance.omega_mask(group[0], mask)
+            ranked.extend((w, u) for u in group)
+        ranked.sort()
+        out.append([u for _, u in ranked[:m]])
+    return out
+
+
 def best_relation_for_profile(
     instance: Instance, usr: UserProfile
 ) -> tuple[AuthorizationRelation, int]:
@@ -110,6 +150,16 @@ def best_relation_for_profile(
 
     Slots are subset copies in (popcount, value) order; users are matched by
     minimum authorization cost with the lexicographic tie-break.
+
+    Only the m = len(slots) cheapest users of each slot mask are offered as
+    columns, which gives the same answer as matching over all n users: if
+    the lexicographically first optimum over all users gave a slot with mask
+    s a user u outside the m cheapest for s, one of those m users would be
+    left unused by the other m - 1 slots, and swapping it in for u would
+    either cost less (contradicting optimality) or cost the same with a
+    smaller user index (contradicting lexicographic minimality).  The
+    candidate columns are in ascending user order, so the tie-break over
+    their positions is the tie-break over users.
     """
     counts = _profile_counts(instance, usr)
     slots: list[int] = []
@@ -119,13 +169,13 @@ def best_relation_for_profile(
     cw = sum(eval_profile(c, prof) for c in instance.constraints)
     if not slots:
         return AuthorizationRelation({}), cw
-    costs = [
-        [instance.omega_mask(u, mask) for u in range(instance.n)] for mask in slots
-    ]
+    cands = cheapest_users(instance, sorted(set(slots)), len(slots))
+    cols = sorted(set().union(*cands))
+    costs = [[instance.omega_mask(u, mask) for u in cols] for mask in slots]
     match, om = min_cost_assignment(costs)
     assignment = {
-        instance.users[u]: frozenset(instance.mask_resources(mask))
-        for mask, u in zip(slots, match)
+        instance.users[cols[j]]: frozenset(instance.mask_resources(mask))
+        for mask, j in zip(slots, match)
     }
     return AuthorizationRelation(assignment), om + cw
 
@@ -235,7 +285,11 @@ def solve(
     threads: int = 1,
     backend: Optional[str] = None,
 ) -> SolveResult:
-    """Exact minimum-weight complete relation via profile enumeration."""
+    """Exact minimum-weight complete relation via profile enumeration.
+
+    Raises GuardError, before any authorization cost is read, when the
+    profile space exceeds MAX_PROFILES.
+    """
     t0 = time.perf_counter()
     k, n = instance.k, instance.n
     if ell is None:
@@ -246,16 +300,14 @@ def solve(
     subs = subset_order(k)
     M = len(subs)
     total_profiles = count_profiles(k, L)
-    if total_profiles > 10**9:
-        log.warning(
-            "profile space C(%d+%d-1, %d) = %d is very large; this may not finish",
-            L, 1 << k, L, total_profiles,
+    if total_profiles > MAX_PROFILES:
+        raise GuardError(
+            f"profile search needs C({L}+{1 << k}-1, {L}) = {total_profiles} "
+            f"profiles; the guard allows {MAX_PROFILES}. Pass a smaller --ell "
+            f"(optimal only among solutions with that many users) or cut k"
         )
-    minw = [min(instance.omega_mask(u, mask) for u in range(n)) for mask in subs]
-    by_cost = [
-        sorted(range(n), key=lambda u: (instance.omega_mask(u, mask), u))[:L]
-        for mask in subs
-    ]
+    by_cost = cheapest_users(instance, subs, L)
+    minw = [instance.omega_mask(us[0], mask) for us, mask in zip(by_cost, subs)]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     clsA, clsB = _level_classes(kinds, rA, rB, subs)
     sufun = [0] * (M + 1)

@@ -2,9 +2,11 @@
 import csv
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +15,8 @@ from vapep import AuthCost, Instance, WspInstance, dump_instance, dump_wsp, must
 from vapep.cli import main
 
 import helpers
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(*argv) -> int:
@@ -156,6 +160,38 @@ def test_solve_guard_exit_code(tmp_path):
     assert run("generate", "--n", "30", "--k", "1", "--seed", "2",
                "-o", str(inst_file)) == 0
     assert run("solve", "--in", str(inst_file), "--solver", "brute") == 3
+
+
+def test_solve_profile_guard_exit_code(tmp_path):
+    # the default ell of 26 at k=5 gives about 1.2e16 profiles
+    inst_file = tmp_path / "inst.json"
+    assert run("generate", "--n", "200", "--k", "5", "-o", str(inst_file)) == 0
+    t0 = time.perf_counter()
+    assert run("solve", "--in", str(inst_file)) == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_profile_pinned_output(tmp_path, seed):
+    # The expected files hold the output of the reconstruction that matched
+    # every slot against all n users; matching against candidate columns must
+    # give the same bytes.  Seed 1 repeats a separation pair, so the optimum
+    # holds 9 users and the tie-break chooses among tied users; seed 0 has
+    # three distinct pairs.  Without the compiled kernel only the backend
+    # name differs.
+    inst_file = tmp_path / "inst.json"
+    out = tmp_path / "out.json"
+    assert run("generate", "--n", "5000", "--k", "3", "--seed", str(seed),
+               "-o", str(inst_file)) == 0
+    assert run("solve", "--in", str(inst_file), "-o", str(out)) == 0
+    expected = (DATA / f"solve_profile_k3_n5000_seed{seed}.json").read_text(
+        encoding="utf-8")
+    backend = vapep.default_backend_name()
+    expected = expected.replace('"backend": "cython"', f'"backend": "{backend}"')
+    got = out.read_text(encoding="utf-8")
+    assert got == expected
+    want = json.loads(expected)["meta"]["profiles_enumerated"]
+    assert json.loads(got)["meta"]["profiles_enumerated"] == want
 
 
 def test_export_mip_forms(tmp_path):

@@ -9,6 +9,7 @@ import vapep
 from vapep import (
     AuthCost,
     AuthorizationRelation,
+    GuardError,
     Instance,
     UserProfile,
     best_relation_for_profile,
@@ -19,6 +20,7 @@ from vapep import (
     solve,
     total_weight,
 )
+from vapep import solver_profile
 
 import helpers
 
@@ -242,3 +244,131 @@ def test_solve_explicit_ell_is_clamped():
     inst = Instance(("r1",), ("u1",), (), AuthCost({}, 1))
     assert solve(inst, ell=99).meta["ell"] == 1
     assert solve(inst, ell=0).meta["ell"] == 1
+
+
+# --------------------------------------------------------------------------
+# candidate columns: cheapest_users and the reconstruction built on it
+
+def _reference_best_relation(inst, usr):
+    """Reference reconstruction that matches every slot against all n users."""
+    counts = {m: c for m, c in usr.counts.items() if m}
+    slots = []
+    for mask in vapep.subset_order(inst.k):
+        slots.extend([mask] * counts.get(mask, 0))
+    prof = UserProfile(dict(counts), inst.resources)
+    cw = sum(vapep.eval_profile(c, prof) for c in inst.constraints)
+    if not slots:
+        return AuthorizationRelation({}), cw
+    costs = [[inst.omega_mask(u, mask) for u in range(inst.n)] for mask in slots]
+    match, om = vapep.min_cost_assignment(costs)
+    assignment = {
+        inst.users[u]: frozenset(inst.mask_resources(mask))
+        for mask, u in zip(slots, match)
+    }
+    return AuthorizationRelation(assignment), om + cw
+
+
+def _tied_instance(rng, cost):
+    """Small instance whose authorization costs tie often.  `cost` is
+    "uniform" (penalty 0 to 2), "matrix" (per-pair penalties) or "custom"."""
+    n = rng.randint(1, 9)
+    k = rng.randint(1, 3)
+    resources = tuple(f"r{i + 1}" for i in range(k))
+    users = tuple(f"u{j + 1}" for j in range(n))
+    kinds = [frozenset(r for r in resources if rng.random() < 0.5) for _ in range(2)]
+    base = {u: rng.choice(kinds) for u in users}
+    cons = []
+    for _ in range(rng.randint(0, 3)):
+        c = helpers.rand_constraint(rng, resources)
+        if c is not None:
+            cons.append(c)
+    if cost == "uniform":
+        auth = AuthCost(base, rng.choice((0, 0, 1, 2)))
+    elif cost == "matrix":
+        pp = {(u, r): rng.randint(0, 2) for u in users for r in resources
+              if rng.random() < 0.5}
+        auth = AuthCost(base, pp)
+    else:
+        scale = {u: rng.randint(0, 2) for u in users}
+
+        def custom(u, rs, base=base, scale=scale):
+            return scale[u] * len(rs - base[u]) + min(len(rs), 1)
+
+        auth = AuthCost(base, 1, custom=custom)
+    return Instance(resources, users, tuple(cons), auth)
+
+
+def _random_profile(rng, inst):
+    subs = vapep.subset_order(inst.k)
+    m = inst.n if rng.random() < 0.25 else rng.randint(0, inst.n)
+    counts = {}
+    for _ in range(m):
+        mask = rng.choice(subs)
+        counts[mask] = counts.get(mask, 0) + 1
+    counts[0] = inst.n - m
+    return UserProfile(counts)
+
+
+@pytest.mark.parametrize("cost", ["uniform", "matrix", "custom"])
+def test_cheapest_users_matches_full_sort(cost):
+    rng = random.Random(f"cheapest:{cost}")
+    for _ in range(150):
+        inst = _tied_instance(rng, cost)
+        masks = [0] + vapep.subset_order(inst.k)
+        m = rng.randint(1, inst.n + 3)  # past n the lists stop at n users
+        got = solver_profile.cheapest_users(inst, masks, m)
+        for mask, users in zip(masks, got):
+            want = sorted(
+                range(inst.n), key=lambda u: (inst.omega_mask(u, mask), u)
+            )[:m]
+            assert users == want
+
+
+@pytest.mark.parametrize("cost", ["uniform", "matrix", "custom"])
+def test_best_relation_matches_all_user_reconstruction(cost):
+    rng = random.Random(f"reconstruct:{cost}")
+    full = 0
+    for _ in range(300):
+        inst = _tied_instance(rng, cost)
+        usr = _random_profile(rng, inst)
+        full += usr.assigned_count() == inst.n
+        rel, weight = best_relation_for_profile(inst, usr)
+        want_rel, want_weight = _reference_best_relation(inst, usr)
+        assert weight == want_weight
+        assert rel.assignment == want_rel.assignment
+    assert full >= 50  # m equal to n is covered
+
+
+# --------------------------------------------------------------------------
+# profile-space guard
+
+def test_solve_refuses_huge_profile_space_before_preparation():
+    def custom(u, rs):
+        raise AssertionError("authorization costs read before the guard")
+
+    inst = Instance(
+        tuple(f"r{i}" for i in range(1, 5)),
+        tuple(f"u{j}" for j in range(1, 41)),
+        (),
+        AuthCost({}, 1, custom=custom),
+    )
+    assert count_profiles(4, 21) > solver_profile.MAX_PROFILES
+    with pytest.raises(GuardError) as err:
+        solve(inst, ell=21)
+    assert "--ell" in str(err.value)
+    assert str(solver_profile.MAX_PROFILES) in str(err.value)
+
+
+def test_profile_guard_boundary(monkeypatch):
+    inst = Instance(
+        ("r1", "r2"),
+        tuple(f"u{j}" for j in range(1, 7)),
+        (vapep.sod_u("r1", "r2", 3),),
+        AuthCost({"u1": frozenset({"r1"})}, 1),
+    )
+    size = count_profiles(2, 4)
+    monkeypatch.setattr(solver_profile, "MAX_PROFILES", size)
+    assert solve(inst, ell=4).meta["profiles_enumerated"] <= size
+    monkeypatch.setattr(solver_profile, "MAX_PROFILES", size - 1)
+    with pytest.raises(GuardError):
+        solve(inst, ell=4)
