@@ -122,6 +122,20 @@ def test_solve_wsp_matches_profile(tmp_path):
     assert done == 12
 
 
+@pytest.mark.parametrize("name", ["exist_k6_n20_seed11", "duty_k12_n16_seed11"])
+def test_solve_wsp_pinned_output(tmp_path, name):
+    # The instances are relation documents of the plan workloads: a 10-step
+    # existence-binding reduction (bod_e/sod_u) and a 12-step duty-pair
+    # reduction (sod_u/bod_u, 16 users, 22 pairs).  The expected files hold
+    # the output of the flat scan over every set partition; the pruned scan
+    # must give the same bytes.
+    out = tmp_path / "out.json"
+    assert run("solve", "--solver", "wsp", "--in", str(DATA / f"plan_{name}.json"),
+               "-o", str(out)) == 0
+    expected = (DATA / f"solve_wsp_{name}.json").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def test_solve_wsp_rejects_mixed_families(tmp_path):
     inst = Instance(
         ("r1",),
