@@ -1,6 +1,7 @@
 """Plan instances, the partition solver, and both reductions."""
 import itertools
 import json
+import logging
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from vapep import (
     wsp_from_doc,
     wsp_to_doc,
 )
+from vapep.matching import INF, assignment_cost, min_cost_assignment
 from vapep.wsp import _rgs
 
 import helpers
@@ -100,6 +102,115 @@ def test_solve_wsp_matches_plan_space_oracle():
         assert weight == helpers.plan_space_optimum(w)
         assert helpers.plan_weight(w, plan) == weight
         assert set(plan) == set(w.steps)
+
+
+def flat_scan(w):
+    """The partition scan without pruning: every partition with at most n
+    blocks, in `_rgs` order, is matched unless its constraint weight alone
+    reaches the incumbent; strictly better totals replace the incumbent."""
+    K, n = w.k, w.n
+    compiled = []
+    for c in w.constraints:
+        if c.kind == "disjoint":
+            compiled.append((c, w.step_mask(c.scope[0]), w.step_mask(c.scope[1])))
+        else:
+            compiled.append((c, w._sindex[c.scope[0]], w._sindex[c.scope[1]]))
+    inc = INF
+    best = None
+    for rgs in _rgs(K):
+        p = max(rgs) + 1
+        if p > n:
+            continue
+        blocks = [0] * p
+        for i, g in enumerate(rgs):
+            blocks[g] |= 1 << i
+        cw = 0
+        for c, a, b in compiled:
+            if c.kind == "must_equal":
+                cw += c.ell if rgs[a] != rgs[b] else 0
+            elif c.kind == "must_differ":
+                cw += c.ell if rgs[a] == rgs[b] else 0
+            else:
+                cw += c.spec(sum(1 for bm in blocks if bm & a and bm & b))
+        if cw >= inc:
+            continue
+        costs = [[w.cost(u, bm) for u in range(n)] for bm in blocks]
+        total = cw + assignment_cost(costs)
+        if total < inc:
+            inc = total
+            best = list(rgs)
+    blocks = [0] * (max(best) + 1)
+    for i, g in enumerate(best):
+        blocks[g] |= 1 << i
+    match, _ = min_cost_assignment([[w.cost(u, bm) for u in range(n)] for bm in blocks])
+    return {w.steps[i]: w.users[match[best[i]]] for i in range(K)}, inc
+
+
+def rand_diff_wsp(rng):
+    """A plan instance of up to 7 steps for the differential test."""
+    K = rng.randint(1, 7)
+    n = rng.randint(1, K + 2)  # n < K in about two fifths of the cases
+    steps = tuple(f"s{i + 1}" for i in range(K))
+    users = tuple(f"u{j + 1}" for j in range(n))
+    cons = []
+    for _ in range(rng.randint(0, 6)):
+        pick = rng.random()
+        if K >= 2 and pick < 0.35:
+            a, b = rng.sample(steps, 2)
+            cons.append(must_differ(a, b, rng.randint(1, 6)))
+        elif K >= 2 and pick < 0.7:
+            a, b = rng.sample(steps, 2)
+            cons.append(must_equal(a, b, rng.randint(1, 6)))
+        else:
+            # the groups may overlap, and may even share every step
+            ga = rng.sample(steps, rng.randint(1, K))
+            gb = rng.sample(steps, rng.randint(1, K))
+            cons.append(disjoint(ga, gb, helpers.rand_penalty(rng)))
+    base = {u: frozenset(s for s in steps if rng.random() < 0.5) for u in users}
+    mode = rng.random()
+    if mode < 0.25:
+        # a pair penalty of 0: every partition costs its constraint weight
+        # alone, so many partitions tie at the optimum
+        return WspInstance(steps, users, tuple(cons), AuthCost(base, 0))
+    if mode < 0.5:
+        pp = {(u, s): rng.randint(0, 3) for u in users for s in steps
+              if rng.random() < 0.5}
+        return WspInstance(steps, users, tuple(cons), AuthCost(base, pp))
+    if mode < 0.75:
+        # a cost that is not monotone in the step mask
+        table = {(u, m): rng.randint(0, 4) for u in range(n) for m in range(1, 1 << K)}
+        return WspInstance(steps, users, tuple(cons), None,
+                           cost_fn=lambda u, m: table[u, m])
+    return WspInstance(steps, users, tuple(cons), AuthCost(base, rng.randint(1, 3)))
+
+
+def test_solve_wsp_matches_flat_scan():
+    rng = random.Random(80)
+    ties = 0
+    for _ in range(2000):
+        w = rand_diff_wsp(rng)
+        assert solve_wsp(w) == flat_scan(w)
+        ties += w.auth is not None and w.auth.pair_penalty == 0
+    assert ties >= 400
+
+
+def test_solve_wsp_logs_search_counters(caplog):
+    # Without constraints or authorizations every partition costs one pair
+    # penalty per step, so after the first leaf the row-minimum bound cuts
+    # all the others: S(6,1) + S(6,2) + S(6,3) = 122 partitions of 6 steps
+    # into at most 3 blocks are reached and one is matched.
+    steps = tuple(f"s{i}" for i in range(6))
+    w = WspInstance(steps, ("u1", "u2", "u3"), (), AuthCost({}, 1))
+    with caplog.at_level(logging.INFO, logger="vapep.wsp"):
+        assert solve_wsp(w)[1] == 6
+    msg = caplog.records[-1].getMessage()
+    assert msg.startswith("plan solve:")
+    fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
+    assert fields["leaves"] == "122"
+    assert fields["bound_cuts"] == "121"
+    assert fields["matchings"] == "1"
+    assert int(fields["nodes"]) > 122
+    assert "partitions" not in fields
 
 
 def test_partition_evaluation_soundness():
