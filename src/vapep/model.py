@@ -5,6 +5,7 @@ resources[i]); k is capped at 30 so masks stay cheap machine ints.
 """
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -45,7 +46,12 @@ class AuthCost:
     custom: Optional[Callable[[str, frozenset], int]] = None
 
     def __post_init__(self):
-        self.base = {u: frozenset(rs) for u, rs in self.base.items()}
+        shared: dict[frozenset, frozenset] = {}  # equal sets share one object
+        base = {}
+        for u, rs in self.base.items():
+            fs = frozenset(rs)
+            base[u] = shared.setdefault(fs, fs)
+        self.base = base
         if isinstance(self.pair_penalty, bool) or (
             isinstance(self.pair_penalty, int) and not 0 <= self.pair_penalty <= MAX_PENALTY
         ):
@@ -56,20 +62,52 @@ class AuthCost:
                     raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
 
 
-def _check_names(names, what, cap):
+def _index_names(names, what, cap) -> tuple[tuple, dict]:
+    """The names as a tuple and a name -> position dict, once the names are
+    checked to be at most `cap` distinct non-empty strings."""
     names = tuple(names)
     if not names:
         raise ValueError(f"at least one {what} is required")
     if len(names) > cap:
         raise ValueError(f"at most {cap} {what}s are supported")
-    seen = set()
-    for nm in names:
-        if not isinstance(nm, str) or not nm:
-            raise ValueError(f"{what} names must be non-empty strings")
-        if nm in seen:
-            raise ValueError(f"duplicate {what} name {nm!r}")
-        seen.add(nm)
-    return names
+    valid = all(isinstance(nm, str) and nm for nm in names)
+    index = dict(zip(names, range(len(names)))) if valid else {}
+    if len(index) < len(names):
+        # report the first bad name in list order
+        seen = set()
+        for nm in names:
+            if not isinstance(nm, str) or not nm:
+                raise ValueError(f"{what} names must be non-empty strings")
+            if nm in seen:
+                raise ValueError(f"duplicate {what} name {nm!r}")
+            seen.add(nm)
+    return names, index
+
+
+def _auth_masks(base, uindex, names, what) -> list[int]:
+    """Each user's authorized mask over `names`, in user-index order.
+
+    One pass checks every user and name of `base` and builds the masks;
+    equal sets (AuthCost shares one object for them) are checked once.
+    """
+    bit = {nm: 1 << i for i, nm in enumerate(names)}
+    masks: dict[frozenset, int] = {}
+    out = [0] * len(uindex)
+    for u, rs in base.items():
+        ui = uindex.get(u)
+        if ui is None:
+            raise ValueError(f"authorization for unknown user {u!r}")
+        m = masks.get(rs)
+        if m is None:
+            m = 0
+            for r in rs:
+                b = bit.get(r)
+                if b is None:
+                    raise ValueError(f"authorization for unknown {what} {r!r}")
+                m |= b
+            masks[rs] = m
+        out[ui] = m
+    return out
 
 
 @dataclass
@@ -81,31 +119,25 @@ class Instance:
     meta: Optional[dict] = None
 
     def __post_init__(self):
-        self.resources = _check_names(self.resources, "resource", MAX_RESOURCES)
-        self.users = _check_names(self.users, "user", MAX_USERS)
+        self.resources, self._rindex = _index_names(
+            self.resources, "resource", MAX_RESOURCES
+        )
+        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS)
         self.constraints = tuple(self.constraints)
         if len(self.constraints) > MAX_CONSTRAINTS:
             raise ValueError(f"at most {MAX_CONSTRAINTS} constraints are supported")
-        self._rindex = {r: i for i, r in enumerate(self.resources)}
-        self._uindex = {u: i for i, u in enumerate(self.users)}
         for c in self.constraints:
             for r in c.scope:
                 if r not in self._rindex:
                     raise ValueError(f"constraint scope uses unknown resource {r!r}")
-        for u, rs in self.auth.base.items():
-            if u not in self._uindex:
-                raise ValueError(f"authorization for unknown user {u!r}")
-            for r in rs:
-                if r not in self._rindex:
-                    raise ValueError(f"authorization for unknown resource {r!r}")
+        self._base_mask = _auth_masks(
+            self.auth.base, self._uindex, self.resources, "resource"
+        )
         if isinstance(self.auth.pair_penalty, dict):
             for (u, r) in self.auth.pair_penalty:
                 if u not in self._uindex or r not in self._rindex:
                     raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
-        # per-user authorized mask and per-(user, resource) penalty rows
-        self._base_mask = [0] * len(self.users)
-        for u, rs in self.auth.base.items():
-            self._base_mask[self._uindex[u]] = self.resource_mask(rs)
+        # per-(user, resource) penalty rows
         pp = self.auth.pair_penalty
         if isinstance(pp, dict):
             self._pen = [
@@ -113,6 +145,7 @@ class Instance:
             ]
         else:
             self._pen = None  # uniform
+        self._groups: tuple[int, dict[int, list[int]]] = (0, {})
 
     @property
     def k(self) -> int:
@@ -121,6 +154,23 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.users)
+
+    def users_by_base(self, m: int) -> dict[int, list[int]]:
+        """User indices grouped by authorized mask, in first-seen mask order;
+        each group holds at least the first min(m, size) users of its mask,
+        ascending.  Built in one pass over the users and kept for later
+        calls that need no more than m per group."""
+        cap, groups = self._groups
+        if cap < m:
+            groups = {}
+            for u, base in enumerate(self._base_mask):
+                group = groups.get(base)
+                if group is None:
+                    groups[base] = [u]
+                elif len(group) < m:
+                    group.append(u)
+            self._groups = (m, groups)
+        return groups
 
     def resource_mask(self, names: Iterable[str]) -> int:
         m = 0
@@ -306,15 +356,10 @@ class SolveResult:
         return cls(rel, total, breakdown, meta)
 
     def to_doc(self, instance: Instance) -> dict:
-        assignment = {}
-        for u in instance.users:
-            rs = self.relation.resources_of(u)
-            if rs:
-                assignment[u] = [r for r in instance.resources if r in rs]
         meta = {k: v for k, v in sorted(self.meta.items()) if k != "wall_time_s"}
         return {
             "total_weight": self.total_weight,
-            "assignment": assignment,
+            "assignment": _assignment_doc(instance, self.relation),
             "breakdown": {
                 "omega": self.breakdown["omega"],
                 "constraints": list(self.breakdown["constraints"]),
@@ -325,6 +370,14 @@ class SolveResult:
 
     def to_json(self, instance: Instance) -> str:
         return canonical_json(self.to_doc(instance))
+
+
+def _assignment_doc(instance: Instance, rel: AuthorizationRelation) -> dict:
+    """The relation's non-empty entries as resource lists, keyed in
+    instance.users order; walks the relation, not all n users."""
+    uindex = instance._uindex
+    entries = sorted((uindex[u], u, rs) for u, rs in rel.assignment.items() if rs)
+    return {u: [r for r in instance.resources if r in rs] for _, u, rs in entries}
 
 
 def canonical_json(doc) -> str:
@@ -390,6 +443,17 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
+def _group_pairs(pairs, shape: str) -> dict[str, list]:
+    """Authorization pairs grouped per user, in first-seen order; AuthCost
+    turns each list into a frozenset, which drops repeated pairs."""
+    base: dict[str, list] = {}
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"auth.pairs entries must be {shape}")
+        base.setdefault(p[0], []).append(p[1])
+    return base
+
+
 def instance_from_doc(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -401,12 +465,7 @@ def instance_from_doc(doc: dict) -> Instance:
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
-    pairs = auth_doc.get("pairs", [])
-    base: dict[str, set] = {}
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ValueError("auth.pairs entries must be [user, resource]")
-        base.setdefault(p[0], set()).add(p[1])
+    base = _group_pairs(auth_doc.get("pairs", []), "[user, resource]")
     pp = auth_doc.get("pair_penalty", 1)
     if isinstance(pp, list):
         users, resources = doc["users"], doc["resources"]
@@ -426,11 +485,13 @@ def instance_from_doc(doc: dict) -> Instance:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("meta must be an object")
+    auth = AuthCost(base, pp)
+    del base  # free the per-user lists before Instance builds its tables
     return Instance(
         resources=tuple(doc["resources"]),
         users=tuple(doc["users"]),
         constraints=cons,
-        auth=AuthCost({u: frozenset(rs) for u, rs in base.items()}, pp),
+        auth=auth,
         meta=meta,
     )
 
@@ -475,9 +536,26 @@ def instance_to_doc(instance: Instance) -> dict:
     return doc
 
 
+def _load_doc(path: str, from_doc: Callable):
+    """from_doc applied to the JSON document at path.
+
+    The cyclic collector is paused meanwhile: the parsed document and the
+    tables built from it are many small objects without reference cycles,
+    which would only trigger collections that free nothing.  The caller's
+    collector state is restored however the load ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_doc(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_doc(json.load(fh))
+    return _load_doc(path, instance_from_doc)
 
 
 def dump_instance(instance: Instance, path: Optional[str] = None) -> str:
@@ -502,12 +580,7 @@ def relation_from_doc(doc: dict, instance: Instance) -> AuthorizationRelation:
 
 def relation_to_doc(instance: Instance, rel: AuthorizationRelation) -> dict:
     validate_relation(instance, rel)
-    assignment = {}
-    for u in instance.users:
-        rs = rel.resources_of(u)
-        if rs:
-            assignment[u] = [r for r in instance.resources if r in rs]
-    return {"assignment": assignment}
+    return {"assignment": _assignment_doc(instance, rel)}
 
 
 def load_relation(path: str, instance: Instance) -> AuthorizationRelation:

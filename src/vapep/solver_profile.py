@@ -112,9 +112,10 @@ def cheapest_users(instance: Instance, masks: list[int], m: int) -> list[list[in
     by (cost, user index).
 
     Under a uniform pair penalty without a custom cost, a user's cost depends
-    only on its authorized mask, so one pass keeps the first m users of each
-    mask type and each mask then ranks at most 2^k * m users.  Per-pair
-    matrices and custom costs rank all n users per mask.
+    only on its authorized mask, so only the first m users of each mask type
+    (`Instance.users_by_base`, one pass per instance) can be chosen and each
+    mask ranks at most 2^k * m users.  Per-pair matrices and custom costs
+    rank all n users per mask.
     """
     n = instance.n
     m = min(m, n)
@@ -125,19 +126,13 @@ def cheapest_users(instance: Instance, masks: list[int], m: int) -> list[list[in
             )
             for mask in masks
         ]
-    types: dict[int, list[int]] = {}
-    for u, base in enumerate(instance._base_mask):
-        group = types.get(base)
-        if group is None:
-            types[base] = [u]
-        elif len(group) < m:
-            group.append(u)
+    types = instance.users_by_base(m)
     out = []
     for mask in masks:
         ranked = []
         for group in types.values():
             w = instance.omega_mask(group[0], mask)
-            ranked.extend((w, u) for u in group)
+            ranked.extend((w, u) for u in group[:m])
         ranked.sort()
         out.append([u for _, u in ranked[:m]])
     return out

@@ -18,7 +18,6 @@ each resource into per-partner steps.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -31,7 +30,10 @@ from .model import (
     AuthorizationRelation,
     GuardError,
     Instance,
-    _check_names,
+    _auth_masks,
+    _group_pairs,
+    _index_names,
+    _load_doc,
     _reject_unknown,
     canonical_json,
 )
@@ -99,11 +101,9 @@ class WspInstance:
     cost_fn: Optional[Callable[[int, int], int]] = None  # (user idx, step mask)
 
     def __post_init__(self):
-        self.steps = _check_names(self.steps, "step", 900)
-        self.users = _check_names(self.users, "user", 10**6)
+        self.steps, self._sindex = _index_names(self.steps, "step", 900)
+        self.users, self._uindex = _index_names(self.users, "user", 10**6)
         self.constraints = tuple(self.constraints)
-        self._sindex = {s: i for i, s in enumerate(self.steps)}
-        self._uindex = {u: i for i, u in enumerate(self.users)}
         for c in self.constraints:
             names = c.scope[0] + c.scope[1] if c.kind == DISJOINT else c.scope
             for s in names:
@@ -111,17 +111,12 @@ class WspInstance:
                     raise ValueError(f"constraint scope uses unknown step {s!r}")
         if self.auth is None and self.cost_fn is None:
             raise ValueError("an authorization cost (auth or cost_fn) is required")
-        self._base_mask = [0] * len(self.users)
-        if self.auth is not None:
-            for u, ss in self.auth.base.items():
-                if u not in self._uindex:
-                    raise ValueError(f"authorization for unknown user {u!r}")
-                m = 0
-                for s in ss:
-                    if s not in self._sindex:
-                        raise ValueError(f"authorization for unknown step {s!r}")
-                    m |= 1 << self._sindex[s]
-                self._base_mask[self._uindex[u]] = m
+        if self.auth is None:
+            self._base_mask = [0] * len(self.users)
+        else:
+            self._base_mask = _auth_masks(
+                self.auth.base, self._uindex, self.steps, "step"
+            )
 
     @property
     def k(self) -> int:
@@ -422,11 +417,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"plan instance needs a {key!r} list")
     auth_doc = doc.get("auth", {})
     _reject_unknown(auth_doc, {"pairs", "pair_penalty"}, "auth")
-    base: dict[str, set] = {}
-    for p in auth_doc.get("pairs", []):
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ValueError("auth.pairs entries must be [user, step]")
-        base.setdefault(p[0], set()).add(p[1])
+    base = _group_pairs(auth_doc.get("pairs", []), "[user, step]")
     pp = auth_doc.get("pair_penalty", 1)
     cons = []
     for idx, entry in enumerate(doc.get("constraints", [])):
@@ -448,11 +439,13 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             )
         else:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
+    auth = AuthCost(base, pp)
+    del base  # free the per-user lists before WspInstance builds its tables
     return WspInstance(
         steps=tuple(doc["steps"]),
         users=tuple(doc["users"]),
         constraints=tuple(cons),
-        auth=AuthCost({u: frozenset(ss) for u, ss in base.items()}, pp),
+        auth=auth,
     )
 
 
@@ -482,8 +475,7 @@ def wsp_to_doc(w: WspInstance) -> dict:
 
 
 def load_wsp(path: str) -> WspInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return wsp_from_doc(json.load(fh))
+    return _load_doc(path, wsp_from_doc)
 
 
 def dump_wsp(w: WspInstance, path: Optional[str] = None) -> str:

@@ -1,4 +1,5 @@
 """Core domain types: authorization costs, relations, profiles, JSON forms."""
+import gc
 import json
 import random
 
@@ -368,3 +369,335 @@ def test_pair_penalty_bounds():
         AuthCost({}, 10**6 + 1)
     with pytest.raises(ValueError):
         AuthCost({}, {("u1", "r1"): -2})
+
+
+# --------------------------------------------------------------------------
+# the loader against a copy of the set-based, two-pass loader it replaced
+
+
+def _reference_check_names(names, what, cap):
+    names = tuple(names)
+    if not names:
+        raise ValueError(f"at least one {what} is required")
+    if len(names) > cap:
+        raise ValueError(f"at most {cap} {what}s are supported")
+    seen = set()
+    for nm in names:
+        if not isinstance(nm, str) or not nm:
+            raise ValueError(f"{what} names must be non-empty strings")
+        if nm in seen:
+            raise ValueError(f"duplicate {what} name {nm!r}")
+        seen.add(nm)
+    return names
+
+
+def _reference_instance(resources, users, constraints, base, pp):
+    """The fields `Instance(resources, users, constraints, AuthCost(base, pp))`
+    held, computed as the set-based loader did: AuthCost first, then the name,
+    scope and authorization checks, then a second pass for the masks."""
+    from vapep.constraints import MAX_CONSTRAINTS, MAX_PENALTY
+    from vapep.model import MAX_RESOURCES, MAX_USERS
+
+    base = {u: frozenset(rs) for u, rs in base.items()}
+    if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
+        raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
+    if isinstance(pp, dict):
+        for v in pp.values():
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= MAX_PENALTY:
+                raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
+    resources = _reference_check_names(resources, "resource", MAX_RESOURCES)
+    users = _reference_check_names(users, "user", MAX_USERS)
+    constraints = tuple(constraints)
+    if len(constraints) > MAX_CONSTRAINTS:
+        raise ValueError(f"at most {MAX_CONSTRAINTS} constraints are supported")
+    rindex = {r: i for i, r in enumerate(resources)}
+    uindex = {u: i for i, u in enumerate(users)}
+    for c in constraints:
+        for r in c.scope:
+            if r not in rindex:
+                raise ValueError(f"constraint scope uses unknown resource {r!r}")
+    for u, rs in base.items():
+        if u not in uindex:
+            raise ValueError(f"authorization for unknown user {u!r}")
+        for r in rs:
+            if r not in rindex:
+                raise ValueError(f"authorization for unknown resource {r!r}")
+    if isinstance(pp, dict):
+        for (u, r) in pp:
+            if u not in uindex or r not in rindex:
+                raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
+    base_mask = [0] * len(users)
+    for u, rs in base.items():
+        m = 0
+        for r in rs:
+            m |= 1 << rindex[r]
+        base_mask[uindex[u]] = m
+    pen = None
+    if isinstance(pp, dict):
+        pen = [[pp.get((u, r), 1) for r in resources] for u in users]
+    return {
+        "users": users,
+        "resources": resources,
+        "base": base,
+        "pair_penalty": pp,
+        "base_mask": base_mask,
+        "pen": pen,
+    }
+
+
+def _reference_from_doc(doc):
+    """instance_from_doc as it was: pairs grouped into per-user sets."""
+    from vapep import model
+
+    if not isinstance(doc, dict):
+        raise ValueError("instance document must be a JSON object")
+    model._reject_unknown(doc, model._TOP_KEYS, "instance")
+    for key in ("resources", "users"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"instance needs a {key!r} list")
+    auth_doc = doc.get("auth", {})
+    if not isinstance(auth_doc, dict):
+        raise ValueError("auth must be an object")
+    model._reject_unknown(auth_doc, model._AUTH_KEYS, "auth")
+    base: dict = {}
+    for p in auth_doc.get("pairs", []):
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError("auth.pairs entries must be [user, resource]")
+        base.setdefault(p[0], set()).add(p[1])
+    pp = auth_doc.get("pair_penalty", 1)
+    if isinstance(pp, list):
+        users, resources = doc["users"], doc["resources"]
+        if len(pp) != len(users) or any(
+            not isinstance(row, list) or len(row) != len(resources) for row in pp
+        ):
+            raise ValueError("pair_penalty matrix must be |users| x |resources|")
+        pp = {(u, r): row[i] for u, row in zip(users, pp) for i, r in enumerate(resources)}
+    cons = tuple(
+        model._constraint_from_doc(e, i) for i, e in enumerate(doc.get("constraints", []))
+    )
+    return _reference_instance(
+        tuple(doc["resources"]), tuple(doc["users"]), cons, base, pp
+    )
+
+
+def _loaded_fields(inst):
+    return {
+        "users": inst.users,
+        "resources": inst.resources,
+        "base": inst.auth.base,
+        "pair_penalty": inst.auth.pair_penalty,
+        "base_mask": inst._base_mask,
+        "pen": inst._pen,
+    }
+
+
+def _random_doc(rng):
+    """A valid document: duplicate pairs, users without pairs, pairs out of
+    user order, and a uniform or a per-pair penalty."""
+    k, n = rng.randint(1, 5), rng.randint(1, 30)
+    resources = [f"r{i}" for i in range(k)]
+    users = [f"u{j}" for j in range(n)]
+    rng.shuffle(users)
+    pairs = [[u, r] for u in users for r in resources if rng.random() < 0.4]
+    pairs += [list(rng.choice(pairs)) for _ in range(rng.randint(0, 5)) if pairs]
+    rng.shuffle(pairs)
+    if rng.random() < 0.5:
+        pp = rng.randint(0, 3)
+    else:
+        pp = [[rng.randint(0, 3) for _ in resources] for _ in users]
+    cons = []
+    if k >= 2 and rng.random() < 0.5:
+        cons.append({"type": "sod_u", "scope": rng.sample(resources, 2), "slope": 2})
+    return {
+        "resources": resources,
+        "users": users,
+        "auth": {"pairs": pairs, "pair_penalty": pp},
+        "constraints": cons,
+    }
+
+
+def _break(rng, doc, fault):
+    users, resources, pairs = doc["users"], doc["resources"], doc["auth"]["pairs"]
+    at = rng.randint(0, len(pairs))
+    if fault == "pair shape":
+        bad = rng.choice([["u0"], ["u0", "r0", "r0"], "u0", {"u0": "r0"}, []])
+        pairs.insert(at, bad)
+    elif fault == "unknown user":
+        pairs.insert(at, ["ghost", resources[0]])
+    elif fault == "unknown resource":
+        pairs.insert(at, [rng.choice(users), "r_ghost"])
+    elif fault == "duplicate":
+        names = rng.choice([users, resources])
+        names.insert(rng.randint(0, len(names)), rng.choice(names))
+    elif fault == "bad name":
+        names = rng.choice([users, resources])
+        names.insert(rng.randint(0, len(names)), rng.choice(["", 7, None, ["u1"]]))
+    elif fault == "pair-penalty pair":
+        # a JSON object is taken as a dict; a two-letter key unpacks to a pair
+        doc["auth"]["pair_penalty"] = {"xy": 1}
+    return doc
+
+
+LOADER_FAULTS = {  # fault -> the start of the message it raises on its own
+    "pair shape": "auth.pairs entries must be [user, resource]",
+    "unknown user": "authorization for unknown user",
+    "unknown resource": "authorization for unknown resource",
+    "duplicate": "duplicate ",
+    "bad name": ("user names must be", "resource names must be"),
+    "pair-penalty pair": "pair penalty for unknown pair",
+}
+
+
+def _outcome(load, doc):
+    try:
+        return "ok", load(doc)
+    except (ValueError, TypeError) as exc:
+        # an unhashable name in a per-pair matrix's keys raises TypeError
+        return type(exc).__name__, str(exc)
+
+
+def test_loader_matches_set_based_loader_on_random_documents():
+    rng = random.Random(31)
+    for _ in range(400):
+        doc = _random_doc(rng)
+        text = json.dumps(doc)
+        want = _reference_from_doc(json.loads(text))
+        got = _loaded_fields(instance_from_doc(json.loads(text)))
+        assert got == want
+        assert json.loads(text) == doc  # the loader did not touch its input
+
+
+def test_loader_error_messages_match_set_based_loader():
+    rng = random.Random(32)
+    hits = dict.fromkeys(LOADER_FAULTS, 0)
+    for i in range(600):
+        faults = rng.sample(sorted(LOADER_FAULTS), 1 if i % 3 else 2)
+        doc = _random_doc(rng)
+        for fault in faults:
+            _break(rng, doc, fault)
+        text = json.dumps(doc)
+        want = _outcome(_reference_from_doc, json.loads(text))
+        got = _outcome(lambda d: _loaded_fields(instance_from_doc(d)), json.loads(text))
+        assert got == want, faults
+        assert want[0] != "ok", faults
+        if len(faults) == 1:
+            # a per-pair matrix can fail its shape check first
+            hits[faults[0]] += want[1].startswith(LOADER_FAULTS[faults[0]])
+    assert all(hits.values()), hits
+
+
+def test_direct_instance_matches_set_based_construction():
+    rng = random.Random(33)
+    for _ in range(200):
+        k, n = rng.randint(1, 4), rng.randint(1, 8)
+        resources = tuple(f"r{i}" for i in range(k))
+        users = tuple(f"u{j}" for j in range(n))
+        base = {
+            u: {r for r in resources if rng.random() < 0.5}
+            for u in rng.sample(users, rng.randint(0, n))
+        }
+        pp = {
+            (rng.choice(users + ("ghost",)), rng.choice(resources)): rng.randint(0, 3)
+            for _ in range(rng.randint(0, 3))
+        } or rng.randint(0, 2)
+        want = _outcome(lambda _: _reference_instance(resources, users, (), base, pp), None)
+        got = _outcome(
+            lambda _: _loaded_fields(Instance(resources, users, (), AuthCost(base, pp))),
+            None,
+        )
+        assert got == want
+
+
+def test_equal_authorized_sets_share_one_frozenset():
+    auth = AuthCost({"u1": ["r1", "r2"], "u2": ("r2", "r1", "r2"), "u3": {"r1"}})
+    assert auth.base["u1"] is auth.base["u2"]
+    assert auth.base == {
+        "u1": frozenset({"r1", "r2"}),
+        "u2": frozenset({"r1", "r2"}),
+        "u3": frozenset({"r1"}),
+    }
+
+
+# --------------------------------------------------------------------------
+# load_instance and the cyclic collector
+
+
+def test_load_instance_restores_gc_state(tmp_path, monkeypatch):
+    from vapep import model
+
+    good = tmp_path / "good.json"
+    dump_instance(small_instance(), str(good))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"resources": ["r1"], "users": ["u1", "u1"]}))
+    during = []
+    real = model.instance_from_doc
+
+    def spy(doc):
+        during.append(gc.isenabled())
+        return real(doc)
+
+    monkeypatch.setattr(model, "instance_from_doc", spy)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert model.load_instance(str(good)).users == ("u1", "u2")
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="duplicate user name 'u1'"):
+                model.load_instance(str(bad))
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileNotFoundError):
+                model.load_instance(str(tmp_path / "missing.json"))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == [False] * 4
+
+
+# --------------------------------------------------------------------------
+# assignment serialization walks the relation in user-index order
+
+
+def _reference_assignment(instance, rel):
+    assignment = {}
+    for u in instance.users:
+        rs = rel.resources_of(u)
+        if rs:
+            assignment[u] = [r for r in instance.resources if r in rs]
+    return assignment
+
+
+def test_to_doc_orders_users_as_the_all_users_walk():
+    inst = small_instance(k=3, n=6)
+    mapping = {
+        "u6": ["r3", "r1"],
+        "u5": [],
+        "u4": ["r2"],
+        "u3": [],
+        "u2": ["r1", "r2", "r3"],
+        "u1": ["r3"],
+    }
+    rel = AuthorizationRelation.from_mapping(mapping)
+    res = SolveResult.build(inst, rel, {"solver": "x"})
+    want = _reference_assignment(inst, rel)
+    assert list(want) == ["u1", "u2", "u4", "u6"]
+    doc = res.to_doc(inst)
+    assert canonical_json(doc["assignment"]) == canonical_json(want)
+    old_doc = dict(doc, assignment=want)
+    assert res.to_json(inst) == canonical_json(old_doc)
+    assert canonical_json(relation_to_doc(inst, rel)) == canonical_json(
+        {"assignment": want}
+    )
+
+
+def test_to_doc_matches_the_all_users_walk_random():
+    rng = random.Random(34)
+    for _ in range(100):
+        inst = helpers.rand_instance(rng)
+        rel = helpers.rand_relation(rng, inst, complete=False)
+        items = list(rel.assignment.items())
+        rng.shuffle(items)
+        items += [(u, frozenset()) for u in rng.sample(inst.users, 1)]
+        rel = AuthorizationRelation(dict(items))
+        want = {"assignment": _reference_assignment(inst, rel)}
+        assert canonical_json(relation_to_doc(inst, rel)) == canonical_json(want)

@@ -1,4 +1,5 @@
 """Plan instances, the partition solver, and both reductions."""
+import gc
 import itertools
 import json
 import logging
@@ -454,6 +455,49 @@ def test_wsp_json_files(tmp_path):
     path.write_text(dump_wsp(w))
     again = load_wsp(str(path))
     assert wsp_to_doc(again) == wsp_to_doc(w)
+
+
+def test_wsp_loader_masks_and_errors(tmp_path):
+    rng = random.Random(80)
+    for _ in range(100):
+        w = helpers.rand_wsp(rng, linear_only=True)
+        doc = wsp_to_doc(w)
+        pairs = doc["auth"]["pairs"]
+        pairs += pairs[:2]  # repeated pairs
+        rng.shuffle(pairs)  # out of user order
+        again = wsp_from_doc(doc)
+        assert wsp_to_doc(again) == wsp_to_doc(w)
+        assert again._base_mask == [
+            sum(1 << i for i, s in enumerate(w.steps) if s in w.auth.base[u])
+            for u in w.users
+        ]
+    cases = [
+        ([["u1"]], ["s1", "s2"], "auth.pairs entries must be [user, step]"),
+        ([["u1", "s1"], ["ghost", "s1"]], ["s1", "s2"],
+         "authorization for unknown user 'ghost'"),
+        ([["u1", "s1"], ["u1", "s9"]], ["s1", "s2"],
+         "authorization for unknown step 's9'"),
+        ([["u1", "s1"]], ["s1", "s1"], "duplicate step name 's1'"),
+        ([["u1", "s1"]], ["s1", ""], "step names must be non-empty strings"),
+    ]
+    for pairs, steps, message in cases:
+        doc = {"steps": steps, "users": ["u1"], "auth": {"pairs": pairs}}
+        with pytest.raises(ValueError) as err:
+            wsp_from_doc(doc)
+        assert str(err.value) == message
+    path = tmp_path / "w.json"
+    path.write_text(dump_wsp(helpers.rand_wsp(random.Random(81))))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            load_wsp(str(path))
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileNotFoundError):
+                load_wsp(str(tmp_path / "missing.json"))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_derived_cost_instances_not_serializable():
