@@ -1,8 +1,7 @@
 """Build script for the compiled search kernels.
 
-With Cython installed the extension is compiled from ``_core.pyx``;
-without it, from the committed ``_core.c`` that Cython generated from that
-file, so an offline build needs only a C compiler:
+The kernels are one hand-written C file, ``_core.c``, so a build needs only
+a C compiler:
 
     python setup.py build_ext --inplace
 
@@ -11,18 +10,12 @@ kernels, which it selects at import time when the extension is absent.
 """
 from setuptools import Extension, setup
 
-KERNEL = "src/vapep/_kernels/_core"
-
-
-def kernel(source: str) -> Extension:
-    return Extension("vapep._kernels._core", [source], extra_compile_args=["-O3"])
-
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    extensions = [kernel(KERNEL + ".c")]
-else:
-    extensions = cythonize([kernel(KERNEL + ".pyx")], language_level=3)
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "vapep._kernels._core",
+            ["src/vapep/_kernels/_core.c"],
+            extra_compile_args=["-O3"],
+        )
+    ]
+)

@@ -1,9 +1,12 @@
 """Search kernel selection.
 
-The compiled Cython kernels are used when the extension built; otherwise the
-pure-Python twins take over.  APEP_KERNEL=python|cython forces a choice, and
-solve(..., backend=...) overrides per call.  Both implementations enumerate
-in the same order and produce identical results.
+The compiled kernels (the hand-written C extension ``_core``) are used when
+the extension built; otherwise the pure-Python twins in ``_ref`` take over.
+The compiled backend is named "cython" after the tool that once generated
+it: the name is kept as the backend label in solver output, which pinned
+outputs compare byte for byte.  APEP_KERNEL=python|cython forces a choice,
+and solve(..., backend=...) overrides per call.  Both implementations
+enumerate in the same order and produce identical results.
 """
 import os
 

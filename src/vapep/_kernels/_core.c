@@ -1,14362 +1,399 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "vapep._kernels._core",
-        "sources": [
-            "src/vapep/_kernels/_core.pyx"
-        ]
-    },
-    "module_name": "vapep._kernels._core"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__vapep___kernels___core
-#define __PYX_HAVE_API__vapep___kernels___core
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/vapep/_kernels/_core.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* PyThreadStateGet.proto (used by SaveResetException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyErrExceptionMatches.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* PyErrFetchRestore.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "vapep._kernels._core" */
-static PY_LONG_LONG __pyx_v_5vapep_8_kernels_5_core_C_INF;
-static PY_LONG_LONG *__pyx_f_5vapep_8_kernels_5_core__as_i64(PyObject *, Py_ssize_t); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "vapep._kernels._core"
-extern int __pyx_module_is_main_vapep___kernels___core;
-int __pyx_module_is_main_vapep___kernels___core = 0;
-
-/* Implementation of "vapep._kernels._core" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_search_kernels_Statemen[] = "Compiled search kernels.\n\nStatement-for-statement mirror of the pure-Python twin in _ref.py: same\nenumeration order, same pruning, same tie handling, so both backends return\nbit-identical results.  Keep the two files in sync.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_5vapep_8_kernels_5_core_profile_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, PyObject *__pyx_v_ell, PyObject *__pyx_v_subs, PyObject *__pyx_v_minw, PyObject *__pyx_v_kinds, PyObject *__pyx_v_tvals, PyObject *__pyx_v_pkinds, PyObject *__pyx_v_pslopes, PyObject *__pyx_v_ptables, PyObject *__pyx_v_clsA, PyObject *__pyx_v_clsB, PyObject *__pyx_v_sufun, PyObject *__pyx_v_evaluate, PyObject *__pyx_v_first_count); /* proto */
-static PyObject *__pyx_pf_5vapep_8_kernels_5_core_2brute_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_k, PyObject *__pyx_v_subs_all, PyObject *__pyx_v_otab, PyObject *__pyx_v_kinds, PyObject *__pyx_v_rA, PyObject *__pyx_v_rB, PyObject *__pyx_v_tvals, PyObject *__pyx_v_pkinds, PyObject *__pyx_v_pslopes, PyObject *__pyx_v_ptables); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[2];
-  PyObject *__pyx_string_tab[116];
-  PyObject *__pyx_number_tab[2];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_src_vapep__kernels__core_pyx __pyx_string_tab[1]
-#define __pyx_n_u_C __pyx_string_tab[2]
-#define __pyx_n_u_INF __pyx_string_tab[3]
-#define __pyx_n_u_M __pyx_string_tab[4]
-#define __pyx_n_u_NAME __pyx_string_tab[5]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[6]
-#define __pyx_n_u_S __pyx_string_tab[7]
-#define __pyx_n_u_a __pyx_string_tab[8]
-#define __pyx_n_u_aflat __pyx_string_tab[9]
-#define __pyx_n_u_alen __pyx_string_tab[10]
-#define __pyx_n_u_allm __pyx_string_tab[11]
-#define __pyx_n_u_am __pyx_string_tab[12]
-#define __pyx_n_u_annotate __pyx_string_tab[13]
-#define __pyx_n_u_aoff __pyx_string_tab[14]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[15]
-#define __pyx_n_u_b __pyx_string_tab[16]
-#define __pyx_n_u_bb __pyx_string_tab[17]
-#define __pyx_n_u_best __pyx_string_tab[18]
-#define __pyx_n_u_bflat __pyx_string_tab[19]
-#define __pyx_n_u_blen __pyx_string_tab[20]
-#define __pyx_n_u_bm __pyx_string_tab[21]
-#define __pyx_n_u_boff __pyx_string_tab[22]
-#define __pyx_n_u_brute_search __pyx_string_tab[23]
-#define __pyx_n_u_budb __pyx_string_tab[24]
-#define __pyx_n_u_c __pyx_string_tab[25]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[26]
-#define __pyx_n_u_clsA __pyx_string_tab[27]
-#define __pyx_n_u_clsB __pyx_string_tab[28]
-#define __pyx_n_u_cntA __pyx_string_tab[29]
-#define __pyx_n_u_cntB __pyx_string_tab[30]
-#define __pyx_n_u_complete __pyx_string_tab[31]
-#define __pyx_n_u_cov __pyx_string_tab[32]
-#define __pyx_n_u_covb __pyx_string_tab[33]
-#define __pyx_n_u_cw __pyx_string_tab[34]
-#define __pyx_n_u_cython __pyx_string_tab[35]
-#define __pyx_n_u_down __pyx_string_tab[36]
-#define __pyx_n_u_ell __pyx_string_tab[37]
-#define __pyx_n_u_ell_c __pyx_string_tab[38]
-#define __pyx_n_u_emitted __pyx_string_tab[39]
-#define __pyx_n_u_evaluate __pyx_string_tab[40]
-#define __pyx_n_u_first_c __pyx_string_tab[41]
-#define __pyx_n_u_first_count __pyx_string_tab[42]
-#define __pyx_n_u_full __pyx_string_tab[43]
-#define __pyx_n_u_func __pyx_string_tab[44]
-#define __pyx_n_u_hi __pyx_string_tab[45]
-#define __pyx_n_u_i __pyx_string_tab[46]
-#define __pyx_n_u_inc __pyx_string_tab[47]
-#define __pyx_n_u_inc_c __pyx_string_tab[48]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[49]
-#define __pyx_n_u_items __pyx_string_tab[50]
-#define __pyx_n_u_j __pyx_string_tab[51]
-#define __pyx_n_u_j2 __pyx_string_tab[52]
-#define __pyx_n_u_k __pyx_string_tab[53]
-#define __pyx_n_u_k_c __pyx_string_tab[54]
-#define __pyx_n_u_kd __pyx_string_tab[55]
-#define __pyx_n_u_kinds __pyx_string_tab[56]
-#define __pyx_n_u_kinds_c __pyx_string_tab[57]
-#define __pyx_n_u_leaves __pyx_string_tab[58]
-#define __pyx_n_u_lo __pyx_string_tab[59]
-#define __pyx_n_u_m __pyx_string_tab[60]
-#define __pyx_n_u_m_assigned __pyx_string_tab[61]
-#define __pyx_n_u_main __pyx_string_tab[62]
-#define __pyx_n_u_minw __pyx_string_tab[63]
-#define __pyx_n_u_minw_c __pyx_string_tab[64]
-#define __pyx_n_u_module __pyx_string_tab[65]
-#define __pyx_n_u_n __pyx_string_tab[66]
-#define __pyx_n_u_n_c __pyx_string_tab[67]
-#define __pyx_n_u_name __pyx_string_tab[68]
-#define __pyx_n_u_olbb __pyx_string_tab[69]
-#define __pyx_n_u_omb __pyx_string_tab[70]
-#define __pyx_n_u_otab __pyx_string_tab[71]
-#define __pyx_n_u_otab_c __pyx_string_tab[72]
-#define __pyx_n_u_pairs __pyx_string_tab[73]
-#define __pyx_n_u_pkinds __pyx_string_tab[74]
-#define __pyx_n_u_pkinds_c __pyx_string_tab[75]
-#define __pyx_n_u_pop __pyx_string_tab[76]
-#define __pyx_n_u_pos __pyx_string_tab[77]
-#define __pyx_n_u_profile_search __pyx_string_tab[78]
-#define __pyx_n_u_pslopes __pyx_string_tab[79]
-#define __pyx_n_u_pslopes_c __pyx_string_tab[80]
-#define __pyx_n_u_ptables __pyx_string_tab[81]
-#define __pyx_n_u_qualname __pyx_string_tab[82]
-#define __pyx_n_u_r __pyx_string_tab[83]
-#define __pyx_n_u_rA __pyx_string_tab[84]
-#define __pyx_n_u_rA_c __pyx_string_tab[85]
-#define __pyx_n_u_rB __pyx_string_tab[86]
-#define __pyx_n_u_rB_c __pyx_string_tab[87]
-#define __pyx_n_u_rmask __pyx_string_tab[88]
-#define __pyx_n_u_row __pyx_string_tab[89]
-#define __pyx_n_u_s __pyx_string_tab[90]
-#define __pyx_n_u_set_name __pyx_string_tab[91]
-#define __pyx_n_u_setdefault __pyx_string_tab[92]
-#define __pyx_n_u_subs __pyx_string_tab[93]
-#define __pyx_n_u_subs_all __pyx_string_tab[94]
-#define __pyx_n_u_subs_c __pyx_string_tab[95]
-#define __pyx_n_u_sufun __pyx_string_tab[96]
-#define __pyx_n_u_sufun_c __pyx_string_tab[97]
-#define __pyx_n_u_test __pyx_string_tab[98]
-#define __pyx_n_u_tflat __pyx_string_tab[99]
-#define __pyx_n_u_tl __pyx_string_tab[100]
-#define __pyx_n_u_tlen __pyx_string_tab[101]
-#define __pyx_n_u_toff __pyx_string_tab[102]
-#define __pyx_n_u_total __pyx_string_tab[103]
-#define __pyx_n_u_total_w __pyx_string_tab[104]
-#define __pyx_n_u_tvals __pyx_string_tab[105]
-#define __pyx_n_u_tvals_c __pyx_string_tab[106]
-#define __pyx_n_u_ubit __pyx_string_tab[107]
-#define __pyx_n_u_val __pyx_string_tab[108]
-#define __pyx_n_u_values __pyx_string_tab[109]
-#define __pyx_n_u_vapep__kernels__core __pyx_string_tab[110]
-#define __pyx_n_u_z __pyx_string_tab[111]
-#define __pyx_n_u_z1 __pyx_string_tab[112]
-#define __pyx_n_u_z2 __pyx_string_tab[113]
-#define __pyx_kp_b_iso88591_01_1A_1A_1_1_q_9_3e2Q_Q_Q_a_a_q __pyx_string_tab[114]
-#define __pyx_kp_b_iso88591_1A_1A_1_1_Q_a_1_1_a_q_A_1_1_Q_Q __pyx_string_tab[115]
-#define __pyx_int_neg_1 __pyx_number_tab[0]
-#define __pyx_int_0x4000000000000000 __pyx_number_tab[1]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<116; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<116; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "vapep/_kernels/_core.pyx":21
- * 
- * 
- * cdef long long* _as_i64(object seq, Py_ssize_t length) except NULL:             # <<<<<<<<<<<<<<
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))
- *     if out == NULL:
-*/
-
-static PY_LONG_LONG *__pyx_f_5vapep_8_kernels_5_core__as_i64(PyObject *__pyx_v_seq, Py_ssize_t __pyx_v_length) {
-  PY_LONG_LONG *__pyx_v_out;
-  Py_ssize_t __pyx_v_i;
-  PY_LONG_LONG *__pyx_r;
-  __Pyx_RefNannyDeclarations
-  size_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  Py_ssize_t __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PY_LONG_LONG __pyx_t_10;
-  int __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_as_i64", 0);
-
-  /* "vapep/_kernels/_core.pyx":22
- * 
- * cdef long long* _as_i64(object seq, Py_ssize_t length) except NULL:
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))             # <<<<<<<<<<<<<<
- *     if out == NULL:
- *         raise MemoryError()
-*/
-  __pyx_t_2 = (__pyx_v_length > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_length;
-  } else {
-    __pyx_t_1 = 1;
-  }
-  __pyx_v_out = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_1)));
-
-  /* "vapep/_kernels/_core.pyx":23
- * cdef long long* _as_i64(object seq, Py_ssize_t length) except NULL:
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))
- *     if out == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_2 = (__pyx_v_out == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "vapep/_kernels/_core.pyx":24
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))
- *     if out == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i
- *     try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 24, __pyx_L1_error)
-
-    /* "vapep/_kernels/_core.pyx":23
- * cdef long long* _as_i64(object seq, Py_ssize_t length) except NULL:
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))
- *     if out == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     cdef Py_ssize_t i
-*/
-  }
-
-  /* "vapep/_kernels/_core.pyx":26
- *         raise MemoryError()
- *     cdef Py_ssize_t i
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(length):
- *             out[i] = seq[i]
-*/
-  {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    __Pyx_ExceptionSave(&__pyx_t_3, &__pyx_t_4, &__pyx_t_5);
-    __Pyx_XGOTREF(__pyx_t_3);
-    __Pyx_XGOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_t_5);
-    /*try:*/ {
-
-      /* "vapep/_kernels/_core.pyx":27
- *     cdef Py_ssize_t i
- *     try:
- *         for i in range(length):             # <<<<<<<<<<<<<<
- *             out[i] = seq[i]
- *     except BaseException:
-*/
-      __pyx_t_6 = __pyx_v_length;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_i = __pyx_t_8;
-
-        /* "vapep/_kernels/_core.pyx":28
- *     try:
- *         for i in range(length):
- *             out[i] = seq[i]             # <<<<<<<<<<<<<<
- *     except BaseException:
- *         free(out)
-*/
-        __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_seq, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 28, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_9); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 28, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        (__pyx_v_out[__pyx_v_i]) = __pyx_t_10;
-      }
-
-      /* "vapep/_kernels/_core.pyx":26
- *         raise MemoryError()
- *     cdef Py_ssize_t i
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(length):
- *             out[i] = seq[i]
-*/
-    }
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    goto __pyx_L9_try_end;
-    __pyx_L4_error:;
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "vapep/_kernels/_core.pyx":29
- *         for i in range(length):
- *             out[i] = seq[i]
- *     except BaseException:             # <<<<<<<<<<<<<<
- *         free(out)
- *         raise
-*/
-    __pyx_t_11 = __Pyx_PyErr_ExceptionMatches(((PyObject *)(((PyTypeObject*)PyExc_BaseException))));
-    if (__pyx_t_11) {
-      __Pyx_AddTraceback("vapep._kernels._core._as_i64", __pyx_clineno, __pyx_lineno, __pyx_filename);
-      if (__Pyx_GetException(&__pyx_t_9, &__pyx_t_12, &__pyx_t_13) < 0) __PYX_ERR(0, 29, __pyx_L6_except_error)
-      __Pyx_XGOTREF(__pyx_t_9);
-      __Pyx_XGOTREF(__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_13);
-
-      /* "vapep/_kernels/_core.pyx":30
- *             out[i] = seq[i]
- *     except BaseException:
- *         free(out)             # <<<<<<<<<<<<<<
- *         raise
- *     return out
-*/
-      free(__pyx_v_out);
-
-      /* "vapep/_kernels/_core.pyx":31
- *     except BaseException:
- *         free(out)
- *         raise             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-      __Pyx_GIVEREF(__pyx_t_9);
-      __Pyx_GIVEREF(__pyx_t_12);
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_ErrRestoreWithState(__pyx_t_9, __pyx_t_12, __pyx_t_13);
-      __pyx_t_9 = 0;  __pyx_t_12 = 0;  __pyx_t_13 = 0; 
-      __PYX_ERR(0, 31, __pyx_L6_except_error)
-    }
-    goto __pyx_L6_except_error;
-
-    /* "vapep/_kernels/_core.pyx":26
- *         raise MemoryError()
- *     cdef Py_ssize_t i
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(length):
- *             out[i] = seq[i]
-*/
-    __pyx_L6_except_error:;
-    __Pyx_XGIVEREF(__pyx_t_3);
-    __Pyx_XGIVEREF(__pyx_t_4);
-    __Pyx_XGIVEREF(__pyx_t_5);
-    __Pyx_ExceptionReset(__pyx_t_3, __pyx_t_4, __pyx_t_5);
-    goto __pyx_L1_error;
-    __pyx_L9_try_end:;
-  }
-
-  /* "vapep/_kernels/_core.pyx":32
- *         free(out)
- *         raise
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "vapep/_kernels/_core.pyx":21
- * 
- * 
- * cdef long long* _as_i64(object seq, Py_ssize_t length) except NULL:             # <<<<<<<<<<<<<<
- *     cdef long long* out = <long long*> malloc(sizeof(long long) * (length if length > 0 else 1))
- *     if out == NULL:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("vapep._kernels._core._as_i64", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "vapep/_kernels/_core.pyx":35
- * 
- * 
- * def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,             # <<<<<<<<<<<<<<
- *                    clsA, clsB, sufun, evaluate, first_count=-1):
- *     """Compiled twin of _ref.profile_search; see that docstring."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5vapep_8_kernels_5_core_1profile_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_5vapep_8_kernels_5_core_profile_search, "Compiled twin of _ref.profile_search; see that docstring.");
-static PyMethodDef __pyx_mdef_5vapep_8_kernels_5_core_1profile_search = {"profile_search", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5vapep_8_kernels_5_core_1profile_search, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_5vapep_8_kernels_5_core_profile_search};
-static PyObject *__pyx_pw_5vapep_8_kernels_5_core_1profile_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_k = 0;
-  PyObject *__pyx_v_ell = 0;
-  PyObject *__pyx_v_subs = 0;
-  PyObject *__pyx_v_minw = 0;
-  PyObject *__pyx_v_kinds = 0;
-  PyObject *__pyx_v_tvals = 0;
-  PyObject *__pyx_v_pkinds = 0;
-  PyObject *__pyx_v_pslopes = 0;
-  PyObject *__pyx_v_ptables = 0;
-  PyObject *__pyx_v_clsA = 0;
-  PyObject *__pyx_v_clsB = 0;
-  PyObject *__pyx_v_sufun = 0;
-  PyObject *__pyx_v_evaluate = 0;
-  PyObject *__pyx_v_first_count = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[14] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("profile_search (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_ell,&__pyx_mstate_global->__pyx_n_u_subs,&__pyx_mstate_global->__pyx_n_u_minw,&__pyx_mstate_global->__pyx_n_u_kinds,&__pyx_mstate_global->__pyx_n_u_tvals,&__pyx_mstate_global->__pyx_n_u_pkinds,&__pyx_mstate_global->__pyx_n_u_pslopes,&__pyx_mstate_global->__pyx_n_u_ptables,&__pyx_mstate_global->__pyx_n_u_clsA,&__pyx_mstate_global->__pyx_n_u_clsB,&__pyx_mstate_global->__pyx_n_u_sufun,&__pyx_mstate_global->__pyx_n_u_evaluate,&__pyx_mstate_global->__pyx_n_u_first_count,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 35, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "profile_search", 0) < (0)) __PYX_ERR(0, 35, __pyx_L3_error)
-      if (!values[13]) values[13] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_neg_1)));
-      for (Py_ssize_t i = __pyx_nargs; i < 13; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("profile_search", 0, 13, 14, i); __PYX_ERR(0, 35, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 35, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 35, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 35, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[13]) values[13] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_neg_1)));
-    }
-    __pyx_v_k = values[0];
-    __pyx_v_ell = values[1];
-    __pyx_v_subs = values[2];
-    __pyx_v_minw = values[3];
-    __pyx_v_kinds = values[4];
-    __pyx_v_tvals = values[5];
-    __pyx_v_pkinds = values[6];
-    __pyx_v_pslopes = values[7];
-    __pyx_v_ptables = values[8];
-    __pyx_v_clsA = values[9];
-    __pyx_v_clsB = values[10];
-    __pyx_v_sufun = values[11];
-    __pyx_v_evaluate = values[12];
-    __pyx_v_first_count = values[13];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("profile_search", 0, 13, 14, __pyx_nargs); __PYX_ERR(0, 35, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("vapep._kernels._core.profile_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5vapep_8_kernels_5_core_profile_search(__pyx_self, __pyx_v_k, __pyx_v_ell, __pyx_v_subs, __pyx_v_minw, __pyx_v_kinds, __pyx_v_tvals, __pyx_v_pkinds, __pyx_v_pslopes, __pyx_v_ptables, __pyx_v_clsA, __pyx_v_clsB, __pyx_v_sufun, __pyx_v_evaluate, __pyx_v_first_count);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5vapep_8_kernels_5_core_profile_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_k, PyObject *__pyx_v_ell, PyObject *__pyx_v_subs, PyObject *__pyx_v_minw, PyObject *__pyx_v_kinds, PyObject *__pyx_v_tvals, PyObject *__pyx_v_pkinds, PyObject *__pyx_v_pslopes, PyObject *__pyx_v_ptables, PyObject *__pyx_v_clsA, PyObject *__pyx_v_clsB, PyObject *__pyx_v_sufun, PyObject *__pyx_v_evaluate, PyObject *__pyx_v_first_count) {
-  Py_ssize_t __pyx_v_M;
-  Py_ssize_t __pyx_v_C;
-  int __pyx_v_k_c;
-  PY_LONG_LONG __pyx_v_ell_c;
-  int __pyx_v_first_c;
-  unsigned PY_LONG_LONG __pyx_v_full;
-  PY_LONG_LONG *__pyx_v_subs_c;
-  PY_LONG_LONG *__pyx_v_minw_c;
-  PY_LONG_LONG *__pyx_v_kinds_c;
-  PY_LONG_LONG *__pyx_v_tvals_c;
-  PY_LONG_LONG *__pyx_v_pkinds_c;
-  PY_LONG_LONG *__pyx_v_pslopes_c;
-  PY_LONG_LONG *__pyx_v_sufun_c;
-  PY_LONG_LONG *__pyx_v_tflat;
-  PY_LONG_LONG *__pyx_v_toff;
-  PY_LONG_LONG *__pyx_v_tlen;
-  PY_LONG_LONG *__pyx_v_aflat;
-  PY_LONG_LONG *__pyx_v_aoff;
-  PY_LONG_LONG *__pyx_v_alen;
-  PY_LONG_LONG *__pyx_v_bflat;
-  PY_LONG_LONG *__pyx_v_boff;
-  PY_LONG_LONG *__pyx_v_blen;
-  PY_LONG_LONG *__pyx_v_cntA;
-  PY_LONG_LONG *__pyx_v_cntB;
-  PY_LONG_LONG *__pyx_v_val;
-  PY_LONG_LONG *__pyx_v_budb;
-  unsigned PY_LONG_LONG *__pyx_v_covb;
-  PY_LONG_LONG *__pyx_v_olbb;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j2;
-  Py_ssize_t __pyx_v_pos;
-  Py_ssize_t __pyx_v_total;
-  PY_LONG_LONG __pyx_v_emitted;
-  PY_LONG_LONG __pyx_v_m_assigned;
-  PyObject *__pyx_v_inc = 0;
-  PY_LONG_LONG __pyx_v_inc_c;
-  Py_ssize_t __pyx_v_j;
-  int __pyx_v_down;
-  PY_LONG_LONG __pyx_v_b;
-  PY_LONG_LONG __pyx_v_cw;
-  PY_LONG_LONG __pyx_v_z;
-  PY_LONG_LONG __pyx_v_a;
-  PY_LONG_LONG __pyx_v_bb;
-  PY_LONG_LONG __pyx_v_lo;
-  PY_LONG_LONG __pyx_v_c;
-  PY_LONG_LONG __pyx_v_hi;
-  PY_LONG_LONG __pyx_v_tl;
-  unsigned PY_LONG_LONG __pyx_v_cov;
-  int __pyx_v_kd;
-  PyObject *__pyx_v_pairs = 0;
-  PyObject *__pyx_v_r = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PY_LONG_LONG *__pyx_t_5;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  PY_LONG_LONG __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  PY_LONG_LONG __pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  int __pyx_t_16;
-  PyObject *__pyx_t_17 = NULL;
-  int __pyx_t_18;
-  char const *__pyx_t_19;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("profile_search", 0);
-
-  /* "vapep/_kernels/_core.pyx":38
- *                    clsA, clsB, sufun, evaluate, first_count=-1):
- *     """Compiled twin of _ref.profile_search; see that docstring."""
- *     cdef Py_ssize_t M = len(subs)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int k_c = k
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_subs); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 38, __pyx_L1_error)
-  __pyx_v_M = __pyx_t_1;
-
-  /* "vapep/_kernels/_core.pyx":39
- *     """Compiled twin of _ref.profile_search; see that docstring."""
- *     cdef Py_ssize_t M = len(subs)
- *     cdef Py_ssize_t C = len(kinds)             # <<<<<<<<<<<<<<
- *     cdef int k_c = k
- *     cdef long long ell_c = ell
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_kinds); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 39, __pyx_L1_error)
-  __pyx_v_C = __pyx_t_1;
-
-  /* "vapep/_kernels/_core.pyx":40
- *     cdef Py_ssize_t M = len(subs)
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int k_c = k             # <<<<<<<<<<<<<<
- *     cdef long long ell_c = ell
- *     cdef int first_c = first_count
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_k); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 40, __pyx_L1_error)
-  __pyx_v_k_c = __pyx_t_2;
-
-  /* "vapep/_kernels/_core.pyx":41
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int k_c = k
- *     cdef long long ell_c = ell             # <<<<<<<<<<<<<<
- *     cdef int first_c = first_count
- *     cdef unsigned long long full = (<unsigned long long> 1 << k_c) - 1
-*/
-  __pyx_t_3 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_ell); if (unlikely((__pyx_t_3 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 41, __pyx_L1_error)
-  __pyx_v_ell_c = __pyx_t_3;
-
-  /* "vapep/_kernels/_core.pyx":42
- *     cdef int k_c = k
- *     cdef long long ell_c = ell
- *     cdef int first_c = first_count             # <<<<<<<<<<<<<<
- *     cdef unsigned long long full = (<unsigned long long> 1 << k_c) - 1
- * 
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_first_count); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 42, __pyx_L1_error)
-  __pyx_v_first_c = __pyx_t_2;
-
-  /* "vapep/_kernels/_core.pyx":43
- *     cdef long long ell_c = ell
- *     cdef int first_c = first_count
- *     cdef unsigned long long full = (<unsigned long long> 1 << k_c) - 1             # <<<<<<<<<<<<<<
- * 
- *     cdef long long* subs_c = NULL
-*/
-  __pyx_v_full = ((((unsigned PY_LONG_LONG)1) << __pyx_v_k_c) - 1);
-
-  /* "vapep/_kernels/_core.pyx":45
- *     cdef unsigned long long full = (<unsigned long long> 1 << k_c) - 1
- * 
- *     cdef long long* subs_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* minw_c = NULL
- *     cdef long long* kinds_c = NULL
-*/
-  __pyx_v_subs_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":46
- * 
- *     cdef long long* subs_c = NULL
- *     cdef long long* minw_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* kinds_c = NULL
- *     cdef long long* tvals_c = NULL
-*/
-  __pyx_v_minw_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":47
- *     cdef long long* subs_c = NULL
- *     cdef long long* minw_c = NULL
- *     cdef long long* kinds_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL
-*/
-  __pyx_v_kinds_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":48
- *     cdef long long* minw_c = NULL
- *     cdef long long* kinds_c = NULL
- *     cdef long long* tvals_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL
-*/
-  __pyx_v_tvals_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":49
- *     cdef long long* kinds_c = NULL
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* sufun_c = NULL
-*/
-  __pyx_v_pkinds_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":50
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* sufun_c = NULL
- *     cdef long long* tflat = NULL
-*/
-  __pyx_v_pslopes_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":51
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* sufun_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL
-*/
-  __pyx_v_sufun_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":52
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* sufun_c = NULL
- *     cdef long long* tflat = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL
-*/
-  __pyx_v_tflat = NULL;
-
-  /* "vapep/_kernels/_core.pyx":53
- *     cdef long long* sufun_c = NULL
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tlen = NULL
- *     cdef long long* aflat = NULL
-*/
-  __pyx_v_toff = NULL;
-
-  /* "vapep/_kernels/_core.pyx":54
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* aflat = NULL
- *     cdef long long* aoff = NULL
-*/
-  __pyx_v_tlen = NULL;
-
-  /* "vapep/_kernels/_core.pyx":55
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL
- *     cdef long long* aflat = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* aoff = NULL
- *     cdef long long* alen = NULL
-*/
-  __pyx_v_aflat = NULL;
-
-  /* "vapep/_kernels/_core.pyx":56
- *     cdef long long* tlen = NULL
- *     cdef long long* aflat = NULL
- *     cdef long long* aoff = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* alen = NULL
- *     cdef long long* bflat = NULL
-*/
-  __pyx_v_aoff = NULL;
-
-  /* "vapep/_kernels/_core.pyx":57
- *     cdef long long* aflat = NULL
- *     cdef long long* aoff = NULL
- *     cdef long long* alen = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* bflat = NULL
- *     cdef long long* boff = NULL
-*/
-  __pyx_v_alen = NULL;
-
-  /* "vapep/_kernels/_core.pyx":58
- *     cdef long long* aoff = NULL
- *     cdef long long* alen = NULL
- *     cdef long long* bflat = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* boff = NULL
- *     cdef long long* blen = NULL
-*/
-  __pyx_v_bflat = NULL;
-
-  /* "vapep/_kernels/_core.pyx":59
- *     cdef long long* alen = NULL
- *     cdef long long* bflat = NULL
- *     cdef long long* boff = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* blen = NULL
- *     cdef long long* cntA = NULL
-*/
-  __pyx_v_boff = NULL;
-
-  /* "vapep/_kernels/_core.pyx":60
- *     cdef long long* bflat = NULL
- *     cdef long long* boff = NULL
- *     cdef long long* blen = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* cntA = NULL
- *     cdef long long* cntB = NULL
-*/
-  __pyx_v_blen = NULL;
-
-  /* "vapep/_kernels/_core.pyx":61
- *     cdef long long* boff = NULL
- *     cdef long long* blen = NULL
- *     cdef long long* cntA = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* cntB = NULL
- *     cdef long long* val = NULL
-*/
-  __pyx_v_cntA = NULL;
-
-  /* "vapep/_kernels/_core.pyx":62
- *     cdef long long* blen = NULL
- *     cdef long long* cntA = NULL
- *     cdef long long* cntB = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* val = NULL
- *     cdef long long* budb = NULL
-*/
-  __pyx_v_cntB = NULL;
-
-  /* "vapep/_kernels/_core.pyx":63
- *     cdef long long* cntA = NULL
- *     cdef long long* cntB = NULL
- *     cdef long long* val = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* budb = NULL
- *     cdef unsigned long long* covb = NULL
-*/
-  __pyx_v_val = NULL;
-
-  /* "vapep/_kernels/_core.pyx":64
- *     cdef long long* cntB = NULL
- *     cdef long long* val = NULL
- *     cdef long long* budb = NULL             # <<<<<<<<<<<<<<
- *     cdef unsigned long long* covb = NULL
- *     cdef long long* olbb = NULL
-*/
-  __pyx_v_budb = NULL;
-
-  /* "vapep/_kernels/_core.pyx":65
- *     cdef long long* val = NULL
- *     cdef long long* budb = NULL
- *     cdef unsigned long long* covb = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* olbb = NULL
- * 
-*/
-  __pyx_v_covb = NULL;
-
-  /* "vapep/_kernels/_core.pyx":66
- *     cdef long long* budb = NULL
- *     cdef unsigned long long* covb = NULL
- *     cdef long long* olbb = NULL             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i, j2, pos, total
-*/
-  __pyx_v_olbb = NULL;
-
-  /* "vapep/_kernels/_core.pyx":69
- * 
- *     cdef Py_ssize_t i, j2, pos, total
- *     cdef long long emitted = 0             # <<<<<<<<<<<<<<
- *     cdef long long m_assigned = 0
- *     cdef object inc = INF
-*/
-  __pyx_v_emitted = 0;
-
-  /* "vapep/_kernels/_core.pyx":70
- *     cdef Py_ssize_t i, j2, pos, total
- *     cdef long long emitted = 0
- *     cdef long long m_assigned = 0             # <<<<<<<<<<<<<<
- *     cdef object inc = INF
- *     cdef long long inc_c = C_INF
-*/
-  __pyx_v_m_assigned = 0;
-
-  /* "vapep/_kernels/_core.pyx":71
- *     cdef long long emitted = 0
- *     cdef long long m_assigned = 0
- *     cdef object inc = INF             # <<<<<<<<<<<<<<
- *     cdef long long inc_c = C_INF
- *     cdef Py_ssize_t j = 0
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_INF); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_inc = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "vapep/_kernels/_core.pyx":72
- *     cdef long long m_assigned = 0
- *     cdef object inc = INF
- *     cdef long long inc_c = C_INF             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t j = 0
- *     cdef bint down = True
-*/
-  __pyx_v_inc_c = __pyx_v_5vapep_8_kernels_5_core_C_INF;
-
-  /* "vapep/_kernels/_core.pyx":73
- *     cdef object inc = INF
- *     cdef long long inc_c = C_INF
- *     cdef Py_ssize_t j = 0             # <<<<<<<<<<<<<<
- *     cdef bint down = True
- *     cdef long long b, cw, z, a, bb, lo, c, hi, tl
-*/
-  __pyx_v_j = 0;
-
-  /* "vapep/_kernels/_core.pyx":74
- *     cdef long long inc_c = C_INF
- *     cdef Py_ssize_t j = 0
- *     cdef bint down = True             # <<<<<<<<<<<<<<
- *     cdef long long b, cw, z, a, bb, lo, c, hi, tl
- *     cdef unsigned long long cov
-*/
-  __pyx_v_down = 1;
-
-  /* "vapep/_kernels/_core.pyx":81
- *     cdef object r
- * 
- *     try:             # <<<<<<<<<<<<<<
- *         subs_c = _as_i64(subs, M)
- *         minw_c = _as_i64(minw, M)
-*/
-  /*try:*/ {
-
-    /* "vapep/_kernels/_core.pyx":82
- * 
- *     try:
- *         subs_c = _as_i64(subs, M)             # <<<<<<<<<<<<<<
- *         minw_c = _as_i64(minw, M)
- *         kinds_c = _as_i64(kinds, C)
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_subs, __pyx_v_M); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 82, __pyx_L4_error)
-    __pyx_v_subs_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":83
- *     try:
- *         subs_c = _as_i64(subs, M)
- *         minw_c = _as_i64(minw, M)             # <<<<<<<<<<<<<<
- *         kinds_c = _as_i64(kinds, C)
- *         tvals_c = _as_i64(tvals, C)
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_minw, __pyx_v_M); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 83, __pyx_L4_error)
-    __pyx_v_minw_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":84
- *         subs_c = _as_i64(subs, M)
- *         minw_c = _as_i64(minw, M)
- *         kinds_c = _as_i64(kinds, C)             # <<<<<<<<<<<<<<
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_kinds, __pyx_v_C); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 84, __pyx_L4_error)
-    __pyx_v_kinds_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":85
- *         minw_c = _as_i64(minw, M)
- *         kinds_c = _as_i64(kinds, C)
- *         tvals_c = _as_i64(tvals, C)             # <<<<<<<<<<<<<<
- *         pkinds_c = _as_i64(pkinds, C)
- *         pslopes_c = _as_i64(pslopes, C)
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_tvals, __pyx_v_C); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 85, __pyx_L4_error)
-    __pyx_v_tvals_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":86
- *         kinds_c = _as_i64(kinds, C)
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)             # <<<<<<<<<<<<<<
- *         pslopes_c = _as_i64(pslopes, C)
- *         sufun_c = _as_i64(sufun, len(sufun))
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_pkinds, __pyx_v_C); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 86, __pyx_L4_error)
-    __pyx_v_pkinds_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":87
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)
- *         pslopes_c = _as_i64(pslopes, C)             # <<<<<<<<<<<<<<
- *         sufun_c = _as_i64(sufun, len(sufun))
- * 
-*/
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_pslopes, __pyx_v_C); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 87, __pyx_L4_error)
-    __pyx_v_pslopes_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":88
- *         pkinds_c = _as_i64(pkinds, C)
- *         pslopes_c = _as_i64(pslopes, C)
- *         sufun_c = _as_i64(sufun, len(sufun))             # <<<<<<<<<<<<<<
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
-*/
-    __pyx_t_1 = PyObject_Length(__pyx_v_sufun); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 88, __pyx_L4_error)
-    __pyx_t_5 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_sufun, __pyx_t_1); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 88, __pyx_L4_error)
-    __pyx_v_sufun_c = __pyx_t_5;
-
-    /* "vapep/_kernels/_core.pyx":90
- *         sufun_c = _as_i64(sufun, len(sufun))
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:
-*/
-    __pyx_t_7 = (__pyx_v_C > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_C;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_toff = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":91
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_C > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_C;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_tlen = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":92
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    __pyx_t_8 = (__pyx_v_toff == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_tlen == NULL);
-    __pyx_t_7 = __pyx_t_8;
-    __pyx_L7_bool_binop_done:;
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":93
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         total = 0
- *         for i in range(C):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 93, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":92
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":94
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()
- *         total = 0             # <<<<<<<<<<<<<<
- *         for i in range(C):
- *             toff[i] = total
-*/
-    __pyx_v_total = 0;
-
-    /* "vapep/_kernels/_core.pyx":95
- *             raise MemoryError()
- *         total = 0
- *         for i in range(C):             # <<<<<<<<<<<<<<
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])
-*/
-    __pyx_t_1 = __pyx_v_C;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":96
- *         total = 0
- *         for i in range(C):
- *             toff[i] = total             # <<<<<<<<<<<<<<
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]
-*/
-      (__pyx_v_toff[__pyx_v_i]) = __pyx_v_total;
-
-      /* "vapep/_kernels/_core.pyx":97
- *         for i in range(C):
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])             # <<<<<<<<<<<<<<
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_ptables, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 97, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_11 = PyObject_Length(__pyx_t_4); if (unlikely(__pyx_t_11 == ((Py_ssize_t)-1))) __PYX_ERR(0, 97, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_tlen[__pyx_v_i]) = __pyx_t_11;
-
-      /* "vapep/_kernels/_core.pyx":98
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]             # <<<<<<<<<<<<<<
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:
-*/
-      __pyx_v_total = (__pyx_v_total + (__pyx_v_tlen[__pyx_v_i]));
-    }
-
-    /* "vapep/_kernels/_core.pyx":99
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))             # <<<<<<<<<<<<<<
- *         if tflat == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_total > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_total;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_tflat = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":100
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    __pyx_t_7 = (__pyx_v_tflat == NULL);
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":101
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         pos = 0
- *         for i in range(C):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 101, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":100
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":102
- *         if tflat == NULL:
- *             raise MemoryError()
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for i in range(C):
- *             for j2 in range(tlen[i]):
-*/
-    __pyx_v_pos = 0;
-
-    /* "vapep/_kernels/_core.pyx":103
- *             raise MemoryError()
- *         pos = 0
- *         for i in range(C):             # <<<<<<<<<<<<<<
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]
-*/
-    __pyx_t_1 = __pyx_v_C;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":104
- *         pos = 0
- *         for i in range(C):
- *             for j2 in range(tlen[i]):             # <<<<<<<<<<<<<<
- *                 tflat[pos] = ptables[i][j2]
- *                 pos += 1
-*/
-      __pyx_t_3 = (__pyx_v_tlen[__pyx_v_i]);
-      __pyx_t_12 = __pyx_t_3;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_12; __pyx_t_11+=1) {
-        __pyx_v_j2 = __pyx_t_11;
-
-        /* "vapep/_kernels/_core.pyx":105
- *         for i in range(C):
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]             # <<<<<<<<<<<<<<
- *                 pos += 1
- * 
-*/
-        __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_ptables, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 105, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_4, __pyx_v_j2, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 105, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_14 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_13); if (unlikely((__pyx_t_14 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 105, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        (__pyx_v_tflat[__pyx_v_pos]) = __pyx_t_14;
-
-        /* "vapep/_kernels/_core.pyx":106
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]
- *                 pos += 1             # <<<<<<<<<<<<<<
- * 
- *         aoff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
-*/
-        __pyx_v_pos = (__pyx_v_pos + 1);
-      }
-    }
-
-    /* "vapep/_kernels/_core.pyx":108
- *                 pos += 1
- * 
- *         aoff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))             # <<<<<<<<<<<<<<
- *         alen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
-*/
-    __pyx_t_7 = (__pyx_v_M > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_M;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_aoff = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":109
- * 
- *         aoff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         alen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))             # <<<<<<<<<<<<<<
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
-*/
-    __pyx_t_7 = (__pyx_v_M > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_M;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_alen = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":110
- *         aoff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         alen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))             # <<<<<<<<<<<<<<
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:
-*/
-    __pyx_t_7 = (__pyx_v_M > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_M;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_boff = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":111
- *         alen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))             # <<<<<<<<<<<<<<
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_M > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_M;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_blen = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":112
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    __pyx_t_8 = (__pyx_v_aoff == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L17_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_alen == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L17_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_boff == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L17_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_blen == NULL);
-    __pyx_t_7 = __pyx_t_8;
-    __pyx_L17_bool_binop_done:;
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":113
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         total = 0
- *         for i in range(M):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 113, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":112
- *         boff = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         blen = <long long*> malloc(sizeof(long long) * (M if M > 0 else 1))
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":114
- *         if aoff == NULL or alen == NULL or boff == NULL or blen == NULL:
- *             raise MemoryError()
- *         total = 0             # <<<<<<<<<<<<<<
- *         for i in range(M):
- *             aoff[i] = total
-*/
-    __pyx_v_total = 0;
-
-    /* "vapep/_kernels/_core.pyx":115
- *             raise MemoryError()
- *         total = 0
- *         for i in range(M):             # <<<<<<<<<<<<<<
- *             aoff[i] = total
- *             alen[i] = len(clsA[i])
-*/
-    __pyx_t_1 = __pyx_v_M;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":116
- *         total = 0
- *         for i in range(M):
- *             aoff[i] = total             # <<<<<<<<<<<<<<
- *             alen[i] = len(clsA[i])
- *             total += alen[i]
-*/
-      (__pyx_v_aoff[__pyx_v_i]) = __pyx_v_total;
-
-      /* "vapep/_kernels/_core.pyx":117
- *         for i in range(M):
- *             aoff[i] = total
- *             alen[i] = len(clsA[i])             # <<<<<<<<<<<<<<
- *             total += alen[i]
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
-*/
-      __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_clsA, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 117, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_11 = PyObject_Length(__pyx_t_13); if (unlikely(__pyx_t_11 == ((Py_ssize_t)-1))) __PYX_ERR(0, 117, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      (__pyx_v_alen[__pyx_v_i]) = __pyx_t_11;
-
-      /* "vapep/_kernels/_core.pyx":118
- *             aoff[i] = total
- *             alen[i] = len(clsA[i])
- *             total += alen[i]             # <<<<<<<<<<<<<<
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if aflat == NULL:
-*/
-      __pyx_v_total = (__pyx_v_total + (__pyx_v_alen[__pyx_v_i]));
-    }
-
-    /* "vapep/_kernels/_core.pyx":119
- *             alen[i] = len(clsA[i])
- *             total += alen[i]
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))             # <<<<<<<<<<<<<<
- *         if aflat == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_total > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_total;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_aflat = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":120
- *             total += alen[i]
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if aflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    __pyx_t_7 = (__pyx_v_aflat == NULL);
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":121
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if aflat == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         pos = 0
- *         for i in range(M):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 121, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":120
- *             total += alen[i]
- *         aflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if aflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":122
- *         if aflat == NULL:
- *             raise MemoryError()
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for i in range(M):
- *             for j2 in range(alen[i]):
-*/
-    __pyx_v_pos = 0;
-
-    /* "vapep/_kernels/_core.pyx":123
- *             raise MemoryError()
- *         pos = 0
- *         for i in range(M):             # <<<<<<<<<<<<<<
- *             for j2 in range(alen[i]):
- *                 aflat[pos] = clsA[i][j2]
-*/
-    __pyx_t_1 = __pyx_v_M;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":124
- *         pos = 0
- *         for i in range(M):
- *             for j2 in range(alen[i]):             # <<<<<<<<<<<<<<
- *                 aflat[pos] = clsA[i][j2]
- *                 pos += 1
-*/
-      __pyx_t_3 = (__pyx_v_alen[__pyx_v_i]);
-      __pyx_t_12 = __pyx_t_3;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_12; __pyx_t_11+=1) {
-        __pyx_v_j2 = __pyx_t_11;
-
-        /* "vapep/_kernels/_core.pyx":125
- *         for i in range(M):
- *             for j2 in range(alen[i]):
- *                 aflat[pos] = clsA[i][j2]             # <<<<<<<<<<<<<<
- *                 pos += 1
- *         total = 0
-*/
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_clsA, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 125, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_4 = __Pyx_GetItemInt(__pyx_t_13, __pyx_v_j2, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 125, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        __pyx_t_14 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_14 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 125, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        (__pyx_v_aflat[__pyx_v_pos]) = __pyx_t_14;
-
-        /* "vapep/_kernels/_core.pyx":126
- *             for j2 in range(alen[i]):
- *                 aflat[pos] = clsA[i][j2]
- *                 pos += 1             # <<<<<<<<<<<<<<
- *         total = 0
- *         for i in range(M):
-*/
-        __pyx_v_pos = (__pyx_v_pos + 1);
-      }
-    }
-
-    /* "vapep/_kernels/_core.pyx":127
- *                 aflat[pos] = clsA[i][j2]
- *                 pos += 1
- *         total = 0             # <<<<<<<<<<<<<<
- *         for i in range(M):
- *             boff[i] = total
-*/
-    __pyx_v_total = 0;
-
-    /* "vapep/_kernels/_core.pyx":128
- *                 pos += 1
- *         total = 0
- *         for i in range(M):             # <<<<<<<<<<<<<<
- *             boff[i] = total
- *             blen[i] = len(clsB[i])
-*/
-    __pyx_t_1 = __pyx_v_M;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":129
- *         total = 0
- *         for i in range(M):
- *             boff[i] = total             # <<<<<<<<<<<<<<
- *             blen[i] = len(clsB[i])
- *             total += blen[i]
-*/
-      (__pyx_v_boff[__pyx_v_i]) = __pyx_v_total;
-
-      /* "vapep/_kernels/_core.pyx":130
- *         for i in range(M):
- *             boff[i] = total
- *             blen[i] = len(clsB[i])             # <<<<<<<<<<<<<<
- *             total += blen[i]
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_clsB, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 130, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_11 = PyObject_Length(__pyx_t_4); if (unlikely(__pyx_t_11 == ((Py_ssize_t)-1))) __PYX_ERR(0, 130, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_blen[__pyx_v_i]) = __pyx_t_11;
-
-      /* "vapep/_kernels/_core.pyx":131
- *             boff[i] = total
- *             blen[i] = len(clsB[i])
- *             total += blen[i]             # <<<<<<<<<<<<<<
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if bflat == NULL:
-*/
-      __pyx_v_total = (__pyx_v_total + (__pyx_v_blen[__pyx_v_i]));
-    }
-
-    /* "vapep/_kernels/_core.pyx":132
- *             blen[i] = len(clsB[i])
- *             total += blen[i]
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))             # <<<<<<<<<<<<<<
- *         if bflat == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_total > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_total;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_bflat = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":133
- *             total += blen[i]
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if bflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    __pyx_t_7 = (__pyx_v_bflat == NULL);
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":134
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if bflat == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         pos = 0
- *         for i in range(M):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 134, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":133
- *             total += blen[i]
- *         bflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if bflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":135
- *         if bflat == NULL:
- *             raise MemoryError()
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for i in range(M):
- *             for j2 in range(blen[i]):
-*/
-    __pyx_v_pos = 0;
-
-    /* "vapep/_kernels/_core.pyx":136
- *             raise MemoryError()
- *         pos = 0
- *         for i in range(M):             # <<<<<<<<<<<<<<
- *             for j2 in range(blen[i]):
- *                 bflat[pos] = clsB[i][j2]
-*/
-    __pyx_t_1 = __pyx_v_M;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":137
- *         pos = 0
- *         for i in range(M):
- *             for j2 in range(blen[i]):             # <<<<<<<<<<<<<<
- *                 bflat[pos] = clsB[i][j2]
- *                 pos += 1
-*/
-      __pyx_t_3 = (__pyx_v_blen[__pyx_v_i]);
-      __pyx_t_12 = __pyx_t_3;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_12; __pyx_t_11+=1) {
-        __pyx_v_j2 = __pyx_t_11;
-
-        /* "vapep/_kernels/_core.pyx":138
- *         for i in range(M):
- *             for j2 in range(blen[i]):
- *                 bflat[pos] = clsB[i][j2]             # <<<<<<<<<<<<<<
- *                 pos += 1
- * 
-*/
-        __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_clsB, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 138, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_4, __pyx_v_j2, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 138, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_14 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_13); if (unlikely((__pyx_t_14 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 138, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        (__pyx_v_bflat[__pyx_v_pos]) = __pyx_t_14;
-
-        /* "vapep/_kernels/_core.pyx":139
- *             for j2 in range(blen[i]):
- *                 bflat[pos] = clsB[i][j2]
- *                 pos += 1             # <<<<<<<<<<<<<<
- * 
- *         cntA = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
-*/
-        __pyx_v_pos = (__pyx_v_pos + 1);
-      }
-    }
-
-    /* "vapep/_kernels/_core.pyx":141
- *                 pos += 1
- * 
- *         cntA = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         cntB = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if cntA == NULL or cntB == NULL:
-*/
-    __pyx_t_7 = (__pyx_v_C > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_C;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_cntA = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":142
- * 
- *         cntA = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         cntB = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         if cntA == NULL or cntB == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_7 = (__pyx_v_C > 0);
-    if (__pyx_t_7) {
-      __pyx_t_6 = __pyx_v_C;
-    } else {
-      __pyx_t_6 = 1;
-    }
-    __pyx_v_cntB = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_6)));
-
-    /* "vapep/_kernels/_core.pyx":143
- *         cntA = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         cntB = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if cntA == NULL or cntB == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(C):
-*/
-    __pyx_t_8 = (__pyx_v_cntA == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L36_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_cntB == NULL);
-    __pyx_t_7 = __pyx_t_8;
-    __pyx_L36_bool_binop_done:;
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":144
- *         cntB = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if cntA == NULL or cntB == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(C):
- *             cntA[i] = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 144, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":143
- *         cntA = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         cntB = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if cntA == NULL or cntB == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(C):
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":145
- *         if cntA == NULL or cntB == NULL:
- *             raise MemoryError()
- *         for i in range(C):             # <<<<<<<<<<<<<<
- *             cntA[i] = 0
- *             cntB[i] = 0
-*/
-    __pyx_t_1 = __pyx_v_C;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":146
- *             raise MemoryError()
- *         for i in range(C):
- *             cntA[i] = 0             # <<<<<<<<<<<<<<
- *             cntB[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (M + 1))
-*/
-      (__pyx_v_cntA[__pyx_v_i]) = 0;
-
-      /* "vapep/_kernels/_core.pyx":147
- *         for i in range(C):
- *             cntA[i] = 0
- *             cntB[i] = 0             # <<<<<<<<<<<<<<
- *         val = <long long*> malloc(sizeof(long long) * (M + 1))
- *         budb = <long long*> malloc(sizeof(long long) * (M + 2))
-*/
-      (__pyx_v_cntB[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":148
- *             cntA[i] = 0
- *             cntB[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (M + 1))             # <<<<<<<<<<<<<<
- *         budb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))
-*/
-    __pyx_v_val = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * (__pyx_v_M + 1))));
-
-    /* "vapep/_kernels/_core.pyx":149
- *             cntB[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (M + 1))
- *         budb = <long long*> malloc(sizeof(long long) * (M + 2))             # <<<<<<<<<<<<<<
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))
-*/
-    __pyx_v_budb = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * (__pyx_v_M + 2))));
-
-    /* "vapep/_kernels/_core.pyx":150
- *         val = <long long*> malloc(sizeof(long long) * (M + 1))
- *         budb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))             # <<<<<<<<<<<<<<
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:
-*/
-    __pyx_v_covb = ((unsigned PY_LONG_LONG *)malloc(((sizeof(unsigned PY_LONG_LONG)) * (__pyx_v_M + 2))));
-
-    /* "vapep/_kernels/_core.pyx":151
- *         budb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))             # <<<<<<<<<<<<<<
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_olbb = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * (__pyx_v_M + 2))));
-
-    /* "vapep/_kernels/_core.pyx":152
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(M + 1):
-*/
-    __pyx_t_8 = (__pyx_v_val == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L41_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_budb == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L41_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_covb == NULL);
-    if (!__pyx_t_8) {
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-      goto __pyx_L41_bool_binop_done;
-    }
-    __pyx_t_8 = (__pyx_v_olbb == NULL);
-    __pyx_t_7 = __pyx_t_8;
-    __pyx_L41_bool_binop_done:;
-    if (unlikely(__pyx_t_7)) {
-
-      /* "vapep/_kernels/_core.pyx":153
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(M + 1):
- *             val[i] = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 153, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":152
- *         covb = <unsigned long long*> malloc(sizeof(unsigned long long) * (M + 2))
- *         olbb = <long long*> malloc(sizeof(long long) * (M + 2))
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(M + 1):
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":154
- *         if val == NULL or budb == NULL or covb == NULL or olbb == NULL:
- *             raise MemoryError()
- *         for i in range(M + 1):             # <<<<<<<<<<<<<<
- *             val[i] = 0
- *         for i in range(M + 2):
-*/
-    __pyx_t_1 = (__pyx_v_M + 1);
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":155
- *             raise MemoryError()
- *         for i in range(M + 1):
- *             val[i] = 0             # <<<<<<<<<<<<<<
- *         for i in range(M + 2):
- *             budb[i] = 0
-*/
-      (__pyx_v_val[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":156
- *         for i in range(M + 1):
- *             val[i] = 0
- *         for i in range(M + 2):             # <<<<<<<<<<<<<<
- *             budb[i] = 0
- *             covb[i] = 0
-*/
-    __pyx_t_1 = (__pyx_v_M + 2);
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":157
- *             val[i] = 0
- *         for i in range(M + 2):
- *             budb[i] = 0             # <<<<<<<<<<<<<<
- *             covb[i] = 0
- *             olbb[i] = 0
-*/
-      (__pyx_v_budb[__pyx_v_i]) = 0;
-
-      /* "vapep/_kernels/_core.pyx":158
- *         for i in range(M + 2):
- *             budb[i] = 0
- *             covb[i] = 0             # <<<<<<<<<<<<<<
- *             olbb[i] = 0
- *         budb[0] = ell_c
-*/
-      (__pyx_v_covb[__pyx_v_i]) = 0;
-
-      /* "vapep/_kernels/_core.pyx":159
- *             budb[i] = 0
- *             covb[i] = 0
- *             olbb[i] = 0             # <<<<<<<<<<<<<<
- *         budb[0] = ell_c
- * 
-*/
-      (__pyx_v_olbb[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":160
- *             covb[i] = 0
- *             olbb[i] = 0
- *         budb[0] = ell_c             # <<<<<<<<<<<<<<
- * 
- *         # logic below mirrors _ref.profile_search
-*/
-    (__pyx_v_budb[0]) = __pyx_v_ell_c;
-
-    /* "vapep/_kernels/_core.pyx":163
- * 
- *         # logic below mirrors _ref.profile_search
- *         while True:             # <<<<<<<<<<<<<<
- *             if down:
- *                 b = budb[j]
-*/
-    while (1) {
-
-      /* "vapep/_kernels/_core.pyx":164
- *         # logic below mirrors _ref.profile_search
- *         while True:
- *             if down:             # <<<<<<<<<<<<<<
- *                 b = budb[j]
- *                 if b == 0 or j == M:
-*/
-      if (__pyx_v_down) {
-
-        /* "vapep/_kernels/_core.pyx":165
- *         while True:
- *             if down:
- *                 b = budb[j]             # <<<<<<<<<<<<<<
- *                 if b == 0 or j == M:
- *                     cov = covb[j]
-*/
-        __pyx_v_b = (__pyx_v_budb[__pyx_v_j]);
-
-        /* "vapep/_kernels/_core.pyx":166
- *             if down:
- *                 b = budb[j]
- *                 if b == 0 or j == M:             # <<<<<<<<<<<<<<
- *                     cov = covb[j]
- *                     if cov == full:
-*/
-        __pyx_t_8 = (__pyx_v_b == 0);
-        if (!__pyx_t_8) {
-        } else {
-          __pyx_t_7 = __pyx_t_8;
-          goto __pyx_L53_bool_binop_done;
-        }
-        __pyx_t_8 = (__pyx_v_j == __pyx_v_M);
-        __pyx_t_7 = __pyx_t_8;
-        __pyx_L53_bool_binop_done:;
-        if (__pyx_t_7) {
-
-          /* "vapep/_kernels/_core.pyx":167
- *                 b = budb[j]
- *                 if b == 0 or j == M:
- *                     cov = covb[j]             # <<<<<<<<<<<<<<
- *                     if cov == full:
- *                         emitted += 1
-*/
-          __pyx_v_cov = (__pyx_v_covb[__pyx_v_j]);
-
-          /* "vapep/_kernels/_core.pyx":168
- *                 if b == 0 or j == M:
- *                     cov = covb[j]
- *                     if cov == full:             # <<<<<<<<<<<<<<
- *                         emitted += 1
- *                         cw = 0
-*/
-          __pyx_t_7 = (__pyx_v_cov == __pyx_v_full);
-          if (__pyx_t_7) {
-
-            /* "vapep/_kernels/_core.pyx":169
- *                     cov = covb[j]
- *                     if cov == full:
- *                         emitted += 1             # <<<<<<<<<<<<<<
- *                         cw = 0
- *                         for i in range(C):
-*/
-            __pyx_v_emitted = (__pyx_v_emitted + 1);
-
-            /* "vapep/_kernels/_core.pyx":170
- *                     if cov == full:
- *                         emitted += 1
- *                         cw = 0             # <<<<<<<<<<<<<<
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
-*/
-            __pyx_v_cw = 0;
-
-            /* "vapep/_kernels/_core.pyx":171
- *                         emitted += 1
- *                         cw = 0
- *                         for i in range(C):             # <<<<<<<<<<<<<<
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:  # shared users
-*/
-            __pyx_t_1 = __pyx_v_C;
-            __pyx_t_9 = __pyx_t_1;
-            for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-              __pyx_v_i = __pyx_t_10;
-
-              /* "vapep/_kernels/_core.pyx":172
- *                         cw = 0
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]             # <<<<<<<<<<<<<<
- *                             if kd == 0:  # shared users
- *                                 z = cntA[i]
-*/
-              __pyx_v_kd = ((int)(__pyx_v_kinds_c[__pyx_v_i]));
-
-              /* "vapep/_kernels/_core.pyx":173
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:  # shared users             # <<<<<<<<<<<<<<
- *                                 z = cntA[i]
- *                             elif kd == 1:  # larger one-sided difference
-*/
-              switch (__pyx_v_kd) {
-                case 0:
-
-                /* "vapep/_kernels/_core.pyx":174
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:  # shared users
- *                                 z = cntA[i]             # <<<<<<<<<<<<<<
- *                             elif kd == 1:  # larger one-sided difference
- *                                 a = cntA[i]
-*/
-                __pyx_v_z = (__pyx_v_cntA[__pyx_v_i]);
-
-                /* "vapep/_kernels/_core.pyx":173
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:  # shared users             # <<<<<<<<<<<<<<
- *                                 z = cntA[i]
- *                             elif kd == 1:  # larger one-sided difference
-*/
-                break;
-                case 1:
-
-                /* "vapep/_kernels/_core.pyx":176
- *                                 z = cntA[i]
- *                             elif kd == 1:  # larger one-sided difference
- *                                 a = cntA[i]             # <<<<<<<<<<<<<<
- *                                 bb = cntB[i]
- *                                 z = a if a >= bb else bb
-*/
-                __pyx_v_a = (__pyx_v_cntA[__pyx_v_i]);
-
-                /* "vapep/_kernels/_core.pyx":177
- *                             elif kd == 1:  # larger one-sided difference
- *                                 a = cntA[i]
- *                                 bb = cntB[i]             # <<<<<<<<<<<<<<
- *                                 z = a if a >= bb else bb
- *                             elif kd == 2:  # equal assignments
-*/
-                __pyx_v_bb = (__pyx_v_cntB[__pyx_v_i]);
-
-                /* "vapep/_kernels/_core.pyx":178
- *                                 a = cntA[i]
- *                                 bb = cntB[i]
- *                                 z = a if a >= bb else bb             # <<<<<<<<<<<<<<
- *                             elif kd == 2:  # equal assignments
- *                                 if cntA[i] == 0 and cntB[i] == 0:
-*/
-                __pyx_t_7 = (__pyx_v_a >= __pyx_v_bb);
-                if (__pyx_t_7) {
-                  __pyx_t_3 = __pyx_v_a;
-                } else {
-                  __pyx_t_3 = __pyx_v_bb;
-                }
-                __pyx_v_z = __pyx_t_3;
-
-                /* "vapep/_kernels/_core.pyx":175
- *                             if kd == 0:  # shared users
- *                                 z = cntA[i]
- *                             elif kd == 1:  # larger one-sided difference             # <<<<<<<<<<<<<<
- *                                 a = cntA[i]
- *                                 bb = cntB[i]
-*/
-                break;
-                case 2:
-
-                /* "vapep/_kernels/_core.pyx":180
- *                                 z = a if a >= bb else bb
- *                             elif kd == 2:  # equal assignments
- *                                 if cntA[i] == 0 and cntB[i] == 0:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                __pyx_t_8 = ((__pyx_v_cntA[__pyx_v_i]) == 0);
-                if (__pyx_t_8) {
-                } else {
-                  __pyx_t_7 = __pyx_t_8;
-                  goto __pyx_L59_bool_binop_done;
-                }
-                __pyx_t_8 = ((__pyx_v_cntB[__pyx_v_i]) == 0);
-                __pyx_t_7 = __pyx_t_8;
-                __pyx_L59_bool_binop_done:;
-                if (__pyx_t_7) {
-
-                  /* "vapep/_kernels/_core.pyx":181
- *                             elif kd == 2:  # equal assignments
- *                                 if cntA[i] == 0 and cntB[i] == 0:
- *                                     cw += tvals_c[i]             # <<<<<<<<<<<<<<
- *                                 continue
- *                             elif kd == 3:  # disjoint assignments
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tvals_c[__pyx_v_i]));
-
-                  /* "vapep/_kernels/_core.pyx":180
- *                                 z = a if a >= bb else bb
- *                             elif kd == 2:  # equal assignments
- *                                 if cntA[i] == 0 and cntB[i] == 0:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                }
-
-                /* "vapep/_kernels/_core.pyx":182
- *                                 if cntA[i] == 0 and cntB[i] == 0:
- *                                     cw += tvals_c[i]
- *                                 continue             # <<<<<<<<<<<<<<
- *                             elif kd == 3:  # disjoint assignments
- *                                 if cntA[i] == 0:
-*/
-                goto __pyx_L56_continue;
-
-                /* "vapep/_kernels/_core.pyx":179
- *                                 bb = cntB[i]
- *                                 z = a if a >= bb else bb
- *                             elif kd == 2:  # equal assignments             # <<<<<<<<<<<<<<
- *                                 if cntA[i] == 0 and cntB[i] == 0:
- *                                     cw += tvals_c[i]
-*/
-                break;
-                case 3:
-
-                /* "vapep/_kernels/_core.pyx":184
- *                                 continue
- *                             elif kd == 3:  # disjoint assignments
- *                                 if cntA[i] == 0:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                __pyx_t_7 = ((__pyx_v_cntA[__pyx_v_i]) == 0);
-                if (__pyx_t_7) {
-
-                  /* "vapep/_kernels/_core.pyx":185
- *                             elif kd == 3:  # disjoint assignments
- *                                 if cntA[i] == 0:
- *                                     cw += tvals_c[i]             # <<<<<<<<<<<<<<
- *                                 continue
- *                             elif kd == 4:  # cardinality above t
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tvals_c[__pyx_v_i]));
-
-                  /* "vapep/_kernels/_core.pyx":184
- *                                 continue
- *                             elif kd == 3:  # disjoint assignments
- *                                 if cntA[i] == 0:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                }
-
-                /* "vapep/_kernels/_core.pyx":186
- *                                 if cntA[i] == 0:
- *                                     cw += tvals_c[i]
- *                                 continue             # <<<<<<<<<<<<<<
- *                             elif kd == 4:  # cardinality above t
- *                                 z = cntA[i] - tvals_c[i]
-*/
-                goto __pyx_L56_continue;
-
-                /* "vapep/_kernels/_core.pyx":183
- *                                     cw += tvals_c[i]
- *                                 continue
- *                             elif kd == 3:  # disjoint assignments             # <<<<<<<<<<<<<<
- *                                 if cntA[i] == 0:
- *                                     cw += tvals_c[i]
-*/
-                break;
-                case 4:
-
-                /* "vapep/_kernels/_core.pyx":188
- *                                 continue
- *                             elif kd == 4:  # cardinality above t
- *                                 z = cntA[i] - tvals_c[i]             # <<<<<<<<<<<<<<
- *                             elif kd == 5:  # cardinality below t
- *                                 z = tvals_c[i] - cntA[i]
-*/
-                __pyx_v_z = ((__pyx_v_cntA[__pyx_v_i]) - (__pyx_v_tvals_c[__pyx_v_i]));
-
-                /* "vapep/_kernels/_core.pyx":187
- *                                     cw += tvals_c[i]
- *                                 continue
- *                             elif kd == 4:  # cardinality above t             # <<<<<<<<<<<<<<
- *                                 z = cntA[i] - tvals_c[i]
- *                             elif kd == 5:  # cardinality below t
-*/
-                break;
-                case 5:
-
-                /* "vapep/_kernels/_core.pyx":190
- *                                 z = cntA[i] - tvals_c[i]
- *                             elif kd == 5:  # cardinality below t
- *                                 z = tvals_c[i] - cntA[i]             # <<<<<<<<<<<<<<
- *                             else:  # assigned-user count
- *                                 z = m_assigned
-*/
-                __pyx_v_z = ((__pyx_v_tvals_c[__pyx_v_i]) - (__pyx_v_cntA[__pyx_v_i]));
-
-                /* "vapep/_kernels/_core.pyx":189
- *                             elif kd == 4:  # cardinality above t
- *                                 z = cntA[i] - tvals_c[i]
- *                             elif kd == 5:  # cardinality below t             # <<<<<<<<<<<<<<
- *                                 z = tvals_c[i] - cntA[i]
- *                             else:  # assigned-user count
-*/
-                break;
-                default:
-
-                /* "vapep/_kernels/_core.pyx":192
- *                                 z = tvals_c[i] - cntA[i]
- *                             else:  # assigned-user count
- *                                 z = m_assigned             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z
-*/
-                __pyx_v_z = __pyx_v_m_assigned;
-
-                /* "vapep/_kernels/_core.pyx":193
- *                             else:  # assigned-user count
- *                                 z = m_assigned
- *                                 if pkinds_c[i] == 2:             # <<<<<<<<<<<<<<
- *                                     cw += z * z
- *                                     continue
-*/
-                __pyx_t_7 = ((__pyx_v_pkinds_c[__pyx_v_i]) == 2);
-                if (__pyx_t_7) {
-
-                  /* "vapep/_kernels/_core.pyx":194
- *                                 z = m_assigned
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z             # <<<<<<<<<<<<<<
- *                                     continue
- *                             if z > 0:
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_z * __pyx_v_z));
-
-                  /* "vapep/_kernels/_core.pyx":195
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z
- *                                     continue             # <<<<<<<<<<<<<<
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:
-*/
-                  goto __pyx_L56_continue;
-
-                  /* "vapep/_kernels/_core.pyx":193
- *                             else:  # assigned-user count
- *                                 z = m_assigned
- *                                 if pkinds_c[i] == 2:             # <<<<<<<<<<<<<<
- *                                     cw += z * z
- *                                     continue
-*/
-                }
-                break;
-              }
-
-              /* "vapep/_kernels/_core.pyx":196
- *                                     cw += z * z
- *                                     continue
- *                             if z > 0:             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
-*/
-              __pyx_t_7 = (__pyx_v_z > 0);
-              if (__pyx_t_7) {
-
-                /* "vapep/_kernels/_core.pyx":197
- *                                     continue
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:             # <<<<<<<<<<<<<<
- *                                     tl = tlen[i]
- *                                     if z <= tl:
-*/
-                __pyx_t_7 = ((__pyx_v_pkinds_c[__pyx_v_i]) == 1);
-                if (__pyx_t_7) {
-
-                  /* "vapep/_kernels/_core.pyx":198
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]             # <<<<<<<<<<<<<<
- *                                     if z <= tl:
- *                                         cw += tflat[toff[i] + z - 1]
-*/
-                  __pyx_v_tl = (__pyx_v_tlen[__pyx_v_i]);
-
-                  /* "vapep/_kernels/_core.pyx":199
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
- *                                     if z <= tl:             # <<<<<<<<<<<<<<
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
-*/
-                  __pyx_t_7 = (__pyx_v_z <= __pyx_v_tl);
-                  if (__pyx_t_7) {
-
-                    /* "vapep/_kernels/_core.pyx":200
- *                                     tl = tlen[i]
- *                                     if z <= tl:
- *                                         cw += tflat[toff[i] + z - 1]             # <<<<<<<<<<<<<<
- *                                     else:
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)
-*/
-                    __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tflat[(((__pyx_v_toff[__pyx_v_i]) + __pyx_v_z) - 1)]));
-
-                    /* "vapep/_kernels/_core.pyx":199
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
- *                                     if z <= tl:             # <<<<<<<<<<<<<<
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
-*/
-                    goto __pyx_L65;
-                  }
-
-                  /* "vapep/_kernels/_core.pyx":202
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)             # <<<<<<<<<<<<<<
- *                                 else:
- *                                     cw += pslopes_c[i] * z
-*/
-                  /*else*/ {
-                    __pyx_v_cw = (__pyx_v_cw + ((__pyx_v_tflat[(((__pyx_v_toff[__pyx_v_i]) + __pyx_v_tl) - 1)]) + ((__pyx_v_pslopes_c[__pyx_v_i]) * (__pyx_v_z - __pyx_v_tl))));
-                  }
-                  __pyx_L65:;
-
-                  /* "vapep/_kernels/_core.pyx":197
- *                                     continue
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:             # <<<<<<<<<<<<<<
- *                                     tl = tlen[i]
- *                                     if z <= tl:
-*/
-                  goto __pyx_L64;
-                }
-
-                /* "vapep/_kernels/_core.pyx":204
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)
- *                                 else:
- *                                     cw += pslopes_c[i] * z             # <<<<<<<<<<<<<<
- *                         if cw + olbb[j] < inc_c:
- *                             pairs = []
-*/
-                /*else*/ {
-                  __pyx_v_cw = (__pyx_v_cw + ((__pyx_v_pslopes_c[__pyx_v_i]) * __pyx_v_z));
-                }
-                __pyx_L64:;
-
-                /* "vapep/_kernels/_core.pyx":196
- *                                     cw += z * z
- *                                     continue
- *                             if z > 0:             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
-*/
-              }
-              __pyx_L56_continue:;
-            }
-
-            /* "vapep/_kernels/_core.pyx":205
- *                                 else:
- *                                     cw += pslopes_c[i] * z
- *                         if cw + olbb[j] < inc_c:             # <<<<<<<<<<<<<<
- *                             pairs = []
- *                             for j2 in range(j):
-*/
-            __pyx_t_7 = ((__pyx_v_cw + (__pyx_v_olbb[__pyx_v_j])) < __pyx_v_inc_c);
-            if (__pyx_t_7) {
-
-              /* "vapep/_kernels/_core.pyx":206
- *                                     cw += pslopes_c[i] * z
- *                         if cw + olbb[j] < inc_c:
- *                             pairs = []             # <<<<<<<<<<<<<<
- *                             for j2 in range(j):
- *                                 if val[j2]:
-*/
-              __pyx_t_13 = PyList_New(0); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 206, __pyx_L4_error)
-              __Pyx_GOTREF(__pyx_t_13);
-              __Pyx_XDECREF_SET(__pyx_v_pairs, ((PyObject*)__pyx_t_13));
-              __pyx_t_13 = 0;
-
-              /* "vapep/_kernels/_core.pyx":207
- *                         if cw + olbb[j] < inc_c:
- *                             pairs = []
- *                             for j2 in range(j):             # <<<<<<<<<<<<<<
- *                                 if val[j2]:
- *                                     pairs.append((j2, val[j2]))
-*/
-              __pyx_t_1 = __pyx_v_j;
-              __pyx_t_9 = __pyx_t_1;
-              for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-                __pyx_v_j2 = __pyx_t_10;
-
-                /* "vapep/_kernels/_core.pyx":208
- *                             pairs = []
- *                             for j2 in range(j):
- *                                 if val[j2]:             # <<<<<<<<<<<<<<
- *                                     pairs.append((j2, val[j2]))
- *                             r = evaluate(pairs, cw)
-*/
-                __pyx_t_7 = ((__pyx_v_val[__pyx_v_j2]) != 0);
-                if (__pyx_t_7) {
-
-                  /* "vapep/_kernels/_core.pyx":209
- *                             for j2 in range(j):
- *                                 if val[j2]:
- *                                     pairs.append((j2, val[j2]))             # <<<<<<<<<<<<<<
- *                             r = evaluate(pairs, cw)
- *                             if r < inc:
-*/
-                  __pyx_t_13 = PyLong_FromSsize_t(__pyx_v_j2); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 209, __pyx_L4_error)
-                  __Pyx_GOTREF(__pyx_t_13);
-                  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_val[__pyx_v_j2])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 209, __pyx_L4_error)
-                  __Pyx_GOTREF(__pyx_t_4);
-                  __pyx_t_15 = PyTuple_New(2); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 209, __pyx_L4_error)
-                  __Pyx_GOTREF(__pyx_t_15);
-                  __Pyx_GIVEREF(__pyx_t_13);
-                  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_13) != (0)) __PYX_ERR(0, 209, __pyx_L4_error);
-                  __Pyx_GIVEREF(__pyx_t_4);
-                  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 209, __pyx_L4_error);
-                  __pyx_t_13 = 0;
-                  __pyx_t_4 = 0;
-                  __pyx_t_16 = __Pyx_PyList_Append(__pyx_v_pairs, __pyx_t_15); if (unlikely(__pyx_t_16 == ((int)-1))) __PYX_ERR(0, 209, __pyx_L4_error)
-                  __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-
-                  /* "vapep/_kernels/_core.pyx":208
- *                             pairs = []
- *                             for j2 in range(j):
- *                                 if val[j2]:             # <<<<<<<<<<<<<<
- *                                     pairs.append((j2, val[j2]))
- *                             r = evaluate(pairs, cw)
-*/
-                }
-              }
-
-              /* "vapep/_kernels/_core.pyx":210
- *                                 if val[j2]:
- *                                     pairs.append((j2, val[j2]))
- *                             r = evaluate(pairs, cw)             # <<<<<<<<<<<<<<
- *                             if r < inc:
- *                                 inc = r
-*/
-              __pyx_t_4 = NULL;
-              __Pyx_INCREF(__pyx_v_evaluate);
-              __pyx_t_13 = __pyx_v_evaluate; 
-              __pyx_t_17 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_cw); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 210, __pyx_L4_error)
-              __Pyx_GOTREF(__pyx_t_17);
-              __pyx_t_6 = 1;
-              #if CYTHON_UNPACK_METHODS
-              if (unlikely(PyMethod_Check(__pyx_t_13))) {
-                __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_13);
-                assert(__pyx_t_4);
-                PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_13);
-                __Pyx_INCREF(__pyx_t_4);
-                __Pyx_INCREF(__pyx__function);
-                __Pyx_DECREF_SET(__pyx_t_13, __pyx__function);
-                __pyx_t_6 = 0;
-              }
-              #endif
-              {
-                PyObject *__pyx_callargs[3] = {__pyx_t_4, __pyx_v_pairs, __pyx_t_17};
-                __pyx_t_15 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_13, __pyx_callargs+__pyx_t_6, (3-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-                __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-                __Pyx_DECREF(__pyx_t_17); __pyx_t_17 = 0;
-                __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-                if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 210, __pyx_L4_error)
-                __Pyx_GOTREF(__pyx_t_15);
-              }
-              __Pyx_XDECREF_SET(__pyx_v_r, __pyx_t_15);
-              __pyx_t_15 = 0;
-
-              /* "vapep/_kernels/_core.pyx":211
- *                                     pairs.append((j2, val[j2]))
- *                             r = evaluate(pairs, cw)
- *                             if r < inc:             # <<<<<<<<<<<<<<
- *                                 inc = r
- *                                 inc_c = r if r < C_INF else C_INF
-*/
-              __pyx_t_15 = PyObject_RichCompare(__pyx_v_r, __pyx_v_inc, Py_LT); __Pyx_XGOTREF(__pyx_t_15); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 211, __pyx_L4_error)
-              __pyx_t_7 = __Pyx_PyObject_IsTrue(__pyx_t_15); if (unlikely((__pyx_t_7 < 0))) __PYX_ERR(0, 211, __pyx_L4_error)
-              __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-              if (__pyx_t_7) {
-
-                /* "vapep/_kernels/_core.pyx":212
- *                             r = evaluate(pairs, cw)
- *                             if r < inc:
- *                                 inc = r             # <<<<<<<<<<<<<<
- *                                 inc_c = r if r < C_INF else C_INF
- *                     down = False
-*/
-                __Pyx_INCREF(__pyx_v_r);
-                __Pyx_DECREF_SET(__pyx_v_inc, __pyx_v_r);
-
-                /* "vapep/_kernels/_core.pyx":213
- *                             if r < inc:
- *                                 inc = r
- *                                 inc_c = r if r < C_INF else C_INF             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-                __pyx_t_15 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_5vapep_8_kernels_5_core_C_INF); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 213, __pyx_L4_error)
-                __Pyx_GOTREF(__pyx_t_15);
-                __pyx_t_13 = PyObject_RichCompare(__pyx_v_r, __pyx_t_15, Py_LT); __Pyx_XGOTREF(__pyx_t_13); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 213, __pyx_L4_error)
-                __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-                __pyx_t_7 = __Pyx_PyObject_IsTrue(__pyx_t_13); if (unlikely((__pyx_t_7 < 0))) __PYX_ERR(0, 213, __pyx_L4_error)
-                __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-                if (__pyx_t_7) {
-                  __pyx_t_12 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_r); if (unlikely((__pyx_t_12 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L4_error)
-                  __pyx_t_3 = __pyx_t_12;
-                } else {
-                  __pyx_t_3 = __pyx_v_5vapep_8_kernels_5_core_C_INF;
-                }
-                __pyx_v_inc_c = __pyx_t_3;
-
-                /* "vapep/_kernels/_core.pyx":211
- *                                     pairs.append((j2, val[j2]))
- *                             r = evaluate(pairs, cw)
- *                             if r < inc:             # <<<<<<<<<<<<<<
- *                                 inc = r
- *                                 inc_c = r if r < C_INF else C_INF
-*/
-              }
-
-              /* "vapep/_kernels/_core.pyx":205
- *                                 else:
- *                                     cw += pslopes_c[i] * z
- *                         if cw + olbb[j] < inc_c:             # <<<<<<<<<<<<<<
- *                             pairs = []
- *                             for j2 in range(j):
-*/
-            }
-
-            /* "vapep/_kernels/_core.pyx":168
- *                 if b == 0 or j == M:
- *                     cov = covb[j]
- *                     if cov == full:             # <<<<<<<<<<<<<<
- *                         emitted += 1
- *                         cw = 0
-*/
-          }
-
-          /* "vapep/_kernels/_core.pyx":214
- *                                 inc = r
- *                                 inc_c = r if r < C_INF else C_INF
- *                     down = False             # <<<<<<<<<<<<<<
- *                     j -= 1
- *                     continue
-*/
-          __pyx_v_down = 0;
-
-          /* "vapep/_kernels/_core.pyx":215
- *                                 inc_c = r if r < C_INF else C_INF
- *                     down = False
- *                     j -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 cov = covb[j]
-*/
-          __pyx_v_j = (__pyx_v_j - 1);
-
-          /* "vapep/_kernels/_core.pyx":216
- *                     down = False
- *                     j -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 cov = covb[j]
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):
-*/
-          goto __pyx_L49_continue;
-
-          /* "vapep/_kernels/_core.pyx":166
- *             if down:
- *                 b = budb[j]
- *                 if b == 0 or j == M:             # <<<<<<<<<<<<<<
- *                     cov = covb[j]
- *                     if cov == full:
-*/
-        }
-
-        /* "vapep/_kernels/_core.pyx":217
- *                     j -= 1
- *                     continue
- *                 cov = covb[j]             # <<<<<<<<<<<<<<
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):
- *                     down = False
-*/
-        __pyx_v_cov = (__pyx_v_covb[__pyx_v_j]);
-
-        /* "vapep/_kernels/_core.pyx":218
- *                     continue
- *                 cov = covb[j]
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        __pyx_t_7 = ((__pyx_v_full & (~(__pyx_v_cov | ((unsigned PY_LONG_LONG)(__pyx_v_sufun_c[__pyx_v_j]))))) != 0);
-        if (__pyx_t_7) {
-
-          /* "vapep/_kernels/_core.pyx":219
- *                 cov = covb[j]
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):
- *                     down = False             # <<<<<<<<<<<<<<
- *                     j -= 1
- *                     continue
-*/
-          __pyx_v_down = 0;
-
-          /* "vapep/_kernels/_core.pyx":220
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):
- *                     down = False
- *                     j -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0
-*/
-          __pyx_v_j = (__pyx_v_j - 1);
-
-          /* "vapep/_kernels/_core.pyx":221
- *                     down = False
- *                     j -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0
- *                 if lo > b:
-*/
-          goto __pyx_L49_continue;
-
-          /* "vapep/_kernels/_core.pyx":218
- *                     continue
- *                 cov = covb[j]
- *                 if full & ~(cov | <unsigned long long> sufun_c[j]):             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        }
-
-        /* "vapep/_kernels/_core.pyx":222
- *                     j -= 1
- *                     continue
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0             # <<<<<<<<<<<<<<
- *                 if lo > b:
- *                     down = False
-*/
-        __pyx_t_8 = (__pyx_v_j == 0);
-        if (__pyx_t_8) {
-        } else {
-          __pyx_t_7 = __pyx_t_8;
-          goto __pyx_L72_bool_binop_done;
-        }
-        __pyx_t_8 = (__pyx_v_first_c >= 0);
-        __pyx_t_7 = __pyx_t_8;
-        __pyx_L72_bool_binop_done:;
-        if (__pyx_t_7) {
-          __pyx_t_3 = __pyx_v_first_c;
-        } else {
-          __pyx_t_3 = 0;
-        }
-        __pyx_v_lo = __pyx_t_3;
-
-        /* "vapep/_kernels/_core.pyx":223
- *                     continue
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0
- *                 if lo > b:             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        __pyx_t_7 = (__pyx_v_lo > __pyx_v_b);
-        if (__pyx_t_7) {
-
-          /* "vapep/_kernels/_core.pyx":224
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0
- *                 if lo > b:
- *                     down = False             # <<<<<<<<<<<<<<
- *                     j -= 1
- *                     continue
-*/
-          __pyx_v_down = 0;
-
-          /* "vapep/_kernels/_core.pyx":225
- *                 if lo > b:
- *                     down = False
- *                     j -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 val[j] = lo
-*/
-          __pyx_v_j = (__pyx_v_j - 1);
-
-          /* "vapep/_kernels/_core.pyx":226
- *                     down = False
- *                     j -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 val[j] = lo
- *                 if lo:
-*/
-          goto __pyx_L49_continue;
-
-          /* "vapep/_kernels/_core.pyx":223
- *                     continue
- *                 lo = first_c if (j == 0 and first_c >= 0) else 0
- *                 if lo > b:             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        }
-
-        /* "vapep/_kernels/_core.pyx":227
- *                     j -= 1
- *                     continue
- *                 val[j] = lo             # <<<<<<<<<<<<<<
- *                 if lo:
- *                     for i in range(alen[j]):
-*/
-        (__pyx_v_val[__pyx_v_j]) = __pyx_v_lo;
-
-        /* "vapep/_kernels/_core.pyx":228
- *                     continue
- *                 val[j] = lo
- *                 if lo:             # <<<<<<<<<<<<<<
- *                     for i in range(alen[j]):
- *                         cntA[aflat[aoff[j] + i]] += lo
-*/
-        __pyx_t_7 = (__pyx_v_lo != 0);
-        if (__pyx_t_7) {
-
-          /* "vapep/_kernels/_core.pyx":229
- *                 val[j] = lo
- *                 if lo:
- *                     for i in range(alen[j]):             # <<<<<<<<<<<<<<
- *                         cntA[aflat[aoff[j] + i]] += lo
- *                     for i in range(blen[j]):
-*/
-          __pyx_t_3 = (__pyx_v_alen[__pyx_v_j]);
-          __pyx_t_12 = __pyx_t_3;
-          for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-            __pyx_v_i = __pyx_t_1;
-
-            /* "vapep/_kernels/_core.pyx":230
- *                 if lo:
- *                     for i in range(alen[j]):
- *                         cntA[aflat[aoff[j] + i]] += lo             # <<<<<<<<<<<<<<
- *                     for i in range(blen[j]):
- *                         cntB[bflat[boff[j] + i]] += lo
-*/
-            __pyx_t_14 = (__pyx_v_aflat[((__pyx_v_aoff[__pyx_v_j]) + __pyx_v_i)]);
-            (__pyx_v_cntA[__pyx_t_14]) = ((__pyx_v_cntA[__pyx_t_14]) + __pyx_v_lo);
-          }
-
-          /* "vapep/_kernels/_core.pyx":231
- *                     for i in range(alen[j]):
- *                         cntA[aflat[aoff[j] + i]] += lo
- *                     for i in range(blen[j]):             # <<<<<<<<<<<<<<
- *                         cntB[bflat[boff[j] + i]] += lo
- *                     m_assigned += lo
-*/
-          __pyx_t_3 = (__pyx_v_blen[__pyx_v_j]);
-          __pyx_t_12 = __pyx_t_3;
-          for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-            __pyx_v_i = __pyx_t_1;
-
-            /* "vapep/_kernels/_core.pyx":232
- *                         cntA[aflat[aoff[j] + i]] += lo
- *                     for i in range(blen[j]):
- *                         cntB[bflat[boff[j] + i]] += lo             # <<<<<<<<<<<<<<
- *                     m_assigned += lo
- *                     covb[j + 1] = cov | <unsigned long long> subs_c[j]
-*/
-            __pyx_t_14 = (__pyx_v_bflat[((__pyx_v_boff[__pyx_v_j]) + __pyx_v_i)]);
-            (__pyx_v_cntB[__pyx_t_14]) = ((__pyx_v_cntB[__pyx_t_14]) + __pyx_v_lo);
-          }
-
-          /* "vapep/_kernels/_core.pyx":233
- *                     for i in range(blen[j]):
- *                         cntB[bflat[boff[j] + i]] += lo
- *                     m_assigned += lo             # <<<<<<<<<<<<<<
- *                     covb[j + 1] = cov | <unsigned long long> subs_c[j]
- *                 else:
-*/
-          __pyx_v_m_assigned = (__pyx_v_m_assigned + __pyx_v_lo);
-
-          /* "vapep/_kernels/_core.pyx":234
- *                         cntB[bflat[boff[j] + i]] += lo
- *                     m_assigned += lo
- *                     covb[j + 1] = cov | <unsigned long long> subs_c[j]             # <<<<<<<<<<<<<<
- *                 else:
- *                     covb[j + 1] = cov
-*/
-          (__pyx_v_covb[(__pyx_v_j + 1)]) = (__pyx_v_cov | ((unsigned PY_LONG_LONG)(__pyx_v_subs_c[__pyx_v_j])));
-
-          /* "vapep/_kernels/_core.pyx":228
- *                     continue
- *                 val[j] = lo
- *                 if lo:             # <<<<<<<<<<<<<<
- *                     for i in range(alen[j]):
- *                         cntA[aflat[aoff[j] + i]] += lo
-*/
-          goto __pyx_L75;
-        }
-
-        /* "vapep/_kernels/_core.pyx":236
- *                     covb[j + 1] = cov | <unsigned long long> subs_c[j]
- *                 else:
- *                     covb[j + 1] = cov             # <<<<<<<<<<<<<<
- *                 budb[j + 1] = b - lo
- *                 olbb[j + 1] = olbb[j] + lo * minw_c[j]
-*/
-        /*else*/ {
-          (__pyx_v_covb[(__pyx_v_j + 1)]) = __pyx_v_cov;
-        }
-        __pyx_L75:;
-
-        /* "vapep/_kernels/_core.pyx":237
- *                 else:
- *                     covb[j + 1] = cov
- *                 budb[j + 1] = b - lo             # <<<<<<<<<<<<<<
- *                 olbb[j + 1] = olbb[j] + lo * minw_c[j]
- *                 j += 1
-*/
-        (__pyx_v_budb[(__pyx_v_j + 1)]) = (__pyx_v_b - __pyx_v_lo);
-
-        /* "vapep/_kernels/_core.pyx":238
- *                     covb[j + 1] = cov
- *                 budb[j + 1] = b - lo
- *                 olbb[j + 1] = olbb[j] + lo * minw_c[j]             # <<<<<<<<<<<<<<
- *                 j += 1
- *                 continue
-*/
-        (__pyx_v_olbb[(__pyx_v_j + 1)]) = ((__pyx_v_olbb[__pyx_v_j]) + (__pyx_v_lo * (__pyx_v_minw_c[__pyx_v_j])));
-
-        /* "vapep/_kernels/_core.pyx":239
- *                 budb[j + 1] = b - lo
- *                 olbb[j + 1] = olbb[j] + lo * minw_c[j]
- *                 j += 1             # <<<<<<<<<<<<<<
- *                 continue
- *             # backtracking
-*/
-        __pyx_v_j = (__pyx_v_j + 1);
-
-        /* "vapep/_kernels/_core.pyx":240
- *                 olbb[j + 1] = olbb[j] + lo * minw_c[j]
- *                 j += 1
- *                 continue             # <<<<<<<<<<<<<<
- *             # backtracking
- *             if j < 0:
-*/
-        goto __pyx_L49_continue;
-
-        /* "vapep/_kernels/_core.pyx":164
- *         # logic below mirrors _ref.profile_search
- *         while True:
- *             if down:             # <<<<<<<<<<<<<<
- *                 b = budb[j]
- *                 if b == 0 or j == M:
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":242
- *                 continue
- *             # backtracking
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 break
- *             c = val[j]
-*/
-      __pyx_t_7 = (__pyx_v_j < 0);
-      if (__pyx_t_7) {
-
-        /* "vapep/_kernels/_core.pyx":243
- *             # backtracking
- *             if j < 0:
- *                 break             # <<<<<<<<<<<<<<
- *             c = val[j]
- *             if c:
-*/
-        goto __pyx_L50_break;
-
-        /* "vapep/_kernels/_core.pyx":242
- *                 continue
- *             # backtracking
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 break
- *             c = val[j]
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":244
- *             if j < 0:
- *                 break
- *             c = val[j]             # <<<<<<<<<<<<<<
- *             if c:
- *                 for i in range(alen[j]):
-*/
-      __pyx_v_c = (__pyx_v_val[__pyx_v_j]);
-
-      /* "vapep/_kernels/_core.pyx":245
- *                 break
- *             c = val[j]
- *             if c:             # <<<<<<<<<<<<<<
- *                 for i in range(alen[j]):
- *                     cntA[aflat[aoff[j] + i]] -= c
-*/
-      __pyx_t_7 = (__pyx_v_c != 0);
-      if (__pyx_t_7) {
-
-        /* "vapep/_kernels/_core.pyx":246
- *             c = val[j]
- *             if c:
- *                 for i in range(alen[j]):             # <<<<<<<<<<<<<<
- *                     cntA[aflat[aoff[j] + i]] -= c
- *                 for i in range(blen[j]):
-*/
-        __pyx_t_3 = (__pyx_v_alen[__pyx_v_j]);
-        __pyx_t_12 = __pyx_t_3;
-        for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-          __pyx_v_i = __pyx_t_1;
-
-          /* "vapep/_kernels/_core.pyx":247
- *             if c:
- *                 for i in range(alen[j]):
- *                     cntA[aflat[aoff[j] + i]] -= c             # <<<<<<<<<<<<<<
- *                 for i in range(blen[j]):
- *                     cntB[bflat[boff[j] + i]] -= c
-*/
-          __pyx_t_14 = (__pyx_v_aflat[((__pyx_v_aoff[__pyx_v_j]) + __pyx_v_i)]);
-          (__pyx_v_cntA[__pyx_t_14]) = ((__pyx_v_cntA[__pyx_t_14]) - __pyx_v_c);
-        }
-
-        /* "vapep/_kernels/_core.pyx":248
- *                 for i in range(alen[j]):
- *                     cntA[aflat[aoff[j] + i]] -= c
- *                 for i in range(blen[j]):             # <<<<<<<<<<<<<<
- *                     cntB[bflat[boff[j] + i]] -= c
- *                 m_assigned -= c
-*/
-        __pyx_t_3 = (__pyx_v_blen[__pyx_v_j]);
-        __pyx_t_12 = __pyx_t_3;
-        for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-          __pyx_v_i = __pyx_t_1;
-
-          /* "vapep/_kernels/_core.pyx":249
- *                     cntA[aflat[aoff[j] + i]] -= c
- *                 for i in range(blen[j]):
- *                     cntB[bflat[boff[j] + i]] -= c             # <<<<<<<<<<<<<<
- *                 m_assigned -= c
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]
-*/
-          __pyx_t_14 = (__pyx_v_bflat[((__pyx_v_boff[__pyx_v_j]) + __pyx_v_i)]);
-          (__pyx_v_cntB[__pyx_t_14]) = ((__pyx_v_cntB[__pyx_t_14]) - __pyx_v_c);
-        }
-
-        /* "vapep/_kernels/_core.pyx":250
- *                 for i in range(blen[j]):
- *                     cntB[bflat[boff[j] + i]] -= c
- *                 m_assigned -= c             # <<<<<<<<<<<<<<
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]
- *             if c >= hi:
-*/
-        __pyx_v_m_assigned = (__pyx_v_m_assigned - __pyx_v_c);
-
-        /* "vapep/_kernels/_core.pyx":245
- *                 break
- *             c = val[j]
- *             if c:             # <<<<<<<<<<<<<<
- *                 for i in range(alen[j]):
- *                     cntA[aflat[aoff[j] + i]] -= c
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":251
- *                     cntB[bflat[boff[j] + i]] -= c
- *                 m_assigned -= c
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]             # <<<<<<<<<<<<<<
- *             if c >= hi:
- *                 val[j] = 0
-*/
-      __pyx_t_8 = (__pyx_v_j == 0);
-      if (__pyx_t_8) {
-      } else {
-        __pyx_t_7 = __pyx_t_8;
-        goto __pyx_L86_bool_binop_done;
-      }
-      __pyx_t_8 = (__pyx_v_first_c >= 0);
-      __pyx_t_7 = __pyx_t_8;
-      __pyx_L86_bool_binop_done:;
-      if (__pyx_t_7) {
-        __pyx_t_3 = -1LL;
-      } else {
-        __pyx_t_3 = (__pyx_v_budb[__pyx_v_j]);
-      }
-      __pyx_v_hi = __pyx_t_3;
-
-      /* "vapep/_kernels/_core.pyx":252
- *                 m_assigned -= c
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]
- *             if c >= hi:             # <<<<<<<<<<<<<<
- *                 val[j] = 0
- *                 j -= 1
-*/
-      __pyx_t_7 = (__pyx_v_c >= __pyx_v_hi);
-      if (__pyx_t_7) {
-
-        /* "vapep/_kernels/_core.pyx":253
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]
- *             if c >= hi:
- *                 val[j] = 0             # <<<<<<<<<<<<<<
- *                 j -= 1
- *                 continue
-*/
-        (__pyx_v_val[__pyx_v_j]) = 0;
-
-        /* "vapep/_kernels/_core.pyx":254
- *             if c >= hi:
- *                 val[j] = 0
- *                 j -= 1             # <<<<<<<<<<<<<<
- *                 continue
- *             c += 1
-*/
-        __pyx_v_j = (__pyx_v_j - 1);
-
-        /* "vapep/_kernels/_core.pyx":255
- *                 val[j] = 0
- *                 j -= 1
- *                 continue             # <<<<<<<<<<<<<<
- *             c += 1
- *             val[j] = c
-*/
-        goto __pyx_L49_continue;
-
-        /* "vapep/_kernels/_core.pyx":252
- *                 m_assigned -= c
- *             hi = -1 if (j == 0 and first_c >= 0) else budb[j]
- *             if c >= hi:             # <<<<<<<<<<<<<<
- *                 val[j] = 0
- *                 j -= 1
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":256
- *                 j -= 1
- *                 continue
- *             c += 1             # <<<<<<<<<<<<<<
- *             val[j] = c
- *             for i in range(alen[j]):
-*/
-      __pyx_v_c = (__pyx_v_c + 1);
-
-      /* "vapep/_kernels/_core.pyx":257
- *                 continue
- *             c += 1
- *             val[j] = c             # <<<<<<<<<<<<<<
- *             for i in range(alen[j]):
- *                 cntA[aflat[aoff[j] + i]] += c
-*/
-      (__pyx_v_val[__pyx_v_j]) = __pyx_v_c;
-
-      /* "vapep/_kernels/_core.pyx":258
- *             c += 1
- *             val[j] = c
- *             for i in range(alen[j]):             # <<<<<<<<<<<<<<
- *                 cntA[aflat[aoff[j] + i]] += c
- *             for i in range(blen[j]):
-*/
-      __pyx_t_3 = (__pyx_v_alen[__pyx_v_j]);
-      __pyx_t_12 = __pyx_t_3;
-      for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-        __pyx_v_i = __pyx_t_1;
-
-        /* "vapep/_kernels/_core.pyx":259
- *             val[j] = c
- *             for i in range(alen[j]):
- *                 cntA[aflat[aoff[j] + i]] += c             # <<<<<<<<<<<<<<
- *             for i in range(blen[j]):
- *                 cntB[bflat[boff[j] + i]] += c
-*/
-        __pyx_t_14 = (__pyx_v_aflat[((__pyx_v_aoff[__pyx_v_j]) + __pyx_v_i)]);
-        (__pyx_v_cntA[__pyx_t_14]) = ((__pyx_v_cntA[__pyx_t_14]) + __pyx_v_c);
-      }
-
-      /* "vapep/_kernels/_core.pyx":260
- *             for i in range(alen[j]):
- *                 cntA[aflat[aoff[j] + i]] += c
- *             for i in range(blen[j]):             # <<<<<<<<<<<<<<
- *                 cntB[bflat[boff[j] + i]] += c
- *             m_assigned += c
-*/
-      __pyx_t_3 = (__pyx_v_blen[__pyx_v_j]);
-      __pyx_t_12 = __pyx_t_3;
-      for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_12; __pyx_t_1+=1) {
-        __pyx_v_i = __pyx_t_1;
-
-        /* "vapep/_kernels/_core.pyx":261
- *                 cntA[aflat[aoff[j] + i]] += c
- *             for i in range(blen[j]):
- *                 cntB[bflat[boff[j] + i]] += c             # <<<<<<<<<<<<<<
- *             m_assigned += c
- *             budb[j + 1] = budb[j] - c
-*/
-        __pyx_t_14 = (__pyx_v_bflat[((__pyx_v_boff[__pyx_v_j]) + __pyx_v_i)]);
-        (__pyx_v_cntB[__pyx_t_14]) = ((__pyx_v_cntB[__pyx_t_14]) + __pyx_v_c);
-      }
-
-      /* "vapep/_kernels/_core.pyx":262
- *             for i in range(blen[j]):
- *                 cntB[bflat[boff[j] + i]] += c
- *             m_assigned += c             # <<<<<<<<<<<<<<
- *             budb[j + 1] = budb[j] - c
- *             covb[j + 1] = covb[j] | <unsigned long long> subs_c[j]
-*/
-      __pyx_v_m_assigned = (__pyx_v_m_assigned + __pyx_v_c);
-
-      /* "vapep/_kernels/_core.pyx":263
- *                 cntB[bflat[boff[j] + i]] += c
- *             m_assigned += c
- *             budb[j + 1] = budb[j] - c             # <<<<<<<<<<<<<<
- *             covb[j + 1] = covb[j] | <unsigned long long> subs_c[j]
- *             olbb[j + 1] = olbb[j] + c * minw_c[j]
-*/
-      (__pyx_v_budb[(__pyx_v_j + 1)]) = ((__pyx_v_budb[__pyx_v_j]) - __pyx_v_c);
-
-      /* "vapep/_kernels/_core.pyx":264
- *             m_assigned += c
- *             budb[j + 1] = budb[j] - c
- *             covb[j + 1] = covb[j] | <unsigned long long> subs_c[j]             # <<<<<<<<<<<<<<
- *             olbb[j + 1] = olbb[j] + c * minw_c[j]
- *             j += 1
-*/
-      (__pyx_v_covb[(__pyx_v_j + 1)]) = ((__pyx_v_covb[__pyx_v_j]) | ((unsigned PY_LONG_LONG)(__pyx_v_subs_c[__pyx_v_j])));
-
-      /* "vapep/_kernels/_core.pyx":265
- *             budb[j + 1] = budb[j] - c
- *             covb[j + 1] = covb[j] | <unsigned long long> subs_c[j]
- *             olbb[j + 1] = olbb[j] + c * minw_c[j]             # <<<<<<<<<<<<<<
- *             j += 1
- *             down = True
-*/
-      (__pyx_v_olbb[(__pyx_v_j + 1)]) = ((__pyx_v_olbb[__pyx_v_j]) + (__pyx_v_c * (__pyx_v_minw_c[__pyx_v_j])));
-
-      /* "vapep/_kernels/_core.pyx":266
- *             covb[j + 1] = covb[j] | <unsigned long long> subs_c[j]
- *             olbb[j + 1] = olbb[j] + c * minw_c[j]
- *             j += 1             # <<<<<<<<<<<<<<
- *             down = True
- *         return emitted, inc
-*/
-      __pyx_v_j = (__pyx_v_j + 1);
-
-      /* "vapep/_kernels/_core.pyx":267
- *             olbb[j + 1] = olbb[j] + c * minw_c[j]
- *             j += 1
- *             down = True             # <<<<<<<<<<<<<<
- *         return emitted, inc
- *     finally:
-*/
-      __pyx_v_down = 1;
-      __pyx_L49_continue:;
-    }
-    __pyx_L50_break:;
-
-    /* "vapep/_kernels/_core.pyx":268
- *             j += 1
- *             down = True
- *         return emitted, inc             # <<<<<<<<<<<<<<
- *     finally:
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_emitted); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 268, __pyx_L4_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_15 = PyTuple_New(2); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 268, __pyx_L4_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __Pyx_GIVEREF(__pyx_t_13);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_13) != (0)) __PYX_ERR(0, 268, __pyx_L4_error);
-    __Pyx_INCREF(__pyx_v_inc);
-    __Pyx_GIVEREF(__pyx_v_inc);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_v_inc) != (0)) __PYX_ERR(0, 268, __pyx_L4_error);
-    __pyx_t_13 = 0;
-    __pyx_r = __pyx_t_15;
-    __pyx_t_15 = 0;
-    goto __pyx_L3_return;
-  }
-
-  /* "vapep/_kernels/_core.pyx":270
- *         return emitted, inc
- *     finally:
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)             # <<<<<<<<<<<<<<
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)
-*/
-  /*finally:*/ {
-    __pyx_L4_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_XDECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_XDECREF(__pyx_t_17); __pyx_t_17 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_23, &__pyx_t_24, &__pyx_t_25);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22) < 0)) __Pyx_ErrFetch(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __pyx_t_2 = __pyx_lineno; __pyx_t_18 = __pyx_clineno; __pyx_t_19 = __pyx_filename;
-      {
-        free(__pyx_v_subs_c);
-        free(__pyx_v_minw_c);
-        free(__pyx_v_kinds_c);
-        free(__pyx_v_tvals_c);
-
-        /* "vapep/_kernels/_core.pyx":271
- *     finally:
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)             # <<<<<<<<<<<<<<
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)
-*/
-        free(__pyx_v_pkinds_c);
-        free(__pyx_v_pslopes_c);
-        free(__pyx_v_sufun_c);
-
-        /* "vapep/_kernels/_core.pyx":272
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)             # <<<<<<<<<<<<<<
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)
-*/
-        free(__pyx_v_tflat);
-        free(__pyx_v_toff);
-        free(__pyx_v_tlen);
-
-        /* "vapep/_kernels/_core.pyx":273
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)             # <<<<<<<<<<<<<<
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)
-*/
-        free(__pyx_v_aflat);
-        free(__pyx_v_aoff);
-        free(__pyx_v_alen);
-
-        /* "vapep/_kernels/_core.pyx":274
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)             # <<<<<<<<<<<<<<
- *         free(cntA); free(cntB)
- *         free(val); free(budb); free(covb); free(olbb)
-*/
-        free(__pyx_v_bflat);
-        free(__pyx_v_boff);
-        free(__pyx_v_blen);
-
-        /* "vapep/_kernels/_core.pyx":275
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)             # <<<<<<<<<<<<<<
- *         free(val); free(budb); free(covb); free(olbb)
- * 
-*/
-        free(__pyx_v_cntA);
-        free(__pyx_v_cntB);
-
-        /* "vapep/_kernels/_core.pyx":276
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)
- *         free(val); free(budb); free(covb); free(olbb)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_val);
-        free(__pyx_v_budb);
-        free(__pyx_v_covb);
-        free(__pyx_v_olbb);
-      }
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_ExceptionReset(__pyx_t_23, __pyx_t_24, __pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_ErrRestore(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __pyx_lineno = __pyx_t_2; __pyx_clineno = __pyx_t_18; __pyx_filename = __pyx_t_19;
-      goto __pyx_L1_error;
-    }
-    __pyx_L3_return: {
-      __pyx_t_25 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "vapep/_kernels/_core.pyx":270
- *         return emitted, inc
- *     finally:
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)             # <<<<<<<<<<<<<<
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)
-*/
-      free(__pyx_v_subs_c);
-      free(__pyx_v_minw_c);
-      free(__pyx_v_kinds_c);
-      free(__pyx_v_tvals_c);
-
-      /* "vapep/_kernels/_core.pyx":271
- *     finally:
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)             # <<<<<<<<<<<<<<
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)
-*/
-      free(__pyx_v_pkinds_c);
-      free(__pyx_v_pslopes_c);
-      free(__pyx_v_sufun_c);
-
-      /* "vapep/_kernels/_core.pyx":272
- *         free(subs_c); free(minw_c); free(kinds_c); free(tvals_c)
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)             # <<<<<<<<<<<<<<
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)
-*/
-      free(__pyx_v_tflat);
-      free(__pyx_v_toff);
-      free(__pyx_v_tlen);
-
-      /* "vapep/_kernels/_core.pyx":273
- *         free(pkinds_c); free(pslopes_c); free(sufun_c)
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)             # <<<<<<<<<<<<<<
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)
-*/
-      free(__pyx_v_aflat);
-      free(__pyx_v_aoff);
-      free(__pyx_v_alen);
-
-      /* "vapep/_kernels/_core.pyx":274
- *         free(tflat); free(toff); free(tlen)
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)             # <<<<<<<<<<<<<<
- *         free(cntA); free(cntB)
- *         free(val); free(budb); free(covb); free(olbb)
-*/
-      free(__pyx_v_bflat);
-      free(__pyx_v_boff);
-      free(__pyx_v_blen);
-
-      /* "vapep/_kernels/_core.pyx":275
- *         free(aflat); free(aoff); free(alen)
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)             # <<<<<<<<<<<<<<
- *         free(val); free(budb); free(covb); free(olbb)
- * 
-*/
-      free(__pyx_v_cntA);
-      free(__pyx_v_cntB);
-
-      /* "vapep/_kernels/_core.pyx":276
- *         free(bflat); free(boff); free(blen)
- *         free(cntA); free(cntB)
- *         free(val); free(budb); free(covb); free(olbb)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_val);
-      free(__pyx_v_budb);
-      free(__pyx_v_covb);
-      free(__pyx_v_olbb);
-      __pyx_r = __pyx_t_25;
-      __pyx_t_25 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "vapep/_kernels/_core.pyx":35
- * 
- * 
- * def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,             # <<<<<<<<<<<<<<
- *                    clsA, clsB, sufun, evaluate, first_count=-1):
- *     """Compiled twin of _ref.profile_search; see that docstring."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_XDECREF(__pyx_t_17);
-  __Pyx_AddTraceback("vapep._kernels._core.profile_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_inc);
-  __Pyx_XDECREF(__pyx_v_pairs);
-  __Pyx_XDECREF(__pyx_v_r);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "vapep/_kernels/_core.pyx":279
- * 
- * 
- * def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,             # <<<<<<<<<<<<<<
- *                  ptables):
- *     """Compiled twin of _ref.brute_search; see that docstring."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_5vapep_8_kernels_5_core_3brute_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_5vapep_8_kernels_5_core_2brute_search, "Compiled twin of _ref.brute_search; see that docstring.");
-static PyMethodDef __pyx_mdef_5vapep_8_kernels_5_core_3brute_search = {"brute_search", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_5vapep_8_kernels_5_core_3brute_search, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_5vapep_8_kernels_5_core_2brute_search};
-static PyObject *__pyx_pw_5vapep_8_kernels_5_core_3brute_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_n = 0;
-  PyObject *__pyx_v_k = 0;
-  PyObject *__pyx_v_subs_all = 0;
-  PyObject *__pyx_v_otab = 0;
-  PyObject *__pyx_v_kinds = 0;
-  PyObject *__pyx_v_rA = 0;
-  PyObject *__pyx_v_rB = 0;
-  PyObject *__pyx_v_tvals = 0;
-  PyObject *__pyx_v_pkinds = 0;
-  PyObject *__pyx_v_pslopes = 0;
-  PyObject *__pyx_v_ptables = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[11] = {0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("brute_search (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_k,&__pyx_mstate_global->__pyx_n_u_subs_all,&__pyx_mstate_global->__pyx_n_u_otab,&__pyx_mstate_global->__pyx_n_u_kinds,&__pyx_mstate_global->__pyx_n_u_rA,&__pyx_mstate_global->__pyx_n_u_rB,&__pyx_mstate_global->__pyx_n_u_tvals,&__pyx_mstate_global->__pyx_n_u_pkinds,&__pyx_mstate_global->__pyx_n_u_pslopes,&__pyx_mstate_global->__pyx_n_u_ptables,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 279, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "brute_search", 0) < (0)) __PYX_ERR(0, 279, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 11; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("brute_search", 1, 11, 11, i); __PYX_ERR(0, 279, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 11)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 279, __pyx_L3_error)
-    }
-    __pyx_v_n = values[0];
-    __pyx_v_k = values[1];
-    __pyx_v_subs_all = values[2];
-    __pyx_v_otab = values[3];
-    __pyx_v_kinds = values[4];
-    __pyx_v_rA = values[5];
-    __pyx_v_rB = values[6];
-    __pyx_v_tvals = values[7];
-    __pyx_v_pkinds = values[8];
-    __pyx_v_pslopes = values[9];
-    __pyx_v_ptables = values[10];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("brute_search", 1, 11, 11, __pyx_nargs); __PYX_ERR(0, 279, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("vapep._kernels._core.brute_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_5vapep_8_kernels_5_core_2brute_search(__pyx_self, __pyx_v_n, __pyx_v_k, __pyx_v_subs_all, __pyx_v_otab, __pyx_v_kinds, __pyx_v_rA, __pyx_v_rB, __pyx_v_tvals, __pyx_v_pkinds, __pyx_v_pslopes, __pyx_v_ptables);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_5vapep_8_kernels_5_core_2brute_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n, PyObject *__pyx_v_k, PyObject *__pyx_v_subs_all, PyObject *__pyx_v_otab, PyObject *__pyx_v_kinds, PyObject *__pyx_v_rA, PyObject *__pyx_v_rB, PyObject *__pyx_v_tvals, PyObject *__pyx_v_pkinds, PyObject *__pyx_v_pslopes, PyObject *__pyx_v_ptables) {
-  Py_ssize_t __pyx_v_S;
-  Py_ssize_t __pyx_v_C;
-  int __pyx_v_n_c;
-  int __pyx_v_k_c;
-  PY_LONG_LONG *__pyx_v_subs_c;
-  PY_LONG_LONG *__pyx_v_kinds_c;
-  PY_LONG_LONG *__pyx_v_rA_c;
-  PY_LONG_LONG *__pyx_v_rB_c;
-  PY_LONG_LONG *__pyx_v_tvals_c;
-  PY_LONG_LONG *__pyx_v_pkinds_c;
-  PY_LONG_LONG *__pyx_v_pslopes_c;
-  PY_LONG_LONG *__pyx_v_tflat;
-  PY_LONG_LONG *__pyx_v_toff;
-  PY_LONG_LONG *__pyx_v_tlen;
-  PY_LONG_LONG *__pyx_v_otab_c;
-  unsigned PY_LONG_LONG *__pyx_v_rmask;
-  PY_LONG_LONG *__pyx_v_val;
-  PY_LONG_LONG *__pyx_v_omb;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j2;
-  Py_ssize_t __pyx_v_pos;
-  Py_ssize_t __pyx_v_total;
-  PY_LONG_LONG __pyx_v_inc;
-  PyObject *__pyx_v_best = 0;
-  PY_LONG_LONG __pyx_v_leaves;
-  Py_ssize_t __pyx_v_j;
-  int __pyx_v_down;
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG __pyx_v_b;
-  PY_LONG_LONG __pyx_v_cw;
-  PY_LONG_LONG __pyx_v_z;
-  PY_LONG_LONG __pyx_v_z1;
-  PY_LONG_LONG __pyx_v_z2;
-  PY_LONG_LONG __pyx_v_total_w;
-  PY_LONG_LONG __pyx_v_tl;
-  unsigned PY_LONG_LONG __pyx_v_ubit;
-  unsigned PY_LONG_LONG __pyx_v_m;
-  unsigned PY_LONG_LONG __pyx_v_am;
-  unsigned PY_LONG_LONG __pyx_v_bm;
-  unsigned PY_LONG_LONG __pyx_v_allm;
-  int __pyx_v_r;
-  int __pyx_v_kd;
-  int __pyx_v_complete;
-  PyObject *__pyx_v_row = NULL;
-  Py_ssize_t __pyx_7genexpr__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG *__pyx_t_3;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  Py_ssize_t __pyx_t_10;
-  PY_LONG_LONG __pyx_t_11;
-  PY_LONG_LONG __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  PY_LONG_LONG __pyx_t_14;
-  int __pyx_t_15;
-  long __pyx_t_16;
-  long __pyx_t_17;
-  int __pyx_t_18;
-  PyObject *__pyx_t_19 = NULL;
-  char const *__pyx_t_20;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("brute_search", 0);
-
-  /* "vapep/_kernels/_core.pyx":282
- *                  ptables):
- *     """Compiled twin of _ref.brute_search; see that docstring."""
- *     cdef Py_ssize_t S = len(subs_all)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int n_c = n
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_subs_all); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 282, __pyx_L1_error)
-  __pyx_v_S = __pyx_t_1;
-
-  /* "vapep/_kernels/_core.pyx":283
- *     """Compiled twin of _ref.brute_search; see that docstring."""
- *     cdef Py_ssize_t S = len(subs_all)
- *     cdef Py_ssize_t C = len(kinds)             # <<<<<<<<<<<<<<
- *     cdef int n_c = n
- *     cdef int k_c = k
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_kinds); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 283, __pyx_L1_error)
-  __pyx_v_C = __pyx_t_1;
-
-  /* "vapep/_kernels/_core.pyx":284
- *     cdef Py_ssize_t S = len(subs_all)
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int n_c = n             # <<<<<<<<<<<<<<
- *     cdef int k_c = k
- * 
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_n); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 284, __pyx_L1_error)
-  __pyx_v_n_c = __pyx_t_2;
-
-  /* "vapep/_kernels/_core.pyx":285
- *     cdef Py_ssize_t C = len(kinds)
- *     cdef int n_c = n
- *     cdef int k_c = k             # <<<<<<<<<<<<<<
- * 
- *     cdef long long* subs_c = NULL
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_k); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 285, __pyx_L1_error)
-  __pyx_v_k_c = __pyx_t_2;
-
-  /* "vapep/_kernels/_core.pyx":287
- *     cdef int k_c = k
- * 
- *     cdef long long* subs_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* kinds_c = NULL
- *     cdef long long* rA_c = NULL
-*/
-  __pyx_v_subs_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":288
- * 
- *     cdef long long* subs_c = NULL
- *     cdef long long* kinds_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* rA_c = NULL
- *     cdef long long* rB_c = NULL
-*/
-  __pyx_v_kinds_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":289
- *     cdef long long* subs_c = NULL
- *     cdef long long* kinds_c = NULL
- *     cdef long long* rA_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* rB_c = NULL
- *     cdef long long* tvals_c = NULL
-*/
-  __pyx_v_rA_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":290
- *     cdef long long* kinds_c = NULL
- *     cdef long long* rA_c = NULL
- *     cdef long long* rB_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL
-*/
-  __pyx_v_rB_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":291
- *     cdef long long* rA_c = NULL
- *     cdef long long* rB_c = NULL
- *     cdef long long* tvals_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL
-*/
-  __pyx_v_tvals_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":292
- *     cdef long long* rB_c = NULL
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* tflat = NULL
-*/
-  __pyx_v_pkinds_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":293
- *     cdef long long* tvals_c = NULL
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL
-*/
-  __pyx_v_pslopes_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":294
- *     cdef long long* pkinds_c = NULL
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* tflat = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL
-*/
-  __pyx_v_tflat = NULL;
-
-  /* "vapep/_kernels/_core.pyx":295
- *     cdef long long* pslopes_c = NULL
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* tlen = NULL
- *     cdef long long* otab_c = NULL
-*/
-  __pyx_v_toff = NULL;
-
-  /* "vapep/_kernels/_core.pyx":296
- *     cdef long long* tflat = NULL
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* otab_c = NULL
- *     cdef unsigned long long* rmask = NULL
-*/
-  __pyx_v_tlen = NULL;
-
-  /* "vapep/_kernels/_core.pyx":297
- *     cdef long long* toff = NULL
- *     cdef long long* tlen = NULL
- *     cdef long long* otab_c = NULL             # <<<<<<<<<<<<<<
- *     cdef unsigned long long* rmask = NULL
- *     cdef long long* val = NULL
-*/
-  __pyx_v_otab_c = NULL;
-
-  /* "vapep/_kernels/_core.pyx":298
- *     cdef long long* tlen = NULL
- *     cdef long long* otab_c = NULL
- *     cdef unsigned long long* rmask = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* val = NULL
- *     cdef long long* omb = NULL
-*/
-  __pyx_v_rmask = NULL;
-
-  /* "vapep/_kernels/_core.pyx":299
- *     cdef long long* otab_c = NULL
- *     cdef unsigned long long* rmask = NULL
- *     cdef long long* val = NULL             # <<<<<<<<<<<<<<
- *     cdef long long* omb = NULL
- * 
-*/
-  __pyx_v_val = NULL;
-
-  /* "vapep/_kernels/_core.pyx":300
- *     cdef unsigned long long* rmask = NULL
- *     cdef long long* val = NULL
- *     cdef long long* omb = NULL             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t i, j2, pos, total
-*/
-  __pyx_v_omb = NULL;
-
-  /* "vapep/_kernels/_core.pyx":303
- * 
- *     cdef Py_ssize_t i, j2, pos, total
- *     cdef long long inc = C_INF             # <<<<<<<<<<<<<<
- *     cdef object best = None
- *     cdef long long leaves = 0
-*/
-  __pyx_v_inc = __pyx_v_5vapep_8_kernels_5_core_C_INF;
-
-  /* "vapep/_kernels/_core.pyx":304
- *     cdef Py_ssize_t i, j2, pos, total
- *     cdef long long inc = C_INF
- *     cdef object best = None             # <<<<<<<<<<<<<<
- *     cdef long long leaves = 0
- *     cdef Py_ssize_t j = 0
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_best = Py_None;
-
-  /* "vapep/_kernels/_core.pyx":305
- *     cdef long long inc = C_INF
- *     cdef object best = None
- *     cdef long long leaves = 0             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t j = 0
- *     cdef bint down = True
-*/
-  __pyx_v_leaves = 0;
-
-  /* "vapep/_kernels/_core.pyx":306
- *     cdef object best = None
- *     cdef long long leaves = 0
- *     cdef Py_ssize_t j = 0             # <<<<<<<<<<<<<<
- *     cdef bint down = True
- *     cdef long long s, b, cw, z, z1, z2, total_w, tl
-*/
-  __pyx_v_j = 0;
-
-  /* "vapep/_kernels/_core.pyx":307
- *     cdef long long leaves = 0
- *     cdef Py_ssize_t j = 0
- *     cdef bint down = True             # <<<<<<<<<<<<<<
- *     cdef long long s, b, cw, z, z1, z2, total_w, tl
- *     cdef unsigned long long ubit, m, am, bm, allm
-*/
-  __pyx_v_down = 1;
-
-  /* "vapep/_kernels/_core.pyx":313
- *     cdef bint complete
- * 
- *     try:             # <<<<<<<<<<<<<<
- *         subs_c = _as_i64(subs_all, S)
- *         kinds_c = _as_i64(kinds, C)
-*/
-  /*try:*/ {
-
-    /* "vapep/_kernels/_core.pyx":314
- * 
- *     try:
- *         subs_c = _as_i64(subs_all, S)             # <<<<<<<<<<<<<<
- *         kinds_c = _as_i64(kinds, C)
- *         rA_c = _as_i64(rA, C)
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_subs_all, __pyx_v_S); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 314, __pyx_L4_error)
-    __pyx_v_subs_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":315
- *     try:
- *         subs_c = _as_i64(subs_all, S)
- *         kinds_c = _as_i64(kinds, C)             # <<<<<<<<<<<<<<
- *         rA_c = _as_i64(rA, C)
- *         rB_c = _as_i64(rB, C)
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_kinds, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 315, __pyx_L4_error)
-    __pyx_v_kinds_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":316
- *         subs_c = _as_i64(subs_all, S)
- *         kinds_c = _as_i64(kinds, C)
- *         rA_c = _as_i64(rA, C)             # <<<<<<<<<<<<<<
- *         rB_c = _as_i64(rB, C)
- *         tvals_c = _as_i64(tvals, C)
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_rA, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 316, __pyx_L4_error)
-    __pyx_v_rA_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":317
- *         kinds_c = _as_i64(kinds, C)
- *         rA_c = _as_i64(rA, C)
- *         rB_c = _as_i64(rB, C)             # <<<<<<<<<<<<<<
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_rB, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 317, __pyx_L4_error)
-    __pyx_v_rB_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":318
- *         rA_c = _as_i64(rA, C)
- *         rB_c = _as_i64(rB, C)
- *         tvals_c = _as_i64(tvals, C)             # <<<<<<<<<<<<<<
- *         pkinds_c = _as_i64(pkinds, C)
- *         pslopes_c = _as_i64(pslopes, C)
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_tvals, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 318, __pyx_L4_error)
-    __pyx_v_tvals_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":319
- *         rB_c = _as_i64(rB, C)
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)             # <<<<<<<<<<<<<<
- *         pslopes_c = _as_i64(pslopes, C)
- * 
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_pkinds, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 319, __pyx_L4_error)
-    __pyx_v_pkinds_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":320
- *         tvals_c = _as_i64(tvals, C)
- *         pkinds_c = _as_i64(pkinds, C)
- *         pslopes_c = _as_i64(pslopes, C)             # <<<<<<<<<<<<<<
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
-*/
-    __pyx_t_3 = __pyx_f_5vapep_8_kernels_5_core__as_i64(__pyx_v_pslopes, __pyx_v_C); if (unlikely(__pyx_t_3 == ((void *)NULL))) __PYX_ERR(0, 320, __pyx_L4_error)
-    __pyx_v_pslopes_c = __pyx_t_3;
-
-    /* "vapep/_kernels/_core.pyx":322
- *         pslopes_c = _as_i64(pslopes, C)
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:
-*/
-    __pyx_t_5 = (__pyx_v_C > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_C;
-    } else {
-      __pyx_t_4 = 1;
-    }
-    __pyx_v_toff = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_4)));
-
-    /* "vapep/_kernels/_core.pyx":323
- * 
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))             # <<<<<<<<<<<<<<
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_5 = (__pyx_v_C > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_C;
-    } else {
-      __pyx_t_4 = 1;
-    }
-    __pyx_v_tlen = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_4)));
-
-    /* "vapep/_kernels/_core.pyx":324
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    __pyx_t_6 = (__pyx_v_toff == NULL);
-    if (!__pyx_t_6) {
-    } else {
-      __pyx_t_5 = __pyx_t_6;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_tlen == NULL);
-    __pyx_t_5 = __pyx_t_6;
-    __pyx_L7_bool_binop_done:;
-    if (unlikely(__pyx_t_5)) {
-
-      /* "vapep/_kernels/_core.pyx":325
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         total = 0
- *         for i in range(C):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 325, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":324
- *         toff = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         tlen = <long long*> malloc(sizeof(long long) * (C if C > 0 else 1))
- *         if toff == NULL or tlen == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         total = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":326
- *         if toff == NULL or tlen == NULL:
- *             raise MemoryError()
- *         total = 0             # <<<<<<<<<<<<<<
- *         for i in range(C):
- *             toff[i] = total
-*/
-    __pyx_v_total = 0;
-
-    /* "vapep/_kernels/_core.pyx":327
- *             raise MemoryError()
- *         total = 0
- *         for i in range(C):             # <<<<<<<<<<<<<<
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])
-*/
-    __pyx_t_1 = __pyx_v_C;
-    __pyx_t_7 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "vapep/_kernels/_core.pyx":328
- *         total = 0
- *         for i in range(C):
- *             toff[i] = total             # <<<<<<<<<<<<<<
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]
-*/
-      (__pyx_v_toff[__pyx_v_i]) = __pyx_v_total;
-
-      /* "vapep/_kernels/_core.pyx":329
- *         for i in range(C):
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])             # <<<<<<<<<<<<<<
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
-*/
-      __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_ptables, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 329, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10 = PyObject_Length(__pyx_t_9); if (unlikely(__pyx_t_10 == ((Py_ssize_t)-1))) __PYX_ERR(0, 329, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      (__pyx_v_tlen[__pyx_v_i]) = __pyx_t_10;
-
-      /* "vapep/_kernels/_core.pyx":330
- *             toff[i] = total
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]             # <<<<<<<<<<<<<<
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:
-*/
-      __pyx_v_total = (__pyx_v_total + (__pyx_v_tlen[__pyx_v_i]));
-    }
-
-    /* "vapep/_kernels/_core.pyx":331
- *             tlen[i] = len(ptables[i])
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))             # <<<<<<<<<<<<<<
- *         if tflat == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_5 = (__pyx_v_total > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_total;
-    } else {
-      __pyx_t_4 = 1;
-    }
-    __pyx_v_tflat = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_4)));
-
-    /* "vapep/_kernels/_core.pyx":332
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    __pyx_t_5 = (__pyx_v_tflat == NULL);
-    if (unlikely(__pyx_t_5)) {
-
-      /* "vapep/_kernels/_core.pyx":333
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         pos = 0
- *         for i in range(C):
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 333, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":332
- *             total += tlen[i]
- *         tflat = <long long*> malloc(sizeof(long long) * (total if total > 0 else 1))
- *         if tflat == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         pos = 0
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":334
- *         if tflat == NULL:
- *             raise MemoryError()
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for i in range(C):
- *             for j2 in range(tlen[i]):
-*/
-    __pyx_v_pos = 0;
-
-    /* "vapep/_kernels/_core.pyx":335
- *             raise MemoryError()
- *         pos = 0
- *         for i in range(C):             # <<<<<<<<<<<<<<
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]
-*/
-    __pyx_t_1 = __pyx_v_C;
-    __pyx_t_7 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "vapep/_kernels/_core.pyx":336
- *         pos = 0
- *         for i in range(C):
- *             for j2 in range(tlen[i]):             # <<<<<<<<<<<<<<
- *                 tflat[pos] = ptables[i][j2]
- *                 pos += 1
-*/
-      __pyx_t_11 = (__pyx_v_tlen[__pyx_v_i]);
-      __pyx_t_12 = __pyx_t_11;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_12; __pyx_t_10+=1) {
-        __pyx_v_j2 = __pyx_t_10;
-
-        /* "vapep/_kernels/_core.pyx":337
- *         for i in range(C):
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]             # <<<<<<<<<<<<<<
- *                 pos += 1
- * 
-*/
-        __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_ptables, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 337, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_9, __pyx_v_j2, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 337, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __pyx_t_14 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_13); if (unlikely((__pyx_t_14 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 337, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        (__pyx_v_tflat[__pyx_v_pos]) = __pyx_t_14;
-
-        /* "vapep/_kernels/_core.pyx":338
- *             for j2 in range(tlen[i]):
- *                 tflat[pos] = ptables[i][j2]
- *                 pos += 1             # <<<<<<<<<<<<<<
- * 
- *         otab_c = <long long*> malloc(sizeof(long long) * (n_c * S if n_c * S > 0 else 1))
-*/
-        __pyx_v_pos = (__pyx_v_pos + 1);
-      }
-    }
-
-    /* "vapep/_kernels/_core.pyx":340
- *                 pos += 1
- * 
- *         otab_c = <long long*> malloc(sizeof(long long) * (n_c * S if n_c * S > 0 else 1))             # <<<<<<<<<<<<<<
- *         if otab_c == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_5 = ((__pyx_v_n_c * __pyx_v_S) > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = (__pyx_v_n_c * __pyx_v_S);
-    } else {
-      __pyx_t_4 = 1;
-    }
-    __pyx_v_otab_c = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * __pyx_t_4)));
-
-    /* "vapep/_kernels/_core.pyx":341
- * 
- *         otab_c = <long long*> malloc(sizeof(long long) * (n_c * S if n_c * S > 0 else 1))
- *         if otab_c == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(n_c):
-*/
-    __pyx_t_5 = (__pyx_v_otab_c == NULL);
-    if (unlikely(__pyx_t_5)) {
-
-      /* "vapep/_kernels/_core.pyx":342
- *         otab_c = <long long*> malloc(sizeof(long long) * (n_c * S if n_c * S > 0 else 1))
- *         if otab_c == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(n_c):
- *             row = otab[i]
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 342, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":341
- * 
- *         otab_c = <long long*> malloc(sizeof(long long) * (n_c * S if n_c * S > 0 else 1))
- *         if otab_c == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(n_c):
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":343
- *         if otab_c == NULL:
- *             raise MemoryError()
- *         for i in range(n_c):             # <<<<<<<<<<<<<<
- *             row = otab[i]
- *             for j2 in range(S):
-*/
-    __pyx_t_2 = __pyx_v_n_c;
-    __pyx_t_15 = __pyx_t_2;
-    for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_15; __pyx_t_1+=1) {
-      __pyx_v_i = __pyx_t_1;
-
-      /* "vapep/_kernels/_core.pyx":344
- *             raise MemoryError()
- *         for i in range(n_c):
- *             row = otab[i]             # <<<<<<<<<<<<<<
- *             for j2 in range(S):
- *                 otab_c[i * S + j2] = row[j2]
-*/
-      __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_otab, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 344, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_13);
-      __pyx_t_13 = 0;
-
-      /* "vapep/_kernels/_core.pyx":345
- *         for i in range(n_c):
- *             row = otab[i]
- *             for j2 in range(S):             # <<<<<<<<<<<<<<
- *                 otab_c[i * S + j2] = row[j2]
- * 
-*/
-      __pyx_t_7 = __pyx_v_S;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_8; __pyx_t_10+=1) {
-        __pyx_v_j2 = __pyx_t_10;
-
-        /* "vapep/_kernels/_core.pyx":346
- *             row = otab[i]
- *             for j2 in range(S):
- *                 otab_c[i * S + j2] = row[j2]             # <<<<<<<<<<<<<<
- * 
- *         rmask = <unsigned long long*> malloc(sizeof(unsigned long long) * (k_c if k_c > 0 else 1))
-*/
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_j2, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 346, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_11 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_13); if (unlikely((__pyx_t_11 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 346, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        (__pyx_v_otab_c[((__pyx_v_i * __pyx_v_S) + __pyx_v_j2)]) = __pyx_t_11;
-      }
-    }
-
-    /* "vapep/_kernels/_core.pyx":348
- *                 otab_c[i * S + j2] = row[j2]
- * 
- *         rmask = <unsigned long long*> malloc(sizeof(unsigned long long) * (k_c if k_c > 0 else 1))             # <<<<<<<<<<<<<<
- *         if rmask == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_5 = (__pyx_v_k_c > 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = __pyx_v_k_c;
-    } else {
-      __pyx_t_4 = 1;
-    }
-    __pyx_v_rmask = ((unsigned PY_LONG_LONG *)malloc(((sizeof(unsigned PY_LONG_LONG)) * __pyx_t_4)));
-
-    /* "vapep/_kernels/_core.pyx":349
- * 
- *         rmask = <unsigned long long*> malloc(sizeof(unsigned long long) * (k_c if k_c > 0 else 1))
- *         if rmask == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(k_c):
-*/
-    __pyx_t_5 = (__pyx_v_rmask == NULL);
-    if (unlikely(__pyx_t_5)) {
-
-      /* "vapep/_kernels/_core.pyx":350
- *         rmask = <unsigned long long*> malloc(sizeof(unsigned long long) * (k_c if k_c > 0 else 1))
- *         if rmask == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(k_c):
- *             rmask[i] = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 350, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":349
- * 
- *         rmask = <unsigned long long*> malloc(sizeof(unsigned long long) * (k_c if k_c > 0 else 1))
- *         if rmask == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(k_c):
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":351
- *         if rmask == NULL:
- *             raise MemoryError()
- *         for i in range(k_c):             # <<<<<<<<<<<<<<
- *             rmask[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))
-*/
-    __pyx_t_2 = __pyx_v_k_c;
-    __pyx_t_15 = __pyx_t_2;
-    for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_15; __pyx_t_1+=1) {
-      __pyx_v_i = __pyx_t_1;
-
-      /* "vapep/_kernels/_core.pyx":352
- *             raise MemoryError()
- *         for i in range(k_c):
- *             rmask[i] = 0             # <<<<<<<<<<<<<<
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))
-*/
-      (__pyx_v_rmask[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":353
- *         for i in range(k_c):
- *             rmask[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))             # <<<<<<<<<<<<<<
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))
- *         if val == NULL or omb == NULL:
-*/
-    __pyx_v_val = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * (__pyx_v_n_c + 1))));
-
-    /* "vapep/_kernels/_core.pyx":354
- *             rmask[i] = 0
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))             # <<<<<<<<<<<<<<
- *         if val == NULL or omb == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_omb = ((PY_LONG_LONG *)malloc(((sizeof(PY_LONG_LONG)) * (__pyx_v_n_c + 2))));
-
-    /* "vapep/_kernels/_core.pyx":355
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))
- *         if val == NULL or omb == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(n_c + 1):
-*/
-    __pyx_t_6 = (__pyx_v_val == NULL);
-    if (!__pyx_t_6) {
-    } else {
-      __pyx_t_5 = __pyx_t_6;
-      goto __pyx_L25_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_omb == NULL);
-    __pyx_t_5 = __pyx_t_6;
-    __pyx_L25_bool_binop_done:;
-    if (unlikely(__pyx_t_5)) {
-
-      /* "vapep/_kernels/_core.pyx":356
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))
- *         if val == NULL or omb == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(n_c + 1):
- *             val[i] = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 356, __pyx_L4_error)
-
-      /* "vapep/_kernels/_core.pyx":355
- *         val = <long long*> malloc(sizeof(long long) * (n_c + 1))
- *         omb = <long long*> malloc(sizeof(long long) * (n_c + 2))
- *         if val == NULL or omb == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(n_c + 1):
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":357
- *         if val == NULL or omb == NULL:
- *             raise MemoryError()
- *         for i in range(n_c + 1):             # <<<<<<<<<<<<<<
- *             val[i] = 0
- *         for i in range(n_c + 2):
-*/
-    __pyx_t_16 = (__pyx_v_n_c + 1);
-    __pyx_t_17 = __pyx_t_16;
-    for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_17; __pyx_t_1+=1) {
-      __pyx_v_i = __pyx_t_1;
-
-      /* "vapep/_kernels/_core.pyx":358
- *             raise MemoryError()
- *         for i in range(n_c + 1):
- *             val[i] = 0             # <<<<<<<<<<<<<<
- *         for i in range(n_c + 2):
- *             omb[i] = 0
-*/
-      (__pyx_v_val[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":359
- *         for i in range(n_c + 1):
- *             val[i] = 0
- *         for i in range(n_c + 2):             # <<<<<<<<<<<<<<
- *             omb[i] = 0
- * 
-*/
-    __pyx_t_16 = (__pyx_v_n_c + 2);
-    __pyx_t_17 = __pyx_t_16;
-    for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_17; __pyx_t_1+=1) {
-      __pyx_v_i = __pyx_t_1;
-
-      /* "vapep/_kernels/_core.pyx":360
- *             val[i] = 0
- *         for i in range(n_c + 2):
- *             omb[i] = 0             # <<<<<<<<<<<<<<
- * 
- *         while True:
-*/
-      (__pyx_v_omb[__pyx_v_i]) = 0;
-    }
-
-    /* "vapep/_kernels/_core.pyx":362
- *             omb[i] = 0
- * 
- *         while True:             # <<<<<<<<<<<<<<
- *             if down:
- *                 if j == n_c:
-*/
-    while (1) {
-
-      /* "vapep/_kernels/_core.pyx":363
- * 
- *         while True:
- *             if down:             # <<<<<<<<<<<<<<
- *                 if j == n_c:
- *                     leaves += 1
-*/
-      if (__pyx_v_down) {
-
-        /* "vapep/_kernels/_core.pyx":364
- *         while True:
- *             if down:
- *                 if j == n_c:             # <<<<<<<<<<<<<<
- *                     leaves += 1
- *                     complete = True
-*/
-        __pyx_t_5 = (__pyx_v_j == __pyx_v_n_c);
-        if (__pyx_t_5) {
-
-          /* "vapep/_kernels/_core.pyx":365
- *             if down:
- *                 if j == n_c:
- *                     leaves += 1             # <<<<<<<<<<<<<<
- *                     complete = True
- *                     for r in range(k_c):
-*/
-          __pyx_v_leaves = (__pyx_v_leaves + 1);
-
-          /* "vapep/_kernels/_core.pyx":366
- *                 if j == n_c:
- *                     leaves += 1
- *                     complete = True             # <<<<<<<<<<<<<<
- *                     for r in range(k_c):
- *                         if rmask[r] == 0:
-*/
-          __pyx_v_complete = 1;
-
-          /* "vapep/_kernels/_core.pyx":367
- *                     leaves += 1
- *                     complete = True
- *                     for r in range(k_c):             # <<<<<<<<<<<<<<
- *                         if rmask[r] == 0:
- *                             complete = False
-*/
-          __pyx_t_2 = __pyx_v_k_c;
-          __pyx_t_15 = __pyx_t_2;
-          for (__pyx_t_18 = 0; __pyx_t_18 < __pyx_t_15; __pyx_t_18+=1) {
-            __pyx_v_r = __pyx_t_18;
-
-            /* "vapep/_kernels/_core.pyx":368
- *                     complete = True
- *                     for r in range(k_c):
- *                         if rmask[r] == 0:             # <<<<<<<<<<<<<<
- *                             complete = False
- *                             break
-*/
-            __pyx_t_5 = ((__pyx_v_rmask[__pyx_v_r]) == 0);
-            if (__pyx_t_5) {
-
-              /* "vapep/_kernels/_core.pyx":369
- *                     for r in range(k_c):
- *                         if rmask[r] == 0:
- *                             complete = False             # <<<<<<<<<<<<<<
- *                             break
- *                     if complete:
-*/
-              __pyx_v_complete = 0;
-
-              /* "vapep/_kernels/_core.pyx":370
- *                         if rmask[r] == 0:
- *                             complete = False
- *                             break             # <<<<<<<<<<<<<<
- *                     if complete:
- *                         cw = 0
-*/
-              goto __pyx_L36_break;
-
-              /* "vapep/_kernels/_core.pyx":368
- *                     complete = True
- *                     for r in range(k_c):
- *                         if rmask[r] == 0:             # <<<<<<<<<<<<<<
- *                             complete = False
- *                             break
-*/
-            }
-          }
-          __pyx_L36_break:;
-
-          /* "vapep/_kernels/_core.pyx":371
- *                             complete = False
- *                             break
- *                     if complete:             # <<<<<<<<<<<<<<
- *                         cw = 0
- *                         for i in range(C):
-*/
-          if (__pyx_v_complete) {
-
-            /* "vapep/_kernels/_core.pyx":372
- *                             break
- *                     if complete:
- *                         cw = 0             # <<<<<<<<<<<<<<
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
-*/
-            __pyx_v_cw = 0;
-
-            /* "vapep/_kernels/_core.pyx":373
- *                     if complete:
- *                         cw = 0
- *                         for i in range(C):             # <<<<<<<<<<<<<<
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:
-*/
-            __pyx_t_1 = __pyx_v_C;
-            __pyx_t_7 = __pyx_t_1;
-            for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-              __pyx_v_i = __pyx_t_8;
-
-              /* "vapep/_kernels/_core.pyx":374
- *                         cw = 0
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]             # <<<<<<<<<<<<<<
- *                             if kd == 0:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])
-*/
-              __pyx_v_kd = ((int)(__pyx_v_kinds_c[__pyx_v_i]));
-
-              /* "vapep/_kernels/_core.pyx":375
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:             # <<<<<<<<<<<<<<
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])
- *                             elif kd == 1:
-*/
-              switch (__pyx_v_kd) {
-                case 0:
-
-                /* "vapep/_kernels/_core.pyx":376
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])             # <<<<<<<<<<<<<<
- *                             elif kd == 1:
- *                                 am = rmask[rA_c[i]]
-*/
-                __pyx_v_z = __builtin_popcountll(((__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])]) & (__pyx_v_rmask[(__pyx_v_rB_c[__pyx_v_i])])));
-
-                /* "vapep/_kernels/_core.pyx":375
- *                         for i in range(C):
- *                             kd = <int> kinds_c[i]
- *                             if kd == 0:             # <<<<<<<<<<<<<<
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])
- *                             elif kd == 1:
-*/
-                break;
-                case 1:
-
-                /* "vapep/_kernels/_core.pyx":378
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])
- *                             elif kd == 1:
- *                                 am = rmask[rA_c[i]]             # <<<<<<<<<<<<<<
- *                                 bm = rmask[rB_c[i]]
- *                                 z1 = __builtin_popcountll(am & ~bm)
-*/
-                __pyx_v_am = (__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])]);
-
-                /* "vapep/_kernels/_core.pyx":379
- *                             elif kd == 1:
- *                                 am = rmask[rA_c[i]]
- *                                 bm = rmask[rB_c[i]]             # <<<<<<<<<<<<<<
- *                                 z1 = __builtin_popcountll(am & ~bm)
- *                                 z2 = __builtin_popcountll(bm & ~am)
-*/
-                __pyx_v_bm = (__pyx_v_rmask[(__pyx_v_rB_c[__pyx_v_i])]);
-
-                /* "vapep/_kernels/_core.pyx":380
- *                                 am = rmask[rA_c[i]]
- *                                 bm = rmask[rB_c[i]]
- *                                 z1 = __builtin_popcountll(am & ~bm)             # <<<<<<<<<<<<<<
- *                                 z2 = __builtin_popcountll(bm & ~am)
- *                                 z = z1 if z1 >= z2 else z2
-*/
-                __pyx_v_z1 = __builtin_popcountll((__pyx_v_am & (~__pyx_v_bm)));
-
-                /* "vapep/_kernels/_core.pyx":381
- *                                 bm = rmask[rB_c[i]]
- *                                 z1 = __builtin_popcountll(am & ~bm)
- *                                 z2 = __builtin_popcountll(bm & ~am)             # <<<<<<<<<<<<<<
- *                                 z = z1 if z1 >= z2 else z2
- *                             elif kd == 2:
-*/
-                __pyx_v_z2 = __builtin_popcountll((__pyx_v_bm & (~__pyx_v_am)));
-
-                /* "vapep/_kernels/_core.pyx":382
- *                                 z1 = __builtin_popcountll(am & ~bm)
- *                                 z2 = __builtin_popcountll(bm & ~am)
- *                                 z = z1 if z1 >= z2 else z2             # <<<<<<<<<<<<<<
- *                             elif kd == 2:
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:
-*/
-                __pyx_t_5 = (__pyx_v_z1 >= __pyx_v_z2);
-                if (__pyx_t_5) {
-                  __pyx_t_11 = __pyx_v_z1;
-                } else {
-                  __pyx_t_11 = __pyx_v_z2;
-                }
-                __pyx_v_z = __pyx_t_11;
-
-                /* "vapep/_kernels/_core.pyx":377
- *                             if kd == 0:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]] & rmask[rB_c[i]])
- *                             elif kd == 1:             # <<<<<<<<<<<<<<
- *                                 am = rmask[rA_c[i]]
- *                                 bm = rmask[rB_c[i]]
-*/
-                break;
-                case 2:
-
-                /* "vapep/_kernels/_core.pyx":384
- *                                 z = z1 if z1 >= z2 else z2
- *                             elif kd == 2:
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                __pyx_t_5 = ((__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])]) == (__pyx_v_rmask[(__pyx_v_rB_c[__pyx_v_i])]));
-                if (__pyx_t_5) {
-
-                  /* "vapep/_kernels/_core.pyx":385
- *                             elif kd == 2:
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:
- *                                     cw += tvals_c[i]             # <<<<<<<<<<<<<<
- *                                 continue
- *                             elif kd == 3:
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tvals_c[__pyx_v_i]));
-
-                  /* "vapep/_kernels/_core.pyx":384
- *                                 z = z1 if z1 >= z2 else z2
- *                             elif kd == 2:
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                }
-
-                /* "vapep/_kernels/_core.pyx":386
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:
- *                                     cw += tvals_c[i]
- *                                 continue             # <<<<<<<<<<<<<<
- *                             elif kd == 3:
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):
-*/
-                goto __pyx_L39_continue;
-
-                /* "vapep/_kernels/_core.pyx":383
- *                                 z2 = __builtin_popcountll(bm & ~am)
- *                                 z = z1 if z1 >= z2 else z2
- *                             elif kd == 2:             # <<<<<<<<<<<<<<
- *                                 if rmask[rA_c[i]] == rmask[rB_c[i]]:
- *                                     cw += tvals_c[i]
-*/
-                break;
-                case 3:
-
-                /* "vapep/_kernels/_core.pyx":388
- *                                 continue
- *                             elif kd == 3:
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                __pyx_t_5 = (!(((__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])]) & (__pyx_v_rmask[(__pyx_v_rB_c[__pyx_v_i])])) != 0));
-                if (__pyx_t_5) {
-
-                  /* "vapep/_kernels/_core.pyx":389
- *                             elif kd == 3:
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):
- *                                     cw += tvals_c[i]             # <<<<<<<<<<<<<<
- *                                 continue
- *                             elif kd == 4:
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tvals_c[__pyx_v_i]));
-
-                  /* "vapep/_kernels/_core.pyx":388
- *                                 continue
- *                             elif kd == 3:
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):             # <<<<<<<<<<<<<<
- *                                     cw += tvals_c[i]
- *                                 continue
-*/
-                }
-
-                /* "vapep/_kernels/_core.pyx":390
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):
- *                                     cw += tvals_c[i]
- *                                 continue             # <<<<<<<<<<<<<<
- *                             elif kd == 4:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]]) - tvals_c[i]
-*/
-                goto __pyx_L39_continue;
-
-                /* "vapep/_kernels/_core.pyx":387
- *                                     cw += tvals_c[i]
- *                                 continue
- *                             elif kd == 3:             # <<<<<<<<<<<<<<
- *                                 if not (rmask[rA_c[i]] & rmask[rB_c[i]]):
- *                                     cw += tvals_c[i]
-*/
-                break;
-                case 4:
-
-                /* "vapep/_kernels/_core.pyx":392
- *                                 continue
- *                             elif kd == 4:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]]) - tvals_c[i]             # <<<<<<<<<<<<<<
- *                             elif kd == 5:
- *                                 z = tvals_c[i] - __builtin_popcountll(rmask[rA_c[i]])
-*/
-                __pyx_v_z = (__builtin_popcountll((__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])])) - (__pyx_v_tvals_c[__pyx_v_i]));
-
-                /* "vapep/_kernels/_core.pyx":391
- *                                     cw += tvals_c[i]
- *                                 continue
- *                             elif kd == 4:             # <<<<<<<<<<<<<<
- *                                 z = __builtin_popcountll(rmask[rA_c[i]]) - tvals_c[i]
- *                             elif kd == 5:
-*/
-                break;
-                case 5:
-
-                /* "vapep/_kernels/_core.pyx":394
- *                                 z = __builtin_popcountll(rmask[rA_c[i]]) - tvals_c[i]
- *                             elif kd == 5:
- *                                 z = tvals_c[i] - __builtin_popcountll(rmask[rA_c[i]])             # <<<<<<<<<<<<<<
- *                             else:
- *                                 allm = 0
-*/
-                __pyx_v_z = ((__pyx_v_tvals_c[__pyx_v_i]) - __builtin_popcountll((__pyx_v_rmask[(__pyx_v_rA_c[__pyx_v_i])])));
-
-                /* "vapep/_kernels/_core.pyx":393
- *                             elif kd == 4:
- *                                 z = __builtin_popcountll(rmask[rA_c[i]]) - tvals_c[i]
- *                             elif kd == 5:             # <<<<<<<<<<<<<<
- *                                 z = tvals_c[i] - __builtin_popcountll(rmask[rA_c[i]])
- *                             else:
-*/
-                break;
-                default:
-
-                /* "vapep/_kernels/_core.pyx":396
- *                                 z = tvals_c[i] - __builtin_popcountll(rmask[rA_c[i]])
- *                             else:
- *                                 allm = 0             # <<<<<<<<<<<<<<
- *                                 for r in range(k_c):
- *                                     allm |= rmask[r]
-*/
-                __pyx_v_allm = 0;
-
-                /* "vapep/_kernels/_core.pyx":397
- *                             else:
- *                                 allm = 0
- *                                 for r in range(k_c):             # <<<<<<<<<<<<<<
- *                                     allm |= rmask[r]
- *                                 z = __builtin_popcountll(allm)
-*/
-                __pyx_t_2 = __pyx_v_k_c;
-                __pyx_t_15 = __pyx_t_2;
-                for (__pyx_t_18 = 0; __pyx_t_18 < __pyx_t_15; __pyx_t_18+=1) {
-                  __pyx_v_r = __pyx_t_18;
-
-                  /* "vapep/_kernels/_core.pyx":398
- *                                 allm = 0
- *                                 for r in range(k_c):
- *                                     allm |= rmask[r]             # <<<<<<<<<<<<<<
- *                                 z = __builtin_popcountll(allm)
- *                                 if pkinds_c[i] == 2:
-*/
-                  __pyx_v_allm = (__pyx_v_allm | (__pyx_v_rmask[__pyx_v_r]));
-                }
-
-                /* "vapep/_kernels/_core.pyx":399
- *                                 for r in range(k_c):
- *                                     allm |= rmask[r]
- *                                 z = __builtin_popcountll(allm)             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z
-*/
-                __pyx_v_z = __builtin_popcountll(__pyx_v_allm);
-
-                /* "vapep/_kernels/_core.pyx":400
- *                                     allm |= rmask[r]
- *                                 z = __builtin_popcountll(allm)
- *                                 if pkinds_c[i] == 2:             # <<<<<<<<<<<<<<
- *                                     cw += z * z
- *                                     continue
-*/
-                __pyx_t_5 = ((__pyx_v_pkinds_c[__pyx_v_i]) == 2);
-                if (__pyx_t_5) {
-
-                  /* "vapep/_kernels/_core.pyx":401
- *                                 z = __builtin_popcountll(allm)
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z             # <<<<<<<<<<<<<<
- *                                     continue
- *                             if z > 0:
-*/
-                  __pyx_v_cw = (__pyx_v_cw + (__pyx_v_z * __pyx_v_z));
-
-                  /* "vapep/_kernels/_core.pyx":402
- *                                 if pkinds_c[i] == 2:
- *                                     cw += z * z
- *                                     continue             # <<<<<<<<<<<<<<
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:
-*/
-                  goto __pyx_L39_continue;
-
-                  /* "vapep/_kernels/_core.pyx":400
- *                                     allm |= rmask[r]
- *                                 z = __builtin_popcountll(allm)
- *                                 if pkinds_c[i] == 2:             # <<<<<<<<<<<<<<
- *                                     cw += z * z
- *                                     continue
-*/
-                }
-                break;
-              }
-
-              /* "vapep/_kernels/_core.pyx":403
- *                                     cw += z * z
- *                                     continue
- *                             if z > 0:             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
-*/
-              __pyx_t_5 = (__pyx_v_z > 0);
-              if (__pyx_t_5) {
-
-                /* "vapep/_kernels/_core.pyx":404
- *                                     continue
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:             # <<<<<<<<<<<<<<
- *                                     tl = tlen[i]
- *                                     if z <= tl:
-*/
-                __pyx_t_5 = ((__pyx_v_pkinds_c[__pyx_v_i]) == 1);
-                if (__pyx_t_5) {
-
-                  /* "vapep/_kernels/_core.pyx":405
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]             # <<<<<<<<<<<<<<
- *                                     if z <= tl:
- *                                         cw += tflat[toff[i] + z - 1]
-*/
-                  __pyx_v_tl = (__pyx_v_tlen[__pyx_v_i]);
-
-                  /* "vapep/_kernels/_core.pyx":406
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
- *                                     if z <= tl:             # <<<<<<<<<<<<<<
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
-*/
-                  __pyx_t_5 = (__pyx_v_z <= __pyx_v_tl);
-                  if (__pyx_t_5) {
-
-                    /* "vapep/_kernels/_core.pyx":407
- *                                     tl = tlen[i]
- *                                     if z <= tl:
- *                                         cw += tflat[toff[i] + z - 1]             # <<<<<<<<<<<<<<
- *                                     else:
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)
-*/
-                    __pyx_v_cw = (__pyx_v_cw + (__pyx_v_tflat[(((__pyx_v_toff[__pyx_v_i]) + __pyx_v_z) - 1)]));
-
-                    /* "vapep/_kernels/_core.pyx":406
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
- *                                     if z <= tl:             # <<<<<<<<<<<<<<
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
-*/
-                    goto __pyx_L48;
-                  }
-
-                  /* "vapep/_kernels/_core.pyx":409
- *                                         cw += tflat[toff[i] + z - 1]
- *                                     else:
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)             # <<<<<<<<<<<<<<
- *                                 else:
- *                                     cw += pslopes_c[i] * z
-*/
-                  /*else*/ {
-                    __pyx_v_cw = (__pyx_v_cw + ((__pyx_v_tflat[(((__pyx_v_toff[__pyx_v_i]) + __pyx_v_tl) - 1)]) + ((__pyx_v_pslopes_c[__pyx_v_i]) * (__pyx_v_z - __pyx_v_tl))));
-                  }
-                  __pyx_L48:;
-
-                  /* "vapep/_kernels/_core.pyx":404
- *                                     continue
- *                             if z > 0:
- *                                 if pkinds_c[i] == 1:             # <<<<<<<<<<<<<<
- *                                     tl = tlen[i]
- *                                     if z <= tl:
-*/
-                  goto __pyx_L47;
-                }
-
-                /* "vapep/_kernels/_core.pyx":411
- *                                         cw += tflat[toff[i] + tl - 1] + pslopes_c[i] * (z - tl)
- *                                 else:
- *                                     cw += pslopes_c[i] * z             # <<<<<<<<<<<<<<
- *                         total_w = omb[n_c] + cw
- *                         if total_w < inc:
-*/
-                /*else*/ {
-                  __pyx_v_cw = (__pyx_v_cw + ((__pyx_v_pslopes_c[__pyx_v_i]) * __pyx_v_z));
-                }
-                __pyx_L47:;
-
-                /* "vapep/_kernels/_core.pyx":403
- *                                     cw += z * z
- *                                     continue
- *                             if z > 0:             # <<<<<<<<<<<<<<
- *                                 if pkinds_c[i] == 1:
- *                                     tl = tlen[i]
-*/
-              }
-              __pyx_L39_continue:;
-            }
-
-            /* "vapep/_kernels/_core.pyx":412
- *                                 else:
- *                                     cw += pslopes_c[i] * z
- *                         total_w = omb[n_c] + cw             # <<<<<<<<<<<<<<
- *                         if total_w < inc:
- *                             inc = total_w
-*/
-            __pyx_v_total_w = ((__pyx_v_omb[__pyx_v_n_c]) + __pyx_v_cw);
-
-            /* "vapep/_kernels/_core.pyx":413
- *                                     cw += pslopes_c[i] * z
- *                         total_w = omb[n_c] + cw
- *                         if total_w < inc:             # <<<<<<<<<<<<<<
- *                             inc = total_w
- *                             best = [val[i] for i in range(n_c)]
-*/
-            __pyx_t_5 = (__pyx_v_total_w < __pyx_v_inc);
-            if (__pyx_t_5) {
-
-              /* "vapep/_kernels/_core.pyx":414
- *                         total_w = omb[n_c] + cw
- *                         if total_w < inc:
- *                             inc = total_w             # <<<<<<<<<<<<<<
- *                             best = [val[i] for i in range(n_c)]
- *                     down = False
-*/
-              __pyx_v_inc = __pyx_v_total_w;
-
-              /* "vapep/_kernels/_core.pyx":415
- *                         if total_w < inc:
- *                             inc = total_w
- *                             best = [val[i] for i in range(n_c)]             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-              { /* enter inner scope */
-                __pyx_t_13 = PyList_New(0); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 415, __pyx_L4_error)
-                __Pyx_GOTREF(__pyx_t_13);
-                __pyx_t_2 = __pyx_v_n_c;
-                __pyx_t_15 = __pyx_t_2;
-                for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_15; __pyx_t_1+=1) {
-                  __pyx_7genexpr__pyx_v_i = __pyx_t_1;
-                  __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_val[__pyx_7genexpr__pyx_v_i])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 415, __pyx_L4_error)
-                  __Pyx_GOTREF(__pyx_t_9);
-                  if (unlikely(__Pyx_ListComp_Append(__pyx_t_13, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 415, __pyx_L4_error)
-                  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-                }
-              } /* exit inner scope */
-              __Pyx_DECREF_SET(__pyx_v_best, __pyx_t_13);
-              __pyx_t_13 = 0;
-
-              /* "vapep/_kernels/_core.pyx":413
- *                                     cw += pslopes_c[i] * z
- *                         total_w = omb[n_c] + cw
- *                         if total_w < inc:             # <<<<<<<<<<<<<<
- *                             inc = total_w
- *                             best = [val[i] for i in range(n_c)]
-*/
-            }
-
-            /* "vapep/_kernels/_core.pyx":371
- *                             complete = False
- *                             break
- *                     if complete:             # <<<<<<<<<<<<<<
- *                         cw = 0
- *                         for i in range(C):
-*/
-          }
-
-          /* "vapep/_kernels/_core.pyx":416
- *                             inc = total_w
- *                             best = [val[i] for i in range(n_c)]
- *                     down = False             # <<<<<<<<<<<<<<
- *                     j -= 1
- *                     continue
-*/
-          __pyx_v_down = 0;
-
-          /* "vapep/_kernels/_core.pyx":417
- *                             best = [val[i] for i in range(n_c)]
- *                     down = False
- *                     j -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 if omb[j] >= inc:
-*/
-          __pyx_v_j = (__pyx_v_j - 1);
-
-          /* "vapep/_kernels/_core.pyx":418
- *                     down = False
- *                     j -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 if omb[j] >= inc:
- *                     down = False
-*/
-          goto __pyx_L31_continue;
-
-          /* "vapep/_kernels/_core.pyx":364
- *         while True:
- *             if down:
- *                 if j == n_c:             # <<<<<<<<<<<<<<
- *                     leaves += 1
- *                     complete = True
-*/
-        }
-
-        /* "vapep/_kernels/_core.pyx":419
- *                     j -= 1
- *                     continue
- *                 if omb[j] >= inc:             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        __pyx_t_5 = ((__pyx_v_omb[__pyx_v_j]) >= __pyx_v_inc);
-        if (__pyx_t_5) {
-
-          /* "vapep/_kernels/_core.pyx":420
- *                     continue
- *                 if omb[j] >= inc:
- *                     down = False             # <<<<<<<<<<<<<<
- *                     j -= 1
- *                     continue
-*/
-          __pyx_v_down = 0;
-
-          /* "vapep/_kernels/_core.pyx":421
- *                 if omb[j] >= inc:
- *                     down = False
- *                     j -= 1             # <<<<<<<<<<<<<<
- *                     continue
- *                 val[j] = 0  # empty set first; costs nothing
-*/
-          __pyx_v_j = (__pyx_v_j - 1);
-
-          /* "vapep/_kernels/_core.pyx":422
- *                     down = False
- *                     j -= 1
- *                     continue             # <<<<<<<<<<<<<<
- *                 val[j] = 0  # empty set first; costs nothing
- *                 omb[j + 1] = omb[j]
-*/
-          goto __pyx_L31_continue;
-
-          /* "vapep/_kernels/_core.pyx":419
- *                     j -= 1
- *                     continue
- *                 if omb[j] >= inc:             # <<<<<<<<<<<<<<
- *                     down = False
- *                     j -= 1
-*/
-        }
-
-        /* "vapep/_kernels/_core.pyx":423
- *                     j -= 1
- *                     continue
- *                 val[j] = 0  # empty set first; costs nothing             # <<<<<<<<<<<<<<
- *                 omb[j + 1] = omb[j]
- *                 j += 1
-*/
-        (__pyx_v_val[__pyx_v_j]) = 0;
-
-        /* "vapep/_kernels/_core.pyx":424
- *                     continue
- *                 val[j] = 0  # empty set first; costs nothing
- *                 omb[j + 1] = omb[j]             # <<<<<<<<<<<<<<
- *                 j += 1
- *                 continue
-*/
-        (__pyx_v_omb[(__pyx_v_j + 1)]) = (__pyx_v_omb[__pyx_v_j]);
-
-        /* "vapep/_kernels/_core.pyx":425
- *                 val[j] = 0  # empty set first; costs nothing
- *                 omb[j + 1] = omb[j]
- *                 j += 1             # <<<<<<<<<<<<<<
- *                 continue
- *             if j < 0:
-*/
-        __pyx_v_j = (__pyx_v_j + 1);
-
-        /* "vapep/_kernels/_core.pyx":426
- *                 omb[j + 1] = omb[j]
- *                 j += 1
- *                 continue             # <<<<<<<<<<<<<<
- *             if j < 0:
- *                 break
-*/
-        goto __pyx_L31_continue;
-
-        /* "vapep/_kernels/_core.pyx":363
- * 
- *         while True:
- *             if down:             # <<<<<<<<<<<<<<
- *                 if j == n_c:
- *                     leaves += 1
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":427
- *                 j += 1
- *                 continue
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 break
- *             s = val[j]
-*/
-      __pyx_t_5 = (__pyx_v_j < 0);
-      if (__pyx_t_5) {
-
-        /* "vapep/_kernels/_core.pyx":428
- *                 continue
- *             if j < 0:
- *                 break             # <<<<<<<<<<<<<<
- *             s = val[j]
- *             ubit = <unsigned long long> 1 << j
-*/
-        goto __pyx_L32_break;
-
-        /* "vapep/_kernels/_core.pyx":427
- *                 j += 1
- *                 continue
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 break
- *             s = val[j]
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":429
- *             if j < 0:
- *                 break
- *             s = val[j]             # <<<<<<<<<<<<<<
- *             ubit = <unsigned long long> 1 << j
- *             m = <unsigned long long> subs_c[s]
-*/
-      __pyx_v_s = (__pyx_v_val[__pyx_v_j]);
-
-      /* "vapep/_kernels/_core.pyx":430
- *                 break
- *             s = val[j]
- *             ubit = <unsigned long long> 1 << j             # <<<<<<<<<<<<<<
- *             m = <unsigned long long> subs_c[s]
- *             while m:
-*/
-      __pyx_v_ubit = (((unsigned PY_LONG_LONG)1) << __pyx_v_j);
-
-      /* "vapep/_kernels/_core.pyx":431
- *             s = val[j]
- *             ubit = <unsigned long long> 1 << j
- *             m = <unsigned long long> subs_c[s]             # <<<<<<<<<<<<<<
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
-*/
-      __pyx_v_m = ((unsigned PY_LONG_LONG)(__pyx_v_subs_c[__pyx_v_s]));
-
-      /* "vapep/_kernels/_core.pyx":432
- *             ubit = <unsigned long long> 1 << j
- *             m = <unsigned long long> subs_c[s]
- *             while m:             # <<<<<<<<<<<<<<
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] &= ~ubit
-*/
-      while (1) {
-        __pyx_t_5 = (__pyx_v_m != 0);
-        if (!__pyx_t_5) break;
-
-        /* "vapep/_kernels/_core.pyx":433
- *             m = <unsigned long long> subs_c[s]
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)             # <<<<<<<<<<<<<<
- *                 rmask[r] &= ~ubit
- *                 m &= m - 1
-*/
-        __pyx_v_r = __builtin_popcountll(((__pyx_v_m & ((~__pyx_v_m) + 1)) - 1));
-
-        /* "vapep/_kernels/_core.pyx":434
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] &= ~ubit             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *             s += 1
-*/
-        __pyx_t_2 = __pyx_v_r;
-        (__pyx_v_rmask[__pyx_t_2]) = ((__pyx_v_rmask[__pyx_t_2]) & (~__pyx_v_ubit));
-
-        /* "vapep/_kernels/_core.pyx":435
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] &= ~ubit
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *             s += 1
- *             b = omb[j]
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-      }
-
-      /* "vapep/_kernels/_core.pyx":436
- *                 rmask[r] &= ~ubit
- *                 m &= m - 1
- *             s += 1             # <<<<<<<<<<<<<<
- *             b = omb[j]
- *             while s < S and b + otab_c[j * S + s] >= inc:
-*/
-      __pyx_v_s = (__pyx_v_s + 1);
-
-      /* "vapep/_kernels/_core.pyx":437
- *                 m &= m - 1
- *             s += 1
- *             b = omb[j]             # <<<<<<<<<<<<<<
- *             while s < S and b + otab_c[j * S + s] >= inc:
- *                 s += 1
-*/
-      __pyx_v_b = (__pyx_v_omb[__pyx_v_j]);
-
-      /* "vapep/_kernels/_core.pyx":438
- *             s += 1
- *             b = omb[j]
- *             while s < S and b + otab_c[j * S + s] >= inc:             # <<<<<<<<<<<<<<
- *                 s += 1
- *             if s >= S:
-*/
-      while (1) {
-        __pyx_t_6 = (__pyx_v_s < __pyx_v_S);
-        if (__pyx_t_6) {
-        } else {
-          __pyx_t_5 = __pyx_t_6;
-          goto __pyx_L58_bool_binop_done;
-        }
-        __pyx_t_6 = ((__pyx_v_b + (__pyx_v_otab_c[((__pyx_v_j * __pyx_v_S) + __pyx_v_s)])) >= __pyx_v_inc);
-        __pyx_t_5 = __pyx_t_6;
-        __pyx_L58_bool_binop_done:;
-        if (!__pyx_t_5) break;
-
-        /* "vapep/_kernels/_core.pyx":439
- *             b = omb[j]
- *             while s < S and b + otab_c[j * S + s] >= inc:
- *                 s += 1             # <<<<<<<<<<<<<<
- *             if s >= S:
- *                 val[j] = 0
-*/
-        __pyx_v_s = (__pyx_v_s + 1);
-      }
-
-      /* "vapep/_kernels/_core.pyx":440
- *             while s < S and b + otab_c[j * S + s] >= inc:
- *                 s += 1
- *             if s >= S:             # <<<<<<<<<<<<<<
- *                 val[j] = 0
- *                 j -= 1
-*/
-      __pyx_t_5 = (__pyx_v_s >= __pyx_v_S);
-      if (__pyx_t_5) {
-
-        /* "vapep/_kernels/_core.pyx":441
- *                 s += 1
- *             if s >= S:
- *                 val[j] = 0             # <<<<<<<<<<<<<<
- *                 j -= 1
- *                 continue
-*/
-        (__pyx_v_val[__pyx_v_j]) = 0;
-
-        /* "vapep/_kernels/_core.pyx":442
- *             if s >= S:
- *                 val[j] = 0
- *                 j -= 1             # <<<<<<<<<<<<<<
- *                 continue
- *             val[j] = s
-*/
-        __pyx_v_j = (__pyx_v_j - 1);
-
-        /* "vapep/_kernels/_core.pyx":443
- *                 val[j] = 0
- *                 j -= 1
- *                 continue             # <<<<<<<<<<<<<<
- *             val[j] = s
- *             m = <unsigned long long> subs_c[s]
-*/
-        goto __pyx_L31_continue;
-
-        /* "vapep/_kernels/_core.pyx":440
- *             while s < S and b + otab_c[j * S + s] >= inc:
- *                 s += 1
- *             if s >= S:             # <<<<<<<<<<<<<<
- *                 val[j] = 0
- *                 j -= 1
-*/
-      }
-
-      /* "vapep/_kernels/_core.pyx":444
- *                 j -= 1
- *                 continue
- *             val[j] = s             # <<<<<<<<<<<<<<
- *             m = <unsigned long long> subs_c[s]
- *             while m:
-*/
-      (__pyx_v_val[__pyx_v_j]) = __pyx_v_s;
-
-      /* "vapep/_kernels/_core.pyx":445
- *                 continue
- *             val[j] = s
- *             m = <unsigned long long> subs_c[s]             # <<<<<<<<<<<<<<
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
-*/
-      __pyx_v_m = ((unsigned PY_LONG_LONG)(__pyx_v_subs_c[__pyx_v_s]));
-
-      /* "vapep/_kernels/_core.pyx":446
- *             val[j] = s
- *             m = <unsigned long long> subs_c[s]
- *             while m:             # <<<<<<<<<<<<<<
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] |= ubit
-*/
-      while (1) {
-        __pyx_t_5 = (__pyx_v_m != 0);
-        if (!__pyx_t_5) break;
-
-        /* "vapep/_kernels/_core.pyx":447
- *             m = <unsigned long long> subs_c[s]
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)             # <<<<<<<<<<<<<<
- *                 rmask[r] |= ubit
- *                 m &= m - 1
-*/
-        __pyx_v_r = __builtin_popcountll(((__pyx_v_m & ((~__pyx_v_m) + 1)) - 1));
-
-        /* "vapep/_kernels/_core.pyx":448
- *             while m:
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] |= ubit             # <<<<<<<<<<<<<<
- *                 m &= m - 1
- *             omb[j + 1] = b + otab_c[j * S + s]
-*/
-        __pyx_t_2 = __pyx_v_r;
-        (__pyx_v_rmask[__pyx_t_2]) = ((__pyx_v_rmask[__pyx_t_2]) | __pyx_v_ubit);
-
-        /* "vapep/_kernels/_core.pyx":449
- *                 r = __builtin_popcountll((m & (~m + 1)) - 1)
- *                 rmask[r] |= ubit
- *                 m &= m - 1             # <<<<<<<<<<<<<<
- *             omb[j + 1] = b + otab_c[j * S + s]
- *             j += 1
-*/
-        __pyx_v_m = (__pyx_v_m & (__pyx_v_m - 1));
-      }
-
-      /* "vapep/_kernels/_core.pyx":450
- *                 rmask[r] |= ubit
- *                 m &= m - 1
- *             omb[j + 1] = b + otab_c[j * S + s]             # <<<<<<<<<<<<<<
- *             j += 1
- *             down = True
-*/
-      (__pyx_v_omb[(__pyx_v_j + 1)]) = (__pyx_v_b + (__pyx_v_otab_c[((__pyx_v_j * __pyx_v_S) + __pyx_v_s)]));
-
-      /* "vapep/_kernels/_core.pyx":451
- *                 m &= m - 1
- *             omb[j + 1] = b + otab_c[j * S + s]
- *             j += 1             # <<<<<<<<<<<<<<
- *             down = True
- *         if inc >= C_INF:
-*/
-      __pyx_v_j = (__pyx_v_j + 1);
-
-      /* "vapep/_kernels/_core.pyx":452
- *             omb[j + 1] = b + otab_c[j * S + s]
- *             j += 1
- *             down = True             # <<<<<<<<<<<<<<
- *         if inc >= C_INF:
- *             return INF, best, leaves
-*/
-      __pyx_v_down = 1;
-      __pyx_L31_continue:;
-    }
-    __pyx_L32_break:;
-
-    /* "vapep/_kernels/_core.pyx":453
- *             j += 1
- *             down = True
- *         if inc >= C_INF:             # <<<<<<<<<<<<<<
- *             return INF, best, leaves
- *         return inc, best, leaves
-*/
-    __pyx_t_5 = (__pyx_v_inc >= __pyx_v_5vapep_8_kernels_5_core_C_INF);
-    if (__pyx_t_5) {
-
-      /* "vapep/_kernels/_core.pyx":454
- *             down = True
- *         if inc >= C_INF:
- *             return INF, best, leaves             # <<<<<<<<<<<<<<
- *         return inc, best, leaves
- *     finally:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_GetModuleGlobalName(__pyx_t_13, __pyx_mstate_global->__pyx_n_u_INF); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 454, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_leaves); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 454, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_19 = PyTuple_New(3); if (unlikely(!__pyx_t_19)) __PYX_ERR(0, 454, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_19);
-      __Pyx_GIVEREF(__pyx_t_13);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_19, 0, __pyx_t_13) != (0)) __PYX_ERR(0, 454, __pyx_L4_error);
-      __Pyx_INCREF(__pyx_v_best);
-      __Pyx_GIVEREF(__pyx_v_best);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_19, 1, __pyx_v_best) != (0)) __PYX_ERR(0, 454, __pyx_L4_error);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_19, 2, __pyx_t_9) != (0)) __PYX_ERR(0, 454, __pyx_L4_error);
-      __pyx_t_13 = 0;
-      __pyx_t_9 = 0;
-      __pyx_r = __pyx_t_19;
-      __pyx_t_19 = 0;
-      goto __pyx_L3_return;
-
-      /* "vapep/_kernels/_core.pyx":453
- *             j += 1
- *             down = True
- *         if inc >= C_INF:             # <<<<<<<<<<<<<<
- *             return INF, best, leaves
- *         return inc, best, leaves
-*/
-    }
-
-    /* "vapep/_kernels/_core.pyx":455
- *         if inc >= C_INF:
- *             return INF, best, leaves
- *         return inc, best, leaves             # <<<<<<<<<<<<<<
- *     finally:
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_19 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_inc); if (unlikely(!__pyx_t_19)) __PYX_ERR(0, 455, __pyx_L4_error)
-    __Pyx_GOTREF(__pyx_t_19);
-    __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_leaves); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 455, __pyx_L4_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_13 = PyTuple_New(3); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 455, __pyx_L4_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_GIVEREF(__pyx_t_19);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 0, __pyx_t_19) != (0)) __PYX_ERR(0, 455, __pyx_L4_error);
-    __Pyx_INCREF(__pyx_v_best);
-    __Pyx_GIVEREF(__pyx_v_best);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 1, __pyx_v_best) != (0)) __PYX_ERR(0, 455, __pyx_L4_error);
-    __Pyx_GIVEREF(__pyx_t_9);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 2, __pyx_t_9) != (0)) __PYX_ERR(0, 455, __pyx_L4_error);
-    __pyx_t_19 = 0;
-    __pyx_t_9 = 0;
-    __pyx_r = __pyx_t_13;
-    __pyx_t_13 = 0;
-    goto __pyx_L3_return;
-  }
-
-  /* "vapep/_kernels/_core.pyx":457
- *         return inc, best, leaves
- *     finally:
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)             # <<<<<<<<<<<<<<
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)
-*/
-  /*finally:*/ {
-    __pyx_L4_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0;
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_XDECREF(__pyx_t_19); __pyx_t_19 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_21, &__pyx_t_22, &__pyx_t_23) < 0)) __Pyx_ErrFetch(&__pyx_t_21, &__pyx_t_22, &__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __pyx_t_2 = __pyx_lineno; __pyx_t_15 = __pyx_clineno; __pyx_t_20 = __pyx_filename;
-      {
-        free(__pyx_v_subs_c);
-        free(__pyx_v_kinds_c);
-        free(__pyx_v_rA_c);
-        free(__pyx_v_rB_c);
-
-        /* "vapep/_kernels/_core.pyx":458
- *     finally:
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)             # <<<<<<<<<<<<<<
- *         free(tflat); free(toff); free(tlen)
- *         free(otab_c); free(rmask); free(val); free(omb)
-*/
-        free(__pyx_v_tvals_c);
-        free(__pyx_v_pkinds_c);
-        free(__pyx_v_pslopes_c);
-
-        /* "vapep/_kernels/_core.pyx":459
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)             # <<<<<<<<<<<<<<
- *         free(otab_c); free(rmask); free(val); free(omb)
-*/
-        free(__pyx_v_tflat);
-        free(__pyx_v_toff);
-        free(__pyx_v_tlen);
-
-        /* "vapep/_kernels/_core.pyx":460
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)
- *         free(otab_c); free(rmask); free(val); free(omb)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_otab_c);
-        free(__pyx_v_rmask);
-        free(__pyx_v_val);
-        free(__pyx_v_omb);
-      }
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_ExceptionReset(__pyx_t_24, __pyx_t_25, __pyx_t_26);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_ErrRestore(__pyx_t_21, __pyx_t_22, __pyx_t_23);
-      __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0;
-      __pyx_lineno = __pyx_t_2; __pyx_clineno = __pyx_t_15; __pyx_filename = __pyx_t_20;
-      goto __pyx_L1_error;
-    }
-    __pyx_L3_return: {
-      __pyx_t_26 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "vapep/_kernels/_core.pyx":457
- *         return inc, best, leaves
- *     finally:
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)             # <<<<<<<<<<<<<<
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)
-*/
-      free(__pyx_v_subs_c);
-      free(__pyx_v_kinds_c);
-      free(__pyx_v_rA_c);
-      free(__pyx_v_rB_c);
-
-      /* "vapep/_kernels/_core.pyx":458
- *     finally:
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)             # <<<<<<<<<<<<<<
- *         free(tflat); free(toff); free(tlen)
- *         free(otab_c); free(rmask); free(val); free(omb)
-*/
-      free(__pyx_v_tvals_c);
-      free(__pyx_v_pkinds_c);
-      free(__pyx_v_pslopes_c);
-
-      /* "vapep/_kernels/_core.pyx":459
- *         free(subs_c); free(kinds_c); free(rA_c); free(rB_c)
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)             # <<<<<<<<<<<<<<
- *         free(otab_c); free(rmask); free(val); free(omb)
-*/
-      free(__pyx_v_tflat);
-      free(__pyx_v_toff);
-      free(__pyx_v_tlen);
-
-      /* "vapep/_kernels/_core.pyx":460
- *         free(tvals_c); free(pkinds_c); free(pslopes_c)
- *         free(tflat); free(toff); free(tlen)
- *         free(otab_c); free(rmask); free(val); free(omb)             # <<<<<<<<<<<<<<
-*/
-      free(__pyx_v_otab_c);
-      free(__pyx_v_rmask);
-      free(__pyx_v_val);
-      free(__pyx_v_omb);
-      __pyx_r = __pyx_t_26;
-      __pyx_t_26 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "vapep/_kernels/_core.pyx":279
- * 
- * 
- * def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,             # <<<<<<<<<<<<<<
- *                  ptables):
- *     """Compiled twin of _ref.brute_search; see that docstring."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_19);
-  __Pyx_AddTraceback("vapep._kernels._core.brute_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_best);
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__core(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__core},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_core",
-      __pyx_k_Compiled_search_kernels_Statemen, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__core(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__core(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__core(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_core' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_core" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__core", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_vapep___kernels___core) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "vapep._kernels._core")) {
-      if (unlikely((PyDict_SetItemString(modules, "vapep._kernels._core", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "vapep/_kernels/_core.pyx":14
- *     int __builtin_popcountll(unsigned long long) nogil
- * 
- * NAME = "cython"             # <<<<<<<<<<<<<<
- * 
- * INF = 1 << 62
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_NAME, __pyx_mstate_global->__pyx_n_u_cython) < (0)) __PYX_ERR(0, 14, __pyx_L1_error)
-
-  /* "vapep/_kernels/_core.pyx":16
- * NAME = "cython"
- * 
- * INF = 1 << 62             # <<<<<<<<<<<<<<
- * 
- * cdef long long C_INF = <long long> 1 << 62
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_INF, __pyx_mstate_global->__pyx_int_0x4000000000000000) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-
-  /* "vapep/_kernels/_core.pyx":18
- * INF = 1 << 62
- * 
- * cdef long long C_INF = <long long> 1 << 62             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_5vapep_8_kernels_5_core_C_INF = (((PY_LONG_LONG)1) << 62);
-
-  /* "vapep/_kernels/_core.pyx":35
- * 
- * 
- * def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,             # <<<<<<<<<<<<<<
- *                    clsA, clsB, sufun, evaluate, first_count=-1):
- *     """Compiled twin of _ref.profile_search; see that docstring."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5vapep_8_kernels_5_core_1profile_search, 0, __pyx_mstate_global->__pyx_n_u_profile_search, NULL, __pyx_mstate_global->__pyx_n_u_vapep__kernels__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 35, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_profile_search, __pyx_t_2) < (0)) __PYX_ERR(0, 35, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "vapep/_kernels/_core.pyx":279
- * 
- * 
- * def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,             # <<<<<<<<<<<<<<
- *                  ptables):
- *     """Compiled twin of _ref.brute_search; see that docstring."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_5vapep_8_kernels_5_core_3brute_search, 0, __pyx_mstate_global->__pyx_n_u_brute_search, NULL, __pyx_mstate_global->__pyx_n_u_vapep__kernels__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 279, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_brute_search, __pyx_t_2) < (0)) __PYX_ERR(0, 279, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "vapep/_kernels/_core.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled search kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init vapep._kernels._core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init vapep._kernels._core");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "vapep/_kernels/_core.pyx":35
- * 
- * 
- * def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,             # <<<<<<<<<<<<<<
- *                    clsA, clsB, sufun, evaluate, first_count=-1):
- *     """Compiled twin of _ref.profile_search; see that docstring."""
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(1, ((PyObject*)__pyx_mstate_global->__pyx_int_neg_1)); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 35, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 12; } index[] = {{1},{28},{1},{3},{1},{4},{20},{1},{1},{5},{4},{4},{2},{12},{4},{18},{1},{2},{4},{5},{4},{2},{4},{12},{4},{1},{18},{4},{4},{4},{4},{8},{3},{4},{2},{6},{4},{3},{5},{7},{8},{7},{11},{4},{8},{2},{1},{3},{5},{13},{5},{1},{2},{1},{3},{2},{5},{7},{6},{2},{1},{10},{8},{4},{6},{10},{1},{3},{8},{4},{3},{4},{6},{5},{6},{8},{3},{3},{14},{7},{9},{7},{12},{1},{2},{4},{2},{4},{5},{3},{1},{12},{10},{4},{8},{6},{5},{7},{8},{5},{2},{4},{4},{5},{7},{5},{7},{4},{3},{6},{20},{1},{2},{2},{2465},{1749}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2126 bytes) */
-const char* const cstring = "BZh91AY&SY\334T\3323\000\003%\177\377\377\377\377\377\377\367\377\362\277\353\177\376\377\377\377\362@@@@@@@@@@@@@\000@\000`\010\237t\n\035{\232\226\356\200\266\031\275h\315\0006^\202P\212H4\364\230\236\220\321\200\332L\200i\231\222\246&\201\2651\000\000h\000\032\006\232\r\003&\200\320\202a\004\323\321=I\264J~E24\365\006\214\236\241\223'\241\006FF\0040\020\3652h42h\320f\223\t(\251\355\265$i\032\200\000\000\000\000\000\000\000\000\000\000\000\000\001\240%4B$\2324i\351=L\200\001\240\031\0326\247\242\003@\00044\000\000d\006\214\206@ \300\000\000\000\000\000\000\000\002`\000\000\000#\000\0010\000$HF\247\221\020S\321\250\036\243M42\001\221\240\323@\007\251\240\001\243 i\246\200\320hd\323&\230\232s\250r\272\237\330\007M\007\370.\242]P$Iu\202T\010\027Zf8\217\022\t\331)I\317\365IVi\2644\301\225E\032L\t\211\244\333x\340\273\014\004\306\222\251Z\327R,\225\002e\204[\262\024E*`m\022\275\320\2061\000\323\033@\332m\005/|\215\356\333B\313\024\"\254@\244\220\262\r\200T\222]\231!B\002\211$IH\002@\3040cbaC$\006A\244\315\032\301%1\241\323q6D\rH\033b\232\301R\241Tb\214\005\210`bk\232\213\331\035\251r!\242.]+\026VE3KS\004X\320\226\202\241P\322M\n\3434\003\270%\212&;\226\205\021YA\005,,\244\224\232a\214#\002E\201\010\222\311I\025\010\221w;\326I)!\367\313=\002PI\014`\313\360\2554gX\034\321\212\026\273@75\"\004\\D\032\205\221\221\244\220*\013S\316@\311\2201\341\2007\342\003\0141\036;\000\310\316\332\326\013#Asfv\005k-\0322A\202\261b\306hZ\207t\027\272Z\262\277\212!\201\225\357\"k\311\344\365,\255\033/\256\020\305@\366\204Q\362\001D)\"\0261\242\004\034\006!h\305\262w\365\252\250\300\243}>\227K\364\363Bs\347\347\265^\276\310\033 \267\251i\021\202[AfA*Q\222\006IZ\224&\242\036\024\204\223\020\306DFm\3241\003M\252\206V\330 \205\001\020\177\224@BP\033\245qV\014M\r=\330&\332!eBu7\227\256 /\241\251\320\231<\247\027\271\370\313\376g\200\026\000\250]-xA\032\244\346)H l\326\2412(\342\217b\007[Z4\03211V\206\034{\004\254\002\370\251\375\251T@Q+\255\360b\244\232Le\352\341\267\013`\261\201\257f\274\216^""\013\225\364\351\346t;\261\215,\205\222.\215e\253\355\236H\332\304r\211\014\305\243\031Lsd,i\003*\033p\024S0*\013k\234\225z5+R\267\301y\\\001\004\027`\363B\3144\232L\267\317xc\204B\277\215\036\210\202\n\031u\264\302\204;@\275\342r\356\277\211\363/\266V\262\3640\3640\363\364\\\221\272I=\325\344\240\037\346p\242\016\362;wu\027\363 \364\377d\025\013\"\347\254\007\230\014\006\0054\345V\246\227\006\277\363c\215B\325\353\366\t\265\205\025\t\031\223\227\007I\215bXn\0027\004o\303~\034\000\232\310\032\311g\351l\200\266m!\022\023\030\032@\345( \315V\231[i\272\353\236\244\223K\313iZV\201m\305\264\025\226\251\221\235u\240XXR\206\215:t\231\254\264\235\372\310\013x\351\330\220\022\316BA\3315\222\314d7\036\003\346P\275\371\360'\251Z\001\315K=\255tS\014\230\245\026\241`Dd\321\234\371DQ\r\272\361\220\327\030\300\311\350OQ\236P\022\3558ci\333\234\352\030W\241@Y\032\034\212\037\315\373\016\246\267\271x\0018\215\001\2248;\0331\356U\027\212\002\260\314\177\232\253\025TS\235\261kk\264\342\312-\r\024\034IA\201AnF\230\026\330\314\321\251\245\251\261Z\032o\312\3154\242\333\023E\254q\\\2047\216\025\004u1~ qiX\3331B\n\262\031PI@s13\235Fo#2W5\316\320\323;\316fs\340j\332\027q\270\033\2027\021\300\337\006\r(&Bf&\234\252hq\342\251\211\231\241\341\260u8:[Z{%\351+\342\312\206\251`Y\244\005\204R)\020\306/\002\340A0\002\275\020\302\223Z\230\225\001,\033s$\025;\227\3756*`8\300\347\243+\0352\231L\212w\202\230\236\372#\330\246\302\252W\230\260\302\321g\245-V\266\260\216\305\002\372\026\233-J\035\014\352\310\013 ,\227\213\313\315\013\240Y\224\203=\225\231_\201\2140\274e\202C\327\240C\034\3545\211\322.\027lf\026+n\270\347S\376\037\201\312\000\270\035^\322\027\306\220\270 \271i|\010]\004\300>\020Gx\327\360\020\210H\346\213|]\177(\203\216\222\222\024\303y\316=7\314\376\242\224\034#\232\271( `\323=w M\224\t\214\006FK\350\311\302\034\341#\3307\220\312w\020$\032\303^8j\203\307\217G\211\334P5\376\332\003\207*\003\271\243\003\267\023\330\207dI=\347\205g\006A\327\035\220\240\3558K\252zA\331\031\0316\367\257\2333""\340\244\037\272\210h\302\357\007\030:(\200\350x\3343\206C2D\224\211&@\327#\210\0342\026'\216\017\352x\230\210\221\0254\210f8\001\216\306\211\320\315fd[3 h \023\300*\007m\240\204\335l\2632\340\350A\017\010.H\377\003C}\2339b\226\361\240D\\\361\211\246Cg\004\210\307\033\210\026\030\305F4,i\305\335\260\3171\314Vp\270\354\345\307\r\247\231\301<\273)1\032\017G\n\341\344\304\307=\030#*\023&\273\334\241\022\261b\n\020\004\26242&W\214\214\243\326\301\247\220\310\301\037\3212Q\266\202=\343\236\365\010&\346\321\215\215\335\323\311\342\360\251\344\0208xHD\ruZ#t-\340s\370\207\025\3439Or\320\333T-\213\004\260\324\013Qx\274\032\024(f\220\023aj\3149\021\224\030a\212;\263\223\020Y\276\355\020|~\250\256B\331\225\314\350\226RiTi\266\306{\306r\330%\225w\005HA\300\365+\300\323\323&\007:0A_B#\311\254F\0142\300p\2520\233S\3054\226y\\\254\251_\256MbQI\212\014l\003\336YL\322\310,\252\202\331~GY\024\0273.\274\301\226\271f\211\214\2068d\212\346i1\263\014p\321}i*\212RM\326\n\225N\335]E\253z\010\264\366T\344\351\003\250\342\"\365q\0342\346\347\240\244\232\016)\227\n!N\325\242C=Y\220e\031\301&}C\024QLRz|\201\232L#\251:\0200\210\210n\317:@\221Hs T\330\236\243\304*\271*\004I\027\004\304\020\276\300;\001\201\025/\341\204Y\n\270\027\374S3G8C&\320F\360\347[\322\244\205\315\311uZ\356\357\016\372\377[Y1\242e%\306P%\270V\n:\274\002\362\203\260\357d\3349a\203=!a\177e+\325\360&\261\252z\356\213\333\215\200\360\221x\367\353\t4\201\334\",\301*\251\t\323\303<\210N\352s\016\316\310z\225\263\014\031\207%\204\004*\266\302\"\321\205\210x\013\034pe\303vO\010\254h\202\0262\302r\t\250s\201\355\366)9\323\013R\353E\030@b\261\244\230qJD\2412r\250\201\307\231A\023\270Hz(y\320\254\2018P\034\223&\347)\224V#\252\333'Y\311\030\215\316\224\304\266un\204\211\305\220\373\002\216U[\225\270\350!\302\261\353\211\251\252!\341\344\244\324\256\212\036j/\336\324\003\225!R,B\"\273\t='\002\260\225*\275\377\025\025\253\n\301\377\027rE8P\220\334T\3323";
-    PyObject *data = __Pyx_DecompressString(cstring, 2126, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2093 bytes) */
-const char* const cstring = "x\332\335VMo\033\307\031\016EI\225\033%\026)\312\222m%\321\362\303r\212\324.)\321\037\005\212b%\321NP\3040\365e\327u\261\335].mF\374\334]Z\266\201\0029\3528\3079\316q\216{\334#\217<\356q\217\374\t\371\t}f\226\222H\231vm\264\005\202\n\342pf\370\316;\317\274_\317\373g\3076o\277\322\333V\373\266vd\331M\253\356\334\326\314\226m\335j\277y\275\375\303\243\007?>R\177,i\332\3437\257\361\331\251\231\256\366\310z\355\356Z\325=]\257\326uW\257[M\275^o\350\rM\323\233\315\226\253\273\026f\255jUw\3364\315Z\353\026\264\265\272n\255i9\006\376,\3075\3049\003\347\214\206\0019\303\356\342\210c\351\266\371\322\350V\014\323\254CX\25355\327\326M\313\320\315#\263\356\250\370l\231MW\305g\313l5\332u\313\265\314\326+\374\033\346\261\371\306}\331jVZ\307x@\035\377\232i5j\256kU\254Wz\275\013H\325\232\355\270\2329\374ju\233n\265\0131\255\332m\232\232\366\262V\253\001+\246\246Vs\2643\3045\327j8?\375T8:\322\314\243\312Q\255Yq\344\240\231uK\177e9\365V\243\241\351\216S{\321\264*\232\326\320\001Zk\324\232\307\342\003]Z\243U\351\326a\217fS\254\232z\003\363V\3350Zx\271\253\313\217f\266u\240jK\305\355\241\372v\253\335n9m\273U\255\325Om\323\306um\313\031~A\006\207\353\230h\235\256^\217T\333\266j\253\232io\331[\030\033\272sd\267\216!\341X\356\360r\314*VU\357\326]\247k8\342\243\301{\362\333t\272\260\206\034\004X\027\236\302(|\345\326]x\313\205\257\\ \256\313A;vaZG\016\232\3315jb&\214m92\234n\235\206\323-\031No\337\346\337\026~\216\205\177\310\017\246Wh\234\346\251\032\236O\026I>\234\276N1,\223N8\235\r\262\367\375\244\277\341[\275B\257<\230\376\212\226\303h\370\232\352\303\341\033\n\3015\026\033.W\205\032\251A\016\037^\236\017\327\2502\234eY$\362\313\354g3_\213\253\244\356+D\037\376\276B\261\\\"\345_\276\374lf6\234K\220e\032\243W\000bt\232$\3534A\327Ybl\272H\356R\205\336c\371p.E\036\342\305?\260\362\271\300\"SYy0w\371\344\237\364\001S\202L\321\333\363g\374]\337\356-\367c\341{\367\077\077)\2228)\302\202E\026\207\352\371/\302\271\005\202\037\346OJd\211\350\260\343<\326bz:1#@L\t\347\227\310>\026\2128\362\005=d""\371 {\3073\375\253\275\033\375\251\376zP\336\025\372\357\220E\242J\275_\236\350\027\364\316\022\013\357\330a1\274o\001V!/\350\023\274c\227ux,\\\200\023?\375A\377\231\001\212<\316\213^\334+\372q\277\330\213\367>\332 Y\252\303s\377\013\203\354\303\324i\341\\i\220_\025\230\377N\270\275\377-\272@\325\240wX\"Hoz\333\236\215l\316_P>\345\247}\025{\301\345\034;\344\371\340\273\207=\247\237\356o\365\365\311\202\237\237l\2368$G\034\232\243\016\3131\207\347\270\343\345<\307\317\371NO\031Cd\323$rv\376\362I\207\314\220\362;\373\357\240=\207=\177\242\236\034\020\005U\340\322o\245\202p!Ev\220\337\260\344\")\220=:E3t\027\010\2240um\350\260\3242q\351\006\312\320J\006\246Y\021\225je\225\226\330\022\323Y'\\U\330\025v\314u\216\35178\230\201\023\326\262l\207\307x\"T\262l\0332g\353\265\034\333\347\t\256\210\235\022O\362\r\376\322\323\317\2442l\023\031\026\307\256\341M{;~\314_\364\267\375N\230\375\035_\367\022\036N)\023d\365\211\277G7.\362-\376\302+\217\334\221e\017y\236os\333K\211\375\301\232\250\214\320vO\356:P\002mi\034\203\332\234x\221\315\222x\365\270\304\267<\305\313Bb\235\331\270C\ro\336\342\226\227\037B\336\362\215\336TO\031\\\3304{\311\336F\317\350_B\210\007\273\007\301\301\323\340\351\263\340\331\363\340\371\337\007\270\363[\210\212PJ\204+\327am\203M#\236\367\370\024\214\265*0\256\256\261Yf\001\203\204\273!m\017 \313\336\224\227E\372$|E\210\314\341\321\313^l\004\370\r\246\207k7\371\014\337\305\233\257#\324R\242\340\247\256\302\345\251\245p\341\n\251\240z\347\205\373\213p~\032y5\025\244\357z\307\276\016\313\217\313.\221\347\320\271\301\014>\315\277\007\330\327\220\300\271\rb\200=\306EAy\244\024E\025vW\350\014=`\212tYL\004\217z\266\214\363\002\177\342\251\037'\223\026a\t\252B\234\027\360k\226\031\301\315?\371\207\275|O\035\214\354+\"\252U\262\213\204X\202!\247\3067*\320*\336 \264\036\302\350\252,\"\341Bb\200\204\260I\022\200\027\022\"g\342x\203z\226%%\034\325\251\313\362L\2150\234.\267\021\003\302\344\037%#\330|>A\022\344\3060\323\\\304\225\310\202\212\257\3702\247mY\371\316\r""\030a\223\207\316S\036\350f\310\001\034\267I;,\026\275\356t\031g\005\366\004Q\362Q2\242C\220\345!\211\354?\220\t\357\210J:aSt-W\374N/6\351\300\026\014:+\213@\004T\270\035u\356\r\215\rd\321\371\253\014\263\3732)\257y\233^\307\217E\325\350ot\032\236~>L(\271\365T\362\303:K\2612\373\244\255'\303R&\027\207d\223t\350o\244\371\037\362M\336\361b?\307D\373sur\177\206a0\322\205\2357Q\027\372\261\013\315\226<\221C\315\213\232-\014\342\216k@\0215{\253\321M\303\356j~\244\273\272&:\246\221>\352\362\3111j\270K\363c\323\177\323h\375\037vV\t\362\025\25525\310\335\005\371eQKgz\373\375d\277\320\337\355\037\007\207O\304\rwIF$\3018I'Iv\374\026UT\267\210\025\013\310\264W\250\246\340\240\301\334B\260p\203U\271\032\374\376\373~\274\1777\330=\014\016Q\213\265@\373\3078\374\021\345\"es\242\315\031#~\327/\370\345\311{\347|\236\245&\036;\252\317\005\236\362\004\376\036\337\037\314]\032\026\237\210\231QbE(\246D(\236U\313\274`\213\"\314\271(\351mu]\014_\t\312\356|$S\007\331{ \250%\224{\027ut\007~\314\365;\301\343\375`\037\024ux\306\2339v\300\225(\215..\202\334}\320O\006!&\212\303;\353,{\3003|\317\233C\312\237\263w\021\276\0209_\3612\336\001j\337\246\024\236\314\364E\260\227\220TP8\3543\250\352d\336\037\177O\t\221\003\017\357\005{\373\357\266\000A\276\324+\367\254~\276\277\023<.#z\007k\353\221@\211/I;e\277\343\245\350\206\241\336\304\257\255WH\0137\242/(\360\262\010\205{(\354\345pU\020\345jF\022\217\240\317M\336\365J\262E\270\310\322\033\010;\007DT\376\000\177\223-\020\374\014\335;KZ\311G\023\271r1X\274\211\226%\303\005E\005\013\262\365\0254\223$\202\202\203\224\3701\r\313t\320\265\244\361\332)@\222e\240\n\022(\213\251\340\350S\266;S\233$i\tb\232n\201\317g\021\3156\232\307\002Z\032\007\341S\216@}\200;\317i\363\0231\215 \022:\246\200\243$\313\tJ\237\344<qT\035\345\274(\357\025\261*\322Y*\273\375.y@\225Q\036\374\243\354\202\327\243\0264\242\253g\242\334\323\2770W\202{\037\303E\307\357\311\256hVfD\376_\022\327\211\037";
-    PyObject *data = __Pyx_DecompressString(cstring, 2093, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (4835 bytes) */
-const char* const bytes = "?src/vapep/_kernels/_core.pyxCINFMNAME__Pyx_PyDict_NextRefSaaflatalenallmam__annotate__aoffasyncio.coroutinesbbbbestbflatblenbmboffbrute_searchbudbccline_in_tracebackclsAclsBcntAcntBcompletecovcovbcwcythondownellell_cemittedevaluatefirst_cfirst_countfull__func__hiiincinc_c_is_coroutineitemsjj2kk_ckdkindskinds_cleaveslomm_assigned__main__minwminw_c__module__nn_c__name__olbbombotabotab_cpairspkindspkinds_cpopposprofile_searchpslopespslopes_cptables__qualname__rrArA_crBrB_crmaskrows__set_name__setdefaultsubssubs_allsubs_csufunsufun_c__test__tflattltlentofftotaltotal_wtvalstvals_cubitvalvaluesvapep._kernels._corezz1z2\200\001\33001\340\004\030\230\003\2301\230A\330\004\030\230\003\2301\230A\330\004\023\2201\330\004\033\2301\330\004\027\220q\330\004$\320$9\270\022\2703\270e\3002\300Q\340\004\035\230Q\330\004\035\230Q\330\004\036\230a\330\004\036\230a\330\004\037\230q\330\004 \240\001\330\004\036\230a\330\004\034\230A\330\004\033\2301\330\004\033\2301\330\004\034\230A\330\004\033\2301\330\004\033\2301\330\004\034\230A\330\004\033\2301\330\004\033\2301\330\004\033\2301\330\004\033\2301\330\004\032\230!\330\004\033\2301\330\004$\240A\330\004\033\2301\360\006\000\005\036\230Q\330\004 \240\001\330\004\026\220a\330\004\033\2301\330\004\030\230\001\330\004\025\220Q\360\016\000\005\006\330\010\021\220\027\230\001\230\026\230q\330\010\021\220\027\230\001\230\026\230q\330\010\022\220'\230\021\230'\240\021\330\010\022\220'\230\021\230'\240\021\330\010\023\2207\230!\2308\2401\330\010\024\220G\2301\230I\240Q\330\010\022\220'\230\021\230'\240\023\240A\240Q\340\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\013\2105\220\003\2205\230\003\2305\240\003\2401\330\014\r\330\010\020\220\001\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220c\230\021\230'\240\021\240!\330\014\025\220T\230\021\230!\330\010\020\220\r\230V\2401\320$6\260c\270\031""\300&\310\002\310'\320QR\330\010\013\2106\220\023\220A\330\014\r\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\020\220\006\220e\2301\230D\240\001\240\021\330\020\025\220Q\220g\230W\240A\240R\240q\250\001\330\020\027\220q\340\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\013\2105\220\003\2205\230\003\2305\240\003\2405\250\003\2505\260\003\2605\270\003\2705\300\003\3001\330\014\r\330\010\020\220\001\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220c\230\021\230$\230a\230q\330\014\025\220T\230\021\230!\330\010\020\220\r\230V\2401\320$6\260c\270\031\300&\310\002\310'\320QR\330\010\013\2106\220\023\220A\330\014\r\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\020\220\006\220e\2301\230D\240\001\240\021\330\020\025\220Q\220g\230T\240\021\240\"\240A\240Q\330\020\027\220q\330\010\020\220\001\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220c\230\021\230$\230a\230q\330\014\025\220T\230\021\230!\330\010\020\220\r\230V\2401\320$6\260c\270\031\300&\310\002\310'\320QR\330\010\013\2106\220\023\220A\330\014\r\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\020\220\006\220e\2301\230D\240\001\240\021\330\020\025\220Q\220g\230T\240\021\240\"\240A\240Q\330\020\027\220q\340\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\013\2105\220\003\2205\230\003\2305\240\003\2401\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220a\330\010\016\210m\2306\240\021\320\"4\260C\260r\270\022\2701\330\010\017\210}\230F\240!\320#5\260S\270\002\270\"\270A\330\010\017\320""\017%\240V\2501\320,G\300s\310\"\310B\310a\330\010\017\210}\230F\240!\320#5\260S\270\002\270\"\270A\330\010\013\2104\210s\220%\220s\230%\230s\240%\240s\250%\250s\260%\260s\270%\270s\300!\330\014\r\330\010\014\210E\220\025\220a\220r\230\022\2301\330\014\017\210q\220\005\220Q\330\010\014\210E\220\025\220a\220r\230\022\2301\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220a\330\010\014\210A\210U\220!\360\006\000\t\n\330\014\017\210q\330\020\024\220D\230\001\230\021\330\020\023\2202\220S\230\002\230#\230R\230s\240!\330\024\032\230$\230a\230q\330\024\027\220t\2303\230a\330\030#\2401\330\030\035\230Q\330\030\034\230E\240\025\240a\240q\330\034!\240\026\240w\250a\250q\330\034\037\230s\240#\240Q\330 $\240D\250\001\250\021\330!$\240C\240q\330 $\240D\250\001\250\021\330 %\240T\250\021\250!\330 $\240E\250\022\2503\250h\260a\330!$\240C\240q\330 #\2404\240q\250\003\2503\250b\260\004\260D\270\001\270\023\270C\270q\330$*\250'\260\021\260!\330 !\330!$\240C\240q\330 #\2404\240q\250\003\2503\250a\330$*\250'\260\021\260!\330 !\330!$\240C\240q\330 $\240D\250\001\250\023\250B\250g\260Q\260a\330!$\240C\240q\330 $\240G\2501\250C\250r\260\024\260Q\260a\340 $\240A\330 #\2408\2501\250C\250s\260!\330$*\250\"\250B\250a\330$%\330\034\037\230r\240\022\2401\330 #\2408\2501\250C\250s\260!\330$)\250\024\250Q\250a\330$'\240r\250\023\250A\330(.\250e\2601\260D\270\001\270\023\270B\270b\300\002\300!\340(.\250e\2601\260D\270\001\270\023\270B\270c\300\022\3003\300b\310\t\320QR\320RU\320UX\320XZ\320Z\\\320\\]\340$*\250)\2601\260C\260r\270\021\330\030\033\2303\230b\240\004\240A\240S\250\002\250!\330\034$\240A\330\034 \240\006\240e\2501\250A\330 #\2403\240a\240q\330$)\250\027\260\002\260$\260c\270\021\270!\330\034 \240\010\250\001\250\027\260\001\330\034\037\230r\240\022\2401\330 &\240a\330 (\250\005\250R\250r\260\033\270A\330\024\033\2301\330\024\031\230\021\330\024\025\330\020\026\220d\230!\2301\330\020\023\2205\230\002\230\"\230D\240\002\320\"7\260w\270a""\270q\330\024\033\2301\330\024\031\230\021\330\024\025\330\020\025\220\\\240\022\2403\240b\250\004\250H\260C\260x\270q\330\020\023\2203\220b\230\001\330\024\033\2301\330\024\031\230\021\330\024\025\330\020\023\2201\220E\230\021\330\020\023\2201\330\024\030\230\005\230U\240!\2404\240q\250\001\330\030\034\230A\230U\240!\2404\240q\250\003\2502\250W\260A\330\024\030\230\005\230U\240!\2404\240q\250\001\330\030\034\230A\230U\240!\2404\240q\250\003\2502\250W\260A\330\024\"\240!\330\024\030\230\001\230\022\2302\230U\240$\240b\320(=\270V\3001\300A\340\024\030\230\001\230\022\2302\230U\240!\330\020\024\220A\220R\220r\230\025\230b\240\002\240!\330\020\024\220A\220R\220r\230\025\230d\240!\2403\240b\250\003\2502\250V\2601\260A\330\020\025\220Q\330\020\021\340\014\017\210r\220\022\2201\330\020\021\330\014\020\220\003\2201\220A\330\014\017\210q\330\020\024\220E\230\025\230a\230t\2401\240A\330\024\030\230\001\230\025\230a\230t\2401\240C\240r\250\027\260\001\330\020\024\220E\230\025\230a\230t\2401\240A\330\024\030\230\001\230\025\230a\230t\2401\240C\240r\250\027\260\001\330\020\036\230a\330\014\021\220\021\220&\230\002\230#\230R\230t\2408\2503\250h\260d\270!\2701\330\014\017\210r\220\023\220A\330\020\023\2201\220E\230\021\330\020\025\220Q\330\020\021\330\014\021\220\021\330\014\017\210q\220\005\220Q\330\014\020\220\005\220U\230!\2304\230q\240\001\330\020\024\220A\220U\230!\2304\230q\240\003\2402\240W\250A\330\014\020\220\005\220U\230!\2304\230q\240\001\330\020\024\220A\220U\230!\2304\230q\240\003\2402\240W\250A\330\014\032\230!\330\014\020\220\001\220\022\2202\220U\230$\230a\230s\240\"\240A\330\014\020\220\001\220\022\2202\220U\230$\230a\230s\240\"\320$9\270\026\270q\300\001\330\014\020\220\001\220\022\2202\220U\230$\230a\230s\240\"\240B\240b\250\006\250a\250q\330\014\021\220\021\330\014\023\2201\330\010\017\210y\230\001\340\010\014\210A\210Y\220d\230!\2309\240D\250\001\250\032\2604\260q\270\001\330\010\014\210A\210[\230\004\230A\230\\\250\024\250Q\250a\330\010\014\210A\210X\220T""\230\021\230'\240\024\240Q\240a\330\010\014\210A\210X\220T\230\021\230'\240\024\240Q\240a\330\010\014\210A\210X\220T\230\021\230'\240\024\240Q\240a\330\010\014\210A\210W\220D\230\001\230\021\330\010\014\210A\210V\2204\220q\230\007\230t\2401\240G\2504\250q\260\001\200\001\360\006\000\005\031\230\003\2301\230A\330\004\030\230\003\2301\230A\330\004\023\2201\330\004\023\2201\340\004\035\230Q\330\004\036\230a\330\004\033\2301\330\004\033\2301\330\004\036\230a\330\004\037\230q\330\004 \240\001\330\004\034\230A\330\004\033\2301\330\004\033\2301\330\004\035\230Q\330\004%\240Q\330\004\032\230!\330\004\032\230!\360\006\000\005\032\230\021\330\004\027\220q\330\004\034\230A\330\004\030\230\001\330\004\025\220Q\360\014\000\005\006\330\010\021\220\027\230\001\230\032\2401\330\010\022\220'\230\021\230'\240\021\330\010\017\210w\220a\220t\2301\330\010\017\210w\220a\220t\2301\330\010\022\220'\230\021\230'\240\021\330\010\023\2207\230!\2308\2401\330\010\024\220G\2301\230I\240Q\340\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\017\210}\230F\240!\320#5\260S\270\005\270R\270r\300\027\310\001\330\010\013\2105\220\003\2205\230\003\2305\240\003\2401\330\014\r\330\010\020\220\001\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220a\330\014\020\220\001\220\025\220c\230\021\230'\240\021\240!\330\014\025\220T\230\021\230!\330\010\020\220\r\230V\2401\320$6\260c\270\031\300&\310\002\310'\320QR\330\010\013\2106\220\023\220A\330\014\r\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\020\220\006\220e\2301\230D\240\001\240\021\330\020\025\220Q\220g\230W\240A\240R\240q\250\001\330\020\027\220q\340\010\021\220\035\230f\240A\320%7\260s\270$\270b\300\005\300T\310\022\3102\310R\310w\320VW\330\010\013\2107\220#\220Q\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\022\220$\220a\220q\330\014\020\220\006\220e\2301\230A\330\020\026\220a\220r\230\022\2302\230R\230v\240S\250\001\250\021\340\010\020\320\020&\240f\250A\320-H\310\003\3107\320RV\320VX\320X""_\320_`\330\010\013\2106\220\023\220A\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\021\220\021\220%\220q\330\010\016\210m\2306\240\021\320\"4\260C\260t\2702\270Q\330\010\016\210m\2306\240\021\320\"4\260C\260t\2702\270Q\330\010\013\2104\210s\220%\220s\230$\230c\240\021\330\014\r\330\010\014\210E\220\025\220a\220t\2302\230Q\330\014\017\210q\220\005\220Q\330\010\014\210E\220\025\220a\220t\2302\230Q\330\014\017\210q\220\005\220Q\340\010\t\330\014\017\210q\330\020\023\2202\220S\230\001\330\024\036\230a\330\024\037\230q\330\024\030\230\005\230U\240!\2401\330\030\033\2305\240\001\240\023\240C\240q\330\034'\240q\330\034\035\330\024\027\220q\330\030\035\230Q\330\030\034\230E\240\025\240a\240q\330\034!\240\026\240w\250a\250q\330\034\037\230s\240#\240Q\330 $\320$8\270\001\270\025\270a\270t\3001\300D\310\002\310%\310q\320PT\320TU\320UV\330!$\240C\240q\330 %\240U\250!\2504\250q\260\001\330 %\240U\250!\2504\250q\260\001\330 %\320%9\270\021\270#\270R\270q\300\001\330 %\320%9\270\021\270#\270R\270q\300\001\330 $\240F\250#\250S\260\010\270\001\330!$\240C\240q\330 #\2405\250\001\250\024\250Q\250d\260#\260U\270!\2704\270q\300\001\330$*\250'\260\021\260!\330 !\330!$\240C\240q\330 #\2405\250\005\250Q\250d\260!\2604\260r\270\025\270a\270t\3001\300A\330$*\250'\260\021\260!\330 !\330!$\240C\240q\330 $\320$8\270\001\270\025\270a\270t\3001\300E\310\022\3107\320RS\320ST\330!$\240C\240q\330 $\240G\2501\250C\250r\3201E\300Q\300e\3101\310D\320PQ\320QR\340 '\240q\330 $\240E\250\025\250a\250q\330$,\250E\260\021\260!\330 $\320$8\270\001\270\021\330 #\2408\2501\250C\250s\260!\330$*\250\"\250B\250a\330$%\330\034\037\230r\240\022\2401\330 #\2408\2501\250C\250s\260!\330$)\250\024\250Q\250a\330$'\240r\250\023\250A\330(.\250e\2601\260D\270\001\270\023\270B\270b\300\002\300!\340(.\250e\2601\260D\270\001\270\023\270B\270c\300\022\3003\300b\310\t\320QR\320RU\320UX\320XZ\320Z\\\320\\]\340$*\250)\2601\260C\260r\270\021\330\030\"\240#\240Q\240e\2502\250Q\330\030\033\2308\2402\240Q\330\034\"\240!\330""\034#\2401\240C\240q\250\003\2504\250u\260E\270\021\270!\330\024\033\2301\330\024\031\230\021\330\024\025\330\020\023\2203\220a\220s\230#\230Q\330\024\033\2301\330\024\031\230\021\330\024\025\330\020\023\2201\220E\230\021\330\020\023\2201\220B\220b\230\005\230S\240\001\240\021\330\020\025\220Q\330\020\021\330\014\017\210r\220\022\2201\330\020\021\330\014\020\220\003\2201\220A\330\014\023\320\023(\250\002\250#\250Q\330\014\020\320\020%\240V\2501\250A\330\014\022\220!\330\020\024\320\024(\250\002\250\"\250C\250q\260\002\260\"\260D\270\002\270!\330\020\025\220Q\220f\230A\230Q\330\020\025\220R\220r\230\021\330\014\021\220\021\330\014\020\220\003\2201\220A\330\014\022\220\"\220B\220b\230\004\230B\230b\240\006\240a\240r\250\022\2502\250R\250s\260#\260Q\330\020\025\220Q\330\014\017\210r\220\023\220A\330\020\023\2201\220E\230\021\330\020\025\220Q\330\020\021\330\014\017\210q\220\005\220Q\330\014\020\320\020%\240V\2501\250A\330\014\022\220!\330\020\024\320\024(\250\002\250\"\250C\250q\260\002\260\"\260D\270\002\270!\330\020\025\220Q\220f\230A\330\020\025\220R\220r\230\021\330\014\017\210q\220\002\220\"\220E\230\022\2302\230V\2401\240B\240b\250\002\250\"\250A\330\014\021\220\021\330\014\023\2201\330\010\013\2104\210s\220!\330\014\023\2205\230\006\230a\330\010\017\210u\220F\230!\340\010\014\210A\210Y\220d\230!\230:\240T\250\021\250'\260\024\260Q\260a\330\010\014\210A\210Z\220t\2301\230K\240t\2501\250A\330\010\014\210A\210X\220T\230\021\230'\240\024\240Q\240a\330\010\014\210A\210Y\220d\230!\2308\2404\240q\250\006\250d\260!\2601";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 114; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 2) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 114; i < 116; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 116; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 114;
-      for (Py_ssize_t i=0; i<2; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {-1};
-    int64_t const cint_constants_8[] = {4611686018427387904LL};
-    for (int i = 0; i < 2; i++) {
-      numbertab[i] = PyLong_FromLongLong((i < 1 ? cint_constants_1[i - 0] : cint_constants_8[i - 1]));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 7;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {14, 0, 0, 65, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 35};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_ell, __pyx_mstate->__pyx_n_u_subs, __pyx_mstate->__pyx_n_u_minw, __pyx_mstate->__pyx_n_u_kinds, __pyx_mstate->__pyx_n_u_tvals, __pyx_mstate->__pyx_n_u_pkinds, __pyx_mstate->__pyx_n_u_pslopes, __pyx_mstate->__pyx_n_u_ptables, __pyx_mstate->__pyx_n_u_clsA, __pyx_mstate->__pyx_n_u_clsB, __pyx_mstate->__pyx_n_u_sufun, __pyx_mstate->__pyx_n_u_evaluate, __pyx_mstate->__pyx_n_u_first_count, __pyx_mstate->__pyx_n_u_M, __pyx_mstate->__pyx_n_u_C, __pyx_mstate->__pyx_n_u_k_c, __pyx_mstate->__pyx_n_u_ell_c, __pyx_mstate->__pyx_n_u_first_c, __pyx_mstate->__pyx_n_u_full, __pyx_mstate->__pyx_n_u_subs_c, __pyx_mstate->__pyx_n_u_minw_c, __pyx_mstate->__pyx_n_u_kinds_c, __pyx_mstate->__pyx_n_u_tvals_c, __pyx_mstate->__pyx_n_u_pkinds_c, __pyx_mstate->__pyx_n_u_pslopes_c, __pyx_mstate->__pyx_n_u_sufun_c, __pyx_mstate->__pyx_n_u_tflat, __pyx_mstate->__pyx_n_u_toff, __pyx_mstate->__pyx_n_u_tlen, __pyx_mstate->__pyx_n_u_aflat, __pyx_mstate->__pyx_n_u_aoff, __pyx_mstate->__pyx_n_u_alen, __pyx_mstate->__pyx_n_u_bflat, __pyx_mstate->__pyx_n_u_boff, __pyx_mstate->__pyx_n_u_blen, __pyx_mstate->__pyx_n_u_cntA, __pyx_mstate->__pyx_n_u_cntB, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_budb, __pyx_mstate->__pyx_n_u_covb, __pyx_mstate->__pyx_n_u_olbb, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j2, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_emitted, __pyx_mstate->__pyx_n_u_m_assigned, __pyx_mstate->__pyx_n_u_inc, __pyx_mstate->__pyx_n_u_inc_c, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_down, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_cw, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_bb, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_tl, __pyx_mstate->__pyx_n_u_cov, __pyx_mstate->__pyx_n_u_kd, __pyx_mstate->__pyx_n_u_pairs, __pyx_mstate->__pyx_n_u_r};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_vapep__kernels__core_pyx, __pyx_mstate->__pyx_n_u_profile_search, __pyx_mstate->__pyx_kp_b_iso88591_01_1A_1A_1_1_q_9_3e2Q_Q_Q_a_a_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {11, 0, 0, 56, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 279};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_subs_all, __pyx_mstate->__pyx_n_u_otab, __pyx_mstate->__pyx_n_u_kinds, __pyx_mstate->__pyx_n_u_rA, __pyx_mstate->__pyx_n_u_rB, __pyx_mstate->__pyx_n_u_tvals, __pyx_mstate->__pyx_n_u_pkinds, __pyx_mstate->__pyx_n_u_pslopes, __pyx_mstate->__pyx_n_u_ptables, __pyx_mstate->__pyx_n_u_S, __pyx_mstate->__pyx_n_u_C, __pyx_mstate->__pyx_n_u_n_c, __pyx_mstate->__pyx_n_u_k_c, __pyx_mstate->__pyx_n_u_subs_c, __pyx_mstate->__pyx_n_u_kinds_c, __pyx_mstate->__pyx_n_u_rA_c, __pyx_mstate->__pyx_n_u_rB_c, __pyx_mstate->__pyx_n_u_tvals_c, __pyx_mstate->__pyx_n_u_pkinds_c, __pyx_mstate->__pyx_n_u_pslopes_c, __pyx_mstate->__pyx_n_u_tflat, __pyx_mstate->__pyx_n_u_toff, __pyx_mstate->__pyx_n_u_tlen, __pyx_mstate->__pyx_n_u_otab_c, __pyx_mstate->__pyx_n_u_rmask, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_omb, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j2, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_inc, __pyx_mstate->__pyx_n_u_best, __pyx_mstate->__pyx_n_u_leaves, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_down, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_cw, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_z1, __pyx_mstate->__pyx_n_u_z2, __pyx_mstate->__pyx_n_u_total_w, __pyx_mstate->__pyx_n_u_tl, __pyx_mstate->__pyx_n_u_ubit, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_am, __pyx_mstate->__pyx_n_u_bm, __pyx_mstate->__pyx_n_u_allm, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_kd, __pyx_mstate->__pyx_n_u_complete, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_vapep__kernels__core_pyx, __pyx_mstate->__pyx_n_u_brute_search, __pyx_mstate->__pyx_kp_b_iso88591_1A_1A_1_1_Q_a_1_1_a_q_A_1_1_Q_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled search kernels, a hand-written CPython extension.
+ *
+ * Statement-for-statement mirror of the pure-Python twin in _ref.py: same
+ * enumeration order, same pruning, same tie handling, so both backends
+ * return bit-identical results.  Keep the two files in sync.
+ *
+ * Every input is copied into int64 buffers and checked before a search
+ * starts, so the loops never index out of bounds: malformed input raises
+ * ValueError, TypeError or OverflowError instead.  The GIL stays held, since
+ * `evaluate` is Python and no second thread runs a search.
  */
-#pragma warning( disable : 4127 )
-#endif
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
+typedef long long i64;
+typedef unsigned long long u64;
+#define C_INF ((i64)1 << 62)
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
+/* Zeroed memory for n items (at least one), or NULL with MemoryError set. */
+static void *zalloc(Py_ssize_t n, size_t size)
 {
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
+    void *p = PyMem_Calloc(n > 0 ? n : 1, size);
+    return p ? p : (void *)PyErr_NoMemory();
 }
-#endif
 
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* PyErrExceptionMatches */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
+/* A fresh buffer holding the `len` ints of sequence `obj`.  With hi >= 0 each
+   must lie in [0, hi), as a kernel indexes an array of that length with it. */
+static i64 *as_i64(PyObject *obj, Py_ssize_t len, i64 hi, const char *name)
 {
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of ints");
+    if (!seq) return NULL;
+    i64 *out = NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != len) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
+                     name, PySequence_Fast_GET_SIZE(seq), len);
+        goto fail;
     }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* PyErrFetchRestore */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
+    if (!(out = zalloc(len, sizeof(i64)))) goto fail;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (out[i] == -1 && PyErr_Occurred()) goto fail;
+        if (hi >= 0 && (out[i] < 0 || out[i] >= hi)) {
+            PyErr_Format(PyExc_ValueError, "%s holds %lld, outside [0, %lld)", name, out[i], hi);
+            goto fail;
         }
     }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
+    Py_DECREF(seq);
+    return out;
+fail:
+    PyMem_Free(out);
+    Py_DECREF(seq);
     return NULL;
 }
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
 
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
+/* Rows of ints in one buffer: row i is flat[off[i]] .. flat[off[i + 1] - 1]. */
+typedef struct { i64 *flat; Py_ssize_t *off; } Ragged;
 
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+/* Flatten the `nrows` rows of `obj`, each of `width` entries when width >= 0,
+   with values bounded as in as_i64. */
+static int flatten(PyObject *obj, Py_ssize_t nrows, Py_ssize_t width, i64 hi,
+                   const char *name, Ragged *out)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
+    PyObject *rows = PySequence_Fast(obj, "expected a sequence of rows");
+    if (!rows) return -1;
+    int rc = -1;
+    if (PySequence_Fast_GET_SIZE(rows) != nrows) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd rows, expected %zd",
+                     name, PySequence_Fast_GET_SIZE(rows), nrows);
         goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
     }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
+    if (!(out->off = zalloc(nrows + 1, sizeof(Py_ssize_t)))) goto done;
+    for (Py_ssize_t i = 0; i < nrows; i++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(rows, i);
+        Py_ssize_t len = width >= 0 ? width : PyObject_Length(row);
+        i64 *vals = len < 0 ? NULL : as_i64(row, len, hi, name);
+        if (!vals) goto done;
+        i64 *grown = PyMem_Realloc(out->flat, sizeof(i64) * (out->off[i] + len + 1));
+        if (grown) memcpy(grown + out->off[i], vals, sizeof(i64) * len);
+        PyMem_Free(vals);
+        if (!grown) { PyErr_NoMemory(); goto done; }
+        out->flat = grown;
+        out->off[i + 1] = out->off[i] + len;
     }
+    rc = 0;
 done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
+    Py_DECREF(rows);
+    return rc;
 }
 
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
+/* The constraint arrays both kernels take, one entry per constraint. */
+typedef struct { Py_ssize_t C; i64 *kinds, *tvals, *pkinds, *pslopes; Ragged tables; } Cons;
+
+static void cons_free(Cons *c)
+{
+    PyMem_Free(c->kinds); PyMem_Free(c->tvals); PyMem_Free(c->pkinds); PyMem_Free(c->pslopes);
+    PyMem_Free(c->tables.flat); PyMem_Free(c->tables.off);
 }
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
+static int cons_load(Cons *c, PyObject *kinds, PyObject *tvals, PyObject *pkinds,
+                     PyObject *pslopes, PyObject *ptables)
 {
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
+    if ((c->C = PyObject_Length(kinds)) < 0
+        || !(c->kinds = as_i64(kinds, c->C, -1, "kinds"))
+        || !(c->tvals = as_i64(tvals, c->C, -1, "tvals"))
+        || !(c->pkinds = as_i64(pkinds, c->C, -1, "pkinds"))
+        || !(c->pslopes = as_i64(pslopes, c->C, -1, "pslopes"))
+        || flatten(ptables, c->C, -1, -1, "ptables", &c->tables) < 0)
         return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
+    for (Py_ssize_t i = 0; i < c->C; i++) {
+        if (c->pkinds[i] == 1 && c->tables.off[i + 1] == c->tables.off[i]) {
+            PyErr_Format(PyExc_ValueError, "ptables[%zd] is empty", i);
             return -1;
         }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
     }
     return 0;
 }
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+/* Penalty of constraint i at excess z: its table, continued past the end by
+   the slope, when pkind is 1, and the slope otherwise; 0 for z <= 0. */
+static inline i64 penalty(const Cons *c, Py_ssize_t i, i64 z)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
+    if (z <= 0) return 0;
+    if (c->pkinds[i] != 1) return c->pslopes[i] * z;
+    const i64 *tab = c->tables.flat + c->tables.off[i];
+    i64 tl = c->tables.off[i + 1] - c->tables.off[i];
+    return z <= tl ? tab[z - 1] : tab[tl - 1] + c->pslopes[i] * (z - tl);
 }
 
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
+/* Constraint weight of a complete profile from its running counters. */
+static inline i64 profile_weight(const Cons *c, const i64 *cntA, const i64 *cntB,
+                                 i64 m_assigned)
 {
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
+    i64 cw = 0, z;
+    for (Py_ssize_t i = 0; i < c->C; i++) {
+        switch (c->kinds[i]) {
+        case 0: z = cntA[i]; break;  /* shared users */
+        case 1: z = cntA[i] >= cntB[i] ? cntA[i] : cntB[i]; break;  /* one-sided max */
+        case 2: cw += cntA[i] == 0 && cntB[i] == 0 ? c->tvals[i] : 0; continue;  /* equal */
+        case 3: cw += cntA[i] == 0 ? c->tvals[i] : 0; continue;  /* disjoint */
+        case 4: z = cntA[i] - c->tvals[i]; break;  /* cardinality above t */
+        case 5: z = c->tvals[i] - cntA[i]; break;  /* cardinality below t */
+        default:  /* assigned-user count */
+            z = m_assigned;
+            if (c->pkinds[i] == 2) { cw += z * z; continue; }
+        }
+        cw += penalty(c, i, z);
+    }
+    return cw;
+}
+
+/* Constraint weight of a complete relation; rmask[r] holds the users of r. */
+static inline i64 relation_weight(const Cons *c, const u64 *rmask, int k,
+                                  const i64 *rA, const i64 *rB)
+{
+    i64 cw = 0, z, z1, z2;
+    u64 allm = 0;
+    for (Py_ssize_t i = 0; i < c->C; i++) {
+        u64 a = rmask[rA[i]], b = rmask[rB[i]];
+        switch (c->kinds[i]) {
+        case 0: z = __builtin_popcountll(a & b); break;
+        case 1:
+            z1 = __builtin_popcountll(a & ~b), z2 = __builtin_popcountll(b & ~a);
+            z = z1 >= z2 ? z1 : z2;
+            break;
+        case 2: cw += a == b ? c->tvals[i] : 0; continue;
+        case 3: cw += !(a & b) ? c->tvals[i] : 0; continue;
+        case 4: z = __builtin_popcountll(a) - c->tvals[i]; break;
+        case 5: z = c->tvals[i] - __builtin_popcountll(a); break;
+        default:
+            for (int r = 0; r < k; r++) allm |= rmask[r];
+            z = __builtin_popcountll(allm);
+            if (c->pkinds[i] == 2) { cw += z * z; continue; }
+        }
+        cw += penalty(c, i, z);
+    }
+    return cw;
+}
+
+/* cnt[i] += d for every constraint i in row j of cls. */
+static inline void bump(const Ragged *cls, Py_ssize_t j, i64 *cnt, i64 d)
+{
+    for (Py_ssize_t p = cls->off[j]; p < cls->off[j + 1]; p++)
+        cnt[cls->flat[p]] += d;
+}
+
+/* r = evaluate(pairs, cw) with the nonzero counts val[0:j] as (level, count)
+   tuples; r becomes the incumbent when it is smaller.  -1 on error. */
+static int evaluate_leaf(PyObject *evaluate, const i64 *val, Py_ssize_t j,
+                         i64 cw, PyObject **inc, i64 *inc_c)
+{
+    PyObject *pairs = PyList_New(0);
+    for (Py_ssize_t i = 0; pairs && i < j; i++) {
+        if (!val[i]) continue;
+        PyObject *pair = Py_BuildValue("(nL)", i, val[i]);
+        if (!pair || PyList_Append(pairs, pair) < 0) Py_CLEAR(pairs);
+        Py_XDECREF(pair);
+    }
+    if (!pairs) return -1;
+    PyObject *r = PyObject_CallFunction(evaluate, "OL", pairs, cw);
+    Py_DECREF(pairs);
+    int lt = r ? PyObject_RichCompareBool(r, *inc, Py_LT) : -1, over = 0;
+    i64 v = lt > 0 ? PyLong_AsLongLongAndOverflow(r, &over) : 0;
+    if (lt > 0 && !(v == -1 && PyErr_Occurred())) {
+        /* the incumbent stays the Python int evaluate returned, as in
+           _ref.py; the leaf test reads it clamped to the int64 range */
+        *inc_c = over > 0 || v > C_INF ? C_INF : over < 0 ? LLONG_MIN : v;
+        Py_SETREF(*inc, r);
+        return 0;
+    }
+    Py_XDECREF(r);
+    return lt == 0 ? 0 : -1;
+}
+
+static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    int k;
+    i64 ell;
+    PyObject *subs_o, *minw_o, *kinds, *tvals, *pkinds, *pslopes, *ptables;
+    PyObject *clsA_o, *clsB_o, *sufun_o, *evaluate;
+    if (!PyArg_ParseTuple(args, "iLOOOOOOOOOOO:profile_search", &k, &ell,
+                          &subs_o, &minw_o, &kinds, &tvals, &pkinds, &pslopes,
+                          &ptables, &clsA_o, &clsB_o, &sufun_o, &evaluate))
+        return NULL;
+    if (k < 0 || k > 63) return PyErr_Format(PyExc_ValueError, "k=%d is outside 0..63", k);
+    Py_ssize_t M = PyObject_Length(subs_o);
+    if (M < 0) return NULL;
+    Cons cons = {0}; Ragged clsA = {0}, clsB = {0};
+    i64 *subs = NULL, *minw = NULL, *sufun = NULL, *cntA = NULL, *cntB = NULL;
+    i64 *val = NULL, *budb = NULL, *olbb = NULL;
+    u64 *covb = NULL;
+    PyObject *inc = NULL, *result = NULL;
+    if (cons_load(&cons, kinds, tvals, pkinds, pslopes, ptables) < 0
+        || !(subs = as_i64(subs_o, M, -1, "subs"))
+        || !(minw = as_i64(minw_o, M, -1, "minw"))
+        || !(sufun = as_i64(sufun_o, M + 1, -1, "sufun"))
+        || flatten(clsA_o, M, -1, cons.C, "clsA", &clsA) < 0
+        || flatten(clsB_o, M, -1, cons.C, "clsB", &clsB) < 0
+        || !(cntA = zalloc(cons.C, sizeof(i64)))
+        || !(cntB = zalloc(cons.C, sizeof(i64)))
+        || !(val = zalloc(M + 1, sizeof(i64)))
+        || !(budb = zalloc(M + 2, sizeof(i64)))  /* budget entering each level */
+        || !(covb = zalloc(M + 2, sizeof(u64)))  /* coverage mask entering each level */
+        || !(olbb = zalloc(M + 2, sizeof(i64)))  /* authorization lower bound entering each level */
+        || !(inc = PyLong_FromLongLong(C_INF)))
         goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
+    const u64 full = ((u64)1 << k) - 1;
+    i64 m_assigned = 0, emitted = 0, inc_c = C_INF;
+    budb[0] = ell;
+    Py_ssize_t j = 0;
+    int down = 1;
+    while (1) {
+        if (down) {
+            i64 b = budb[j];
+            if (b == 0 || j == M) {
+                if (covb[j] == full) {
+                    emitted++;
+                    i64 cw = profile_weight(&cons, cntA, cntB, m_assigned);
+                    if (cw + olbb[j] < inc_c
+                        && evaluate_leaf(evaluate, val, j, cw, &inc, &inc_c) < 0)
+                        goto done;
+                }
+                down = 0; j--; continue;
             }
+            u64 cov = covb[j];
+            if (full & ~(cov | (u64)sufun[j])) { down = 0; j--; continue; }
+            val[j] = 0;
+            covb[j + 1] = cov;
+            budb[j + 1] = b;
+            olbb[j + 1] = olbb[j];
+            j++;
+            continue;
         }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
+        /* backtracking */
+        if (j < 0) break;
+        i64 c = val[j];
+        if (c) { bump(&clsA, j, cntA, -c); bump(&clsB, j, cntB, -c); m_assigned -= c; }
+        if (c >= budb[j]) { val[j] = 0; j--; continue; }
+        c++;
+        val[j] = c;
+        bump(&clsA, j, cntA, c);
+        bump(&clsB, j, cntB, c);
+        m_assigned += c;
+        budb[j + 1] = budb[j] - c;
+        covb[j + 1] = covb[j] | (u64)subs[j];
+        olbb[j + 1] = olbb[j] + c * minw[j];
+        j++;
+        down = 1;
     }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
+    result = Py_BuildValue("(LO)", emitted, inc);
 done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    Py_XDECREF(inc);
+    cons_free(&cons);
+    PyMem_Free(clsA.flat); PyMem_Free(clsA.off); PyMem_Free(clsB.flat); PyMem_Free(clsB.off);
+    PyMem_Free(subs); PyMem_Free(minw); PyMem_Free(sufun); PyMem_Free(cntA); PyMem_Free(cntB);
+    PyMem_Free(val); PyMem_Free(budb); PyMem_Free(covb); PyMem_Free(olbb);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+static PyObject *brute_search(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    int n, k;
+    PyObject *subs_o, *otab_o, *kinds, *rA_o, *rB_o, *tvals, *pkinds, *pslopes, *ptables;
+    if (!PyArg_ParseTuple(args, "iiOOOOOOOOO:brute_search", &n, &k, &subs_o,
+                          &otab_o, &kinds, &rA_o, &rB_o, &tvals, &pkinds,
+                          &pslopes, &ptables))
+        return NULL;
+    if (n < 0 || n > 64 || k < 0 || k > 63)
+        return PyErr_Format(PyExc_ValueError, "n=%d or k=%d is outside 0..64 or 0..63", n, k);
+    Py_ssize_t S = PyObject_Length(subs_o);
+    if (S < 0) return NULL;
+    if (S == 0 && n > 0) return PyErr_Format(PyExc_ValueError, "subs_all is empty");
+    Cons cons = {0}; Ragged otab = {0};
+    i64 *subs = NULL, *rA = NULL, *rB = NULL, *val = NULL, *best = NULL, *omb = NULL;
+    u64 *rmask = NULL;
+    PyObject *result = NULL;
+    if (cons_load(&cons, kinds, tvals, pkinds, pslopes, ptables) < 0
+        || !(subs = as_i64(subs_o, S, -1, "subs_all"))
+        /* relation_weight reads rmask[rA[i]] and rmask[rB[i]] for every i */
+        || !(rA = as_i64(rA_o, cons.C, k ? k : 1, "rA"))
+        || !(rB = as_i64(rB_o, cons.C, k ? k : 1, "rB"))
+        || flatten(otab_o, n, S, -1, "otab", &otab) < 0
+        || !(rmask = zalloc(k, sizeof(u64)))
+        || !(val = zalloc(n + 1, sizeof(i64)))
+        || !(best = zalloc(n, sizeof(i64)))
+        || !(omb = zalloc(n + 2, sizeof(i64))))  /* authorization cost entering each level */
         goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    /* as in _ref.py, bits from k up name no resource */
+    for (Py_ssize_t s = 0; s < S; s++) subs[s] &= ((u64)1 << k) - 1;
+    i64 inc = C_INF, leaves = 0;
+    Py_ssize_t j = 0;
+    int down = 1;
+    while (1) {
+        if (down) {
+            if (j == n) {
+                leaves++;
+                int complete = 1;
+                for (int r = 0; r < k && complete; r++) complete = rmask[r] != 0;
+                if (complete) {
+                    i64 total = omb[n] + relation_weight(&cons, rmask, k, rA, rB);
+                    if (total < inc) {
+                        inc = total;
+                        memcpy(best, val, sizeof(i64) * n);
+                    }
+                }
+                down = 0; j--; continue;
+            }
+            if (omb[j] >= inc) { down = 0; j--; continue; }
+            val[j] = 0;  /* empty set first; costs nothing */
+            omb[j + 1] = omb[j];
+            j++;
+            continue;
         }
+        if (j < 0) break;
+        i64 s = val[j];
+        u64 ubit = (u64)1 << j;
+        for (u64 m = (u64)subs[s]; m; m &= m - 1) rmask[__builtin_ctzll(m)] &= ~ubit;
+        s++;
+        i64 b = omb[j];
+        const i64 *row = otab.flat + otab.off[j];
+        while (s < S && b + row[s] >= inc) s++;
+        if (s >= S) { val[j] = 0; j--; continue; }
+        val[j] = s;
+        for (u64 m = (u64)subs[s]; m; m &= m - 1) rmask[__builtin_ctzll(m)] |= ubit;
+        omb[j + 1] = b + row[s];
+        j++;
+        down = 1;
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
+    /* best stays None when no complete relation exists (inc is still INF) */
+    PyObject *best_o = inc < C_INF ? PyList_New(n) : Py_NewRef(Py_None);
+    for (Py_ssize_t i = 0; best_o && inc < C_INF && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(best[i]);
+        if (!v) Py_CLEAR(best_o);
+        else PyList_SET_ITEM(best_o, i, v);
     }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    if (best_o) result = Py_BuildValue("(LNL)", inc, best_o, leaves);
+done:
+    cons_free(&cons);
+    PyMem_Free(otab.flat); PyMem_Free(otab.off); PyMem_Free(subs); PyMem_Free(rA);
+    PyMem_Free(rB); PyMem_Free(rmask); PyMem_Free(val); PyMem_Free(best); PyMem_Free(omb);
+    return result;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static PyMethodDef methods[] = {
+    {"profile_search", profile_search, METH_VARARGS, "Compiled twin of _ref.profile_search."},
+    {"brute_search", brute_search, METH_VARARGS, "Compiled twin of _ref.brute_search."},
+    {NULL, NULL, 0, NULL},
+};
 
+static struct PyModuleDef module = {.m_base = PyModuleDef_HEAD_INIT, .m_size = -1,
+    .m_name = "vapep._kernels._core", .m_doc = "Compiled search kernels.", .m_methods = methods};
 
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyMODINIT_FUNC PyInit__core(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    /* the backend label: meta.backend in the canonical solver output reads
+       it, and pinned outputs hold "cython", the name of the earlier build */
+    if (m && PyModule_AddStringConstant(m, "NAME", "cython") < 0) Py_CLEAR(m);
+    return m;
+}

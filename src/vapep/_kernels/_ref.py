@@ -1,9 +1,10 @@
-"""Pure-Python search kernels.
+"""Pure-Python search kernels, the executable spec of the compiled ones.
 
 Two hot loops live here: the profile enumeration behind the profile solver
 and the relation enumeration behind the exhaustive solver.  The compiled
-module mirrors both loops statement for statement; any change here must be
-made there as well so the backends stay bit-identical.
+module, hand-written C in ``_core.c``, mirrors both loops statement for
+statement; any change here must be made there as well so the backends stay
+bit-identical.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ INF = 1 << 62
 
 
 def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
-                   clsA, clsB, sufun, evaluate, first_count=-1):
+                   clsA, clsB, sufun, evaluate):
     """Enumerate complete user profiles with at most `ell` assigned users.
 
     Levels follow `subs` (non-empty subset masks in (popcount, value) order);
@@ -98,23 +99,10 @@ def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
                 down = False
                 j -= 1
                 continue
-            lo = first_count if (j == 0 and first_count >= 0) else 0
-            if lo > b:
-                down = False
-                j -= 1
-                continue
-            val[j] = lo
-            if lo:
-                for i in clsA[j]:
-                    cntA[i] += lo
-                for i in clsB[j]:
-                    cntB[i] += lo
-                m_assigned += lo
-                covb[j + 1] = cov | subs[j]
-            else:
-                covb[j + 1] = cov
-            budb[j + 1] = b - lo
-            olbb[j + 1] = olbb[j] + lo * minw[j]
+            val[j] = 0
+            covb[j + 1] = cov
+            budb[j + 1] = b
+            olbb[j + 1] = olbb[j]
             j += 1
             continue
         # backtracking
@@ -127,8 +115,7 @@ def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
             for i in clsB[j]:
                 cntB[i] -= c
             m_assigned -= c
-        hi = -1 if (j == 0 and first_count >= 0) else budb[j]
-        if c >= hi:
+        if c >= budb[j]:
             val[j] = 0
             j -= 1
             continue

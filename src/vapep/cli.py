@@ -244,8 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="profile")
     s.add_argument("--ell", type=int, default=None,
                    help="user budget for the profile solver")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--backend", choices=("python", "cython"), default=None)
+    s.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored by the profile solver, which "
+                        "runs on one thread; the other solvers take only 1")
+    s.add_argument("--backend", choices=("python", "cython"), default=None,
+                   help="search kernel: pure Python, or the compiled C kernel "
+                        "(labelled 'cython' in output)")
     s.add_argument("-o", "--out", dest="output", default=None)
     s.set_defaults(func=_cmd_solve)
 

@@ -13,7 +13,6 @@ import heapq
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional
 
 from . import _kernels
@@ -240,7 +239,7 @@ def _level_classes(kinds, rA, rB, subs):
 
 
 class _Search:
-    """Per-worker incumbent and candidate evaluation for the profile kernel."""
+    """Incumbent and candidate evaluation for the profile kernel."""
 
     def __init__(self, instance, subs, cands):
         self.instance = instance
@@ -282,6 +281,9 @@ def solve(
 ) -> SolveResult:
     """Exact minimum-weight complete relation via profile enumeration.
 
+    `threads` is accepted for compatibility and has no effect: the search
+    runs on one thread, and the result is the same for every value.
+
     Raises GuardError, before any authorization cost is read, when the
     profile space exceeds MAX_PROFILES.
     """
@@ -309,34 +311,19 @@ def solve(
     for j in range(M - 1, -1, -1):
         sufun[j] = sufun[j + 1] | subs[j]
 
-    def run(first_count: int) -> tuple[int, _Search]:
-        st = _Search(instance, subs, by_cost)
-        emitted, _ = kb.profile_search(
-            k, L, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
-            clsA, clsB, sufun, st.evaluate, first_count,
-        )
-        return emitted, st
+    st = _Search(instance, subs, by_cost)
+    emitted, _ = kb.profile_search(
+        k, L, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
+        clsA, clsB, sufun, st.evaluate,
+    )
 
-    if threads <= 1:
-        emitted, st = run(-1)
-        best_total, best_pairs = st.incumbent, st.best_pairs
-    else:
-        emitted = 0
-        best_total, best_pairs = INF, None
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for em, st in pool.map(run, range(L + 1)):
-                emitted += em
-                # partitions ascend by the first count, matching lex order
-                if st.incumbent < best_total:
-                    best_total, best_pairs = st.incumbent, st.best_pairs
-
-    counts = {subs[j]: c for j, c in best_pairs}
+    counts = {subs[j]: c for j, c in st.best_pairs}
     counts[0] = n - sum(counts.values())
     profile = UserProfile(counts, instance.resources)
     relation, total = best_relation_for_profile(instance, profile)
-    if total != best_total:  # pragma: no cover - internal consistency check
+    if total != st.incumbent:  # pragma: no cover - internal consistency check
         raise RuntimeError(
-            f"internal: search total {best_total} != reconstructed {total}"
+            f"internal: search total {st.incumbent} != reconstructed {total}"
         )
     meta = {
         "solver": "profile",
@@ -346,7 +333,7 @@ def solve(
         "wall_time_s": time.perf_counter() - t0,
     }
     log.info(
-        "profile solve: k=%d n=%d ell=%d threads=%d profiles=%d weight=%d",
-        k, n, L, threads, emitted, total,
+        "profile solve: k=%d n=%d ell=%d profiles=%d weight=%d",
+        k, n, L, emitted, total,
     )
     return SolveResult.build(instance, relation, meta)

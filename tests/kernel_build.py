@@ -1,9 +1,9 @@
 """Build the compiled search kernel in place before the suite imports vapep.
 
-``setup.py build_ext --inplace`` compiles ``vapep._kernels._core`` from
-``_core.pyx`` (with Cython) or the committed ``_core.c`` (without), next to
-its sources, so ``PYTHONPATH=src`` picks it up.  setuptools skips the build
-when the extension is newer than its sources.
+``setup.py build_ext --inplace`` compiles ``vapep._kernels._core`` from the
+hand-written ``_core.c``, next to its sources, so ``PYTHONPATH=src`` picks it
+up.  setuptools skips the build when the extension is newer than its
+sources.
 """
 import shutil
 import subprocess
