@@ -2,10 +2,10 @@
 
 Runs the profile solver over generated instances with every available
 backend and prints a small table: median wall time per backend, the median
-nanoseconds per enumerated profile (wall time over
-`meta["profiles_enumerated"]`, so it includes preparation and `evaluate`
-calls), plus the speedup of the compiled kernel when both are present.
-Totals are checked to match across backends while we are at it.
+number of search nodes the kernel entered, the median nanoseconds per node
+(wall time over nodes, so it includes preparation and `evaluate` calls),
+plus the speedup of the compiled kernel when both are present.  Totals and
+node counts are checked to match across backends while we are at it.
 
 Usage:
     python3 benchmarks/kernel_bench.py
@@ -18,13 +18,28 @@ import argparse
 import statistics
 import time
 
-from vapep import GeneratorConfig, available_backends, generate, solve
+from vapep import GeneratorConfig, available_backends, generate, get_backend, solve
 
 
 def time_solve(inst, backend: str, ell) -> tuple[float, int, int]:
-    t0 = time.perf_counter()
-    res = solve(inst, ell=ell, backend=backend)
-    return time.perf_counter() - t0, res.total_weight, res.meta["profiles_enumerated"]
+    """Wall time, total weight and kernel nodes of one solve."""
+    kernel = get_backend(backend)
+    search = kernel.profile_search
+    nodes = []
+
+    def counted(*args):
+        out = search(*args)  # (leaves, incumbent, nodes, cuts)
+        nodes.append(out[2])
+        return out
+
+    kernel.profile_search = counted
+    try:
+        t0 = time.perf_counter()
+        res = solve(inst, ell=ell, backend=backend)
+        dt = time.perf_counter() - t0
+    finally:
+        kernel.profile_search = search
+    return dt, res.total_weight, nodes[0]
 
 
 def main() -> int:
@@ -40,30 +55,32 @@ def main() -> int:
     backends = available_backends()
     sizes = [int(v) for v in args.n.split(",") if v.strip()]
     print(f"backends: {', '.join(backends)}")
-    print(f"{'n':>6} {'k':>3}", end="")
+    print(f"{'n':>6} {'k':>3} {'nodes':>9}", end="")
     for b in backends:
-        print(f" {b + ' (ms)':>14} {b + ' (ns/prof)':>18}", end="")
+        print(f" {b + ' (ms)':>14} {b + ' (ns/node)':>18}", end="")
     if len(backends) > 1:
         print(f" {'speedup':>8}", end="")
     print()
 
     for n in sizes:
         per_backend = {b: [] for b in backends}
-        per_profile = {b: [] for b in backends}
+        per_node = {b: [] for b in backends}
+        node_counts = []
         for seed in range(args.seeds):
             inst = generate(GeneratorConfig(n=n, k=args.k, seed=seed))
-            totals = set()
+            seen = set()
             for b in backends:
-                dt, total, profiles = time_solve(inst, b, args.ell)
+                dt, total, nodes = time_solve(inst, b, args.ell)
                 per_backend[b].append(dt)
-                per_profile[b].append(dt * 1e9 / max(profiles, 1))
-                totals.add(total)
-            if len(totals) != 1:
+                per_node[b].append(dt * 1e9 / max(nodes, 1))
+                seen.add((total, nodes))
+            if len(seen) != 1:
                 raise SystemExit(f"backends disagree on n={n} seed={seed}")
+            node_counts.append(nodes)
         meds = {b: statistics.median(ts) for b, ts in per_backend.items()}
-        print(f"{n:>6} {args.k:>3}", end="")
+        print(f"{n:>6} {args.k:>3} {statistics.median(node_counts):>9.0f}", end="")
         for b in backends:
-            print(f" {meds[b] * 1000:>14.2f} {statistics.median(per_profile[b]):>18.1f}",
+            print(f" {meds[b] * 1000:>14.2f} {statistics.median(per_node[b]):>18.1f}",
                   end="")
         if len(backends) > 1 and meds.get("cython"):
             print(f" {meds['python'] / meds['cython']:>7.1f}x", end="")

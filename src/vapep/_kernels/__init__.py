@@ -6,7 +6,7 @@ The compiled backend is named "cython" after the tool that once generated
 it: the name is kept as the backend label in solver output, which pinned
 outputs compare byte for byte.  APEP_KERNEL=python|cython forces a choice,
 and solve(..., backend=...) overrides per call.  Both implementations
-enumerate in the same order and produce identical results.
+search in the same order and produce identical results.
 """
 import os
 

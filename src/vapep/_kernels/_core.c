@@ -1,8 +1,10 @@
 /* Compiled search kernels, a hand-written CPython extension.
  *
  * Statement-for-statement mirror of the pure-Python twin in _ref.py: same
- * enumeration order, same pruning, same tie handling, so both backends
- * return bit-identical results.  Keep the two files in sync.
+ * search order, same bounds and cuts, same tie handling, so both backends
+ * make the same `evaluate` calls and return bit-identical results and
+ * search counters.  Keep the two files in sync; _ref.py documents the
+ * profile search's bound.
  *
  * Every input is copied into int64 buffers and checked before a search
  * starts, so the loops never index out of bounds: malformed input raises
@@ -126,26 +128,32 @@ static inline i64 penalty(const Cons *c, Py_ssize_t i, i64 z)
     return z <= tl ? tab[z - 1] : tab[tl - 1] + c->pslopes[i] * (z - tl);
 }
 
-/* Constraint weight of a complete profile from its running counters. */
-static inline i64 profile_weight(const Cons *c, const i64 *cntA, const i64 *cntB,
-                                 i64 m_assigned)
+/* Lower bound on the constraint weight of every profile below node j, from
+   the running counters and the remaining budget b; *mono gets the part that
+   never falls as counts grow.  At a leaf it is the exact weight. */
+static inline i64 node_bound(const Cons *c, const i64 *cntA, const i64 *cntB,
+                             i64 m_assigned, const i64 *last, Py_ssize_t j, i64 b,
+                             int leaf, i64 *mono)
 {
-    i64 cw = 0, z;
+    i64 mo = 0, rest = 0, z;
     for (Py_ssize_t i = 0; i < c->C; i++) {
         switch (c->kinds[i]) {
         case 0: z = cntA[i]; break;  /* shared users */
         case 1: z = cntA[i] >= cntB[i] ? cntA[i] : cntB[i]; break;  /* one-sided max */
-        case 2: cw += cntA[i] == 0 && cntB[i] == 0 ? c->tvals[i] : 0; continue;  /* equal */
-        case 3: cw += cntA[i] == 0 ? c->tvals[i] : 0; continue;  /* disjoint */
+        case 2: rest += leaf && cntA[i] == 0 && cntB[i] == 0 ? c->tvals[i] : 0; continue;  /* equal */
+        case 3: rest += leaf && cntA[i] == 0 ? c->tvals[i] : 0; continue;  /* disjoint */
         case 4: z = cntA[i] - c->tvals[i]; break;  /* cardinality above t */
-        case 5: z = c->tvals[i] - cntA[i]; break;  /* cardinality below t */
+        case 5:  /* cardinality below t, less what may still come */
+            rest += penalty(c, i, c->tvals[i] - cntA[i] - (j <= last[i] ? b : 0));
+            continue;
         default:  /* assigned-user count */
             z = m_assigned;
-            if (c->pkinds[i] == 2) { cw += z * z; continue; }
+            if (c->pkinds[i] == 2) { mo += z * z; continue; }
         }
-        cw += penalty(c, i, z);
+        mo += penalty(c, i, z);
     }
-    return cw;
+    *mono = mo;
+    return mo + rest;
 }
 
 /* Constraint weight of a complete relation; rmask[r] holds the users of r. */
@@ -215,26 +223,29 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
 {
     int k;
     i64 ell;
-    PyObject *subs_o, *minw_o, *kinds, *tvals, *pkinds, *pslopes, *ptables;
+    PyObject *subs_o, *cheap_o, *kinds, *tvals, *pkinds, *pslopes, *ptables;
     PyObject *clsA_o, *clsB_o, *sufun_o, *evaluate;
     if (!PyArg_ParseTuple(args, "iLOOOOOOOOOOO:profile_search", &k, &ell,
-                          &subs_o, &minw_o, &kinds, &tvals, &pkinds, &pslopes,
+                          &subs_o, &cheap_o, &kinds, &tvals, &pkinds, &pslopes,
                           &ptables, &clsA_o, &clsB_o, &sufun_o, &evaluate))
         return NULL;
     if (k < 0 || k > 63) return PyErr_Format(PyExc_ValueError, "k=%d is outside 0..63", k);
+    if (ell < 0 || ell >= PY_SSIZE_T_MAX)
+        return PyErr_Format(PyExc_ValueError, "ell=%lld is out of range", ell);
     Py_ssize_t M = PyObject_Length(subs_o);
     if (M < 0) return NULL;
-    Cons cons = {0}; Ragged clsA = {0}, clsB = {0};
-    i64 *subs = NULL, *minw = NULL, *sufun = NULL, *cntA = NULL, *cntB = NULL;
+    Cons cons = {0}; Ragged cheap = {0}, clsA = {0}, clsB = {0};
+    i64 *subs = NULL, *sufun = NULL, *last = NULL, *cntA = NULL, *cntB = NULL;
     i64 *val = NULL, *budb = NULL, *olbb = NULL;
     u64 *covb = NULL;
     PyObject *inc = NULL, *result = NULL;
     if (cons_load(&cons, kinds, tvals, pkinds, pslopes, ptables) < 0
         || !(subs = as_i64(subs_o, M, -1, "subs"))
-        || !(minw = as_i64(minw_o, M, -1, "minw"))
+        || flatten(cheap_o, M, ell + 1, -1, "cheap", &cheap) < 0
         || !(sufun = as_i64(sufun_o, M + 1, -1, "sufun"))
         || flatten(clsA_o, M, -1, cons.C, "clsA", &clsA) < 0
         || flatten(clsB_o, M, -1, cons.C, "clsB", &clsB) < 0
+        || !(last = zalloc(cons.C, sizeof(i64)))  /* the last level bumping counter A */
         || !(cntA = zalloc(cons.C, sizeof(i64)))
         || !(cntB = zalloc(cons.C, sizeof(i64)))
         || !(val = zalloc(M + 1, sizeof(i64)))
@@ -243,38 +254,51 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         || !(olbb = zalloc(M + 2, sizeof(i64)))  /* authorization lower bound entering each level */
         || !(inc = PyLong_FromLongLong(C_INF)))
         goto done;
+    for (Py_ssize_t i = 0; i < cons.C; i++) last[i] = -1;
+    for (Py_ssize_t j = 0; j < M; j++)
+        for (Py_ssize_t p = clsA.off[j]; p < clsA.off[j + 1]; p++) last[clsA.flat[p]] = j;
     const u64 full = ((u64)1 << k) - 1;
-    i64 m_assigned = 0, emitted = 0, inc_c = C_INF;
+    i64 m_assigned = 0, leaves = 0, nodes = 0, cuts = 0, inc_c = C_INF;
+    int stop = 0;  /* the parent level's count loop ends */
     budb[0] = ell;
     Py_ssize_t j = 0;
     int down = 1;
     while (1) {
         if (down) {
+            nodes++;
             i64 b = budb[j];
-            if (b == 0 || j == M) {
-                if (covb[j] == full) {
-                    emitted++;
-                    i64 cw = profile_weight(&cons, cntA, cntB, m_assigned);
-                    if (cw + olbb[j] < inc_c
-                        && evaluate_leaf(evaluate, val, j, cw, &inc, &inc_c) < 0)
-                        goto done;
-                }
+            u64 cov = covb[j];
+            int leaf = b == 0 || j == M;
+            if (leaf ? cov != full : (full & ~(cov | (u64)sufun[j])) != 0) {
                 down = 0; j--; continue;
             }
-            u64 cov = covb[j];
-            if (full & ~(cov | (u64)sufun[j])) { down = 0; j--; continue; }
-            val[j] = 0;
-            covb[j + 1] = cov;
-            budb[j + 1] = b;
-            olbb[j + 1] = olbb[j];
-            j++;
-            continue;
+            i64 mono, bound = node_bound(&cons, cntA, cntB, m_assigned, last, j, b, leaf, &mono);
+            i64 olb = olbb[j];
+            if (mono + olb >= inc_c) {
+                cuts++;
+                stop = 1;
+            } else if (leaf) {
+                leaves++;
+                if (bound + olb < inc_c
+                    && evaluate_leaf(evaluate, val, j, bound, &inc, &inc_c) < 0)
+                    goto done;
+            } else if (bound + olb >= inc_c) {
+                cuts++;
+            } else {
+                val[j] = 0;
+                covb[j + 1] = cov;
+                budb[j + 1] = b;
+                olbb[j + 1] = olb;
+                j++;
+                continue;
+            }
+            down = 0; j--; continue;
         }
         /* backtracking */
         if (j < 0) break;
         i64 c = val[j];
         if (c) { bump(&clsA, j, cntA, -c); bump(&clsB, j, cntB, -c); m_assigned -= c; }
-        if (c >= budb[j]) { val[j] = 0; j--; continue; }
+        if (stop || c >= budb[j]) { stop = 0; val[j] = 0; j--; continue; }
         c++;
         val[j] = c;
         bump(&clsA, j, cntA, c);
@@ -282,16 +306,17 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         m_assigned += c;
         budb[j + 1] = budb[j] - c;
         covb[j + 1] = covb[j] | (u64)subs[j];
-        olbb[j + 1] = olbb[j] + c * minw[j];
+        olbb[j + 1] = olbb[j] + cheap.flat[cheap.off[j] + c];
         j++;
         down = 1;
     }
-    result = Py_BuildValue("(LO)", emitted, inc);
+    result = Py_BuildValue("(LOLL)", leaves, inc, nodes, cuts);
 done:
     Py_XDECREF(inc);
     cons_free(&cons);
+    PyMem_Free(cheap.flat); PyMem_Free(cheap.off);
     PyMem_Free(clsA.flat); PyMem_Free(clsA.off); PyMem_Free(clsB.flat); PyMem_Free(clsB.off);
-    PyMem_Free(subs); PyMem_Free(minw); PyMem_Free(sufun); PyMem_Free(cntA); PyMem_Free(cntB);
+    PyMem_Free(subs); PyMem_Free(sufun); PyMem_Free(last); PyMem_Free(cntA); PyMem_Free(cntB);
     PyMem_Free(val); PyMem_Free(budb); PyMem_Free(covb); PyMem_Free(olbb);
     return result;
 }

@@ -1,10 +1,11 @@
 """Pure-Python search kernels, the executable spec of the compiled ones.
 
-Two hot loops live here: the profile enumeration behind the profile solver
-and the relation enumeration behind the exhaustive solver.  The compiled
-module, hand-written C in ``_core.c``, mirrors both loops statement for
-statement; any change here must be made there as well so the backends stay
-bit-identical.
+Two hot loops live here: the branch and bound over user profiles behind the
+profile solver and the relation enumeration behind the exhaustive solver.
+The compiled module, hand-written C in ``_core.c``, mirrors both loops
+statement for statement; any change here must be made there as well so the
+backends stay bit-identical, down to every `evaluate` call and search
+counter.
 """
 from __future__ import annotations
 
@@ -13,24 +14,56 @@ NAME = "python"
 INF = 1 << 62
 
 
-def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
+def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
                    clsA, clsB, sufun, evaluate):
-    """Enumerate complete user profiles with at most `ell` assigned users.
+    """Branch and bound over complete user profiles with at most `ell`
+    assigned users.
 
     Levels follow `subs` (non-empty subset masks in (popcount, value) order);
-    counts per level are tried ascending, so profiles stream in ascending
-    lexicographic order of their count vectors.  Once the budget hits zero the
-    remaining levels are implicitly zero and the leaf is emitted immediately.
+    counts per level are tried ascending, so profiles are reached in
+    ascending lexicographic order of their count vectors.  Once the budget
+    hits zero the remaining levels are implicitly zero and the node is a
+    leaf.  `cheap[j][c]` (c = 0..ell) is a lower bound on the authorization
+    cost of c users holding subs[j]: the summed cost of the c cheapest.
 
-    Per emitted profile the constraint weight is computed from running
-    counters; `evaluate(pairs, cw)` is only called when cw plus an additive
-    lower bound on the authorization cost still beats the incumbent, and
-    returns the updated incumbent.  Emission count is a function of (k, ell)
-    alone.  Returns (emitted, incumbent).
+    Each node gets a lower bound on the weight of every profile below it:
+    the authorization bound, the weight of the terms that never fall as
+    counts grow (`sod_u`, `bod_u`, `card_ub`, `user_count`), and each
+    `card_lb` shortfall less the remaining budget when a remaining level
+    holds its resource.  A node whose bound reaches the incumbent is cut;
+    when the never-falling part alone reaches it, every larger count at the
+    parent level would be cut too, so the parent's count loop stops.  The
+    rest (`card_lb`, and at a leaf `sod_e` and `bod_e`) may fall as that
+    count grows, so it never stops the loop.
+
+    At a complete leaf the bound is the exact constraint weight cw plus the
+    authorization bound; `evaluate(pairs, cw)` is only called when that
+    still beats the incumbent, and returns the updated incumbent.  When
+    evaluate never returns less than that bound, cuts only drop profiles
+    that could not beat the incumbent strictly, so the incumbent changes at
+    the same profiles as in the full enumeration.
+    Returns (leaves, incumbent, nodes, cuts): complete leaves tested against
+    the incumbent, the incumbent, nodes entered, and nodes cut by the bound.
     """
     M = len(subs)
     C = len(kinds)
     full = (1 << k) - 1
+    last = [-1] * C  # the last level bumping counter A of each constraint
+    for jj in range(M):
+        for i in clsA[jj]:
+            last[i] = jj
+
+    def penalty(i, z):
+        if z <= 0:
+            return 0
+        if pkinds[i] == 1:
+            tab = ptables[i]
+            tl = len(tab)
+            if z <= tl:
+                return tab[z - 1]
+            return tab[tl - 1] + pslopes[i] * (z - tl)
+        return pslopes[i] * z
+
     cntA = [0] * C
     cntB = [0] * C
     m_assigned = 0
@@ -39,71 +72,75 @@ def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
     covb = [0] * (M + 2)  # coverage mask entering each level
     olbb = [0] * (M + 2)  # authorization lower bound entering each level
     budb[0] = ell
-    emitted = 0
+    leaves = nodes = cuts = 0
     inc = INF
+    stop = False  # the parent level's count loop ends
     j = 0
     down = True
     while True:
         if down:
+            nodes += 1
             b = budb[j]
-            if b == 0 or j == M:
-                cov = covb[j]
-                if cov == full:
-                    emitted += 1
-                    cw = 0
-                    for i in range(C):
-                        kd = kinds[i]
-                        if kd == 0:  # shared users
-                            z = cntA[i]
-                        elif kd == 1:  # larger one-sided difference
-                            a = cntA[i]
-                            bb = cntB[i]
-                            z = a if a >= bb else bb
-                        elif kd == 2:  # equal assignments
-                            if cntA[i] == 0 and cntB[i] == 0:
-                                cw += tvals[i]
-                            continue
-                        elif kd == 3:  # disjoint assignments
-                            if cntA[i] == 0:
-                                cw += tvals[i]
-                            continue
-                        elif kd == 4:  # cardinality above t
-                            z = cntA[i] - tvals[i]
-                        elif kd == 5:  # cardinality below t
-                            z = tvals[i] - cntA[i]
-                        else:  # assigned-user count
-                            z = m_assigned
-                            if pkinds[i] == 2:
-                                cw += z * z
-                                continue
-                        if z > 0:
-                            if pkinds[i] == 1:
-                                tab = ptables[i]
-                                tl = len(tab)
-                                if z <= tl:
-                                    cw += tab[z - 1]
-                                else:
-                                    cw += tab[tl - 1] + pslopes[i] * (z - tl)
-                            else:
-                                cw += pslopes[i] * z
-                    if cw + olbb[j] < inc:
-                        pairs = [(jj, val[jj]) for jj in range(j) if val[jj]]
-                        r = evaluate(pairs, cw)
-                        if r < inc:
-                            inc = r
-                down = False
-                j -= 1
-                continue
             cov = covb[j]
-            if full & ~(cov | sufun[j]):
+            leaf = b == 0 or j == M
+            if cov != full if leaf else full & ~(cov | sufun[j]):
                 down = False
                 j -= 1
                 continue
-            val[j] = 0
-            covb[j + 1] = cov
-            budb[j + 1] = b
-            olbb[j + 1] = olbb[j]
-            j += 1
+            mono = 0  # terms that never fall as counts grow
+            rest = 0  # card_lb bounds; at a leaf, the exact remaining weight
+            for i in range(C):
+                kd = kinds[i]
+                if kd == 0:  # shared users
+                    z = cntA[i]
+                elif kd == 1:  # larger one-sided difference
+                    a = cntA[i]
+                    bb = cntB[i]
+                    z = a if a >= bb else bb
+                elif kd == 2:  # equal assignments
+                    if leaf and cntA[i] == 0 and cntB[i] == 0:
+                        rest += tvals[i]
+                    continue
+                elif kd == 3:  # disjoint assignments
+                    if leaf and cntA[i] == 0:
+                        rest += tvals[i]
+                    continue
+                elif kd == 4:  # cardinality above t
+                    z = cntA[i] - tvals[i]
+                elif kd == 5:  # cardinality below t, less what may still come
+                    z = tvals[i] - cntA[i]
+                    if j <= last[i]:
+                        z -= b
+                    rest += penalty(i, z)
+                    continue
+                else:  # assigned-user count
+                    z = m_assigned
+                    if pkinds[i] == 2:
+                        mono += z * z
+                        continue
+                mono += penalty(i, z)
+            olb = olbb[j]
+            if mono + olb >= inc:
+                cuts += 1
+                stop = True
+            elif leaf:
+                leaves += 1
+                if mono + rest + olb < inc:
+                    pairs = [(jj, val[jj]) for jj in range(j) if val[jj]]
+                    r = evaluate(pairs, mono + rest)
+                    if r < inc:
+                        inc = r
+            elif mono + rest + olb >= inc:
+                cuts += 1
+            else:
+                val[j] = 0
+                covb[j + 1] = cov
+                budb[j + 1] = b
+                olbb[j + 1] = olb
+                j += 1
+                continue
+            down = False
+            j -= 1
             continue
         # backtracking
         if j < 0:
@@ -115,7 +152,8 @@ def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
             for i in clsB[j]:
                 cntB[i] -= c
             m_assigned -= c
-        if c >= budb[j]:
+        if stop or c >= budb[j]:
+            stop = False
             val[j] = 0
             j -= 1
             continue
@@ -128,10 +166,10 @@ def profile_search(k, ell, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
         m_assigned += c
         budb[j + 1] = budb[j] - c
         covb[j + 1] = covb[j] | subs[j]
-        olbb[j + 1] = olbb[j] + c * minw[j]
+        olbb[j + 1] = olbb[j] + cheap[j][c]
         j += 1
         down = True
-    return emitted, inc
+    return leaves, inc, nodes, cuts
 
 
 def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,

@@ -443,14 +443,20 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
-def _group_pairs(pairs, shape: str) -> dict[str, list]:
+def _group_pairs(pairs, shape: str, names: list) -> dict[str, list]:
     """Authorization pairs grouped per user, in first-seen order; AuthCost
-    turns each list into a frozenset, which drops repeated pairs."""
+    turns each list into a frozenset, which drops repeated pairs.
+
+    A user that is one of `names` is keyed by that string object rather
+    than by the equal copy the pair holds, so the grouped dict adds no
+    string of its own."""
+    canon = {u: u for u in names if isinstance(u, str)}
     base: dict[str, list] = {}
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2):
             raise ValueError(f"auth.pairs entries must be {shape}")
-        base.setdefault(p[0], []).append(p[1])
+        u = p[0]
+        base.setdefault(canon.get(u, u), []).append(p[1])
     return base
 
 
@@ -465,7 +471,7 @@ def instance_from_doc(doc: dict) -> Instance:
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
-    base = _group_pairs(auth_doc.get("pairs", []), "[user, resource]")
+    base = _group_pairs(auth_doc.get("pairs", []), "[user, resource]", doc["users"])
     pp = auth_doc.get("pair_penalty", 1)
     if isinstance(pp, list):
         users, resources = doc["users"], doc["resources"]

@@ -3,9 +3,12 @@
 A complete relation is determined up to user identity by its profile (how
 many users hold each subset); constraint weight only depends on the profile,
 and the cheapest relation realizing a profile is a min-cost assignment of
-subset slots to users.  Enumerating all complete profiles with at most `ell`
+subset slots to users.  Searching all complete profiles with at most `ell`
 assigned users is therefore exact whenever some optimum uses at most `ell`
-users, and the enumeration size C(ell + 2^k - 1, ell) is independent of n.
+users.  The profile space, C(ell + 2^k - 1, ell) profiles, is independent
+of n; the kernel walks it depth first and cuts every subtree whose lower
+bound (constraint terms that only grow, `card_lb` shortfalls less the
+remaining budget, the cheapest users per subset) reaches the incumbent.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import heapq
 import logging
 import math
 import time
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from . import _kernels
@@ -37,6 +41,17 @@ def count_profiles(k: int, ell: int) -> int:
     if k < 0 or ell < 0:
         raise ValueError("need k >= 0 and ell >= 0")
     return math.comb(ell + (1 << k) - 1, ell)
+
+
+def count_complete_profiles(k: int, ell: int) -> int:
+    """Number of those profiles that cover all k resources, by
+    inclusion-exclusion over the t resources left uncovered."""
+    if k < 0 or ell < 0:
+        raise ValueError("need k >= 0 and ell >= 0")
+    return sum(
+        (-1) ** t * math.comb(k, t) * math.comb(ell + (1 << (k - t)) - 1, ell)
+        for t in range(k + 1)
+    )
 
 
 def enumerate_profiles(
@@ -247,8 +262,10 @@ class _Search:
         self.cands = cands
         self.incumbent = INF
         self.best_pairs = None
+        self.calls = 0
 
     def evaluate(self, pairs, cw):
+        self.calls += 1
         inst = self.instance
         m = sum(c for _, c in pairs)
         cols: set[int] = set()
@@ -279,7 +296,16 @@ def solve(
     threads: int = 1,
     backend: Optional[str] = None,
 ) -> SolveResult:
-    """Exact minimum-weight complete relation via profile enumeration.
+    """Exact minimum-weight complete relation via profile search.
+
+    The kernel searches complete profiles with at most ell users by branch
+    and bound and keeps the lexicographically first optimal profile, the
+    one a full enumeration would keep; `best_relation_for_profile` then
+    picks its relation with the lexicographic tie-break.
+    `meta["profiles_enumerated"]` is the number of complete profiles in the
+    space, a function of (k, ell) alone, not the number the search visited;
+    that work (nodes, leaves, bound cuts and `evaluate` calls) goes to the
+    log at INFO level.
 
     `threads` is accepted for compatibility and has no effect: the search
     runs on one thread, and the result is the same for every value.
@@ -304,7 +330,11 @@ def solve(
             f"(optimal only among solutions with that many users) or cut k"
         )
     by_cost = cheapest_users(instance, subs, L)
-    minw = [instance.omega_mask(us[0], mask) for us, mask in zip(by_cost, subs)]
+    # cheap[j][c]: summed cost of the c cheapest users for subs[j], c = 0..L
+    cheap = [
+        list(accumulate((instance.omega_mask(u, mask) for u in us), initial=0))
+        for us, mask in zip(by_cost, subs)
+    ]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     clsA, clsB = _level_classes(kinds, rA, rB, subs)
     sufun = [0] * (M + 1)
@@ -312,8 +342,8 @@ def solve(
         sufun[j] = sufun[j + 1] | subs[j]
 
     st = _Search(instance, subs, by_cost)
-    emitted, _ = kb.profile_search(
-        k, L, subs, minw, kinds, tvals, pkinds, pslopes, ptables,
+    leaves, _, nodes, cuts = kb.profile_search(
+        k, L, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
         clsA, clsB, sufun, st.evaluate,
     )
 
@@ -325,15 +355,17 @@ def solve(
         raise RuntimeError(
             f"internal: search total {st.incumbent} != reconstructed {total}"
         )
+    profiles = count_complete_profiles(k, L)
     meta = {
         "solver": "profile",
         "backend": kb.NAME,
         "ell": L,
-        "profiles_enumerated": emitted,
+        "profiles_enumerated": profiles,
         "wall_time_s": time.perf_counter() - t0,
     }
     log.info(
-        "profile solve: k=%d n=%d ell=%d profiles=%d weight=%d",
-        k, n, L, emitted, total,
+        "profile solve: k=%d n=%d ell=%d profiles=%d nodes=%d leaves=%d "
+        "bound_cuts=%d evaluate_calls=%d weight=%d",
+        k, n, L, profiles, nodes, leaves, cuts, st.calls, total,
     )
     return SolveResult.build(instance, relation, meta)

@@ -417,7 +417,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"plan instance needs a {key!r} list")
     auth_doc = doc.get("auth", {})
     _reject_unknown(auth_doc, {"pairs", "pair_penalty"}, "auth")
-    base = _group_pairs(auth_doc.get("pairs", []), "[user, step]")
+    base = _group_pairs(auth_doc.get("pairs", []), "[user, step]", doc["users"])
     pp = auth_doc.get("pair_penalty", 1)
     cons = []
     for idx, entry in enumerate(doc.get("constraints", [])):

@@ -119,6 +119,22 @@ def exhaustive_optimum(inst) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------------
+# profile-space oracle: the first optimum in lexicographic profile order
+
+def first_optimum(inst, ell: int):
+    """(relation, weight) of the first optimal complete profile with at most
+    ell users, taken from every such profile in lexicographic order with no
+    bound.  It shares the public profile stream and reconstruction with the
+    profile solver, but none of its search."""
+    best = None
+    for usr in vapep.enumerate_profiles(inst.k, ell, inst.n, require_complete=True):
+        rel, weight = vapep.best_relation_for_profile(inst, usr)
+        if best is None or weight < best[1]:
+            best = rel, weight
+    return best
+
+
+# --------------------------------------------------------------------------
 # matching oracle: flat minimum over injections, lexicographic tie-break
 
 def injection_optimum(costs) -> tuple[tuple[int, ...], int]:
@@ -286,6 +302,19 @@ def rand_instance(
     else:
         auth = vapep.AuthCost(base, rng.randint(0, 4))
     return vapep.Instance(resources, users, tuple(cons), auth)
+
+
+def with_custom_cost(rng, inst):
+    """The instance with a seeded custom authorization cost: a per-user
+    multiple of the unauthorized resources, plus one for any assignment."""
+    base = inst.auth.base
+    scale = {u: rng.randint(0, 3) for u in inst.users}
+
+    def custom(u, rs):
+        return scale[u] * len(rs - base.get(u, frozenset())) + min(len(rs), 1)
+
+    return vapep.Instance(inst.resources, inst.users, inst.constraints,
+                          vapep.AuthCost(base, 1, custom=custom))
 
 
 def rand_complete_mapping(rng, inst) -> dict:

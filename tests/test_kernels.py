@@ -4,6 +4,7 @@ import random
 import subprocess
 import sysconfig
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -87,9 +88,11 @@ def test_brute_solver_backends_bit_identical():
 # --------------------------------------------------------------------------
 # the kernels called directly, outside the solvers
 
-def _kernel_case(rng, k, n):
+def _kernel_case(rng, k, n, ell):
     """Random constraints compiled for the kernels, and seeded
-    profile-search inputs over them (all but k, ell and evaluate)."""
+    profile-search inputs over them (all but k, ell and evaluate).  The
+    authorization rows are prefix sums of sorted random costs, as the solver
+    builds them, one entry per count 0..ell."""
     resources = tuple(f"r{i + 1}" for i in range(k))
     users = tuple(f"u{j + 1}" for j in range(n))
     cons = [c for c in (helpers.rand_constraint(rng, resources)
@@ -102,9 +105,10 @@ def _kernel_case(rng, k, n):
     sufun = [0] * (len(subs) + 1)
     for j in range(len(subs) - 1, -1, -1):
         sufun[j] = sufun[j + 1] | subs[j]
-    minw = [rng.randint(0, 3) for _ in subs]
+    cheap = [list(accumulate(sorted(rng.randint(0, 3) for _ in range(ell)), initial=0))
+             for _ in subs]
     return (kinds, tvals, pkinds, pslopes, ptables, rA, rB), (
-        subs, minw, kinds, tvals, pkinds, pslopes, ptables, clsA, clsB, sufun)
+        subs, cheap, kinds, tvals, pkinds, pslopes, ptables, clsA, clsB, sufun)
 
 
 def _recording_evaluate(seed):
@@ -126,17 +130,20 @@ def test_kernels_agree_call_for_call():
     rng = random.Random(71)
     kinds_seen, pkinds_seen, ks_seen = set(), set(), set()
     full_ell = False
+    cut_cases = lb_cut_cases = 0
     for case in range(48):
         k = 1 + case % 4
         n = rng.randint(1, 5 if k == 4 else 7)
         ell = n if case % 3 == 0 else rng.randint(0, n)
-        cons, args = _kernel_case(rng, k, n)
+        cons, args = _kernel_case(rng, k, n, ell)
         results = []
         for name in ("python", "cython"):
             evaluate, calls = _recording_evaluate(case)
             out = get_backend(name).profile_search(k, ell, *args, evaluate)
             results.append((out, calls))
         assert results[0] == results[1], (case, k, n, ell)
+        cut_cases += results[0][0][3] > 0
+        lb_cut_cases += results[0][0][3] > 0 and 5 in cons[0]
         kinds_seen.update(cons[0])
         pkinds_seen.update(cons[2])
         ks_seen.add(k)
@@ -153,10 +160,13 @@ def test_kernels_agree_call_for_call():
         ]
         assert brute[0] == brute[1], (case, k, nb)
     # the seeded cases reach every constraint kind and every penalty kind
-    # (0 slope, 1 table, 2 quadratic), k = 1..4 and ell = n
+    # (0 slope, 1 table, 2 quadratic), k = 1..4 and ell = n; the bound cuts
+    # nodes, also in cases with a card_lb, whose shortfall falls while its
+    # last level (the full mask) is counted
     assert kinds_seen == set(range(7))
     assert pkinds_seen == {0, 1, 2}
     assert ks_seen == {1, 2, 3, 4} and full_ell
+    assert cut_cases >= 20 and lb_cut_cases >= 8, (cut_cases, lb_cut_cases)
 
 
 class _Boom(Exception):
@@ -171,7 +181,7 @@ def _raise_on_call(pairs, cw):
 def test_kernel_evaluate_errors_propagate(name):
     kb = get_backend(name)
     rng = random.Random(72)
-    cons, args = _kernel_case(rng, 3, 5)
+    cons, args = _kernel_case(rng, 3, 5, 5)
     with pytest.raises(_Boom):
         kb.profile_search(3, 5, *args, _raise_on_call)
     evaluate, calls = _recording_evaluate(0)
@@ -184,13 +194,13 @@ def test_kernel_evaluate_errors_propagate(name):
 @needs_compiler
 def test_compiled_kernel_rejects_malformed_input():
     kb = get_backend("cython")
-    cons, args = _kernel_case(random.Random(73), 3, 4)
-    subs, minw, kinds, tvals, pkinds, pslopes, ptables, clsA, clsB, sufun = args
+    cons, args = _kernel_case(random.Random(73), 3, 4, 4)
+    subs, cheap, kinds, tvals, pkinds, pslopes, ptables, clsA, clsB, sufun = args
     C, M = len(kinds), len(subs)
     evaluate, _ = _recording_evaluate(0)
 
     def search(k=3, **over):
-        a = dict(subs=subs, minw=minw, kinds=kinds, tvals=tvals, pkinds=pkinds,
+        a = dict(subs=subs, cheap=cheap, kinds=kinds, tvals=tvals, pkinds=pkinds,
                  pslopes=pslopes, ptables=ptables, clsA=clsA, clsB=clsB,
                  sufun=sufun)
         a.update(over)
@@ -203,11 +213,19 @@ def test_compiled_kernel_rejects_malformed_input():
     with pytest.raises(ValueError):
         search(sufun=sufun[:M])
     with pytest.raises(ValueError):
-        search(minw=minw + [0])
+        search(cheap=cheap + [cheap[0]])
     with pytest.raises(ValueError):
-        search(minw=minw[:-1])
+        search(cheap=cheap[:-1])
+    with pytest.raises(ValueError):  # a row without its count-4 entry
+        search(cheap=cheap[:-1] + [cheap[-1][:-1]])
+    with pytest.raises(ValueError):  # a row with an entry past ell
+        search(cheap=[row + [9] for row in cheap])
+    with pytest.raises(TypeError):
+        search(cheap=cheap[:-1] + [cheap[-1][:-1] + ["9"]])
     with pytest.raises(ValueError):
         search(k=64)
+    with pytest.raises(ValueError):
+        kb.profile_search(3, -1, *args, evaluate)
     # the well-formed call still runs after the rejections
     assert search() == get_backend("python").profile_search(
         3, 4, *args, _recording_evaluate(0)[0])
@@ -239,12 +257,13 @@ def test_compiled_kernel_compiles_without_warnings():
 def test_compiled_kernel_frees_buffers_on_every_path():
     # the C buffers come from PyMem, so tracemalloc sees any left behind
     kb = get_backend("cython")
-    cons, args = _kernel_case(random.Random(72), 3, 5)
+    cons, args = _kernel_case(random.Random(72), 3, 5, 5)
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = cons
     brute_args = (2, 3, [0] + args[0], [[1] * 8] * 2, kinds, rA, rB, tvals,
                   pkinds, pslopes, ptables)
     bad_cls = [list(row) for row in args[7]]
     bad_cls[0] += [0] * 7 + [-1]  # rejected after its buffer is allocated
+    bad_cheap = args[1][:-1] + [args[1][-1][:-1]]  # rejected on the last row
 
     def rounds(count):
         for _ in range(count):
@@ -254,6 +273,8 @@ def test_compiled_kernel_frees_buffers_on_every_path():
                 kb.profile_search(3, 5, *args[:-1], [0] * 3, _raise_on_call)
             with pytest.raises(ValueError):
                 kb.profile_search(3, 5, *args[:7], bad_cls, *args[8:], _raise_on_call)
+            with pytest.raises(ValueError):
+                kb.profile_search(3, 5, args[0], bad_cheap, *args[2:], _raise_on_call)
             kb.profile_search(3, 5, *args, _recording_evaluate(0)[0])
             kb.brute_search(*brute_args)
             with pytest.raises(ValueError):

@@ -654,6 +654,29 @@ def test_load_instance_restores_gc_state(tmp_path, monkeypatch):
     assert during == [False] * 4
 
 
+def test_loaded_authorizations_are_keyed_by_the_user_names(tmp_path):
+    # json.load gives every occurrence of a name its own string; the loaders
+    # key the authorizations by the objects held in `users`, so no second
+    # copy of each name stays alive with the instance
+    rng = random.Random(35)
+    inst = helpers.rand_instance(rng, n_min=5, n_max=8, k_min=2, allow_matrix=False)
+    path = tmp_path / "inst.json"
+    dump_instance(inst, str(path))
+    loaded = vapep.load_instance(str(path))
+    users = {u: u for u in loaded.users}
+    assert loaded.auth.base
+    assert all(u is users[u] for u in loaded.auth.base)
+
+    steps = ("s1", "s2")
+    w = vapep.WspInstance(steps, inst.users, (),
+                          AuthCost({u: {"s1"} for u in inst.users}, 1))
+    path = tmp_path / "plan.json"
+    vapep.dump_wsp(w, str(path))
+    plan = vapep.load_wsp(str(path))
+    users = {u: u for u in plan.users}
+    assert all(u is users[u] for u in plan.auth.base)
+
+
 # --------------------------------------------------------------------------
 # assignment serialization walks the relation in user-index order
 

@@ -1,5 +1,6 @@
 """Profile-space exact solver: counting, streaming, completion, solve."""
 import itertools
+import logging
 import math
 import random
 
@@ -41,6 +42,19 @@ def test_enumerate_matches_count():
         for ell in range(0, 7):
             got = sum(1 for _ in enumerate_profiles(k, ell, n=max(ell, 1)))
             assert got == count_profiles(k, ell)
+
+
+def test_count_complete_profiles_matches_enumeration():
+    # each profile of m users is counted by every ell >= m
+    for k in range(1, 5):
+        by_users = [0] * 9
+        for usr in enumerate_profiles(k, 8, n=8, require_complete=True):
+            by_users[usr.assigned_count()] += 1
+        for ell in range(9):
+            assert solver_profile.count_complete_profiles(k, ell) == sum(by_users[:ell + 1])
+    assert solver_profile.count_complete_profiles(3, 38) == 45347756
+    with pytest.raises(ValueError):
+        solver_profile.count_complete_profiles(2, -1)
 
 
 def test_enumeration_is_lexicographic_and_well_formed():
@@ -238,6 +252,85 @@ def test_solve_backends_agree():
             doc["meta"].pop("backend")
             docs.add(vapep.canonical_json(doc))
         assert len(docs) == 1
+
+
+@pytest.mark.parametrize("backend", vapep.available_backends())
+def test_solve_matches_unbounded_first_optimum(backend):
+    # the bounded search keeps the profile a full enumeration keeps: the
+    # same relation and weight on every constraint kind, penalty tables,
+    # uniform, per-pair and custom authorization costs
+    rng = random.Random(47)
+    kinds, costs, tested = set(), set(), 0
+    for i in range(320):
+        inst = helpers.rand_instance(rng, n_max=5, k_max=4 if i % 8 == 0 else 3,
+                                     max_cons=6)
+        if inst.k == 4 and inst.n > 3:
+            continue
+        if i % 5 == 0:
+            inst = helpers.with_custom_cost(rng, inst)
+        ell = rng.randint(1, inst.n)
+        res = solve(inst, ell=ell, backend=backend)
+        rel, weight = helpers.first_optimum(inst, ell)
+        assert res.total_weight == weight, i
+        assert res.relation.assignment == rel.assignment, i
+        tested += 1
+        kinds.update(c.kind for c in inst.constraints)
+        costs.add("custom" if inst.auth.custom else
+                  type(inst.auth.pair_penalty).__name__)
+    assert kinds == set(helpers.FAMILIES)
+    assert costs == {"int", "dict", "custom"}
+    assert tested >= 300, tested
+
+
+@pytest.mark.parametrize("backend", vapep.available_backends())
+def test_card_lb_on_the_level_being_counted(backend):
+    # r1's last level is the full mask, whose children are leaves: there
+    # the card_lb shortfall falls as the count grows, so a leaf that fails
+    # the bound must not end the count loop, or a later optimum is missed
+    base = {"u1": {"r1", "r3"}, "u2": {"r2", "r3"}, "u3": {"r1", "r3"},
+            "u4": {"r1", "r2", "r3"}, "u5": {"r1", "r2", "r3"}}
+    inst = Instance(("r1", "r2", "r3"), tuple(base), (vapep.card_lb("r1", 3, 9),),
+                    AuthCost(base, 1))
+    res = solve(inst, ell=3, backend=backend)
+    rel, weight = helpers.first_optimum(inst, 3)
+    assert res.total_weight == weight == 0
+    assert res.relation.assignment == rel.assignment
+
+
+def _evaluate_bound_instance():
+    """n=80 and k=3, sparse authorizations, a card_lb on every resource and
+    one sod_e and one bod_e: a search bound by its evaluate calls."""
+    rng = random.Random(83)
+    users = tuple(f"u{i}" for i in range(80))
+    resources = ("r0", "r1", "r2")
+    base = {u: frozenset(r for r in resources if rng.random() < 0.05) for u in users}
+    cons = [vapep.card_lb(r, rng.randint(4, 8), rng.randint(3, 9)) for r in resources]
+    cons += [vapep.sod_e("r0", "r1", 7), vapep.bod_e("r1", "r2", 5)]
+    return Instance(resources, users, tuple(cons), AuthCost(base, rng.randint(2, 6)))
+
+
+def test_evaluate_bound_instance_pinned():
+    inst = _evaluate_bound_instance()
+    results = [solve(inst, ell=14, backend=b) for b in vapep.available_backends()]
+    assert [r.total_weight for r in results] == [48] * len(results)
+    assert len({frozenset(r.relation.assignment.items()) for r in results}) == 1
+
+
+def test_solve_logs_search_counters(caplog):
+    inst = _evaluate_bound_instance()
+    with caplog.at_level(logging.INFO, logger="vapep.solver"):
+        res = solve(inst, ell=3)
+    msg = caplog.records[-1].getMessage()
+    assert msg.startswith("profile solve:")
+    fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
+    assert int(fields["profiles"]) == res.meta["profiles_enumerated"]
+    assert 0 < int(fields["leaves"]) <= int(fields["profiles"])
+    assert int(fields["nodes"]) > int(fields["leaves"])
+    assert 0 < int(fields["evaluate_calls"]) <= int(fields["leaves"])
+    assert int(fields["bound_cuts"]) > 0
+    assert fields["weight"] == str(res.total_weight)
+    doc = res.to_doc(inst)
+    assert not {"nodes", "leaves", "bound_cuts", "evaluate_calls"} & set(doc["meta"])
 
 
 def test_solve_explicit_ell_is_clamped():
