@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -277,6 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process; parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("APEP_LOG")
     if level:
@@ -284,8 +291,7 @@ def main(argv=None) -> int:
             level=getattr(logging, level.upper(), logging.INFO),
             format="%(levelname)s %(name)s: %(message)s",
         )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardError as exc:

@@ -62,6 +62,54 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         return sorted(pool[:c])
 
+    def subset_masks(self, count: int, k: int, cmax: int) -> list[int]:
+        """`count` draws of `c = randint(1, cmax)` then `sample(k, c)`, each
+        returned as the bitmask of its sample.
+
+        The stream is used exactly as those calls use it, so the masks and
+        the state left behind are the same; `next_u64` is inlined and the
+        masked-rejection parameters are computed once.
+        """
+        if not 1 <= cmax <= k:
+            raise ValueError("sample size out of range")
+        cbits = (1 << (cmax - 1).bit_length()) - 1
+        # (span, rejection mask) of the draw at sample position i
+        steps = [(k - i, (1 << (k - i - 1).bit_length()) - 1) for i in range(k)]
+        fresh = list(range(k))
+        mask64 = _MASK  # a local name is faster to load in the loop
+        s = self._state
+        out = []
+        for _ in range(count):
+            c = 1
+            if cmax > 1:
+                while True:
+                    s = (s + 0x9E3779B97F4A7C15) & mask64
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+                    v = (z ^ (z >> 31)) & cbits
+                    if v < cmax:
+                        c += v
+                        break
+            pool = fresh[:]
+            m = 0
+            for i in range(c):
+                span, bits = steps[i]
+                j = i
+                if span > 1:
+                    while True:
+                        s = (s + 0x9E3779B97F4A7C15) & mask64
+                        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+                        v = (z ^ (z >> 31)) & bits
+                        if v < span:
+                            j += v
+                            break
+                pool[i], pool[j] = pool[j], pool[i]
+                m |= 1 << pool[i]
+            out.append(m)
+        self._state = s
+        return out
+
 
 def substream(seed: int, purpose: str) -> SplitMix64:
     """Independent stream for one generation phase (FNV-1a tagged seed)."""
@@ -110,14 +158,16 @@ def generate(cfg: GeneratorConfig) -> Instance:
     """Build the relation instance for a generated attrition scenario."""
     n, k, tau, alpha = cfg.n, cfg.k, cfg.tau, cfg.alpha
     steps = tuple(f"s{i + 1}" for i in range(k))
-    users = tuple(f"u{j + 1}" for j in range(n))
+    users = tuple(map("u{}".format, range(1, n + 1)))
 
-    auth_rng = substream(cfg.seed, "auth")
-    base = {}
-    cmax = max(1, (k - 1) // 2)
-    for j in range(n):
-        c = auth_rng.randint(1, cmax)
-        base[users[j]] = frozenset(steps[i] for i in auth_rng.sample(k, c))
+    # user j holds randint(1, cmax) steps drawn by sample(k, c), in user
+    # order from the "auth" stream; equal subsets share one frozenset
+    masks = substream(cfg.seed, "auth").subset_masks(n, k, max(1, (k - 1) // 2))
+    subsets = {
+        m: frozenset(s for i, s in enumerate(steps) if m >> i & 1)
+        for m in set(masks)
+    }
+    base = dict(zip(users, map(subsets.__getitem__, masks)))
 
     scope_rng = substream(cfg.seed, "scopes")
     cons = []
@@ -135,8 +185,7 @@ def generate(cfg: GeneratorConfig) -> Instance:
         auth=AuthCost(base, 1),
     )
     inst = encode_resilient(wsp, tau, p_sod=10 * alpha, p_card=10, p_a=alpha)
-    meta = dict(inst.meta or {})
-    meta["generator"] = {
+    inst.meta = {"generator": {
         "algorithm": "splitmix64",
         "version": 1,
         "seed": cfg.seed,
@@ -145,16 +194,9 @@ def generate(cfg: GeneratorConfig) -> Instance:
         "tau": tau,
         "alpha": alpha,
         "q_sod": cfg.q_sod,
-    }
-    out = Instance(
-        resources=inst.resources,
-        users=inst.users,
-        constraints=inst.constraints,
-        auth=inst.auth,
-        meta=meta,
-    )
+    }}
     log.info(
         "generated instance: n=%d k=%d tau=%d alpha=%d q_sod=%d seed=%d",
         n, k, tau, alpha, cfg.q_sod, cfg.seed,
     )
-    return out
+    return inst

@@ -8,6 +8,8 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .constraints import (
@@ -70,9 +72,9 @@ def _index_names(names, what, cap) -> tuple[tuple, dict]:
         raise ValueError(f"at least one {what} is required")
     if len(names) > cap:
         raise ValueError(f"at most {cap} {what}s are supported")
-    valid = all(isinstance(nm, str) and nm for nm in names)
+    valid = all(map(isinstance, names, repeat(str)))
     index = dict(zip(names, range(len(names)))) if valid else {}
-    if len(index) < len(names):
+    if len(index) < len(names) or "" in index:
         # report the first bad name in list order
         seen = set()
         for nm in names:
@@ -381,7 +383,138 @@ def _assignment_doc(instance: Instance, rel: AuthorizationRelation) -> dict:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """`json.dumps(doc, indent=2) + "\n"`, written without the pure-Python
+    encoder that `json` falls back to whenever `indent` is set.
+
+    Only dict, list, tuple, str, int, float, bool and None of exactly those
+    types are written here.  A document holding anything else, or a
+    container inside itself, goes to `json.dumps` whole, so subclasses,
+    unserializable objects and circular references behave as they do there;
+    so does a document nested deeper than this writer's recursion allows.
+    """
+    out: list[str] = []
+    try:
+        _json_write(doc, "\n", set(), out)
+    except (_NotPlain, RecursionError):
+        return json.dumps(doc, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _NotPlain(Exception):
+    """The document needs `json.dumps` itself."""
+
+
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_scalar(x) -> str:
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is float:
+        return _json_float(x)
+    if t is bool or x is None:
+        return _JSON_CONSTANTS[x]
+    raise _NotPlain
+
+
+def _json_scalars(items):
+    """The JSON text of each item, or None if some item is not a scalar;
+    strings and ints are mapped in C."""
+    types = set(map(type, items))
+    if types == {str}:
+        return map(_quote, items)
+    if types == {int}:
+        return map(int.__repr__, items)
+    if types <= _JSON_SCALARS:
+        return map(_json_scalar, items)
+    return None
+
+
+def _json_key(key) -> str:
+    """json writes a non-string key as the string of its scalar text."""
+    return _quote(key if type(key) is str else _json_scalar(key))
+
+
+def _json_write(x, nl: str, path: set, out: list) -> None:
+    """Append x's text, as json.dumps(indent=2) writes it at the indent `nl`
+    ("\n" plus the current indent), to `out`; `path` holds the ids of the
+    containers x is inside.  Pieces are joined once, at the end, so no
+    large string is copied on the way up."""
+    t = type(x)
+    if t is not dict and t is not list and t is not tuple:
+        out.append(_json_scalar(x))
+        return
+    if not x:
+        out.append("{}" if t is dict else "[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if t is not dict:
+        texts = _json_scalars(x) or _json_rows(x, inner)
+        if texts is not None:
+            # joined a few thousand at a time: no list of every item's text
+            out.append("[" + inner)
+            while chunk := list(islice(texts, 4096)):
+                out.append(sep.join(chunk))
+                out.append(sep)
+            out[-1] = nl + "]"
+            return
+    if id(x) in path:
+        raise _NotPlain
+    path.add(id(x))
+    lead = inner
+    if t is dict:
+        out.append("{")
+        for key, v in x.items():
+            out.append(lead + _json_key(key) + ": ")
+            _json_write(v, inner, path, out)
+            lead = sep
+        out.append(nl + "}")
+    else:
+        out.append("[")
+        for v in x:
+            out.append(lead)
+            _json_write(v, inner, path, out)
+            lead = sep
+        out.append(nl + "]")
+    path.discard(id(x))
+
+
+def _json_rows(rows, nl: str):
+    """The text of each row, if rows are non-empty lists or tuples of one
+    length holding only scalars (such as `[user, resource]` pairs); else
+    None.  One format string writes every row."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    lengths = set(map(len, rows))
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    flat = list(chain.from_iterable(rows))
+    texts = _json_scalars(flat)
+    if texts is None:
+        return None
+    width = lengths.pop()
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * width) + nl + "]"
+    return map(row.__mod__, zip(*[texts] * width))
 
 
 # --------------------------------------------------------------------------
@@ -505,11 +638,12 @@ def instance_from_doc(doc: dict) -> Instance:
 def instance_to_doc(instance: Instance) -> dict:
     if instance.auth.custom is not None:
         raise ValueError("custom authorization costs are not serializable")
+    # each user's authorized resources in resource order, one tuple per mask
+    held = {m: instance.mask_resources(m) for m in set(instance._base_mask)}
     pairs = [
         [u, r]
-        for u in instance.users
-        for r in instance.resources
-        if r in instance.auth.base.get(u, ())
+        for u, m in zip(instance.users, instance._base_mask)
+        for r in held[m]
     ]
     pp = instance.auth.pair_penalty
     if isinstance(pp, dict):

@@ -341,3 +341,52 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["meta"]["solver"] == "profile"
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # main() keeps one parser per process; a run of subcommands, usage
+    # errors and help through it must give the exit codes, output and
+    # files of a fresh parser per call
+    script = [
+        ("generate", "--n", "12", "--k", "3", "--seed", "4", "-o", "a.json"),
+        ("solve", "--in", "a.json"),
+        ("generate",),
+        ("solve", "--in", "a.json", "--solver", "nope"),
+        ("generate", "--n", "1"),
+        ("solve", "--in", "missing.json"),
+        ("solve", "--in", "a.json", "--solver", "brute", "--ell", "2"),
+        ("export-mip", "--in", "a.json", "--form", "up", "-o", "a.lp"),
+        ("nonsense",),
+        ("solve", "--help"),
+        ("generate", "--n", "9", "--k", "2", "--alpha", "3"),
+        ("solve", "--in", "a.json", "--ell", "3", "-o", "b.json"),
+        ("check-resilience", "--wsp", "a.json"),
+        ("bench", "--grid", "n=6;k=2;seeds=1"),
+        ("export-mip", "--in", "a.json"),
+    ]
+
+    def play(where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        seen = []
+        for argv in script:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            if argv[0] == "bench":  # drop the timing column
+                out = [row[:6] + row[7:] for row in csv.reader(out.splitlines())]
+            seen.append((argv, code, out, err))
+        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(where.iterdir())}
+        return seen, files
+
+    cached = play(tmp_path / "cached")
+    import vapep.cli
+    monkeypatch.setattr(vapep.cli, "_parser", vapep.cli.build_parser)
+    fresh = play(tmp_path / "fresh")
+    assert cached == fresh
+    codes = [code for _, code, _, _ in cached[0]]
+    assert codes == [0, 0, ("exit", 2), ("exit", 2), 2, 2, 2, 0, ("exit", 2),
+                     ("exit", 0), 0, 0, ("exit", 2), 0, 0]
+    assert sorted(cached[1]) == ["a.json", "a.lp", "b.json"]

@@ -1,11 +1,16 @@
 """Seeded instance generator: PRNG, config defaults, conformance."""
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 import vapep
 from vapep import GeneratorConfig, SplitMix64, canonical_json, generate, instance_to_doc
 from vapep.generator import substream
+
+DATA = Path(__file__).with_name("data")
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +66,23 @@ def test_sample_is_roughly_uniform():
     for _ in range(600):
         seen.add(tuple(rng.sample(4, 2)))
     assert len(seen) == 6
+
+
+def test_subset_masks_replay_randint_and_sample():
+    # same masks and the same stream state after as the per-user calls
+    for k in list(range(1, 11)) + [17, 30]:
+        for cmax in sorted({1, max(1, (k - 1) // 2), k}):
+            fast, slow = SplitMix64(k * 31 + cmax), SplitMix64(k * 31 + cmax)
+            want = []
+            for _ in range(60):
+                picks = slow.sample(k, slow.randint(1, cmax))
+                want.append(sum(1 << i for i in picks))
+            assert fast.subset_masks(60, k, cmax) == want
+            assert fast.next_u64() == slow.next_u64()
+    with pytest.raises(ValueError):
+        SplitMix64(1).subset_masks(5, 3, 4)
+    with pytest.raises(ValueError):
+        SplitMix64(1).subset_masks(5, 3, 0)
 
 
 def test_substreams_are_tagged():
@@ -224,3 +246,17 @@ def test_generated_instance_solves():
     assert res.total_weight >= 0
     vapep.validate_relation(inst, res.relation)
     assert res.relation.is_complete(inst)
+
+
+def test_generate_pinned_bytes(tmp_path):
+    # sha256 of `vapep generate` output, recorded before the generator's
+    # draw loop and the JSON writer were last rewritten; the grid covers
+    # k = 1 (no separation pairs), k = 2..4 (one step per user), k = 5..8
+    # (count draws with rejection), k = 30 and the option overrides
+    from vapep import cli
+    pinned = json.loads((DATA / "generate_sha256.json").read_text())
+    for entry in pinned:
+        out = tmp_path / "instance.json"
+        assert cli.main(["generate", *entry["args"], "-o", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == entry["sha256"], entry["args"]

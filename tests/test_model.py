@@ -724,3 +724,134 @@ def test_to_doc_matches_the_all_users_walk_random():
         rel = AuthorizationRelation(dict(items))
         want = {"assignment": _reference_assignment(inst, rel)}
         assert canonical_json(relation_to_doc(inst, rel)) == canonical_json(want)
+
+
+def test_to_doc_pairs_match_the_all_pairs_walk():
+    rng = random.Random(35)
+    for _ in range(100):
+        inst = helpers.rand_instance(rng, linear_only=True)
+        want = [
+            [u, r]
+            for u in inst.users
+            for r in inst.resources
+            if r in inst.auth.base.get(u, ())
+        ]
+        assert instance_to_doc(inst)["auth"]["pairs"] == want
+
+
+# --------------------------------------------------------------------------
+# canonical_json against json.dumps(indent=2)
+
+_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "é", "中", " ",
+         "\U0001F600", "\ud800", "a", "b", "z", "0", " "]
+
+
+class _Name(str):
+    pass
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 6)))
+
+
+def _random_scalar(rng):
+    return rng.choice([
+        lambda: _random_text(rng),
+        lambda: rng.randint(-10**6, 10**6),
+        lambda: rng.choice([2**63, 2**63 + 1, -(2**63) - 1, 10**30, -(10**40)]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([-0.0, 0.0, 1e16, 1.5e-300, 0.1, -2.5, float("nan"),
+                            float("inf"), float("-inf")]),
+    ])()
+
+
+def _random_key(rng):
+    return rng.choice([
+        lambda: _random_text(rng),
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([True, False, None, 1.5, -0.0, float("nan"), float("inf")]),
+    ])()
+
+
+def _random_tree(rng, depth):
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return _random_scalar(rng)
+    if pick < 0.5:
+        d = {}
+        for _ in range(rng.randint(0, 4)):
+            d[_random_key(rng)] = _random_tree(rng, depth - 1)
+        return d
+    if pick < 0.65:
+        # rows of one width: the writer's one-format-string path
+        width = rng.randint(1, 3)
+        rows = [[_random_scalar(rng) for _ in range(width)]
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            rows = [tuple(r) for r in rows]
+        return rows
+    if pick < 0.75:
+        return [_random_text(rng) if rng.random() < 0.5 else rng.randint(-9, 9)
+                for _ in range(rng.randint(0, 5))]
+    seq = [_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return tuple(seq) if rng.random() < 0.2 else seq
+
+
+def _dumps_outcome(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_canonical_json_matches_json_dumps_on_random_trees():
+    from collections import OrderedDict
+    from enum import IntEnum
+
+    class Level(IntEnum):
+        LOW = 3
+
+    rng = random.Random(36)
+    odd = 0
+    for i in range(2000):
+        doc = _random_tree(rng, rng.randint(0, 5))
+        if i % 10 == 0:
+            # a subclass somewhere sends the whole document to json.dumps
+            doc = rng.choice([
+                OrderedDict([("b", 1), ("a", [doc])]), [_Name("x\"y"), doc],
+                {"level": Level.LOW, "doc": doc},
+            ])
+        elif i % 10 == 1:
+            cycle = [1, doc]
+            cycle.append(cycle)
+            doc = {"x": [cycle]} if rng.random() < 0.5 else cycle
+        elif i % 10 == 2:
+            doc = [doc, {"bad": rng.choice([object(), {1, 2}, b"raw"])}]
+        elif i % 10 == 3:
+            doc = {(1, 2): doc} if rng.random() < 0.5 else [{"k": doc, (): 1}]
+        want = _dumps_outcome(lambda d: json.dumps(d, indent=2) + "\n", doc)
+        got = _dumps_outcome(canonical_json, doc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            odd += 1
+            assert got is want, doc
+    assert odd >= 500  # circular, unserializable and bad-key documents
+
+
+def test_canonical_json_edge_documents():
+    shared = [1, 2]
+    deep = []
+    for _ in range(3000):
+        deep = [deep]
+    for doc in [
+        {}, [], (), "", "\U0001F600\"\\", 0, -0.0, 2**64, True, None,
+        float("nan"), {"a": {}, "b": [], "c": [[]], "d": [[], [1]]},
+        [shared, shared], {1: "one", True: "t", None: "n", 2.5: "f"},
+        [[1, "a"], [2, "b"], [3, None]], [(1, 2), [3, 4]], [[1, [2]], [3, [4]]],
+    ]:
+        assert canonical_json(doc) == json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(RecursionError):
+        json.dumps(deep, indent=2)
+    with pytest.raises(RecursionError):
+        canonical_json(deep)
