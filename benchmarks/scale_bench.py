@@ -1,15 +1,13 @@
 """Time `vapep generate` and `vapep solve` at one size, each in a child process.
 
-Generates an instance with `vapep generate --n N --k K --seed S`, then
+Generates an instance with `vapep generate --n N --k K --seed 0`, then
 solves it with `vapep solve --in`, each in a fresh interpreter that imports
 `vapep` from this checkout's `src/`.  Prints, per step, the wall time from
 process start to exit and the child's peak resident set (`ru_maxrss` from
-`os.wait4`), plus the size of the instance file.  With --repeats R both
-steps run R times in turn, on the same instance file.
+`os.wait4`), plus the size of the instance file.
 
 Usage:
     python3 benchmarks/scale_bench.py --n 1000000 --k 3
-    python3 benchmarks/scale_bench.py --n 100000 --k 3 --seed 600 --repeats 3
 
 The instance goes to a temporary directory that is removed afterwards
 unless --dir names one to keep it in.
@@ -23,6 +21,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SEED = 0
 
 
 def run_child(argv: list) -> tuple[float, float]:
@@ -46,8 +45,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, required=True, help="number of users")
     ap.add_argument("--k", type=int, required=True, help="number of steps")
-    ap.add_argument("--seed", type=int, default=0, help="generator seed")
-    ap.add_argument("--repeats", type=int, default=1, help="runs of each step")
     ap.add_argument("--dir", default=None, help="keep the instance here")
     args = ap.parse_args()
 
@@ -57,15 +54,14 @@ def main() -> int:
         inst, out = work / "instance.json", work / "solution.json"
         steps = [
             ("generate", ["generate", "--n", str(args.n), "--k", str(args.k),
-                          "--seed", str(args.seed), "-o", str(inst)]),
+                          "--seed", str(SEED), "-o", str(inst)]),
             ("solve", ["solve", "--in", str(inst), "-o", str(out)]),
         ]
-        print(f"n={args.n} k={args.k} seed={args.seed} python={sys.version.split()[0]}")
-        print(f"{'step':<9} {'run':>3} {'wall_s':>8} {'maxrss_mib':>11}")
-        for run in range(1, args.repeats + 1):
-            for name, argv in steps:
-                wall, rss = run_child(argv)
-                print(f"{name:<9} {run:>3} {wall:>8.2f} {rss:>11.1f}", flush=True)
+        print(f"n={args.n} k={args.k} seed={SEED} python={sys.version.split()[0]}")
+        print(f"{'step':<9} {'wall_s':>8} {'maxrss_mib':>11}")
+        for name, argv in steps:
+            wall, rss = run_child(argv)
+            print(f"{name:<9} {wall:>8.2f} {rss:>11.1f}", flush=True)
         print(f"instance file: {inst.stat().st_size / 1e6:.1f} MB")
     return 0
 
