@@ -10,7 +10,10 @@ from typing import Sequence
 INF = 1 << 62
 
 
-def _check(costs: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _check(costs: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Rows and columns of a valid cost matrix, and the sum of its costs,
+    which bounds each of them.  The sum, run in C, is not an int exactly
+    when some cost is not; it is cheaper than tracking the largest cost."""
     m = len(costs)
     n = len(costs[0]) if m else 0
     for row in costs:
@@ -19,22 +22,29 @@ def _check(costs: Sequence[Sequence[int]]) -> tuple[int, int]:
         for v in row:
             if v < 0:
                 raise ValueError("costs must be non-negative")
+    top = sum(map(sum, costs))
+    if type(top) is not int:
+        raise ValueError("costs must be ints")
     if m > n:
         raise ValueError(f"infeasible: {m} slots but only {n} users")
-    return m, n
+    return m, n, top
 
 
 def assignment_cost(costs: Sequence[Sequence[int]]) -> int:
     """Optimal total cost only; cheaper than recovering an assignment."""
-    m, n = _check(costs)
+    m, n, top = _check(costs)
     if m == 0:
         return 0
-    return _hungarian(costs, m, n)[0]
+    return _hungarian(costs, m, n, top)[0]
 
 
-def _hungarian(costs, m: int, n: int) -> tuple[int, list[int]]:
+def _hungarian(costs, m: int, n: int, top: int) -> tuple[int, list[int]]:
     # Potentials method on the (m+1) x (n+1) padded problem; p[j] is the row
-    # matched to column j, 1-based with 0 as the virtual root.
+    # matched to column j, 1-based with 0 as the virtual root.  With top at
+    # least the largest cost: u only rises and v only falls, and phase i
+    # lowers each v[j] by at most OPT_i - OPT_(i-1) <= top, so |v[j]| <= m * top
+    # and no reduced cost exceeds (m + 1) * top; `big` is above all of them.
+    big = (m + 1) * top + 1
     u = [0] * (m + 1)
     v = [0] * (n + 1)
     p = [0] * (n + 1)
@@ -42,12 +52,12 @@ def _hungarian(costs, m: int, n: int) -> tuple[int, list[int]]:
     for i in range(1, m + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
+        minv = [big] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
+            delta = big
             j1 = -1
             row = costs[i0 - 1]
             u_i0 = u[i0]
@@ -86,33 +96,21 @@ def min_cost_assignment(costs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...]
     """Optimal assignment (column index per row) with a deterministic tie-break:
     among equal-cost assignments, the lexicographically smallest column
     sequence (row 0 first) wins.
+
+    One Hungarian run on the costs c * n^m + j * n^(m-1-i) for row i and
+    column j finds it.  The added terms of an assignment sum to less than
+    n^m, so a cheapest scaled assignment is a cheapest one; among those the
+    added terms spell its columns, row 0 first, as a base-n number, and the
+    smallest number is the lexicographically smallest sequence.
     """
-    m, n = _check(costs)
+    m, n, top = _check(costs)
     if m == 0:
         return (), 0
-    best = _hungarian(costs, m, n)[0]
-    chosen: list[int] = []
-    used: list[bool] = [False] * n
-    remaining = best
-    for i in range(m):
-        rest_rows = [
-            [costs[r][j] for j in range(n) if not used[j]] for r in range(i + 1, m)
-        ]
-        free_cols = [j for j in range(n) if not used[j]]
-        for pos, j in enumerate(free_cols):
-            need = remaining - costs[i][j]
-            if need < 0:
-                continue
-            if rest_rows:
-                sub = [row[:pos] + row[pos + 1 :] for row in rest_rows]
-                ok = assignment_cost(sub) == need
-            else:
-                ok = need == 0
-            if ok:
-                chosen.append(j)
-                used[j] = True
-                remaining = need
-                break
-        else:  # pragma: no cover - best is always attainable
-            raise RuntimeError("internal: optimal assignment not reconstructible")
-    return tuple(chosen), best
+    scale = n**m
+    scaled = []
+    for i, row in enumerate(costs):
+        w = n ** (m - 1 - i)
+        scaled.append([c * scale + j * w for j, c in enumerate(row)])
+    # every scaled cost is below (top + 1) * scale
+    total, match = _hungarian(scaled, m, n, (top + 1) * scale)
+    return tuple(match), total // scale

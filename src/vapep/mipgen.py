@@ -87,16 +87,6 @@ def _check_family(instance: Instance) -> None:
         raise ValueError("at most one user-count term per formulation")
 
 
-def _auth_coef(instance: Instance, ui: int, ri: int) -> int:
-    """Objective coefficient of one (resource, user) assignment variable."""
-    if instance._base_mask[ui] >> ri & 1:
-        return 0
-    pp = instance.auth.pair_penalty
-    if isinstance(pp, dict):
-        return pp.get((instance.users[ui], instance.resources[ri]), 1)
-    return pp
-
-
 def _quad_cut_rows(p_name: str, n: int) -> list[Row]:
     rows = []
     for i in range(1, max(1, n - 1) + 1):
@@ -130,7 +120,7 @@ def build_naive(instance: Instance) -> Formulation:
         for ui in range(n):
             name = xname(ri, ui)
             vars[name] = Var(name, binary=True)
-            w = _auth_coef(instance, ui, ri)
+            w = instance.omega_mask(ui, 1 << ri)
             if w:
                 obj.append((w, name))
 

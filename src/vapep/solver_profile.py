@@ -152,6 +152,24 @@ def cheapest_users(instance: Instance, masks: list[int], m: int) -> list[list[in
     return out
 
 
+def _slot_matrix(
+    instance: Instance, groups: list[tuple[int, int, list[int]]]
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Slots, candidate columns and `omega_mask` cost matrix of a profile
+    given as (mask, count, `cheapest_users` of the mask) groups in subset
+    order.  Each mask offers its m cheapest users, m = len(slots); the
+    columns are in ascending user order (`best_relation_for_profile` says
+    why that is exact).
+    """
+    slots: list[int] = []
+    for mask, c, _ in groups:
+        slots.extend([mask] * c)
+    m = len(slots)
+    cols = sorted(set().union(*(us[:m] for _, _, us in groups)))
+    costs = [[instance.omega_mask(u, mask) for u in cols] for mask in slots]
+    return slots, cols, costs
+
+
 def best_relation_for_profile(
     instance: Instance, usr: UserProfile
 ) -> tuple[AuthorizationRelation, int]:
@@ -171,16 +189,15 @@ def best_relation_for_profile(
     their positions is the tie-break over users.
     """
     counts = _profile_counts(instance, usr)
-    slots: list[int] = []
-    for mask in subset_order(instance.k):
-        slots.extend([mask] * counts.get(mask, 0))
     prof = UserProfile(dict(counts), instance.resources)
     cw = sum(eval_profile(c, prof) for c in instance.constraints)
-    if not slots:
+    masks = [mask for mask in subset_order(instance.k) if mask in counts]
+    if not masks:
         return AuthorizationRelation({}), cw
-    cands = cheapest_users(instance, sorted(set(slots)), len(slots))
-    cols = sorted(set().union(*cands))
-    costs = [[instance.omega_mask(u, mask) for u in cols] for mask in slots]
+    ranked = cheapest_users(instance, masks, sum(counts.values()))
+    slots, cols, costs = _slot_matrix(
+        instance, [(mask, counts[mask], us) for mask, us in zip(masks, ranked)]
+    )
     match, om = min_cost_assignment(costs)
     assignment = {
         instance.users[cols[j]]: frozenset(instance.mask_resources(mask))
@@ -266,15 +283,9 @@ class _Search:
 
     def evaluate(self, pairs, cw):
         self.calls += 1
-        inst = self.instance
-        m = sum(c for _, c in pairs)
-        cols: set[int] = set()
-        slots = []
-        for j, c in pairs:
-            slots.extend([self.subs[j]] * c)
-            cols.update(self.cands[j][:m])
-        col_list = sorted(cols)
-        costs = [[inst.omega_mask(u, mask) for u in col_list] for mask in slots]
+        _, _, costs = _slot_matrix(
+            self.instance, [(self.subs[j], c, self.cands[j]) for j, c in pairs]
+        )
         total = cw + assignment_cost(costs)
         if total < self.incumbent:
             self.incumbent = total

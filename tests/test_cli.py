@@ -1,5 +1,6 @@
 """Command line front end, run in process through main(argv)."""
 import csv
+import importlib.util
 import json
 import os
 import pathlib
@@ -17,6 +18,7 @@ from vapep.cli import main
 import helpers
 
 DATA = pathlib.Path(__file__).parent / "data"
+SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 
 def run(*argv) -> int:
@@ -390,3 +392,33 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
     assert codes == [0, 0, ("exit", 2), ("exit", 2), 2, 2, 2, 0, ("exit", 2),
                      ("exit", 0), 0, 0, ("exit", 2), 0, 0]
     assert sorted(cached[1]) == ["a.json", "a.lp", "b.json"]
+
+
+def test_perfbench_tracer_records_solver_spans(tmp_path):
+    # `perfbench/run.py --trace 1` patches functions of the package by name;
+    # a rename or a changed call path would otherwise break it silently
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    inst = helpers.rand_instance(
+        random.Random(5152), n_max=4, k_max=3, families=("sod_u", "bod_u"),
+        n_min=2, k_min=2, linear_only=True,
+    )
+    inst_file = tmp_path / "inst.json"
+    dump_instance(inst, str(inst_file))
+    original = vapep.matching.min_cost_assignment
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for solver in ("profile", "wsp", "brute"):
+            assert run("solve", "--in", str(inst_file), "--solver", solver,
+                       "-o", str(tmp_path / f"{solver}.json")) == 0
+    finally:
+        tracer.uninstall()
+    assert vapep.matching.min_cost_assignment is original
+    calls = tracer.totals()[2]
+    assert calls["solver_profile.solve"] == 1
+    assert calls["wsp.solve_wsp"] == 1
+    assert calls["solver_brute.solve_exhaustive"] == 1
+    assert calls["matching.min_cost_assignment"] >= 3
+    assert calls["solver_profile.best_relation_for_profile"] >= 2

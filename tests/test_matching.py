@@ -31,8 +31,12 @@ def test_more_slots_than_users_is_infeasible():
 
 
 def test_negative_costs_rejected():
-    with pytest.raises(ValueError):
-        min_cost_assignment([[1, -2]])
+    # and costs that are not ints, which the scaled tie-break cannot order
+    for costs in ([[1, -2]], [[1, 2.0]], [[0.5, 1], [1, 0]]):
+        with pytest.raises(ValueError):
+            min_cost_assignment(costs)
+        with pytest.raises(ValueError):
+            assignment_cost(costs)
 
 
 def test_ragged_matrix_rejected():
@@ -40,12 +44,34 @@ def test_ragged_matrix_rejected():
         min_cost_assignment([[1, 2], [3]])
 
 
-def test_matches_flat_oracle():
+BIG = 1 << 62
+
+
+def _oracle_inputs():
     rng = random.Random(31)
     for _ in range(300):
         m = rng.randint(1, 4)
         n = rng.randint(m, 6)
-        costs = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
+        yield [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
+    # costs at and past 2^62, where a fixed sentinel of 2^62 gave the wrong
+    # assignment for the first and no assignment for the second
+    yield [[BIG, BIG + 5], [BIG + 5, BIG]]
+    yield [[2 * BIG, 3 * BIG, BIG], [BIG, 2 * BIG, 3 * BIG]]
+    draws = [
+        lambda: rng.randint(0, 1),  # many ties
+        lambda: BIG * rng.randint(0, 3) + rng.randint(0, 9),
+        lambda: rng.randint(BIG, 1 << 80),
+    ]
+    for t in range(600):
+        m = rng.randint(1, 4)
+        n = m if t % 2 else rng.randint(m, 6)  # every other matrix square
+        draw = draws[t % 3]
+        yield [[draw() for _ in range(n)] for _ in range(m)]
+
+
+def test_matches_flat_oracle():
+    for costs in _oracle_inputs():
+        m = len(costs)
         want_assign, want_total = helpers.injection_optimum(costs)
         assign, total = min_cost_assignment(costs)
         assert total == want_total
@@ -65,3 +91,44 @@ def test_zero_cost_dummy_rows_never_change_total():
         costs = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
         squared = costs + [[0] * n for _ in range(n - m)]
         assert assignment_cost(squared) == assignment_cost(costs)
+
+
+def _resolve_assignment(costs):
+    """The tie-break found by re-solving: fix each row in turn to its first
+    column that still admits an optimal completion of the remaining rows."""
+    m, n = len(costs), len(costs[0])
+    remaining = assignment_cost(costs)
+    chosen, used = [], [False] * n
+    for i in range(m):
+        rest_rows = [
+            [costs[r][j] for j in range(n) if not used[j]] for r in range(i + 1, m)
+        ]
+        free_cols = [j for j in range(n) if not used[j]]
+        for pos, j in enumerate(free_cols):
+            need = remaining - costs[i][j]
+            if need < 0:
+                continue
+            if rest_rows:
+                sub = [row[:pos] + row[pos + 1:] for row in rest_rows]
+                ok = assignment_cost(sub) == need
+            else:
+                ok = need == 0
+            if ok:
+                chosen.append(j)
+                used[j] = True
+                remaining = need
+                break
+    return tuple(chosen)
+
+
+def test_matches_resolve_tie_break_on_larger_matrices():
+    # sizes where the permutation oracle is too slow
+    rng = random.Random(33)
+    for t in range(2000):
+        m = rng.randint(1, 12)
+        n = rng.randint(m, 40)
+        hi = (1, 3, 20)[t % 3]
+        costs = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        assign, total = min_cost_assignment(costs)
+        assert assign == _resolve_assignment(costs)
+        assert total == assignment_cost(costs)
