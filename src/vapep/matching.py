@@ -8,6 +8,9 @@ from __future__ import annotations
 from typing import Sequence
 
 INF = 1 << 62
+# The exact searches start from INF as their incumbent, so they find only
+# optima below it; they raise ValueError(TOO_HEAVY) when there is none.
+TOO_HEAVY = "every solution weighs 2^62 or more; the exact solvers find only optima below 2^62"
 
 
 def _check(costs: Sequence[Sequence[int]]) -> tuple[int, int, int]:

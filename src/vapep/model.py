@@ -2,14 +2,22 @@
 
 Resource subsets are bitmasks over the instance's resource order (bit i is
 resources[i]); k is capped at 30 so masks stay cheap machine ints.
+
+Loading builds each user's authorized mask once, straight from the
+document's `[user, resource]` pairs, in passes that run in C (`map` over
+dict lookups); `AuthCost.base` and the `Instance` tables are then made from
+the masks.  A fault in the pairs stops those passes, and a walk over the
+pairs in order reports the first one, with the message a per-pair loader
+would give.
 """
 from __future__ import annotations
 
 import gc
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .constraints import (
@@ -24,6 +32,7 @@ from .constraints import (
 
 MAX_RESOURCES = 30
 MAX_USERS = 10**6
+_SCAN_MASKS = 16  # Instance.users_by_base scans per mask up to this many masks
 
 
 class GuardError(RuntimeError):
@@ -54,27 +63,42 @@ class AuthCost:
             fs = frozenset(rs)
             base[u] = shared.setdefault(fs, fs)
         self.base = base
-        if isinstance(self.pair_penalty, bool) or (
-            isinstance(self.pair_penalty, int) and not 0 <= self.pair_penalty <= MAX_PENALTY
-        ):
+        self._check_penalty()
+
+    def _check_penalty(self) -> None:
+        pp = self.pair_penalty
+        if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
             raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
-        if isinstance(self.pair_penalty, dict):
-            for v in self.pair_penalty.values():
+        if isinstance(pp, dict):
+            values = pp.values()
+            # plain ints in range pass in C; anything else is decided one by one
+            if set(map(type, values)) == {int} and 0 <= min(values) and max(values) <= MAX_PENALTY:
+                return
+            for v in values:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= MAX_PENALTY:
                     raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
 
 
-def _index_names(names, what, cap) -> tuple[tuple, dict]:
+def _name_index(names) -> dict:
+    """name -> position if the names are distinct non-empty strings, else {}."""
+    if not all(map(isinstance, names, repeat(str))):
+        return {}
+    index = dict(zip(names, range(len(names))))
+    return index if len(index) == len(names) and "" not in index else {}
+
+
+def _index_names(names, what, cap, index=None) -> tuple[tuple, dict]:
     """The names as a tuple and a name -> position dict, once the names are
-    checked to be at most `cap` distinct non-empty strings."""
+    checked to be at most `cap` distinct non-empty strings.  `index`, when
+    given, is `_name_index(names)`, already built."""
     names = tuple(names)
     if not names:
         raise ValueError(f"at least one {what} is required")
     if len(names) > cap:
         raise ValueError(f"at most {cap} {what}s are supported")
-    valid = all(map(isinstance, names, repeat(str)))
-    index = dict(zip(names, range(len(names)))) if valid else {}
-    if len(index) < len(names) or "" in index:
+    if index is None:
+        index = _name_index(names)
+    if not index:
         # report the first bad name in list order
         seen = set()
         for nm in names:
@@ -112,6 +136,81 @@ def _auth_masks(base, uindex, names, what) -> list[int]:
     return out
 
 
+_user_of = itemgetter(0)
+_name_of = itemgetter(1)
+
+
+def _unchecked(cls, **fields):
+    """A dataclass instance holding `fields`, made without running its
+    `__init__`; the loaders then run the checks they have not done."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _walk_pairs(pairs, shape: str) -> None:
+    """Raise, for the first pair in order that is not a two-item list or
+    holds an unhashable item, what grouping the pairs into per-user sets
+    raises."""
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"auth.pairs entries must be {shape}")
+        hash(p[0])
+        hash(p[1])
+
+
+def _pair_masks(pairs, shape: str, n: int, uindex: dict, names) -> Optional[list[int]]:
+    """Each of the n users' authorized mask over `names`, ORed from the
+    `[user, name]` pairs, the users' positions taken from `uindex`; None if
+    some pair's user is not in `uindex` or its name not one of `names`.
+
+    Pairs that are all plain two-item lists are checked and looked up in C;
+    any fault found on the way is then reported by a walk over the pairs in
+    order (`_walk_pairs`).
+    """
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        _walk_pairs(pairs, shape)
+    bit = {nm: 1 << i for nm, i in _name_index(names).items()}
+    masks = [0] * n
+    try:
+        for ui, b in zip(map(uindex.__getitem__, map(_user_of, pairs)),
+                         map(bit.__getitem__, map(_name_of, pairs))):
+            masks[ui] |= b
+    except (KeyError, TypeError):
+        _walk_pairs(pairs, shape)
+        return None  # an unknown user or name, which the constructors report
+    return masks
+
+
+def _mask_names(names, mask: int) -> frozenset:
+    held = []
+    while mask:
+        low = mask & -mask
+        held.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(held)
+
+
+def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> AuthCost:
+    """The AuthCost of the `[user, name]` pairs, whose masks over `names`
+    `_pair_masks` built.
+
+    Its base holds one frozenset per distinct mask, keyed by the strings in
+    `users`.  Without masks, it holds the pairs grouped per user, for the
+    caller's constructor to report the unknown user or name.
+    """
+    if masks is None:
+        base: dict = {}
+        for p in pairs:
+            base.setdefault(p[0], []).append(p[1])
+        return AuthCost(base, pp)
+    held = {m: _mask_names(names, m) for m in set(masks) if m}
+    base = dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
+    auth = _unchecked(AuthCost, base=base, pair_penalty=pp, custom=None)
+    auth._check_penalty()
+    return auth
+
+
 @dataclass
 class Instance:
     resources: tuple[str, ...]
@@ -121,10 +220,17 @@ class Instance:
     meta: Optional[dict] = None
 
     def __post_init__(self):
+        self._build(None, None, None)
+
+    def _build(self, uindex, masks: Optional[list[int]], pen: Optional[list[list[int]]]):
+        """Check the fields and build the tables.  The loader passes the
+        user index and the authorized masks it built from the pairs, and the
+        penalty rows when the per-pair penalties came from a matrix; each is
+        built here otherwise."""
         self.resources, self._rindex = _index_names(
             self.resources, "resource", MAX_RESOURCES
         )
-        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS)
+        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
         self.constraints = tuple(self.constraints)
         if len(self.constraints) > MAX_CONSTRAINTS:
             raise ValueError(f"at most {MAX_CONSTRAINTS} constraints are supported")
@@ -132,22 +238,19 @@ class Instance:
             for r in c.scope:
                 if r not in self._rindex:
                     raise ValueError(f"constraint scope uses unknown resource {r!r}")
-        self._base_mask = _auth_masks(
-            self.auth.base, self._uindex, self.resources, "resource"
-        )
-        if isinstance(self.auth.pair_penalty, dict):
-            for (u, r) in self.auth.pair_penalty:
+        if masks is None:
+            masks = _auth_masks(self.auth.base, self._uindex, self.resources, "resource")
+        self._base_mask = masks
+        pp = self.auth.pair_penalty
+        if pen is None and isinstance(pp, dict):
+            for (u, r) in pp:
                 if u not in self._uindex or r not in self._rindex:
                     raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
-        # per-(user, resource) penalty rows
-        pp = self.auth.pair_penalty
-        if isinstance(pp, dict):
-            self._pen = [
-                [pp.get((u, r), 1) for r in self.resources] for u in self.users
-            ]
-        else:
-            self._pen = None  # uniform
+            # per-(user, resource) penalty rows
+            pen = [[pp.get((u, r), 1) for r in self.resources] for u in self.users]
+        self._pen = pen  # None: uniform
         self._groups: tuple[int, dict[int, list[int]]] = (0, {})
+        return self
 
     @property
     def k(self) -> int:
@@ -160,17 +263,36 @@ class Instance:
     def users_by_base(self, m: int) -> dict[int, list[int]]:
         """User indices grouped by authorized mask, in first-seen mask order;
         each group holds at least the first min(m, size) users of its mask,
-        ascending.  Built in one pass over the users and kept for later
-        calls that need no more than m per group."""
+        ascending.  Built once and kept for later calls that need no more
+        than m per group.
+
+        When the groups to fill hold fewer places than there are users, and
+        there are few distinct masks, each group is found by `list.index`
+        scans in C, which stop at the group's m-th user or at the end of the
+        list.  A scan costs about a twentieth of a Python step per user, so
+        past _SCAN_MASKS masks one Python pass over the users is cheaper;
+        so it is when the scans would find most users one call at a time."""
         cap, groups = self._groups
         if cap < m:
+            masks = self._base_mask
+            first = dict.fromkeys(masks)
             groups = {}
-            for u, base in enumerate(self._base_mask):
-                group = groups.get(base)
-                if group is None:
-                    groups[base] = [u]
-                elif len(group) < m:
-                    group.append(u)
+            if len(first) <= _SCAN_MASKS and len(first) * m <= len(masks):
+                find = masks.index
+                for base in first:
+                    group = groups[base] = [find(base)]
+                    try:
+                        while len(group) < m:
+                            group.append(find(base, group[-1] + 1))
+                    except ValueError:  # no more users of this mask
+                        pass
+            else:
+                for u, base in enumerate(masks):
+                    group = groups.get(base)
+                    if group is None:
+                        groups[base] = [u]
+                    elif len(group) < m:
+                        group.append(u)
             self._groups = (m, groups)
         return groups
 
@@ -580,24 +702,16 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
-def _group_pairs(pairs, shape: str, names: list) -> dict[str, list]:
-    """Authorization pairs grouped per user, in first-seen order; AuthCost
-    turns each list into a frozenset, which drops repeated pairs.
-
-    A user that is one of `names` is keyed by that string object rather
-    than by the equal copy the pair holds, so the grouped dict adds no
-    string of its own."""
-    canon = {u: u for u in names if isinstance(u, str)}
-    base: dict[str, list] = {}
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ValueError(f"auth.pairs entries must be {shape}")
-        u = p[0]
-        base.setdefault(canon.get(u, u), []).append(p[1])
-    return base
-
-
 def instance_from_doc(doc: dict) -> Instance:
+    """The instance a JSON document describes.
+
+    The document is checked in the order the fields are read: its keys, the
+    pairs' shapes and items, the penalty matrix, the constraints and meta,
+    then the penalties (`AuthCost`) and the names and references
+    (`Instance`); the first fault raises.  Each user's authorized mask is
+    built once, straight from the pairs, and per-pair penalty rows are
+    copies of the matrix rows.
+    """
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "instance")
@@ -608,19 +722,19 @@ def instance_from_doc(doc: dict) -> Instance:
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
-    base = _group_pairs(auth_doc.get("pairs", []), "[user, resource]", doc["users"])
+    users, resources = doc["users"], doc["resources"]
+    pairs = auth_doc.get("pairs", [])
+    uindex = _name_index(users)
+    masks = _pair_masks(pairs, "[user, resource]", len(users), uindex, resources)
     pp = auth_doc.get("pair_penalty", 1)
+    rows = None
     if isinstance(pp, list):
-        users, resources = doc["users"], doc["resources"]
-        if len(pp) != len(users) or any(
-            not isinstance(row, list) or len(row) != len(resources) for row in pp
+        rows = pp
+        if len(rows) != len(users) or any(
+            not isinstance(row, list) or len(row) != len(resources) for row in rows
         ):
             raise ValueError("pair_penalty matrix must be |users| x |resources|")
-        pp = {
-            (u, r): row[i]
-            for u, row in zip(users, pp)
-            for i, r in enumerate(resources)
-        }
+        pp = dict(zip(product(users, resources), chain.from_iterable(rows)))
     cons_doc = doc.get("constraints", [])
     if not isinstance(cons_doc, list):
         raise ValueError("constraints must be a list")
@@ -628,15 +742,13 @@ def instance_from_doc(doc: dict) -> Instance:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("meta must be an object")
-    auth = AuthCost(base, pp)
-    del base  # free the per-user lists before Instance builds its tables
-    return Instance(
-        resources=tuple(doc["resources"]),
-        users=tuple(doc["users"]),
-        constraints=cons,
-        auth=auth,
-        meta=meta,
-    )
+    users, resources = tuple(users), tuple(resources)
+    auth = _auth_from_pairs(pairs, masks, users, resources, pp)
+    fields = dict(resources=resources, users=users, constraints=cons, auth=auth, meta=meta)
+    if masks is None:
+        return Instance(**fields)
+    pen = None if rows is None else list(map(list, rows))
+    return _unchecked(Instance, **fields)._build(uindex, masks, pen)
 
 
 def instance_to_doc(instance: Instance) -> dict:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import _kernels
 from .constraints import eval_profile
-from .matching import INF
+from .matching import INF, TOO_HEAVY
 from .model import (
     GuardError,
     Instance,
@@ -43,15 +43,18 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
         )
     kb = _kernels.get_backend(backend)
     subs_all = [0] + subset_order(k)
+    # costs capped at INF, which no relation that holds one can beat, so
+    # that the compiled kernel's int64 holds them
     otab = [
-        [instance.omega_mask(u, mask) for mask in subs_all] for u in range(n)
+        [min(instance.omega_mask(u, mask), INF) for mask in subs_all]
+        for u in range(n)
     ]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     best_total, _, leaves = kb.brute_search(
         n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes, ptables
     )
-    if best_total >= INF:  # pragma: no cover - a complete relation always exists
-        raise RuntimeError("internal: exhaustive search found no complete relation")
+    if best_total >= INF:  # a complete relation always exists, but may weigh too much
+        raise ValueError(TOO_HEAVY)
     # Canonical representative of the optimum: the lexicographically first
     # complete profile whose cheapest completion reaches the exhaustively
     # verified minimum, finished with the matching tie-break.  This is the

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from . import _kernels
 from .constraints import eval_profile, wbound_suggestion
-from .matching import INF, assignment_cost, min_cost_assignment
+from .matching import INF, TOO_HEAVY, assignment_cost, min_cost_assignment
 from .model import (
     AuthorizationRelation,
     GuardError,
@@ -346,6 +346,11 @@ def solve(
         list(accumulate((instance.omega_mask(u, mask) for u in us), initial=0))
         for us, mask in zip(by_cost, subs)
     ]
+    for row in cheap:
+        if row[-1] >= INF:
+            # capped at INF, which keeps it a lower bound and within the
+            # compiled kernel's int64; rows never fall, so the last is largest
+            row[:] = [min(w, INF) for w in row]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     clsA, clsB = _level_classes(kinds, rA, rB, subs)
     sufun = [0] * (M + 1)
@@ -357,6 +362,8 @@ def solve(
         k, L, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
         clsA, clsB, sufun, st.evaluate,
     )
+    if st.best_pairs is None:
+        raise ValueError(TOO_HEAVY)
 
     counts = {subs[j]: c for j, c in st.best_pairs}
     counts[0] = n - sum(counts.values())

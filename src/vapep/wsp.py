@@ -24,17 +24,20 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional
 
 from .constraints import MAX_PENALTY, PenaltySpec
-from .matching import INF, assignment_cost, min_cost_assignment
+from .matching import INF, TOO_HEAVY, assignment_cost, min_cost_assignment
 from .model import (
     AuthCost,
     AuthorizationRelation,
     GuardError,
     Instance,
+    _auth_from_pairs,
     _auth_masks,
-    _group_pairs,
     _index_names,
     _load_doc,
+    _name_index,
+    _pair_masks,
     _reject_unknown,
+    _unchecked,
     canonical_json,
 )
 
@@ -101,8 +104,13 @@ class WspInstance:
     cost_fn: Optional[Callable[[int, int], int]] = None  # (user idx, step mask)
 
     def __post_init__(self):
+        self._build(None, None)
+
+    def _build(self, uindex, masks: Optional[list[int]]):
+        """Check the fields and build the tables; the loader passes the user
+        index and the authorized masks it built from the pairs."""
         self.steps, self._sindex = _index_names(self.steps, "step", 900)
-        self.users, self._uindex = _index_names(self.users, "user", 10**6)
+        self.users, self._uindex = _index_names(self.users, "user", 10**6, uindex)
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             names = c.scope[0] + c.scope[1] if c.kind == DISJOINT else c.scope
@@ -113,10 +121,13 @@ class WspInstance:
             raise ValueError("an authorization cost (auth or cost_fn) is required")
         if self.auth is None:
             self._base_mask = [0] * len(self.users)
-        else:
+        elif masks is None:
             self._base_mask = _auth_masks(
                 self.auth.base, self._uindex, self.steps, "step"
             )
+        else:
+            self._base_mask = masks
+        return self
 
     @property
     def k(self) -> int:
@@ -286,6 +297,8 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
                 hits[d] -= 1
 
     visit(0, 0, 0)
+    if best is None:
+        raise ValueError(TOO_HEAVY)
     best_rgs, costs = best
     match, _ = min_cost_assignment(costs)
     plan = {w.steps[i]: w.users[match[best_rgs[i]]] for i in range(K)}
@@ -409,6 +422,8 @@ _WSP_CON_KEYS = {"type", "scope", "ell", "slope"}
 
 
 def wsp_from_doc(doc: dict) -> WspInstance:
+    """The plan instance a JSON document describes; its `[user, step]`
+    pairs are read as `instance_from_doc` reads `[user, resource]` pairs."""
     if not isinstance(doc, dict):
         raise ValueError("plan instance document must be a JSON object")
     _reject_unknown(doc, _WSP_KEYS, "plan instance")
@@ -417,7 +432,10 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"plan instance needs a {key!r} list")
     auth_doc = doc.get("auth", {})
     _reject_unknown(auth_doc, {"pairs", "pair_penalty"}, "auth")
-    base = _group_pairs(auth_doc.get("pairs", []), "[user, step]", doc["users"])
+    users, steps = doc["users"], doc["steps"]
+    pairs = auth_doc.get("pairs", [])
+    uindex = _name_index(users)
+    masks = _pair_masks(pairs, "[user, step]", len(users), uindex, steps)
     pp = auth_doc.get("pair_penalty", 1)
     cons = []
     for idx, entry in enumerate(doc.get("constraints", [])):
@@ -439,14 +457,12 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             )
         else:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
-    auth = AuthCost(base, pp)
-    del base  # free the per-user lists before WspInstance builds its tables
-    return WspInstance(
-        steps=tuple(doc["steps"]),
-        users=tuple(doc["users"]),
-        constraints=tuple(cons),
-        auth=auth,
-    )
+    users, steps = tuple(users), tuple(steps)
+    auth = _auth_from_pairs(pairs, masks, users, steps, pp)
+    fields = dict(steps=steps, users=users, constraints=tuple(cons), auth=auth, cost_fn=None)
+    if masks is None:
+        return WspInstance(**fields)
+    return _unchecked(WspInstance, **fields)._build(uindex, masks)
 
 
 def wsp_to_doc(w: WspInstance) -> dict:

@@ -608,6 +608,150 @@ def test_direct_instance_matches_set_based_construction():
         assert got == want
 
 
+class _PairList(list):
+    """A list subclass; the loaders take it as a pair, as isinstance does."""
+
+
+def _as_plan_docs(doc):
+    """doc's names and pairs, with a uniform penalty and no constraints, as
+    an instance document and as a plan document whose steps are the
+    resources."""
+    auth = {"pairs": doc["auth"]["pairs"]}
+    return (
+        {"resources": doc["resources"], "users": doc["users"], "auth": auth},
+        {"steps": doc["resources"], "users": doc["users"], "auth": auth},
+    )
+
+
+def _plan_outcome(doc):
+    got = _outcome(vapep.wsp_from_doc, doc)
+    if got[0] != "ok":
+        return got
+    w = got[1]
+    return "ok", (w.users, w.steps, w.auth.base, w._base_mask)
+
+
+def test_loader_errors_for_unhashable_and_subclassed_pairs():
+    # An unhashable user or resource in a pair fails where the pairs are
+    # read, in pair order, before the penalty matrix is, as grouping the
+    # pairs into per-user sets does; a plan document reads its pairs alike.
+    rng = random.Random(36)
+    hits = dict.fromkeys(["ok", "TypeError", "ValueError", "TypeError before matrix"], 0)
+    for i in range(400):
+        doc = _random_doc(rng)
+        users, resources, pairs = doc["users"], doc["resources"], doc["auth"]["pairs"]
+        if i % 4:
+            bad = rng.choice([
+                [[users[0]], resources[0]],
+                [{"u": users[0]}, resources[0]],
+                [users[0], [resources[0]]],
+                [users[0], {"r": resources[0]}],
+            ])
+            pairs.insert(rng.randint(0, len(pairs)), bad)
+        fault = None
+        if i % 2:
+            fault = rng.choice(sorted(LOADER_FAULTS) + ["matrix shape"])
+            if fault == "matrix shape":
+                doc["auth"]["pair_penalty"] = [[1] * (len(resources) + 1)]
+            else:
+                _break(rng, doc, fault)
+        if i % 3 == 0:
+            doc["auth"]["pairs"] = [
+                _PairList(p) if type(p) is list else p for p in doc["auth"]["pairs"]
+            ]
+        before = repr(doc)
+        want = _outcome(_reference_from_doc, doc)
+        got = _outcome(lambda d: _loaded_fields(instance_from_doc(d)), doc)
+        assert got == want, (i, fault)
+        assert repr(doc) == before  # the loader did not touch its input
+        hits[want[0]] += 1
+        if fault == "matrix shape" and want[0] == "TypeError":
+            hits["TypeError before matrix"] += 1
+
+        inst_doc, plan_doc = _as_plan_docs(doc)
+        want = _outcome(_reference_from_doc, inst_doc)
+        if want[0] == "ok":
+            fields = want[1]
+            want = "ok", (fields["users"], fields["resources"], fields["base"],
+                          fields["base_mask"])
+        else:
+            want = want[0], want[1].replace("resource", "step")
+        assert _plan_outcome(plan_doc) == want, (i, fault)
+    assert all(hits.values()), hits
+
+
+def test_unhashable_pair_user_fails_before_the_penalty_matrix():
+    doc = {
+        "resources": ["r0"],
+        "users": ["u0"],
+        "auth": {"pairs": [["u0", "r0"], [["u0"], "r0"]], "pair_penalty": [[1, 2]]},
+    }
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        instance_from_doc(doc)
+    assert _outcome(_reference_from_doc, doc) == ("TypeError", "unhashable type: 'list'")
+
+
+def test_loaders_check_pair_penalties():
+    # AuthCost's range checks run on the loaders' path too
+    for pp in (-1, 10**7, True, [[0, -1], [1, 1]], [[0, 1.5], [1, 1]], [[0, 1], [True, 1]],
+               [[0, 10**7], [1, 1]], 2, [[0, 1], [2, 3]]):
+        doc = {
+            "resources": ["r0", "r1"],
+            "users": ["u0", "u1"],
+            "auth": {"pairs": [["u0", "r0"], ["u1", "r1"]], "pair_penalty": pp},
+        }
+        want = _outcome(_reference_from_doc, doc)
+        assert _outcome(lambda d: _loaded_fields(instance_from_doc(d)), doc) == want
+        if not isinstance(pp, list):
+            plan = {"steps": doc["resources"], "users": doc["users"], "auth": doc["auth"]}
+            got = _outcome(vapep.wsp_from_doc, plan)
+            assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
+
+
+def _reference_users_by_base(masks, m):
+    """Instance.users_by_base as the one pass over the users it was."""
+    groups = {}
+    for u, base in enumerate(masks):
+        group = groups.get(base)
+        if group is None:
+            groups[base] = [u]
+        elif len(group) < m:
+            group.append(u)
+    return groups
+
+
+@pytest.mark.parametrize("n, k", [(20000, 3), (3000, 6)])
+def test_loader_matches_set_based_loader_at_scale(n, k):
+    # generated documents with shuffled, repeated and missing pairs; at k=3
+    # users_by_base scans for the few distinct masks when m is 1 or 5 and
+    # groups the users in one pass when m is n; at k=6 there are more masks
+    # than it scans for
+    from vapep import model
+    from vapep.generator import GeneratorConfig, generate
+
+    rng = random.Random(37)
+    doc = instance_to_doc(generate(GeneratorConfig(n=n, k=k, seed=5)))
+    idle = set(rng.sample(doc["users"], n // 10))
+    pairs = [p for p in doc["auth"]["pairs"] if p[0] not in idle]
+    pairs += [list(p) for p in rng.sample(pairs, n // 20)]
+    rng.shuffle(pairs)
+    doc["auth"]["pairs"] = pairs
+    if k == 6:
+        doc["auth"]["pair_penalty"] = [
+            [rng.randint(0, 3) for _ in doc["resources"]] for _ in doc["users"]
+        ]
+    text = json.dumps(doc)
+    want = _reference_from_doc(json.loads(text))
+    inst = instance_from_doc(json.loads(text))
+    assert _loaded_fields(inst) == want
+    distinct = len(set(want["base_mask"]))
+    assert (distinct <= model._SCAN_MASKS) == (k == 3)
+    for m in (1, 5, n):
+        got = inst.users_by_base(m)
+        ref = _reference_users_by_base(want["base_mask"], m)
+        assert list(got.items()) == list(ref.items())
+
+
 def test_equal_authorized_sets_share_one_frozenset():
     auth = AuthCost({"u1": ["r1", "r2"], "u2": ("r2", "r1", "r2"), "u3": {"r1"}})
     assert auth.base["u1"] is auth.base["u2"]

@@ -465,3 +465,37 @@ def test_profile_guard_boundary(monkeypatch):
     monkeypatch.setattr(solver_profile, "MAX_PROFILES", size - 1)
     with pytest.raises(GuardError):
         solve(inst, ell=4)
+
+
+@pytest.mark.parametrize("weight", [1 << 62, 1 << 63, 1 << 70])
+def test_optima_at_or_past_two_to_the_62_raise(weight):
+    # the searches start from 2^62 as their incumbent; an optimum that heavy
+    # used to surface as a TypeError or an internal RuntimeError, and costs
+    # past int64 as an OverflowError from the compiled kernels
+    inst = Instance(
+        ("r1",), ("u1", "u2"), (),
+        AuthCost({}, 1, custom=lambda u, rs: weight if rs else 0),
+    )
+    plan = vapep.WspInstance(("s1", "s2"), ("u1", "u2"), (vapep.must_differ("s1", "s2"),),
+                             cost_fn=lambda ui, mask: weight)
+    runs = [lambda: vapep.solve_wsp(plan)]
+    for backend in vapep.available_backends():
+        runs.append(lambda b=backend: solve(inst, backend=b))
+        runs.append(lambda b=backend: vapep.solve_exhaustive(inst, backend=b))
+    for run in runs:
+        with pytest.raises(ValueError, match=r"2\^62"):
+            run()
+
+
+def test_optimum_just_below_two_to_the_62_is_found():
+    top = (1 << 62) - 1
+    inst = Instance(
+        ("r1",), ("u1", "u2"), (),
+        AuthCost({}, 1, custom=lambda u, rs: (top if u == "u2" else 1 << 62) if rs else 0),
+    )
+    for backend in vapep.available_backends():
+        assert solve(inst, backend=backend).total_weight == top
+        assert vapep.solve_exhaustive(inst, backend=backend).total_weight == top
+    plan = vapep.WspInstance(("s1",), ("u1", "u2"), (),
+                             cost_fn=lambda ui, mask: top if ui == 1 else 1 << 62)
+    assert vapep.solve_wsp(plan) == ({"s1": "u2"}, top)
