@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import chain, compress, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -32,7 +32,6 @@ from .constraints import (
 
 MAX_RESOURCES = 30
 MAX_USERS = 10**6
-_SCAN_MASKS = 16  # Instance.users_by_base scans per mask up to this many masks
 
 
 class GuardError(RuntimeError):
@@ -57,15 +56,10 @@ class AuthCost:
     custom: Optional[Callable[[str, frozenset], int]] = None
 
     def __post_init__(self):
-        shared: dict[frozenset, frozenset] = {}  # equal sets share one object
-        base = {}
-        for u, rs in self.base.items():
-            fs = frozenset(rs)
-            base[u] = shared.setdefault(fs, fs)
-        self.base = base
-        self._check_penalty()
-
-    def _check_penalty(self) -> None:
+        sets = list(map(frozenset, self.base.values()))
+        # equal sets share one object, the first of them
+        shared = {fs: fs for fs in dict.fromkeys(sets)}
+        self.base = dict(zip(self.base, map(shared.__getitem__, sets)))
         pp = self.pair_penalty
         if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
             raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
@@ -140,14 +134,6 @@ _user_of = itemgetter(0)
 _name_of = itemgetter(1)
 
 
-def _unchecked(cls, **fields):
-    """A dataclass instance holding `fields`, made without running its
-    `__init__`; the loaders then run the checks they have not done."""
-    obj = cls.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _walk_pairs(pairs, shape: str) -> None:
     """Raise, for the first pair in order that is not a two-item list or
     holds an unhashable item, what grouping the pairs into per-user sets
@@ -159,15 +145,20 @@ def _walk_pairs(pairs, shape: str) -> None:
         hash(p[1])
 
 
-def _pair_masks(pairs, shape: str, n: int, uindex: dict, names) -> Optional[list[int]]:
+def _pair_masks(pairs, shape: str, n: int, uindex: dict, names, cap: int
+                ) -> Optional[list[int]]:
     """Each of the n users' authorized mask over `names`, ORed from the
     `[user, name]` pairs, the users' positions taken from `uindex`; None if
-    some pair's user is not in `uindex` or its name not one of `names`.
+    some pair's user is not in `uindex`, its name not one of `names`, or
+    there are more than `cap` names, which the constructors report.
 
     Pairs that are all plain two-item lists are checked and looked up in C;
     any fault found on the way is then reported by a walk over the pairs in
     order (`_walk_pairs`).
     """
+    if len(names) > cap:
+        _walk_pairs(pairs, shape)  # no bit table: it grows as names squared
+        return None
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         _walk_pairs(pairs, shape)
     bit = {nm: 1 << i for nm, i in _name_index(names).items()}
@@ -205,9 +196,10 @@ def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> Aut
             base.setdefault(p[0], []).append(p[1])
         return AuthCost(base, pp)
     held = {m: _mask_names(names, m) for m in set(masks) if m}
-    base = dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
-    auth = _unchecked(AuthCost, base=base, pair_penalty=pp, custom=None)
-    auth._check_penalty()
+    auth = AuthCost({}, pp)
+    # set after the constructor, which would copy an n-entry dict whose
+    # equal sets are already one object
+    auth.base = dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
     return auth
 
 
@@ -218,15 +210,13 @@ class Instance:
     constraints: tuple[Constraint, ...]
     auth: AuthCost
     meta: Optional[dict] = None
+    _: KW_ONLY
+    # (user index, authorized masks, penalty rows or None) when the loader
+    # built them from a document; built here from the fields otherwise
+    _prebuilt: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
-        self._build(None, None, None)
-
-    def _build(self, uindex, masks: Optional[list[int]], pen: Optional[list[list[int]]]):
-        """Check the fields and build the tables.  The loader passes the
-        user index and the authorized masks it built from the pairs, and the
-        penalty rows when the per-pair penalties came from a matrix; each is
-        built here otherwise."""
+    def __post_init__(self, _prebuilt):
+        uindex, masks, pen = _prebuilt or (None, None, None)
         self.resources, self._rindex = _index_names(
             self.resources, "resource", MAX_RESOURCES
         )
@@ -250,7 +240,6 @@ class Instance:
             pen = [[pp.get((u, r), 1) for r in self.resources] for u in self.users]
         self._pen = pen  # None: uniform
         self._groups: tuple[int, dict[int, list[int]]] = (0, {})
-        return self
 
     @property
     def k(self) -> int:
@@ -266,33 +255,24 @@ class Instance:
         ascending.  Built once and kept for later calls that need no more
         than m per group.
 
-        When the groups to fill hold fewer places than there are users, and
-        there are few distinct masks, each group is found by `list.index`
-        scans in C, which stop at the group's m-th user or at the end of the
-        list.  A scan costs about a twentieth of a Python step per user, so
-        past _SCAN_MASKS masks one Python pass over the users is cheaper;
-        so it is when the scans would find most users one call at a time."""
+        The pass over the users stops once every mask's group is full."""
         cap, groups = self._groups
         if cap < m:
             masks = self._base_mask
-            first = dict.fromkeys(masks)
+            short = len(dict.fromkeys(masks))  # groups not yet holding m users
             groups = {}
-            if len(first) <= _SCAN_MASKS and len(first) * m <= len(masks):
-                find = masks.index
-                for base in first:
-                    group = groups[base] = [find(base)]
-                    try:
-                        while len(group) < m:
-                            group.append(find(base, group[-1] + 1))
-                    except ValueError:  # no more users of this mask
-                        pass
-            else:
-                for u, base in enumerate(masks):
-                    group = groups.get(base)
-                    if group is None:
-                        groups[base] = [u]
-                    elif len(group) < m:
-                        group.append(u)
+            for u, base in enumerate(masks):
+                group = groups.get(base)
+                if group is None:
+                    group = groups[base] = [u]
+                elif len(group) < m:
+                    group.append(u)
+                else:
+                    continue
+                if len(group) == m:
+                    short -= 1
+                    if not short:
+                        break
             self._groups = (m, groups)
         return groups
 
@@ -725,7 +705,8 @@ def instance_from_doc(doc: dict) -> Instance:
     users, resources = doc["users"], doc["resources"]
     pairs = auth_doc.get("pairs", [])
     uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, resource]", len(users), uindex, resources)
+    masks = _pair_masks(pairs, "[user, resource]", len(users), uindex, resources,
+                        MAX_RESOURCES)
     pp = auth_doc.get("pair_penalty", 1)
     rows = None
     if isinstance(pp, list):
@@ -744,11 +725,10 @@ def instance_from_doc(doc: dict) -> Instance:
         raise ValueError("meta must be an object")
     users, resources = tuple(users), tuple(resources)
     auth = _auth_from_pairs(pairs, masks, users, resources, pp)
-    fields = dict(resources=resources, users=users, constraints=cons, auth=auth, meta=meta)
-    if masks is None:
-        return Instance(**fields)
-    pen = None if rows is None else list(map(list, rows))
-    return _unchecked(Instance, **fields)._build(uindex, masks, pen)
+    prebuilt = None
+    if masks is not None:
+        prebuilt = uindex, masks, None if rows is None else list(map(list, rows))
+    return Instance(resources, users, cons, auth, meta, _prebuilt=prebuilt)
 
 
 def instance_to_doc(instance: Instance) -> dict:

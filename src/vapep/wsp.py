@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import Callable, Dict, Iterator, Optional
 
 from .constraints import MAX_PENALTY, PenaltySpec
 from .matching import INF, TOO_HEAVY, assignment_cost, min_cost_assignment
 from .model import (
+    MAX_USERS,
     AuthCost,
     AuthorizationRelation,
     GuardError,
@@ -37,12 +38,12 @@ from .model import (
     _name_index,
     _pair_masks,
     _reject_unknown,
-    _unchecked,
     canonical_json,
 )
 
 log = logging.getLogger("vapep.wsp")
 
+MAX_STEPS = 900
 MAX_STEPS_EXACT = 12
 
 MUST_EQUAL = "must_equal"
@@ -102,15 +103,15 @@ class WspInstance:
     constraints: tuple[WspConstraint, ...]
     auth: Optional[AuthCost] = None
     cost_fn: Optional[Callable[[int, int], int]] = None  # (user idx, step mask)
+    _: KW_ONLY
+    # (user index, authorized masks) when the loader built them from a
+    # document; built here from the fields otherwise
+    _prebuilt: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
-        self._build(None, None)
-
-    def _build(self, uindex, masks: Optional[list[int]]):
-        """Check the fields and build the tables; the loader passes the user
-        index and the authorized masks it built from the pairs."""
-        self.steps, self._sindex = _index_names(self.steps, "step", 900)
-        self.users, self._uindex = _index_names(self.users, "user", 10**6, uindex)
+    def __post_init__(self, _prebuilt):
+        uindex, masks = _prebuilt or (None, None)
+        self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
+        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             names = c.scope[0] + c.scope[1] if c.kind == DISJOINT else c.scope
@@ -127,7 +128,6 @@ class WspInstance:
             )
         else:
             self._base_mask = masks
-        return self
 
     @property
     def k(self) -> int:
@@ -435,7 +435,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
     users, steps = doc["users"], doc["steps"]
     pairs = auth_doc.get("pairs", [])
     uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, step]", len(users), uindex, steps)
+    masks = _pair_masks(pairs, "[user, step]", len(users), uindex, steps, MAX_STEPS)
     pp = auth_doc.get("pair_penalty", 1)
     cons = []
     for idx, entry in enumerate(doc.get("constraints", [])):
@@ -459,10 +459,8 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
     users, steps = tuple(users), tuple(steps)
     auth = _auth_from_pairs(pairs, masks, users, steps, pp)
-    fields = dict(steps=steps, users=users, constraints=tuple(cons), auth=auth, cost_fn=None)
-    if masks is None:
-        return WspInstance(**fields)
-    return _unchecked(WspInstance, **fields)._build(uindex, masks)
+    prebuilt = None if masks is None else (uindex, masks)
+    return WspInstance(steps, users, tuple(cons), auth, _prebuilt=prebuilt)
 
 
 def wsp_to_doc(w: WspInstance) -> dict:

@@ -722,11 +722,9 @@ def _reference_users_by_base(masks, m):
 
 @pytest.mark.parametrize("n, k", [(20000, 3), (3000, 6)])
 def test_loader_matches_set_based_loader_at_scale(n, k):
-    # generated documents with shuffled, repeated and missing pairs; at k=3
-    # users_by_base scans for the few distinct masks when m is 1 or 5 and
-    # groups the users in one pass when m is n; at k=6 there are more masks
-    # than it scans for
-    from vapep import model
+    # generated documents with shuffled, repeated and missing pairs;
+    # users_by_base stops early when m is 1 or 5 and passes over every user
+    # when m is n
     from vapep.generator import GeneratorConfig, generate
 
     rng = random.Random(37)
@@ -744,12 +742,39 @@ def test_loader_matches_set_based_loader_at_scale(n, k):
     want = _reference_from_doc(json.loads(text))
     inst = instance_from_doc(json.loads(text))
     assert _loaded_fields(inst) == want
-    distinct = len(set(want["base_mask"]))
-    assert (distinct <= model._SCAN_MASKS) == (k == 3)
     for m in (1, 5, n):
         got = inst.users_by_base(m)
         ref = _reference_users_by_base(want["base_mask"], m)
         assert list(got.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("plan", [False, True])
+def test_loaders_report_the_name_cap_without_a_bit_table(plan):
+    # 10^5 resource (or step) names: a bit per name would take about
+    # 0.7 GB of masks; the cap is reported as the constructors report it
+    import tracemalloc
+
+    names = [f"r{i}" for i in range(10**5)]
+    pairs = [["u0", names[0]], ["u1", names[-1]], ["u1", names[7]]]
+    if plan:
+        doc = {"steps": names, "users": ["u0", "u1"], "auth": {"pairs": pairs}}
+        load, message = vapep.wsp_from_doc, "at most 900 steps are supported"
+    else:
+        doc = {"resources": names, "users": ["u0", "u1"], "auth": {"pairs": pairs}}
+        load, message = instance_from_doc, "at most 30 resources are supported"
+        assert _outcome(_reference_from_doc, doc) == ("ValueError", message)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # pair faults are still reported first
+    pairs.insert(1, ["u0"])
+    with pytest.raises(ValueError, match=r"auth.pairs entries must be \[user, "):
+        load(doc)
 
 
 def test_equal_authorized_sets_share_one_frozenset():
