@@ -4,7 +4,9 @@ Generates an instance with `vapep generate --n N --k K --seed 0`, then
 solves it with `vapep solve --in`, each in a fresh interpreter that imports
 `vapep` from this checkout's `src/`.  Prints, per step, the wall time from
 process start to exit and the child's peak resident set (`ru_maxrss` from
-`os.wait4`), plus the size of the instance file.
+`os.wait4`), plus the size of the instance file.  A third child splits the
+load of the instance: `json.load` against `instance_from_doc`, with the
+cyclic collector paused as `load_instance` pauses it.
 
 Usage:
     python3 benchmarks/scale_bench.py --n 1000000 --k 3
@@ -24,21 +26,36 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 0
 
 
-def run_child(argv: list) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MiB of `python -m vapep.cli argv`."""
+# times json.load and instance_from_doc on the file named by argv[1]
+LOAD_SPLIT = """
+import gc, json, sys, time
+from vapep.model import instance_from_doc
+gc.disable()
+t0 = time.perf_counter()
+with open(sys.argv[1], encoding="utf-8") as fh:
+    doc = json.load(fh)
+t1 = time.perf_counter()
+instance_from_doc(doc)
+print(t1 - t0, time.perf_counter() - t1)
+"""
+
+
+def run_child(args: list, stdout=subprocess.DEVNULL) -> tuple[float, float, str]:
+    """Wall seconds, peak RSS in MiB and standard output of `python args`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    cmd = [sys.executable, "-m", "vapep.cli", *argv]
+    cmd = [sys.executable, *args]
     t0 = time.perf_counter()
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, env=env, stdout=stdout, text=True)
+    out = proc.stdout.read() if proc.stdout else ""
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
+    return wall, usage.ru_maxrss / 1024.0, out  # Linux reports KiB
 
 
 def main() -> int:
@@ -60,9 +77,13 @@ def main() -> int:
         print(f"n={args.n} k={args.k} seed={SEED} python={sys.version.split()[0]}")
         print(f"{'step':<9} {'wall_s':>8} {'maxrss_mib':>11}")
         for name, argv in steps:
-            wall, rss = run_child(argv)
+            wall, rss, _ = run_child(["-m", "vapep.cli", *argv])
             print(f"{name:<9} {wall:>8.2f} {rss:>11.1f}", flush=True)
         print(f"instance file: {inst.stat().st_size / 1e6:.1f} MB")
+        _, _, out = run_child(["-c", LOAD_SPLIT, str(inst)], stdout=subprocess.PIPE)
+        parse, build = map(float, out.split())
+        print(f"load split (GC paused): json.load {parse:.2f} s, "
+              f"instance_from_doc {build:.2f} s")
     return 0
 
 

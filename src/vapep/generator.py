@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import AuthCost, Instance
+from .model import Instance, _auth_of_masks
 from .resiliency import encode_resilient
 from .wsp import WspInstance, must_differ
 
@@ -161,13 +161,8 @@ def generate(cfg: GeneratorConfig) -> Instance:
     users = tuple(map("u{}".format, range(1, n + 1)))
 
     # user j holds randint(1, cmax) steps drawn by sample(k, c), in user
-    # order from the "auth" stream; equal subsets share one frozenset
+    # order from the "auth" stream; the masks go to the instances as built
     masks = substream(cfg.seed, "auth").subset_masks(n, k, max(1, (k - 1) // 2))
-    subsets = {
-        m: frozenset(s for i, s in enumerate(steps) if m >> i & 1)
-        for m in set(masks)
-    }
-    base = dict(zip(users, map(subsets.__getitem__, masks)))
 
     scope_rng = substream(cfg.seed, "scopes")
     cons = []
@@ -182,7 +177,8 @@ def generate(cfg: GeneratorConfig) -> Instance:
         steps=steps,
         users=users,
         constraints=tuple(cons),
-        auth=AuthCost(base, 1),
+        auth=_auth_of_masks(masks, users, steps, 1),
+        _prebuilt=(None, masks),
     )
     inst = encode_resilient(wsp, tau, p_sod=10 * alpha, p_card=10, p_a=alpha)
     inst.meta = {"generator": {

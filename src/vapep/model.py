@@ -3,18 +3,22 @@
 Resource subsets are bitmasks over the instance's resource order (bit i is
 resources[i]); k is capped at 30 so masks stay cheap machine ints.
 
-Loading builds each user's authorized mask once, straight from the
-document's `[user, resource]` pairs, in passes that run in C (`map` over
-dict lookups); `AuthCost.base` and the `Instance` tables are then made from
-the masks.  A fault in the pairs stops those passes, and a walk over the
-pairs in order reports the first one, with the message a per-pair loader
-would give.
+Each user's authorized mask (`_base_mask`) is the one per-user authorization
+table the solvers and writers read.  Loading builds the masks once, straight
+from the document's `[user, resource]` pairs, in passes that run in C (`map`
+over dict lookups); when the pairs name every user once, in user order, each
+mask is just its pair's bit and no user is looked up.  A fault in the pairs
+stops those passes, and a walk over the pairs in order reports the first
+one, with the message a per-pair loader would give.  The loaders and the
+generator hand their masks to `Instance`/`WspInstance`, whose `AuthCost.base`
+dict is then built from them only when something reads it.
 """
 from __future__ import annotations
 
 import gc
 import json
 from dataclasses import KW_ONLY, InitVar, dataclass
+from functools import partial
 from itertools import chain, compress, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -49,6 +53,9 @@ class AuthCost:
     in an assignment adds its pair penalty.  `custom` swaps in an arbitrary
     monotone per-(user, subset) cost for library users; it must return 0 for
     the empty set and is not serializable.
+
+    An AuthCost made from authorized masks (`_auth_of_masks`) builds `base`
+    on its first read; the solvers read the instance's masks instead.
     """
 
     base: dict[str, frozenset[str]]
@@ -61,6 +68,8 @@ class AuthCost:
         shared = {fs: fs for fs in dict.fromkeys(sets)}
         self.base = dict(zip(self.base, map(shared.__getitem__, sets)))
         pp = self.pair_penalty
+        if not isinstance(pp, (int, dict)):
+            raise ValueError("pair penalty must be an integer or per-pair penalties")
         if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
             raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
         if isinstance(pp, dict):
@@ -71,6 +80,54 @@ class AuthCost:
             for v in values:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= MAX_PENALTY:
                     raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
+
+
+class _BaseOnFirstRead:
+    """The `base` of an AuthCost made by `_lazy_auth`: its `_build_base()`,
+    run on the first read and stored on the instance, where later reads find
+    it first.  A non-data descriptor rather than `__getattr__`, which would
+    take every field read (`omega_mask` reads two per call) off CPython's
+    specialized attribute lookup."""
+
+    def __get__(self, auth, owner=None):
+        if auth is None:
+            return self
+        base = auth.__dict__["base"] = auth.__dict__.pop("_build_base")()
+        return base
+
+
+AuthCost.base = _BaseOnFirstRead()
+
+
+def _lazy_auth(build: Callable[[], dict], pair_penalty) -> AuthCost:
+    """An AuthCost whose base is `build()`, called on the first read of it."""
+    auth = AuthCost({}, pair_penalty)
+    del auth.base
+    auth._build_base = build
+    return auth
+
+
+def _masks_base(masks: list[int], users, names) -> dict:
+    """The base of the users' authorized masks over `names`: users with a
+    non-zero mask, in order, keyed by the objects in `users`, and one
+    frozenset per distinct mask."""
+    held = {m: _mask_names(names, m) for m in set(masks) if m}
+    return dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
+
+
+def _auth_of_masks(masks: list[int], users, names, pair_penalty) -> AuthCost:
+    """The AuthCost of the users' authorized masks over `names`; its base is
+    built when first read."""
+    return _lazy_auth(partial(_masks_base, masks, users, names), pair_penalty)
+
+
+def _auth_with_penalty(auth: AuthCost, pair_penalty) -> AuthCost:
+    """An AuthCost holding auth's base and the given pair penalty.  A base
+    that auth has not built yet is built from the same masks when read."""
+    build = auth.__dict__.get("_build_base")
+    if build is None:
+        return AuthCost(dict(auth.base), pair_penalty)
+    return _lazy_auth(build, pair_penalty)
 
 
 def _name_index(names) -> dict:
@@ -145,16 +202,17 @@ def _walk_pairs(pairs, shape: str) -> None:
         hash(p[1])
 
 
-def _pair_masks(pairs, shape: str, n: int, uindex: dict, names, cap: int
+def _pair_masks(pairs, shape: str, users, uindex: dict, names, cap: int
                 ) -> Optional[list[int]]:
-    """Each of the n users' authorized mask over `names`, ORed from the
+    """Each user's authorized mask over `names`, ORed from the
     `[user, name]` pairs, the users' positions taken from `uindex`; None if
     some pair's user is not in `uindex`, its name not one of `names`, or
     there are more than `cap` names, which the constructors report.
 
     Pairs that are all plain two-item lists are checked and looked up in C;
-    any fault found on the way is then reported by a walk over the pairs in
-    order (`_walk_pairs`).
+    pairs that name every user once, in the order of `users`, give each mask
+    straight from the pair's name.  Any fault found on the way is then
+    reported by a walk over the pairs in order (`_walk_pairs`).
     """
     if len(names) > cap:
         _walk_pairs(pairs, shape)  # no bit table: it grows as names squared
@@ -162,8 +220,10 @@ def _pair_masks(pairs, shape: str, n: int, uindex: dict, names, cap: int
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         _walk_pairs(pairs, shape)
     bit = {nm: 1 << i for nm, i in _name_index(names).items()}
-    masks = [0] * n
     try:
+        if uindex and len(pairs) == len(users) and list(map(_user_of, pairs)) == users:
+            return list(map(bit.__getitem__, map(_name_of, pairs)))
+        masks = [0] * len(users)
         for ui, b in zip(map(uindex.__getitem__, map(_user_of, pairs)),
                          map(bit.__getitem__, map(_name_of, pairs))):
             masks[ui] |= b
@@ -182,12 +242,17 @@ def _mask_names(names, mask: int) -> frozenset:
     return frozenset(held)
 
 
+def _mask_pairs(users, names, masks: list[int]) -> list[list]:
+    """The `[user, name]` pairs of the users' authorized masks over `names`,
+    in user order and then name order."""
+    held = {m: [nm for i, nm in enumerate(names) if m >> i & 1] for m in set(masks)}
+    return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
+
+
 def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> AuthCost:
     """The AuthCost of the `[user, name]` pairs, whose masks over `names`
-    `_pair_masks` built.
-
-    Its base holds one frozenset per distinct mask, keyed by the strings in
-    `users`.  Without masks, it holds the pairs grouped per user, for the
+    `_pair_masks` built; its base is built from the masks when first read.
+    Without masks, its base holds the pairs grouped per user, for the
     caller's constructor to report the unknown user or name.
     """
     if masks is None:
@@ -195,12 +260,7 @@ def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> Aut
         for p in pairs:
             base.setdefault(p[0], []).append(p[1])
         return AuthCost(base, pp)
-    held = {m: _mask_names(names, m) for m in set(masks) if m}
-    auth = AuthCost({}, pp)
-    # set after the constructor, which would copy an n-entry dict whose
-    # equal sets are already one object
-    auth.base = dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
-    return auth
+    return _auth_of_masks(masks, users, names, pp)
 
 
 @dataclass
@@ -211,8 +271,8 @@ class Instance:
     auth: AuthCost
     meta: Optional[dict] = None
     _: KW_ONLY
-    # (user index, authorized masks, penalty rows or None) when the loader
-    # built them from a document; built here from the fields otherwise
+    # (user index or None, authorized masks, penalty rows or None) when the
+    # caller already holds them for these fields; built here otherwise
     _prebuilt: InitVar[Optional[tuple]] = None
 
     def __post_init__(self, _prebuilt):
@@ -705,8 +765,7 @@ def instance_from_doc(doc: dict) -> Instance:
     users, resources = doc["users"], doc["resources"]
     pairs = auth_doc.get("pairs", [])
     uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, resource]", len(users), uindex, resources,
-                        MAX_RESOURCES)
+    masks = _pair_masks(pairs, "[user, resource]", users, uindex, resources, MAX_RESOURCES)
     pp = auth_doc.get("pair_penalty", 1)
     rows = None
     if isinstance(pp, list):
@@ -734,13 +793,7 @@ def instance_from_doc(doc: dict) -> Instance:
 def instance_to_doc(instance: Instance) -> dict:
     if instance.auth.custom is not None:
         raise ValueError("custom authorization costs are not serializable")
-    # each user's authorized resources in resource order, one tuple per mask
-    held = {m: instance.mask_resources(m) for m in set(instance._base_mask)}
-    pairs = [
-        [u, r]
-        for u, m in zip(instance.users, instance._base_mask)
-        for r in held[m]
-    ]
+    pairs = _mask_pairs(instance.users, instance.resources, instance._base_mask)
     pp = instance.auth.pair_penalty
     if isinstance(pp, dict):
         pp = [[pp.get((u, r), 1) for r in instance.resources] for u in instance.users]

@@ -17,7 +17,7 @@ import math
 from typing import Iterable, Mapping, Optional
 
 from .constraints import MAX_PENALTY, card_lb, sod_u, user_count
-from .model import AuthCost, GuardError, Instance
+from .model import GuardError, Instance, _auth_with_penalty
 from .wsp import MUST_DIFFER, WspInstance, must_differ
 
 log = logging.getLogger("vapep.resiliency")
@@ -51,7 +51,8 @@ def encode_resilient(
         resources=wsp.steps,
         users=wsp.users,
         constraints=tuple(cons),
-        auth=AuthCost(dict(wsp.auth.base), p_a),
+        auth=_auth_with_penalty(wsp.auth, p_a),
+        _prebuilt=(wsp._uindex, wsp._base_mask, None),
     )
 
 
@@ -66,7 +67,8 @@ def wsp_from_encoded(instance: Instance) -> WspInstance:
         steps=instance.resources,
         users=instance.users,
         constraints=cons,
-        auth=AuthCost(dict(instance.auth.base), 1),
+        auth=_auth_with_penalty(instance.auth, 1),
+        _prebuilt=(instance._uindex, instance._base_mask),
     )
 
 

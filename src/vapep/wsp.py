@@ -35,6 +35,7 @@ from .model import (
     _auth_masks,
     _index_names,
     _load_doc,
+    _mask_pairs,
     _name_index,
     _pair_masks,
     _reject_unknown,
@@ -104,8 +105,8 @@ class WspInstance:
     auth: Optional[AuthCost] = None
     cost_fn: Optional[Callable[[int, int], int]] = None  # (user idx, step mask)
     _: KW_ONLY
-    # (user index, authorized masks) when the loader built them from a
-    # document; built here from the fields otherwise
+    # (user index or None, authorized masks) when the caller already holds
+    # them for these fields; built here otherwise
     _prebuilt: InitVar[Optional[tuple]] = None
 
     def __post_init__(self, _prebuilt):
@@ -330,13 +331,11 @@ def reduce_sodu_bodu(instance: Instance) -> WspInstance:
             cons.append(must_equal(c.scope[0], c.scope[1], c.spec(1)))
         else:
             raise ValueError(f"reduction only handles sod_u/bod_u, got {c.kind}")
-    return WspInstance(
-        steps=instance.resources,
-        users=instance.users,
-        constraints=tuple(cons),
-        auth=instance.auth if instance.auth.custom is None else None,
-        cost_fn=instance.omega_mask if instance.auth.custom is not None else None,
-    )
+    if instance.auth.custom is not None:
+        return WspInstance(instance.resources, instance.users, tuple(cons),
+                           cost_fn=instance.omega_mask)
+    return WspInstance(instance.resources, instance.users, tuple(cons), instance.auth,
+                       _prebuilt=(instance._uindex, instance._base_mask))
 
 
 def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
@@ -422,8 +421,9 @@ _WSP_CON_KEYS = {"type", "scope", "ell", "slope"}
 
 
 def wsp_from_doc(doc: dict) -> WspInstance:
-    """The plan instance a JSON document describes; its `[user, step]`
-    pairs are read as `instance_from_doc` reads `[user, resource]` pairs."""
+    """The plan instance a JSON document describes; its shape is checked and
+    its `[user, step]` pairs are read as `instance_from_doc` checks a
+    document and reads `[user, resource]` pairs."""
     if not isinstance(doc, dict):
         raise ValueError("plan instance document must be a JSON object")
     _reject_unknown(doc, _WSP_KEYS, "plan instance")
@@ -431,18 +431,27 @@ def wsp_from_doc(doc: dict) -> WspInstance:
         if not isinstance(doc.get(key), list):
             raise ValueError(f"plan instance needs a {key!r} list")
     auth_doc = doc.get("auth", {})
+    if not isinstance(auth_doc, dict):
+        raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, {"pairs", "pair_penalty"}, "auth")
     users, steps = doc["users"], doc["steps"]
     pairs = auth_doc.get("pairs", [])
     uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, step]", len(users), uindex, steps, MAX_STEPS)
+    masks = _pair_masks(pairs, "[user, step]", users, uindex, steps, MAX_STEPS)
     pp = auth_doc.get("pair_penalty", 1)
+    cons_doc = doc.get("constraints", [])
+    if not isinstance(cons_doc, list):
+        raise ValueError("constraints must be a list")
     cons = []
-    for idx, entry in enumerate(doc.get("constraints", [])):
+    for idx, entry in enumerate(cons_doc):
         where = f"constraints[{idx}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
         _reject_unknown(entry, _WSP_CON_KEYS, where)
         kind = entry.get("type")
         scope = entry.get("scope")
+        if not isinstance(scope, list):
+            raise ValueError(f"{where}: scope must be a list")
         if kind in (MUST_EQUAL, MUST_DIFFER):
             if entry.get("slope") is not None:
                 raise ValueError(f"{where}: {kind} takes ell, not slope")
@@ -450,7 +459,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
         elif kind == DISJOINT:
             if entry.get("ell") is not None:
                 raise ValueError(f"{where}: disjoint takes slope, not ell")
-            if not (isinstance(scope, list) and len(scope) == 2):
+            if len(scope) != 2:
                 raise ValueError(f"{where}: disjoint scope is a pair of lists")
             cons.append(
                 disjoint(scope[0], scope[1], PenaltySpec.linear(entry.get("slope", 1)))
@@ -466,9 +475,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
 def wsp_to_doc(w: WspInstance) -> dict:
     if w.auth is None:
         raise ValueError("derived plan instances are not serializable")
-    pairs = [
-        [u, s] for u in w.users for s in w.steps if s in w.auth.base.get(u, ())
-    ]
+    pairs = _mask_pairs(w.users, w.steps, w._base_mask)
     cons = []
     for c in w.constraints:
         if c.kind == DISJOINT:

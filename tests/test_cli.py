@@ -423,3 +423,28 @@ def test_perfbench_tracer_records_solver_spans(tmp_path):
     assert calls["solver_brute.solve_exhaustive"] == 1
     assert calls["matching.min_cost_assignment"] >= 3
     assert calls["solver_profile.best_relation_for_profile"] >= 2
+
+
+def test_generate_and_solve_build_no_authorization_dict(tmp_path, monkeypatch):
+    # the masks are the one per-user authorization table on these paths;
+    # AuthCost.base is built from them only when something reads it
+    from vapep import model
+
+    def refuse(*args):
+        raise AssertionError("AuthCost.base was built")
+
+    monkeypatch.setattr(model, "_masks_base", refuse)
+    gen = tmp_path / "gen.json"
+    assert run("generate", "--n", "300", "--k", "3", "--seed", "4", "-o", str(gen)) == 0
+    assert run("solve", "--in", str(gen), "-o", str(tmp_path / "p.json")) == 0
+    assert run("export-mip", "--in", str(gen), "-o", str(tmp_path / "m.lp")) == 0
+    duty = tmp_path / "duty.json"
+    dump_instance(helpers.rand_instance(
+        random.Random(5152), n_max=4, k_max=3, families=("sod_u", "bod_u"),
+        n_min=2, k_min=2, linear_only=True,
+    ), str(duty))
+    for solver in ("profile", "wsp", "brute"):
+        assert run("solve", "--in", str(duty), "--solver", solver,
+                   "-o", str(tmp_path / f"{solver}.json")) == 0
+    with pytest.raises(AssertionError, match="was built"):
+        vapep.load_instance(str(gen)).auth.base

@@ -399,6 +399,8 @@ def _reference_instance(resources, users, constraints, base, pp):
     from vapep.model import MAX_RESOURCES, MAX_USERS
 
     base = {u: frozenset(rs) for u, rs in base.items()}
+    if not isinstance(pp, (int, dict)):
+        raise ValueError("pair penalty must be an integer or per-pair penalties")
     if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
         raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
     if isinstance(pp, dict):
@@ -556,15 +558,108 @@ def _outcome(load, doc):
         return type(exc).__name__, str(exc)
 
 
+def _route_docs(rng, doc):
+    """Documents on doc's names with a uniform penalty, whose pairs sit on
+    either side of the loaders' in-order route (one pair per user, in user
+    order), by name."""
+    users, resources = doc["users"], doc["resources"]
+    in_order = [[u, rng.choice(resources)] for u in users]
+    at = rng.randrange(len(users))
+
+    def edit(i, pair):
+        return in_order[:i] + [pair] + in_order[i + 1:]
+
+    shuffled = in_order[:]
+    rng.shuffle(shuffled)
+    extra = [users[at], rng.choice(resources)]
+    variants = {
+        "in order": (users, in_order),
+        "shuffled": (users, shuffled),
+        "repeated pair": (users, in_order[:at + 1] + [list(in_order[at])] + in_order[at + 1:]),
+        "user without pairs": (users, in_order[:at] + in_order[at + 1:]),
+        "one extra pair": (users, in_order[:at + 1] + [extra] + in_order[at + 1:]),
+        "unknown resource": (users, edit(at, [users[at], "r_ghost"])),
+        "unhashable resource": (users, edit(at, [users[at], [resources[0]]])),
+        "unhashable user": (users, edit(at, [[users[at]], resources[0]])),
+        "duplicate user": (users + [users[at]], in_order + [[users[at], resources[0]]]),
+    }
+    return {
+        name: {"resources": resources, "users": names,
+               "auth": {"pairs": pairs, "pair_penalty": 2}}
+        for name, (names, pairs) in variants.items()
+    }
+
+
+def _constructed(doc, plan):
+    """base and masks of the constructor route: the pairs grouped into
+    per-user sets, then AuthCost and Instance (or WspInstance)."""
+    base: dict = {}
+    for u, r in doc["auth"]["pairs"]:
+        base.setdefault(u, set()).add(r)
+    auth = AuthCost(base, doc["auth"]["pair_penalty"])
+    make = vapep.WspInstance if plan else Instance
+    inst = make(tuple(doc["resources"]), tuple(doc["users"]), (), auth)
+    return inst.auth.base, inst._base_mask
+
+
 def test_loader_matches_set_based_loader_on_random_documents():
     rng = random.Random(31)
-    for _ in range(400):
+    routes = random.Random(38)
+    seen = set()
+    for i in range(400):
         doc = _random_doc(rng)
         text = json.dumps(doc)
         want = _reference_from_doc(json.loads(text))
         got = _loaded_fields(instance_from_doc(json.loads(text)))
         assert got == want
         assert json.loads(text) == doc  # the loader did not touch its input
+        if i % 4:
+            continue
+        # both routes of the pair masks give the constructors' base, masks
+        # and errors, for instance and plan documents
+        for name, edge in _route_docs(routes, doc).items():
+            want = _outcome(_reference_from_doc, edge)
+            got = _outcome(lambda d: _loaded_fields(instance_from_doc(d)), edge)
+            assert got == want, name
+            built = _outcome(lambda d: _constructed(d, False), edge)
+            if got[0] == "ok":
+                got = "ok", (got[1]["base"], got[1]["base_mask"])
+            assert got == built, name
+            inst_doc, plan_doc = _as_plan_docs(edge)
+            got = _plan_outcome(plan_doc)
+            if got[0] == "ok":
+                got = "ok", got[1][2:]
+            assert got == _outcome(lambda d: _constructed(d, True), edge), name
+            seen.add((name, got[0]))
+    assert {name for name, _ in seen} == set(_route_docs(routes, _random_doc(rng)))
+    assert ("in order", "ok") in seen and ("unknown resource", "ValueError") in seen
+    assert ("unhashable resource", "TypeError") in seen
+
+
+class _NoLookups(dict):
+    def __getitem__(self, key):
+        raise AssertionError(f"looked up {key!r}")
+
+
+@pytest.mark.parametrize("plan", [False, True])
+def test_pairs_in_user_order_need_no_user_lookups(plan):
+    from vapep.model import _name_index, _pair_masks
+
+    users = [f"u{j}" for j in range(6)]
+    names = ["r0", "r1", "r2"]
+    pairs = [[u, names[j % 3]] for j, u in enumerate(users)]
+    uindex = _NoLookups(_name_index(users))
+    masks = _pair_masks(pairs, "[user, resource]", users, uindex, names, 30)
+    assert masks == [1, 2, 4, 1, 2, 4]
+    with pytest.raises(AssertionError, match="looked up"):
+        _pair_masks(pairs[::-1], "[user, resource]", users, uindex, names, 30)
+    # the loaders take the route, and keep its masks
+    doc = {"resources": names, "users": users, "auth": {"pairs": pairs}}
+    if plan:
+        doc["steps"] = doc.pop("resources")
+        assert vapep.wsp_from_doc(doc)._base_mask == masks
+    else:
+        assert instance_from_doc(doc)._base_mask == masks
 
 
 def test_loader_error_messages_match_set_based_loader():
@@ -706,6 +801,23 @@ def test_loaders_check_pair_penalties():
             plan = {"steps": doc["resources"], "users": doc["users"], "auth": doc["auth"]}
             got = _outcome(vapep.wsp_from_doc, plan)
             assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
+
+
+@pytest.mark.parametrize("pp", ["ab", None, 1.5, [[1]]])
+def test_loaders_reject_pair_penalties_that_are_not_integers(pp):
+    # these loaded before, and the solve then raised TypeError; a matrix is
+    # a per-pair penalty in an instance document only
+    auth = {"pairs": [["u0", "r0"]], "pair_penalty": pp}
+    doc = {"resources": ["r0"], "users": ["u0"], "auth": auth}
+    plan = {"steps": ["r0"], "users": ["u0"], "auth": auth}
+    message = "pair penalty must be an integer or per-pair penalties"
+    with pytest.raises(ValueError, match=message):
+        vapep.wsp_from_doc(plan)
+    if isinstance(pp, list):
+        assert instance_from_doc(doc)._pen == [[1]]
+    else:
+        with pytest.raises(ValueError, match=message):
+            instance_from_doc(doc)
 
 
 def _reference_users_by_base(masks, m):

@@ -500,6 +500,48 @@ def test_wsp_loader_masks_and_errors(tmp_path):
         gc.enable() if was else gc.disable()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"auth": []}, "auth must be an object"),
+    ({"auth": "x"}, "auth must be an object"),
+    ({"constraints": {}}, "constraints must be a list"),
+    ({"constraints": [5]}, "constraints[0] must be an object"),
+    ({"constraints": [{"type": "must_equal"}]}, "constraints[0]: scope must be a list"),
+    ({"constraints": [{"type": "disjoint", "scope": "s1"}]},
+     "constraints[0]: scope must be a list"),
+])
+def test_wsp_loader_checks_the_document_shape(change, message):
+    # as instance_from_doc checks them; these raised AttributeError or
+    # TypeError, or named the letters of a string as unknown fields
+    doc = {"steps": ["s1", "s2"], "users": ["u1"], "auth": {"pairs": [["u1", "s1"]]},
+           "constraints": [{"type": "must_differ", "scope": ["s1", "s2"]}]}
+    doc.update(change)
+    with pytest.raises(ValueError) as err:
+        wsp_from_doc(doc)
+    assert str(err.value) == message
+
+
+def test_dump_wsp_of_a_loaded_plan_is_unchanged_and_builds_no_base():
+    # users holding several steps, pairs out of user order: the pairs are
+    # written from the masks, as the walk over every (user, step) pair
+    # through auth.base wrote them
+    rng = random.Random(82)
+    steps = [f"s{i}" for i in range(5)]
+    users = [f"u{j}" for j in range(12)]
+    pairs = [[u, s] for u in users for s in steps if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    doc = {"steps": steps, "users": users, "auth": {"pairs": pairs, "pair_penalty": 3},
+           "constraints": [{"type": "must_differ", "scope": ["s0", "s3"], "ell": 2}]}
+    w = wsp_from_doc(doc)
+    text = dump_wsp(w)
+    assert "base" not in vars(w.auth)
+    want = dict(wsp_to_doc(w), auth={"pairs": [
+        [u, s] for u in w.users for s in w.steps if s in w.auth.base.get(u, ())
+    ], "pair_penalty": 3})
+    assert max(map(len, w.auth.base.values())) >= 3
+    assert text == vapep.canonical_json(want)
+    assert dump_wsp(wsp_from_doc(json.loads(text))) == text
+
+
 def test_derived_cost_instances_not_serializable():
     inst = Instance(
         ("r1", "r2"),
