@@ -177,12 +177,12 @@ def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,
     """Enumerate every assignment of a subset index to each user.
 
     Users vary outermost-first (user 0 slowest) and subset indices follow
-    `subs_all` ((popcount, value) order with the empty set first), so the
-    first optimum found is the canonical one.  Subtrees whose accumulated
-    authorization cost already reaches the incumbent are skipped; that never
-    discards a strictly better relation.  Returns (best_total, best_indices,
-    leaves_visited); best_total is INF when no complete relation exists
-    (cannot happen for n >= 1).
+    `subs_all` ((popcount, value) order with the empty set first); the first
+    optimum found is kept, and `solve_exhaustive` reads only its weight.
+    Subtrees whose accumulated authorization cost already reaches the
+    incumbent are skipped; that never discards a strictly better relation.
+    Returns (best_total, best_indices, leaves_visited); best_total is INF
+    when no complete relation weighs less.
     """
     S = len(subs_all)
     C = len(kinds)

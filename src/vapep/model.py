@@ -36,6 +36,7 @@ from .constraints import (
 
 MAX_RESOURCES = 30
 MAX_USERS = 10**6
+_PAIR_PENALTY_TYPE = "pair penalty must be an integer or per-pair penalties"
 
 
 class GuardError(RuntimeError):
@@ -69,7 +70,7 @@ class AuthCost:
         self.base = dict(zip(self.base, map(shared.__getitem__, sets)))
         pp = self.pair_penalty
         if not isinstance(pp, (int, dict)):
-            raise ValueError("pair penalty must be an integer or per-pair penalties")
+            raise ValueError(_PAIR_PENALTY_TYPE)
         if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
             raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
         if isinstance(pp, dict):
@@ -249,6 +250,13 @@ def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
+def _check_pair_keys(pp: dict, uindex: dict, nindex: dict) -> None:
+    """Reject per-pair penalty keys that are not known (user, name) pairs."""
+    for (u, r) in pp:
+        if u not in uindex or r not in nindex:
+            raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
+
+
 def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> AuthCost:
     """The AuthCost of the `[user, name]` pairs, whose masks over `names`
     `_pair_masks` built; its base is built from the masks when first read.
@@ -293,9 +301,7 @@ class Instance:
         self._base_mask = masks
         pp = self.auth.pair_penalty
         if pen is None and isinstance(pp, dict):
-            for (u, r) in pp:
-                if u not in self._uindex or r not in self._rindex:
-                    raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
+            _check_pair_keys(pp, self._uindex, self._rindex)
             # per-(user, resource) penalty rows
             pen = [[pp.get((u, r), 1) for r in self.resources] for u in self.users]
         self._pen = pen  # None: uniform
@@ -782,6 +788,8 @@ def instance_from_doc(doc: dict) -> Instance:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("meta must be an object")
+    if rows is None and isinstance(pp, dict):  # per-pair penalties come as a matrix
+        raise ValueError(_PAIR_PENALTY_TYPE)
     users, resources = tuple(users), tuple(resources)
     auth = _auth_from_pairs(pairs, masks, users, resources, pp)
     prebuilt = None

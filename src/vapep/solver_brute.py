@@ -1,7 +1,8 @@
 """Reference solver: enumerate every relation outright.
 
 Only viable for toy sizes; a guard refuses anything beyond 2^24 relations.
-Useful as ground truth for the profile solver and in tests.
+The enumeration checks, independently of the profile search, the weight of
+the relation that the profile solver returns at ell = n.
 """
 from __future__ import annotations
 
@@ -10,16 +11,9 @@ import time
 from typing import Optional
 
 from . import _kernels
-from .constraints import eval_profile
-from .matching import INF, TOO_HEAVY
-from .model import (
-    GuardError,
-    Instance,
-    SolveResult,
-    UserProfile,
-    subset_order,
-)
-from .solver_profile import _compile_constraints, best_relation_for_profile, enumerate_profiles
+from .matching import INF
+from .model import GuardError, Instance, SolveResult, subset_order
+from .solver_profile import _compile_constraints, solve
 
 log = logging.getLogger("vapep.solver")
 
@@ -29,10 +23,10 @@ MAX_RELATIONS_LOG2 = 24
 def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> SolveResult:
     """Minimum-weight complete relation by full enumeration.
 
-    The whole space is walked with users outermost and subsets in
-    (popcount, value) order; the returned relation is the canonical
-    representative of the verified optimum under the same tie-break rule
-    the profile solver uses.
+    The brute kernel walks every relation for the optimum's weight; the
+    relation is the canonical one of `solve(instance, ell=n)`, and
+    RuntimeError is raised if their weights differ.  With one user, `solve`'s
+    preparation, which ranks all 2^k subsets, costs more than the enumeration.
     """
     t0 = time.perf_counter()
     k, n = instance.k, instance.n
@@ -53,23 +47,11 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
     best_total, _, leaves = kb.brute_search(
         n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes, ptables
     )
-    if best_total >= INF:  # a complete relation always exists, but may weigh too much
-        raise ValueError(TOO_HEAVY)
-    # Canonical representative of the optimum: the lexicographically first
-    # complete profile whose cheapest completion reaches the exhaustively
-    # verified minimum, finished with the matching tie-break.  This is the
-    # same rule the profile solver applies, so ties never diverge.
-    relation = None
-    for stream in enumerate_profiles(k, n, n, require_complete=True):
-        usr = UserProfile(dict(stream.counts), instance.resources)
-        if sum(eval_profile(c, usr) for c in instance.constraints) > best_total:
-            continue
-        rel, w = best_relation_for_profile(instance, usr)
-        if w == best_total:
-            relation = rel
-            break
-    if relation is None:  # pragma: no cover - the optimum always has a profile
-        raise RuntimeError("internal: optimum not reproducible from any profile")
+    # raises ValueError(TOO_HEAVY) when the enumeration found nothing below INF
+    canonical = solve(instance, ell=n, backend=backend)
+    if canonical.total_weight != best_total:
+        raise RuntimeError(f"internal: brute optimum {best_total} != profile "
+                           f"optimum {canonical.total_weight}")
     meta = {
         "solver": "brute",
         "backend": kb.NAME,
@@ -77,4 +59,4 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
         "wall_time_s": time.perf_counter() - t0,
     }
     log.info("brute solve: k=%d n=%d leaves=%d weight=%d", k, n, leaves, best_total)
-    return SolveResult.build(instance, relation, meta)
+    return SolveResult.build(instance, canonical.relation, meta)

@@ -31,8 +31,10 @@ from .model import (
     AuthorizationRelation,
     GuardError,
     Instance,
+    _PAIR_PENALTY_TYPE,
     _auth_from_pairs,
     _auth_masks,
+    _check_pair_keys,
     _index_names,
     _load_doc,
     _mask_pairs,
@@ -127,6 +129,8 @@ class WspInstance:
             self._base_mask = _auth_masks(
                 self.auth.base, self._uindex, self.steps, "step"
             )
+            if isinstance(self.auth.pair_penalty, dict):
+                _check_pair_keys(self.auth.pair_penalty, self._uindex, self._sindex)
         else:
             self._base_mask = masks
 
@@ -466,6 +470,8 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             )
         else:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
+    if isinstance(pp, dict):  # a JSON object; plan documents take an int only
+        raise ValueError(_PAIR_PENALTY_TYPE)
     users, steps = tuple(users), tuple(steps)
     auth = _auth_from_pairs(pairs, masks, users, steps, pp)
     prebuilt = None if masks is None else (uindex, masks)
@@ -475,6 +481,8 @@ def wsp_from_doc(doc: dict) -> WspInstance:
 def wsp_to_doc(w: WspInstance) -> dict:
     if w.auth is None:
         raise ValueError("derived plan instances are not serializable")
+    if isinstance(w.auth.pair_penalty, dict):
+        raise ValueError("per-pair penalties are not serializable in plan documents")
     pairs = _mask_pairs(w.users, w.steps, w._base_mask)
     cons = []
     for c in w.constraints:

@@ -418,7 +418,8 @@ def test_perfbench_tracer_records_solver_spans(tmp_path):
     assert vapep.matching.min_cost_assignment is original
     calls = tracer.totals()[2]
     assert calls["model.load_instance"] == 3
-    assert calls["solver_profile.solve"] == 1
+    # the brute solve takes its relation from a profile solve at ell = n
+    assert calls["solver_profile.solve"] == 2
     assert calls["wsp.solve_wsp"] == 1
     assert calls["solver_brute.solve_exhaustive"] == 1
     assert calls["matching.min_cost_assignment"] >= 3

@@ -477,6 +477,8 @@ def _reference_from_doc(doc):
     cons = tuple(
         model._constraint_from_doc(e, i) for i, e in enumerate(doc.get("constraints", []))
     )
+    if isinstance(auth_doc.get("pair_penalty"), dict):
+        raise ValueError("pair penalty must be an integer or per-pair penalties")
     return _reference_instance(
         tuple(doc["resources"]), tuple(doc["users"]), cons, base, pp
     )
@@ -534,8 +536,8 @@ def _break(rng, doc, fault):
     elif fault == "bad name":
         names = rng.choice([users, resources])
         names.insert(rng.randint(0, len(names)), rng.choice(["", 7, None, ["u1"]]))
-    elif fault == "pair-penalty pair":
-        # a JSON object is taken as a dict; a two-letter key unpacks to a pair
+    elif fault == "pair-penalty object":
+        # a JSON object is no penalty; per-pair penalties come as a matrix
         doc["auth"]["pair_penalty"] = {"xy": 1}
     return doc
 
@@ -546,7 +548,7 @@ LOADER_FAULTS = {  # fault -> the start of the message it raises on its own
     "unknown resource": "authorization for unknown resource",
     "duplicate": "duplicate ",
     "bad name": ("user names must be", "resource names must be"),
-    "pair-penalty pair": "pair penalty for unknown pair",
+    "pair-penalty object": "pair penalty must be an integer or per-pair penalties",
 }
 
 
@@ -803,10 +805,10 @@ def test_loaders_check_pair_penalties():
             assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
 
 
-@pytest.mark.parametrize("pp", ["ab", None, 1.5, [[1]]])
+@pytest.mark.parametrize("pp", ["ab", None, 1.5, [[1]], {"x": 5}, {"u0r0": 5}])
 def test_loaders_reject_pair_penalties_that_are_not_integers(pp):
-    # these loaded before, and the solve then raised TypeError; a matrix is
-    # a per-pair penalty in an instance document only
+    # these loaded before, and the solve then raised TypeError or an object
+    # was misread; a matrix is a per-pair penalty in an instance document only
     auth = {"pairs": [["u0", "r0"]], "pair_penalty": pp}
     doc = {"resources": ["r0"], "users": ["u0"], "auth": auth}
     plan = {"steps": ["r0"], "users": ["u0"], "auth": auth}

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import vapep
 from vapep import AuthCost, GuardError, Instance, solve_exhaustive, total_weight
 
 import helpers
@@ -48,12 +47,29 @@ def test_matches_flat_oracle():
 
 
 def test_tie_break_matches_profile_solver():
+    # the lexicographically first optimal profile, finished with the
+    # matching tie-break, from every complete profile with no bound
     rng = random.Random(52)
     for _ in range(40):
         inst = helpers.rand_instance(rng, n_max=4, k_max=3)
-        via_brute = solve_exhaustive(inst)
-        via_profile = vapep.solve(inst, ell=inst.n)
-        assert via_brute.total_weight == via_profile.total_weight
-        assert {u: via_brute.relation.resources_of(u) for u in inst.users} == {
-            u: via_profile.relation.resources_of(u) for u in inst.users
+        res = solve_exhaustive(inst)
+        rel, weight = helpers.first_optimum(inst, inst.n)
+        assert res.total_weight == weight
+        assert {u: res.relation.resources_of(u) for u in inst.users} == {
+            u: rel.resources_of(u) for u in inst.users
         }
+
+
+def test_weight_disagreement_raises(monkeypatch):
+    from vapep._kernels import _ref
+
+    search = _ref.brute_search
+
+    def heavier(*args):
+        best_total, best, leaves = search(*args)
+        return best_total + 1, best, leaves
+
+    monkeypatch.setattr(_ref, "brute_search", heavier)
+    inst = Instance(("r1",), ("u1", "u2"), (), AuthCost({}, 3))
+    with pytest.raises(RuntimeError, match="brute optimum 4 != profile optimum 3"):
+        solve_exhaustive(inst, backend="python")

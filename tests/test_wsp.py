@@ -449,6 +449,20 @@ def test_wsp_table_disjoint_not_serializable():
         wsp_to_doc(w)
 
 
+def test_wsp_per_pair_penalties_are_checked_and_not_serializable():
+    # Instance raises for these keys; a plan instance accepted them, and
+    # dump_wsp raised TypeError from json on the tuple keys
+    for key in (("zz", "s1"), ("u1", "s9")):
+        with pytest.raises(ValueError) as err:
+            WspInstance(("s1",), ("u1",), (), AuthCost({}, {key: 3}))
+        assert str(err.value) == f"pair penalty for unknown pair {key!r}"
+    w = WspInstance(("s1",), ("u1",), (), AuthCost({}, {("u1", "s1"): 3}))
+    assert w.cost(0, 1) == 3
+    with pytest.raises(ValueError) as err:
+        dump_wsp(w)
+    assert str(err.value) == "per-pair penalties are not serializable in plan documents"
+
+
 def test_wsp_json_files(tmp_path):
     w = helpers.rand_wsp(random.Random(79))
     path = tmp_path / "w.json"
