@@ -554,125 +554,79 @@ def canonical_json(doc) -> str:
     """`json.dumps(doc, indent=2) + "\n"`, written without the pure-Python
     encoder that `json` falls back to whenever `indent` is set.
 
-    Only dict, list, tuple, str, int, float, bool and None of exactly those
-    types are written here.  A document holding anything else, or a
-    container inside itself, goes to `json.dumps` whole, so subclasses,
-    unserializable objects and circular references behave as they do there;
-    so does a document nested deeper than this writer's recursion allows.
+    This writer writes only the shapes that are large in vapep's documents:
+    dicts whose keys are all exact `str`, non-empty lists or tuples of exact
+    `str` or of exact `int`, equal-width rows of those (such as the
+    `[user, resource]` pairs), and exact `str`/`int` scalars, all in C.
+    Every other value, subclasses, floats, bools, None and unserializable
+    objects included, is written by `json.dumps(value, indent=2)` with its
+    newlines indented to where it sits; JSON text holds no raw newline, so
+    that is exact.  A container inside itself recurses until
+    `RecursionError`, as does a document nested deeper than this writer's
+    recursion allows; the whole document then goes to `json.dumps`, which
+    raises what it raises for it.
     """
     out: list[str] = []
     try:
-        _json_write(doc, "\n", set(), out)
-    except (_NotPlain, RecursionError):
+        _json_write(doc, "\n", out)
+    except RecursionError:
         return json.dumps(doc, indent=2) + "\n"
     out.append("\n")
     return "".join(out)
 
 
-class _NotPlain(Exception):
-    """The document needs `json.dumps` itself."""
-
-
-_INF = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _json_scalar(x) -> str:
-    t = type(x)
-    if t is str:
-        return _quote(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is float:
-        return _json_float(x)
-    if t is bool or x is None:
-        return _JSON_CONSTANTS[x]
-    raise _NotPlain
-
-
 def _scalar_writer(items):
-    """The function that writes each of these items as JSON, or None if some
-    item is not a scalar; strings and ints are written in C."""
+    """The C function that writes each of these items as JSON: `_quote` if
+    all are exact str, `int.__repr__` if all are exact int, else None."""
     types = set(map(type, items))
     if types == {str}:
         return _quote
     if types == {int}:
         return int.__repr__
-    if types <= _JSON_SCALARS:
-        return _json_scalar
     return None
 
 
-def _json_key(key) -> str:
-    """json writes a non-string key as the string of its scalar text."""
-    return _quote(key if type(key) is str else _json_scalar(key))
-
-
-def _json_write(x, nl: str, path: set, out: list) -> None:
+def _json_write(x, nl: str, out: list) -> None:
     """Append x's text, as json.dumps(indent=2) writes it at the indent `nl`
-    ("\n" plus the current indent), to `out`; `path` holds the ids of the
-    containers x is inside.  Pieces are joined once, at the end, so no
-    large string is copied on the way up."""
+    ("\n" plus the current indent), to `out`.  Pieces are joined once, at
+    the end, so no large string is copied on the way up."""
     t = type(x)
-    if t is not dict and t is not list and t is not tuple:
-        out.append(_json_scalar(x))
+    if t is str:
+        out.append(_quote(x))
         return
-    if not x:
-        out.append("{}" if t is dict else "[]")
+    if t is int:
+        out.append(int.__repr__(x))
         return
     inner = nl + "  "
     sep = "," + inner
-    if t is not dict:
-        write = _scalar_writer(x)
-        texts = map(write, x) if write else _json_rows(x, inner)
-        if texts is not None:
-            # joined a few thousand at a time, not over a list of every
-            # item's text: one join raised the n=10^6 generate's peak RSS
-            # by 58 MiB (BENCH_8.json)
-            out.append("[" + inner)
-            while chunk := list(islice(texts, 4096)):
-                out.append(sep.join(chunk))
-                out.append(sep)
-            out[-1] = nl + "]"
-            return
-    if id(x) in path:
-        raise _NotPlain
-    path.add(id(x))
-    lead = inner
-    if t is dict:
-        out.append("{")
+    if t is dict and set(map(type, x)) == {str}:
+        lead = "{" + inner
         for key, v in x.items():
-            out.append(lead + _json_key(key) + ": ")
-            _json_write(v, inner, path, out)
+            out.append(lead + _quote(key) + ": ")
+            _json_write(v, inner, out)
             lead = sep
         out.append(nl + "}")
-    else:
-        out.append("[")
-        for v in x:
-            out.append(lead)
-            _json_write(v, inner, path, out)
-            lead = sep
-        out.append(nl + "]")
-    path.discard(id(x))
+        return
+    texts = None
+    if (t is list or t is tuple) and x:
+        write = _scalar_writer(x)
+        texts = map(write, x) if write else _json_rows(x, inner)
+    if texts is None:
+        out.append(json.dumps(x, indent=2).replace("\n", nl))
+        return
+    # joined a few thousand at a time, not over a list of every item's text:
+    # one join raised the n=10^6 generate's peak RSS by 58 MiB (BENCH_8.json)
+    out.append("[" + inner)
+    while chunk := list(islice(texts, 4096)):
+        out.append(sep.join(chunk))
+        out.append(sep)
+    out[-1] = nl + "]"
 
 
 def _json_rows(rows, nl: str):
     """The text of each row, if rows are non-empty lists or tuples of one
-    length holding only scalars (such as `[user, resource]` pairs); else
-    None.  One format string writes every row."""
+    length holding only exact str or only exact int (such as `[user,
+    resource]` pairs); else None.  One format string writes every row."""
     if not set(map(type, rows)) <= {list, tuple}:
         return None
     lengths = set(map(len, rows))
@@ -870,6 +824,9 @@ def relation_from_doc(doc: dict, instance: Instance) -> AuthorizationRelation:
     assignment = doc.get("assignment")
     if not isinstance(assignment, dict):
         raise ValueError("relation needs an 'assignment' object")
+    for u, rs in assignment.items():
+        if not isinstance(rs, list) or not all(isinstance(r, str) for r in rs):
+            raise ValueError(f"relation entry of user {u!r} must be a list of resource names")
     rel = AuthorizationRelation.from_mapping(assignment)
     validate_relation(instance, rel)
     return rel

@@ -149,7 +149,11 @@ def check_tau_resilient(
         if s not in wsp._sindex:
             raise ValueError(f"extended plan mentions unknown step {s!r}")
         si = wsp._sindex[s]
+        if isinstance(us, str):
+            raise ValueError(f"extended plan step {s!r} needs a list of user names")
         for u in us:
+            if not isinstance(u, str):
+                raise ValueError(f"extended plan step {s!r} lists a non-string user {u!r}")
             if u not in wsp._uindex:
                 raise ValueError(f"extended plan mentions unknown user {u!r}")
             ui = wsp._uindex[u]

@@ -206,43 +206,24 @@ def best_relation_for_profile(
     return AuthorizationRelation(assignment), om + cw
 
 
+_KIND_CODES = {
+    "sod_u": 0, "bod_u": 1, "sod_e": 2, "bod_e": 3,
+    "card_ub": 4, "card_lb": 5, "user_count": 6,
+}
+
+
 def _compile_constraints(instance: Instance):
     """Flatten constraints into parallel arrays the kernels understand."""
-    kind_code = {
-        "sod_u": 0,
-        "bod_u": 1,
-        "sod_e": 2,
-        "bod_e": 3,
-        "card_ub": 4,
-        "card_lb": 5,
-        "user_count": 6,
-    }
-    kinds, tvals, pkinds, pslopes, ptables, rA, rB = [], [], [], [], [], [], []
-    for c in instance.constraints:
-        kinds.append(kind_code[c.kind])
-        if c.kind in ("sod_e", "bod_e"):
-            tvals.append(c.ell)
-            pkinds.append(0)
-            pslopes.append(0)
-            ptables.append(())
-        elif c.kind == "user_count":
-            tvals.append(0)
-            if c.quadratic:
-                pkinds.append(2)
-                pslopes.append(0)
-                ptables.append(())
-            else:
-                pkinds.append(0)
-                pslopes.append(c.spec.slope)
-                ptables.append(())
-        else:
-            tvals.append(c.t if c.t is not None else 0)
-            pkinds.append(1 if c.spec.table else 0)
-            pslopes.append(c.spec.slope)
-            ptables.append(c.spec.table)
-        idx = [instance._rindex[r] for r in c.scope]
-        rA.append(idx[0] if idx else 0)
-        rB.append(idx[1] if len(idx) > 1 else 0)
+    cons = instance.constraints
+    specs = [c.spec for c in cons]
+    scopes = [[instance._rindex[r] for r in c.scope] for c in cons]
+    kinds = [_KIND_CODES[c.kind] for c in cons]
+    tvals = [c.ell if c.ell is not None else c.t or 0 for c in cons]
+    pkinds = [2 if c.quadratic else 1 if c.spec and c.spec.table else 0 for c in cons]
+    pslopes = [sp.slope if sp else 0 for sp in specs]
+    ptables = [sp.table if sp else () for sp in specs]
+    rA = [idx[0] if idx else 0 for idx in scopes]
+    rB = [idx[1] if len(idx) > 1 else 0 for idx in scopes]
     return kinds, tvals, pkinds, pslopes, ptables, rA, rB
 
 

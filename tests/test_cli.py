@@ -267,9 +267,10 @@ def test_check_resilience_true_and_false(tmp_path):
 def test_check_resilience_bad_plan_document(tmp_path):
     _, wsp_file = wsp_files(tmp_path)
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps({"s1": "u1"}), encoding="utf-8")
-    assert run("check-resilience", "--wsp", str(wsp_file),
-               "--plan", str(plan_file), "--tau", "0") == 2
+    for plan in [{"s1": "u1"}, {"s1": [["u1"]]}, {"s1": [{"a": 1}]}, {"s1": ["u1", 2]}]:
+        plan_file.write_text(json.dumps(plan), encoding="utf-8")
+        assert run("check-resilience", "--wsp", str(wsp_file),
+                   "--plan", str(plan_file), "--tau", "0") == 2
 
 
 def test_bench_grid(tmp_path):

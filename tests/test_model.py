@@ -343,6 +343,15 @@ def test_relation_doc_roundtrip():
         relation_from_doc({"assignment": {"u1": ["r1"]}, "x": 1}, inst)
 
 
+def test_relation_doc_needs_lists_of_resource_names():
+    inst = Instance(("a", "b"), ("u1",), (), AuthCost({"u1": frozenset("ab")}))
+    assert relation_from_doc({"assignment": {"u1": ["a", "b"]}}, inst).resources_of(
+        "u1") == frozenset("ab")
+    for value in ["ab", 5, None, ("a",), {"a": 1}, [["a"]], ["a", 1]]:
+        with pytest.raises(ValueError, match="list of resource names"):
+            relation_from_doc({"assignment": {"u1": value}}, inst)
+
+
 def test_meta_survives_roundtrip():
     inst = helpers.rand_instance(random.Random(20))
     inst.meta = {"note": "hello", "seed": 5}
@@ -1123,6 +1132,12 @@ def test_canonical_json_matches_json_dumps_on_random_trees():
 
 
 def test_canonical_json_edge_documents():
+    from collections import OrderedDict
+    from enum import IntEnum
+
+    class Level(IntEnum):
+        LOW = 3
+
     shared = [1, 2]
     deep = []
     for _ in range(3000):
@@ -1132,8 +1147,22 @@ def test_canonical_json_edge_documents():
         float("nan"), {"a": {}, "b": [], "c": [[]], "d": [[], [1]]},
         [shared, shared], {1: "one", True: "t", None: "n", 2.5: "f"},
         [[1, "a"], [2, "b"], [3, None]], [(1, 2), [3, 4]], [[1, [2]], [3, [4]]],
+        # values that the writer hands to json.dumps, inside ones it writes
+        {"a": [OrderedDict([("z", [1, 2]), ("y", {"x": "w"})])], "b": 1},
+        {"level": Level.LOW, "levels": [Level.LOW, 4], "rows": [[Level.LOW]]},
+        {"name": _Name("x\"y"), "names": [_Name("a"), "b"], "ok": "z"},
+        {_Name("key"): 1, "plain": [2]},
+        {"a": {"b": {1: [1, 2], None: {"c": 2.5}}}, "d": ["e"]},
+        {"mixed": [True, 1, 2.5, None, -0.0, float("inf")], "ints": [1, 2]},
     ]:
         assert canonical_json(doc) == json.dumps(doc, indent=2) + "\n"
+    cycle = {"a": [1, 2]}
+    cycle["self"] = {"again": cycle}
+    for doc in [cycle, {"x": ["y"], "z": cycle}]:
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(ValueError):
+            canonical_json(doc)
     with pytest.raises(RecursionError):
         json.dumps(deep, indent=2)
     with pytest.raises(RecursionError):

@@ -200,6 +200,9 @@ def test_plan_ext_validation():
         check_tau_resilient(w, {"nope": ["u1"]}, 0)
     with pytest.raises(ValueError):
         check_tau_resilient(w, {"s1": ["ghost"]}, 0)
+    for pool in ["u1", [["u1"]], [{"a": 1}]]:
+        with pytest.raises(ValueError):
+            check_tau_resilient(w, {"s1": pool}, 0)
     with pytest.raises(ValueError):
         check_tau_resilient(w, {"s1": ["u1"]}, -1)
     derived = WspInstance(

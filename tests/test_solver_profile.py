@@ -297,6 +297,19 @@ def test_card_lb_on_the_level_being_counted(backend):
     assert res.relation.assignment == rel.assignment
 
 
+@pytest.mark.parametrize("backend", vapep.available_backends())
+def test_linear_user_count_with_a_penalty_table(backend):
+    # the kernels read a user_count's table as they read any other's
+    spec = vapep.PenaltySpec.from_table([5, 6], 1)
+    uc = vapep.Constraint("user_count", (), spec=spec)
+    base = {"u1": {"a"}, "u2": {"b"}, "u3": {"a", "b"}}
+    inst = Instance(("a", "b"), tuple(base), (uc,), AuthCost(base, 10))
+    rel, weight = helpers.first_optimum(inst, 3)
+    for res in [solve(inst, backend=backend), vapep.solve_exhaustive(inst, backend=backend)]:
+        assert res.total_weight == weight == 5
+        assert res.relation.assignment == rel.assignment
+
+
 def _evaluate_bound_instance():
     """n=80 and k=3, sparse authorizations, a card_lb on every resource and
     one sod_e and one bod_e: a search bound by its evaluate calls."""
