@@ -178,7 +178,7 @@ def generate(cfg: GeneratorConfig) -> Instance:
         users=users,
         constraints=tuple(cons),
         auth=_auth_of_masks(masks, users, steps, 1),
-        _prebuilt=(None, masks),
+        _prebuilt=(None, (masks, None)),
     )
     inst = encode_resilient(wsp, tau, p_sod=10 * alpha, p_card=10, p_a=alpha)
     inst.meta = {"generator": {

@@ -3,15 +3,17 @@
 Resource subsets are bitmasks over the instance's resource order (bit i is
 resources[i]); k is capped at 30 so masks stay cheap machine ints.
 
-Each user's authorized mask (`_base_mask`) is the one per-user authorization
-table the solvers and writers read.  Loading builds the masks once, straight
-from the document's `[user, resource]` pairs, in passes that run in C (`map`
-over dict lookups); when the pairs name every user once, in user order, each
-mask is just its pair's bit and no user is looked up.  A fault in the pairs
-stops those passes, and a walk over the pairs in order reports the first
-one, with the message a per-pair loader would give.  The loaders and the
-generator hand their masks to `Instance`/`WspInstance`, whose `AuthCost.base`
-dict is then built from them only when something reads it.
+Relation instances (`Instance`) and plan instances (`wsp.WspInstance`)
+share one per-user authorization table, built or taken by `_auth_tables`:
+each user's authorized mask (`_base_mask`) and, under per-pair penalties,
+each user's penalty row (`_pen`, priced by `_row_sum`).  Both loaders read
+the document head in `_doc_head`, which builds the masks once, straight
+from the `[user, name]` pairs, in passes that run in C (`map` over dict
+lookups); when the pairs name every user once, in user order, each mask is
+just its pair's bit.  A fault in the pairs stops those passes, and a walk
+over the pairs in order reports the first one, with the message a per-pair
+loader would give.  `AuthCost.base` is built from the masks only when
+something reads it.
 """
 from __future__ import annotations
 
@@ -162,20 +164,29 @@ def _index_names(names, what, cap, index=None) -> tuple[tuple, dict]:
     return names, index
 
 
-def _auth_masks(base, uindex, names, what) -> list[int]:
-    """Each user's authorized mask over `names`, in user-index order.
+def _auth_tables(auth: Optional[AuthCost], tables, users, uindex: dict, names, what: str
+                 ) -> tuple[list[int], Optional[list[list[int]]]]:
+    """The per-user authorization table of an instance: each user's
+    authorized mask over `names`, in user-index order, and the per-(user,
+    name) penalty rows, None under a uniform pair penalty.
 
-    One pass checks every user and name of `base` and builds the masks;
-    equal sets (AuthCost shares one object for them) are checked once.
+    `tables`, when the caller already holds them, are taken as they are.
+    Otherwise one pass checks every user and name of `auth.base` and builds
+    the masks; equal sets (AuthCost shares one object for them) are checked
+    once.  Per-pair penalty keys must be known (user, name) pairs.
     """
+    if tables is not None:
+        return tables
+    if auth is None:
+        raise ValueError("an authorization cost is required")
     bit = {nm: 1 << i for i, nm in enumerate(names)}
-    masks: dict[frozenset, int] = {}
-    out = [0] * len(uindex)
-    for u, rs in base.items():
+    known: dict[frozenset, int] = {}
+    masks = [0] * len(uindex)
+    for u, rs in auth.base.items():
         ui = uindex.get(u)
         if ui is None:
             raise ValueError(f"authorization for unknown user {u!r}")
-        m = masks.get(rs)
+        m = known.get(rs)
         if m is None:
             m = 0
             for r in rs:
@@ -183,9 +194,25 @@ def _auth_masks(base, uindex, names, what) -> list[int]:
                 if b is None:
                     raise ValueError(f"authorization for unknown {what} {r!r}")
                 m |= b
-            masks[rs] = m
-        out[ui] = m
-    return out
+            known[rs] = m
+        masks[ui] = m
+    pp = auth.pair_penalty
+    if not isinstance(pp, dict):
+        return masks, None
+    for (u, r) in pp:
+        if u not in uindex or r not in bit:
+            raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
+    return masks, [[pp.get((u, r), 1) for r in names] for u in users]
+
+
+def _row_sum(row: list[int], mask: int) -> int:
+    """The sum of the row's entries at the mask's bits."""
+    w = 0
+    while mask:
+        b = mask & -mask
+        w += row[b.bit_length() - 1]
+        mask ^= b
+    return w
 
 
 _user_of = itemgetter(0)
@@ -250,13 +277,6 @@ def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
-def _check_pair_keys(pp: dict, uindex: dict, nindex: dict) -> None:
-    """Reject per-pair penalty keys that are not known (user, name) pairs."""
-    for (u, r) in pp:
-        if u not in uindex or r not in nindex:
-            raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
-
-
 def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> AuthCost:
     """The AuthCost of the `[user, name]` pairs, whose masks over `names`
     `_pair_masks` built; its base is built from the masks when first read.
@@ -279,12 +299,12 @@ class Instance:
     auth: AuthCost
     meta: Optional[dict] = None
     _: KW_ONLY
-    # (user index or None, authorized masks, penalty rows or None) when the
-    # caller already holds them for these fields; built here otherwise
+    # (user index or None, (masks, penalty rows or None) or None): what the
+    # caller already holds of `_auth_tables` for these fields
     _prebuilt: InitVar[Optional[tuple]] = None
 
     def __post_init__(self, _prebuilt):
-        uindex, masks, pen = _prebuilt or (None, None, None)
+        uindex, tables = _prebuilt or (None, None)
         self.resources, self._rindex = _index_names(
             self.resources, "resource", MAX_RESOURCES
         )
@@ -296,15 +316,9 @@ class Instance:
             for r in c.scope:
                 if r not in self._rindex:
                     raise ValueError(f"constraint scope uses unknown resource {r!r}")
-        if masks is None:
-            masks = _auth_masks(self.auth.base, self._uindex, self.resources, "resource")
-        self._base_mask = masks
-        pp = self.auth.pair_penalty
-        if pen is None and isinstance(pp, dict):
-            _check_pair_keys(pp, self._uindex, self._rindex)
-            # per-(user, resource) penalty rows
-            pen = [[pp.get((u, r), 1) for r in self.resources] for u in self.users]
-        self._pen = pen  # None: uniform
+        self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
+            self.auth, tables, self.users, self._uindex, self.resources, "resource"
+        )
         self._groups: tuple[int, dict[int, list[int]]] = (0, {})
 
     @property
@@ -366,19 +380,13 @@ class Instance:
             return 0
         if self.auth.custom is not None:
             w = self.auth.custom(self.users[ui], frozenset(self.mask_resources(mask)))
-            if not isinstance(w, int) or w < 0:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError("custom authorization cost must return a non-negative int")
             return w
         extra = mask & ~self._base_mask[ui]
         if self._pen is None:
             return self.auth.pair_penalty * extra.bit_count()
-        row = self._pen[ui]
-        w = 0
-        while extra:
-            b = extra & -extra
-            w += row[b.bit_length() - 1]
-            extra ^= b
-        return w
+        return _row_sum(self._pen[ui], extra)
 
 
 @dataclass
@@ -388,11 +396,14 @@ class AuthorizationRelation:
     assignment: dict[str, frozenset[str]]
 
     def __post_init__(self):
+        for u, rs in self.assignment.items():
+            if isinstance(rs, str):  # frozenset would split it into characters
+                raise ValueError(f"relation entry of user {u!r} must not be a string")
         self.assignment = {u: frozenset(rs) for u, rs in self.assignment.items()}
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[str]]) -> "AuthorizationRelation":
-        return cls({u: frozenset(rs) for u, rs in mapping.items()})
+        return cls(dict(mapping))
 
     def resources_of(self, user: str) -> frozenset:
         return self.assignment.get(user, frozenset())
@@ -702,31 +713,42 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
-def instance_from_doc(doc: dict) -> Instance:
-    """The instance a JSON document describes.
-
-    The document is checked in the order the fields are read: its keys, the
-    pairs' shapes and items, the penalty matrix, the constraints and meta,
-    then the penalties (`AuthCost`) and the names and references
-    (`Instance`); the first fault raises.  Each user's authorized mask is
-    built once, straight from the pairs, and per-pair penalty rows are
-    copies of the matrix rows.
-    """
+def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: int):
+    """The head of an instance (or plan instance) document, checked in the
+    order it is read: the document's keys, its `names_key` and users lists,
+    the auth object and its keys, then the pairs' shapes and items.  Returns
+    the users and names as tuples, the pairs, the users' index
+    (`_name_index`), their authorized masks over the names (`_pair_masks`)
+    and the pair penalty as given."""
     if not isinstance(doc, dict):
-        raise ValueError("instance document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "instance")
-    for key in ("resources", "users"):
+        raise ValueError(f"{what} document must be a JSON object")
+    _reject_unknown(doc, top_keys, what)
+    for key in (names_key, "users"):
         if not isinstance(doc.get(key), list):
-            raise ValueError(f"instance needs a {key!r} list")
+            raise ValueError(f"{what} needs a {key!r} list")
     auth_doc = doc.get("auth", {})
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
-    users, resources = doc["users"], doc["resources"]
+    users, names = doc["users"], doc[names_key]
     pairs = auth_doc.get("pairs", [])
     uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, resource]", users, uindex, resources, MAX_RESOURCES)
-    pp = auth_doc.get("pair_penalty", 1)
+    masks = _pair_masks(pairs, shape, users, uindex, names, cap)
+    return tuple(users), tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
+
+
+def instance_from_doc(doc: dict) -> Instance:
+    """The instance a JSON document describes.
+
+    The document is checked in the order the fields are read: its head
+    (`_doc_head`), the penalty matrix, the constraints and meta, then the
+    penalties (`AuthCost`) and the names and references (`Instance`); the
+    first fault raises.  Each user's authorized mask is built once, straight
+    from the pairs, and per-pair penalty rows are copies of the matrix rows.
+    """
+    users, resources, pairs, uindex, masks, pp = _doc_head(
+        doc, "instance", _TOP_KEYS, "resources", "[user, resource]", MAX_RESOURCES
+    )
     rows = None
     if isinstance(pp, list):
         rows = pp
@@ -744,21 +766,18 @@ def instance_from_doc(doc: dict) -> Instance:
         raise ValueError("meta must be an object")
     if rows is None and isinstance(pp, dict):  # per-pair penalties come as a matrix
         raise ValueError(_PAIR_PENALTY_TYPE)
-    users, resources = tuple(users), tuple(resources)
     auth = _auth_from_pairs(pairs, masks, users, resources, pp)
-    prebuilt = None
+    tables = None
     if masks is not None:
-        prebuilt = uindex, masks, None if rows is None else list(map(list, rows))
-    return Instance(resources, users, cons, auth, meta, _prebuilt=prebuilt)
+        tables = masks, None if rows is None else list(map(list, rows))
+    return Instance(resources, users, cons, auth, meta, _prebuilt=(uindex, tables))
 
 
 def instance_to_doc(instance: Instance) -> dict:
     if instance.auth.custom is not None:
         raise ValueError("custom authorization costs are not serializable")
     pairs = _mask_pairs(instance.users, instance.resources, instance._base_mask)
-    pp = instance.auth.pair_penalty
-    if isinstance(pp, dict):
-        pp = [[pp.get((u, r), 1) for r in instance.resources] for u in instance.users]
+    pp = instance.auth.pair_penalty if instance._pen is None else list(map(list, instance._pen))
     cons = []
     for c in instance.constraints:
         entry: dict = {"type": c.kind}

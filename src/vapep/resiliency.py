@@ -52,7 +52,7 @@ def encode_resilient(
         users=wsp.users,
         constraints=tuple(cons),
         auth=_auth_with_penalty(wsp.auth, p_a),
-        _prebuilt=(wsp._uindex, wsp._base_mask, None),
+        _prebuilt=(wsp._uindex, (wsp._base_mask, None)),
     )
 
 
@@ -68,22 +68,16 @@ def wsp_from_encoded(instance: Instance) -> WspInstance:
         users=instance.users,
         constraints=cons,
         auth=_auth_with_penalty(instance.auth, 1),
-        _prebuilt=(instance._uindex, instance._base_mask),
+        _prebuilt=(instance._uindex, (instance._base_mask, None)),
     )
 
 
-def _valid_plan_exists(wsp: WspInstance, pools: list[list[int]], order: list[int]) -> bool:
-    """Backtracking search for an authorized plan drawing from per-step pools."""
+def _valid_plan_exists(wsp: WspInstance, binary: list[tuple[int, int, bool]],
+                       pools: list[list[int]], order: list[int]) -> bool:
+    """Backtracking search for an authorized plan drawing from per-step pools,
+    under the plan's step-pair constraints `binary`, given as (step, step,
+    must be equal), and its disjoint groups."""
     K = len(pools)
-    # binary constraints as (step, step, must_be_equal)
-    binary = []
-    for c in wsp.constraints:
-        if c.kind == "disjoint":
-            continue
-        binary.append(
-            (wsp._sindex[c.scope[0]], wsp._sindex[c.scope[1]], c.kind == "must_equal")
-        )
-    pos = {s: i for i, s in enumerate(order)}
     assigned: dict[int, int] = {}
 
     def ok(si: int, ui: int) -> bool:
@@ -161,11 +155,17 @@ def check_tau_resilient(
                 pools_full[si].append(ui)
     for p in pools_full:
         p.sort()
+    # compiled once, for every exclusion set
+    binary = [
+        (wsp._sindex[c.scope[0]], wsp._sindex[c.scope[1]], c.kind == "must_equal")
+        for c in wsp.constraints
+        if c.kind != "disjoint"
+    ]
     for T in itertools.combinations(range(n), min(tau, n)):
         excl = set(T)
         pools = [[u for u in p if u not in excl] for p in pools_full]
         order = sorted(range(wsp.k), key=lambda si: (len(pools[si]), si))
-        if not _valid_plan_exists(wsp, pools, order):
+        if not _valid_plan_exists(wsp, binary, pools, order):
             witness = tuple(wsp.users[u] for u in T)
             log.info("not resilient: removing %s blocks the plan", witness)
             return False, witness

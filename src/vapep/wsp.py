@@ -33,14 +33,13 @@ from .model import (
     Instance,
     _PAIR_PENALTY_TYPE,
     _auth_from_pairs,
-    _auth_masks,
-    _check_pair_keys,
+    _auth_tables,
+    _doc_head,
     _index_names,
     _load_doc,
     _mask_pairs,
-    _name_index,
-    _pair_masks,
     _reject_unknown,
+    _row_sum,
     canonical_json,
 )
 
@@ -107,12 +106,12 @@ class WspInstance:
     auth: Optional[AuthCost] = None
     cost_fn: Optional[Callable[[int, int], int]] = None  # (user idx, step mask)
     _: KW_ONLY
-    # (user index or None, authorized masks) when the caller already holds
-    # them for these fields; built here otherwise
+    # (user index or None, (masks, penalty rows or None) or None), as on
+    # `Instance`
     _prebuilt: InitVar[Optional[tuple]] = None
 
     def __post_init__(self, _prebuilt):
-        uindex, masks = _prebuilt or (None, None)
+        uindex, tables = _prebuilt or (None, None)
         self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
         self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
         self.constraints = tuple(self.constraints)
@@ -121,18 +120,13 @@ class WspInstance:
             for s in names:
                 if s not in self._sindex:
                     raise ValueError(f"constraint scope uses unknown step {s!r}")
-        if self.auth is None and self.cost_fn is None:
-            raise ValueError("an authorization cost (auth or cost_fn) is required")
         if self.auth is None:
-            self._base_mask = [0] * len(self.users)
-        elif masks is None:
-            self._base_mask = _auth_masks(
-                self.auth.base, self._uindex, self.steps, "step"
-            )
-            if isinstance(self.auth.pair_penalty, dict):
-                _check_pair_keys(self.auth.pair_penalty, self._uindex, self._sindex)
-        else:
-            self._base_mask = masks
+            if self.cost_fn is None:
+                raise ValueError("an authorization cost (auth or cost_fn) is required")
+            tables = [0] * len(self.users), None
+        self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
+            self.auth, tables, self.users, self._uindex, self.steps, "step"
+        )
 
     @property
     def k(self) -> int:
@@ -158,16 +152,9 @@ class WspInstance:
         if self.cost_fn is not None:
             return self.cost_fn(ui, mask)
         extra = mask & ~self._base_mask[ui]
-        pp = self.auth.pair_penalty
-        if isinstance(pp, dict):
-            u = self.users[ui]
-            w = 0
-            while extra:
-                b = extra & -extra
-                w += pp.get((u, self.steps[b.bit_length() - 1]), 1)
-                extra ^= b
-            return w
-        return pp * extra.bit_count()
+        if self._pen is None:
+            return self.auth.pair_penalty * extra.bit_count()
+        return _row_sum(self._pen[ui], extra)
 
     def authorized(self, ui: int, si: int) -> bool:
         if self.auth is None:
@@ -339,7 +326,7 @@ def reduce_sodu_bodu(instance: Instance) -> WspInstance:
         return WspInstance(instance.resources, instance.users, tuple(cons),
                            cost_fn=instance.omega_mask)
     return WspInstance(instance.resources, instance.users, tuple(cons), instance.auth,
-                       _prebuilt=(instance._uindex, instance._base_mask))
+                       _prebuilt=(instance._uindex, (instance._base_mask, instance._pen)))
 
 
 def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
@@ -425,24 +412,12 @@ _WSP_CON_KEYS = {"type", "scope", "ell", "slope"}
 
 
 def wsp_from_doc(doc: dict) -> WspInstance:
-    """The plan instance a JSON document describes; its shape is checked and
-    its `[user, step]` pairs are read as `instance_from_doc` checks a
-    document and reads `[user, resource]` pairs."""
-    if not isinstance(doc, dict):
-        raise ValueError("plan instance document must be a JSON object")
-    _reject_unknown(doc, _WSP_KEYS, "plan instance")
-    for key in ("steps", "users"):
-        if not isinstance(doc.get(key), list):
-            raise ValueError(f"plan instance needs a {key!r} list")
-    auth_doc = doc.get("auth", {})
-    if not isinstance(auth_doc, dict):
-        raise ValueError("auth must be an object")
-    _reject_unknown(auth_doc, {"pairs", "pair_penalty"}, "auth")
-    users, steps = doc["users"], doc["steps"]
-    pairs = auth_doc.get("pairs", [])
-    uindex = _name_index(users)
-    masks = _pair_masks(pairs, "[user, step]", users, uindex, steps, MAX_STEPS)
-    pp = auth_doc.get("pair_penalty", 1)
+    """The plan instance a JSON document describes; its head is checked and
+    its `[user, step]` pairs are read as `instance_from_doc` reads its own
+    (`model._doc_head`)."""
+    users, steps, pairs, uindex, masks, pp = _doc_head(
+        doc, "plan instance", _WSP_KEYS, "steps", "[user, step]", MAX_STEPS
+    )
     cons_doc = doc.get("constraints", [])
     if not isinstance(cons_doc, list):
         raise ValueError("constraints must be a list")
@@ -472,10 +447,9 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
     if isinstance(pp, dict):  # a JSON object; plan documents take an int only
         raise ValueError(_PAIR_PENALTY_TYPE)
-    users, steps = tuple(users), tuple(steps)
     auth = _auth_from_pairs(pairs, masks, users, steps, pp)
-    prebuilt = None if masks is None else (uindex, masks)
-    return WspInstance(steps, users, tuple(cons), auth, _prebuilt=prebuilt)
+    tables = None if masks is None else (masks, None)
+    return WspInstance(steps, users, tuple(cons), auth, _prebuilt=(uindex, tables))
 
 
 def wsp_to_doc(w: WspInstance) -> dict:

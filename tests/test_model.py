@@ -206,6 +206,33 @@ def test_validate_relation_rejects_foreign_names():
         validate_relation(inst, AuthorizationRelation.from_mapping({"u1": ["r9"]}))
 
 
+def test_relation_rejects_a_string_entry():
+    # a string is one resource name, not its characters; total_weight
+    # accepted the split relation {a, b} without an error
+    inst = Instance(("a", "b"), ("u1",), (), AuthCost({}))
+    for make in (AuthorizationRelation, AuthorizationRelation.from_mapping):
+        with pytest.raises(ValueError) as err:
+            total_weight(inst, make({"u1": ["a"], "u2": "ab"}))
+        assert str(err.value) == "relation entry of user 'u2' must not be a string"
+    rel = AuthorizationRelation.from_mapping({"u1": ("a",), "u2": {"b"}})
+    assert rel.assignment == {"u1": frozenset({"a"}), "u2": frozenset({"b"})}
+
+
+def test_instance_without_an_authorization_cost_raises_value_error():
+    # it raised AttributeError on None.base
+    with pytest.raises(ValueError) as err:
+        Instance(("r1",), ("u1",), (), None)
+    assert str(err.value) == "an authorization cost is required"
+
+
+def test_custom_cost_returning_a_bool_is_rejected():
+    for value in (True, False):
+        inst = small_instance()
+        inst.auth.custom = lambda u, rs, value=value: value
+        with pytest.raises(ValueError, match="must return a non-negative int"):
+            inst.omega_mask(0, 1)
+
+
 def test_subset_order_popcount_then_value():
     assert subset_order(3) == [1, 2, 4, 3, 5, 6, 7]
     for k in range(1, 6):
@@ -735,6 +762,72 @@ def _plan_outcome(doc):
         return got
     w = got[1]
     return "ok", (w.users, w.steps, w.auth.base, w._base_mask)
+
+
+def _head_faults(key: str) -> dict:
+    """Edits that break the head of a document whose names sit under `key`,
+    by name."""
+    def auth(d, **change):
+        return dict(d, auth=dict(d["auth"], **change))
+
+    return {
+        "not an object": lambda d: [d],
+        "unknown field": lambda d: dict(d, extra=1, more=2),
+        "names missing": lambda d: {f: v for f, v in d.items() if f != key},
+        "names not a list": lambda d: dict(d, **{key: "r0"}),
+        "users not a list": lambda d: dict(d, users=("u0", "u1")),
+        "auth not an object": lambda d: dict(d, auth=[["u0", "r0"]]),
+        "unknown auth field": lambda d: auth(d, weights=[]),
+        "pair shape": lambda d: auth(d, pairs=d["auth"]["pairs"] + [["u0"]]),
+        "pairs not a list": lambda d: auth(d, pairs=None),
+        "unknown user": lambda d: auth(d, pairs=d["auth"]["pairs"] + [["ghost", "r0"]]),
+        "unknown name": lambda d: auth(d, pairs=[["u0", "ghost"]] + d["auth"]["pairs"]),
+        "unhashable name": lambda d: auth(d, pairs=d["auth"]["pairs"] + [["u0", ["r0"]]]),
+        "duplicate user": lambda d: dict(d, users=["u0", "u1", "u0"]),
+        "bad name": lambda d: dict(d, **{key: ["r0", 7]}),
+        "too many names": lambda d: dict(d, **{key: [f"r{i}" for i in range(901)]}),
+        "pair penalty object": lambda d: auth(d, pair_penalty={"xy": 1}),
+    }
+
+
+# (instance, plan) outcome of each head fault, as the two loaders gave them
+# while each read its head in its own code
+_HEAD_OUTCOMES = {
+    "not an object": ("instance document must be a JSON object",
+                      "plan instance document must be a JSON object"),
+    "unknown field": ("unknown field(s) in instance: extra, more",
+                      "unknown field(s) in plan instance: extra, more"),
+    "names missing": ("instance needs a 'resources' list", "plan instance needs a 'steps' list"),
+    "names not a list": ("instance needs a 'resources' list",
+                         "plan instance needs a 'steps' list"),
+    "users not a list": ("instance needs a 'users' list", "plan instance needs a 'users' list"),
+    "auth not an object": ("auth must be an object",) * 2,
+    "unknown auth field": ("unknown field(s) in auth: weights",) * 2,
+    "pair shape": ("auth.pairs entries must be [user, resource]",
+                   "auth.pairs entries must be [user, step]"),
+    "pairs not a list": (("TypeError", "'NoneType' object is not iterable"),) * 2,
+    "unknown user": ("authorization for unknown user 'ghost'",) * 2,
+    "unknown name": ("authorization for unknown resource 'ghost'",
+                     "authorization for unknown step 'ghost'"),
+    "unhashable name": (("TypeError", "unhashable type: 'list'"),) * 2,
+    "duplicate user": ("duplicate user name 'u0'",) * 2,
+    "bad name": ("resource names must be non-empty strings",
+                 "step names must be non-empty strings"),
+    "too many names": ("at most 30 resources are supported", "at most 900 steps are supported"),
+    "pair penalty object": ("pair penalty must be an integer or per-pair penalties",) * 2,
+}
+
+
+def test_loaders_read_the_document_head_alike():
+    doc = {"resources": ["r0", "r1"], "users": ["u0", "u1"],
+           "auth": {"pairs": [["u0", "r0"], ["u1", "r1"]]}}
+    inst_doc, plan_doc = _as_plan_docs(doc)
+    inst_faults, plan_faults = _head_faults("resources"), _head_faults("steps")
+    assert set(inst_faults) == set(_HEAD_OUTCOMES)
+    for name, wants in _HEAD_OUTCOMES.items():
+        got = (_outcome(instance_from_doc, inst_faults[name](inst_doc)),
+               _outcome(vapep.wsp_from_doc, plan_faults[name](plan_doc)))
+        assert got == tuple(w if type(w) is tuple else ("ValueError", w) for w in wants), name
 
 
 def test_loader_errors_for_unhashable_and_subclassed_pairs():

@@ -451,16 +451,68 @@ def test_wsp_table_disjoint_not_serializable():
 
 def test_wsp_per_pair_penalties_are_checked_and_not_serializable():
     # Instance raises for these keys; a plan instance accepted them, and
-    # dump_wsp raised TypeError from json on the tuple keys
-    for key in (("zz", "s1"), ("u1", "s9")):
-        with pytest.raises(ValueError) as err:
-            WspInstance(("s1",), ("u1",), (), AuthCost({}, {key: 3}))
-        assert str(err.value) == f"pair penalty for unknown pair {key!r}"
+    # dump_wsp raised TypeError from json on the tuple keys.  Both kinds
+    # give the same message.
+    for key in (("zz", "s1"), ("u1", "s9"), ("zz", "s9")):
+        for make in (Instance, WspInstance):
+            with pytest.raises(ValueError) as err:
+                make(("s1",), ("u1",), (), AuthCost({}, {key: 3}))
+            assert str(err.value) == f"pair penalty for unknown pair {key!r}"
     w = WspInstance(("s1",), ("u1",), (), AuthCost({}, {("u1", "s1"): 3}))
     assert w.cost(0, 1) == 3
     with pytest.raises(ValueError) as err:
         dump_wsp(w)
     assert str(err.value) == "per-pair penalties are not serializable in plan documents"
+
+
+def _cost_reference(base, pp, u, names, mask):
+    """Authorization cost of user u holding the masked names, from the
+    definition: each held name outside u's base adds its pair penalty."""
+    held = [nm for i, nm in enumerate(names) if mask >> i & 1]
+    return sum(
+        (pp.get((u, nm), 1) if isinstance(pp, dict) else pp)
+        for nm in held if nm not in base.get(u, ())
+    )
+
+
+def test_plan_cost_equals_relation_cost():
+    # both instance kinds hold one authorization table; every way of
+    # building it prices every (user, mask) alike
+    rng = random.Random(85)
+    kinds = set()
+    for _ in range(150):
+        k, n = rng.randint(1, 5), rng.randint(1, 7)
+        names = tuple(f"x{i}" for i in rng.sample(range(9), k))
+        users = tuple(f"v{j}" for j in rng.sample(range(20), n))
+        base = {u: {nm for nm in names if rng.random() < 0.4}
+                for u in rng.sample(users, rng.randint(0, n))}
+        if rng.random() < 0.5:
+            pp = rng.randint(0, 3)
+        else:
+            pp = {(rng.choice(users), rng.choice(names)): rng.randint(0, 4)
+                  for _ in range(rng.randint(0, n * k))}
+        kinds.add(type(pp))
+        inst = Instance(names, users, (), AuthCost(base, pp))
+        w = WspInstance(names, users, (), AuthCost(base, pp))
+        built = [
+            w,
+            WspInstance(names, users, (), inst.auth,
+                        _prebuilt=(inst._uindex, (inst._base_mask, inst._pen))),
+            Instance(names, users, (), w.auth,
+                     _prebuilt=(w._uindex, (w._base_mask, w._pen))),
+        ]
+        if k >= 2:
+            a, b = rng.sample(names, 2)
+            con = rng.choice([vapep.sod_u, vapep.bod_u])(a, b, rng.randint(1, 3))
+            built.append(reduce_sodu_bodu(Instance(names, users, (con,), AuthCost(base, pp))))
+        for ui, u in enumerate(users):
+            for mask in range(1 << k):
+                want = _cost_reference(base, pp, u, names, mask)
+                assert inst.omega_mask(ui, mask) == want
+                for other in built:
+                    cost = other.omega_mask if isinstance(other, Instance) else other.cost
+                    assert cost(ui, mask) == want
+    assert kinds == {int, dict}
 
 
 def test_wsp_json_files(tmp_path):
