@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
+import itertools
 import json
 import logging
 import os
@@ -44,7 +46,7 @@ def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -175,48 +177,29 @@ _BENCH_COLS = [
 def _cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
     rows = []
-    for n in grid["n"]:
-        for k in grid["k"]:
-            for tau in grid["tau"]:
-                for alpha in grid["alpha"]:
-                    for solver in grid["solvers"]:
-                        group = []
-                        for seed in range(grid["seeds"]):
-                            cfg = GeneratorConfig(
-                                n=n, k=k, tau=tau, alpha=alpha, seed=seed
-                            )
-                            inst = generate(cfg)
-                            t0 = time.perf_counter()
-                            if solver == "brute":
-                                res = solve_exhaustive(inst)
-                            else:
-                                res = solve(inst)
-                            ms = (time.perf_counter() - t0) * 1000.0
-                            cats = res.breakdown["by_category"]
-                            row = [
-                                n, cfg.k, cfg.tau, alpha, seed, solver,
-                                round(ms, 3), res.total_weight,
-                                len(res.relation.assigned_users()),
-                                cats["sod"], cats["cardinality"],
-                                cats["user_count"], cats["authorizations"],
-                            ]
-                            group.append(row)
-                            rows.append(row)
-                        mean = group[0][:4] + ["mean", solver]
-                        for col in range(6, len(_BENCH_COLS)):
-                            mean.append(
-                                round(sum(r[col] for r in group) / len(group), 3)
-                            )
-                        rows.append(mean)
-    if args.output is None or args.output == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_BENCH_COLS)
-        writer.writerows(rows)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_BENCH_COLS)
-            writer.writerows(rows)
+    for n, k, tau, alpha, solver in itertools.product(
+        grid["n"], grid["k"], grid["tau"], grid["alpha"], grid["solvers"]
+    ):
+        group = []
+        for seed in range(grid["seeds"]):
+            cfg = GeneratorConfig(n=n, k=k, tau=tau, alpha=alpha, seed=seed)
+            inst = generate(cfg)
+            t0 = time.perf_counter()
+            res = solve_exhaustive(inst) if solver == "brute" else solve(inst)
+            ms = (time.perf_counter() - t0) * 1000.0
+            cats = res.breakdown["by_category"]
+            group.append([
+                n, cfg.k, cfg.tau, alpha, seed, solver, round(ms, 3), res.total_weight,
+                len(res.relation.assigned_users()), cats["sod"], cats["cardinality"],
+                cats["user_count"], cats["authorizations"],
+            ])
+        means = [round(sum(col) / len(group), 3) for col in list(zip(*group))[6:]]
+        rows += group + [group[0][:4] + ["mean", solver] + means]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(_BENCH_COLS)
+    writer.writerows(rows)
+    _write_text(out.getvalue(), args.output)
     return 0
 
 

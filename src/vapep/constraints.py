@@ -7,7 +7,7 @@ hold each resource subset, so they can also be evaluated on a user profile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 # Caps keep every weight the solvers can produce well below 2^63 so the
@@ -95,6 +95,8 @@ class Constraint:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if isinstance(self.scope, str):  # tuple would split it into characters
+            raise ValueError(f"{self.kind} scope must be resource names, not a string")
         object.__setattr__(self, "scope", tuple(self.scope))
         if self.kind in _BINARY:
             if len(self.scope) != 2 or self.scope[0] == self.scope[1]:
@@ -109,6 +111,8 @@ class Constraint:
         else:  # USER_COUNT
             if self.scope:
                 raise ValueError("user_count ranges over all resources; no scope")
+        if not all(isinstance(r, str) for r in self.scope):
+            raise ValueError(f"{self.kind} scope entries must be resource names")
         if self.kind in (SOD_E, BOD_E):
             ell = 1 if self.ell is None else self.ell
             if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= MAX_PENALTY:

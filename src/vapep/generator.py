@@ -119,6 +119,10 @@ def substream(seed: int, purpose: str) -> SplitMix64:
     return SplitMix64(seed ^ h)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape of one generated instance; unset fields get size-based defaults."""
@@ -131,26 +135,25 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if self.k is None:
             object.__setattr__(self, "k", max(1, self.n // 10))
-        if not isinstance(self.k, int) or not 1 <= self.k <= 30:
+        if not _is_int(self.k) or not 1 <= self.k <= 30:
             raise ValueError("k must be an integer in [1, 30]")
         if self.tau is None:
             object.__setattr__(self, "tau", self.n // 20)
-        if not isinstance(self.tau, int) or self.tau < 0:
+        if not _is_int(self.tau) or self.tau < 0:
             raise ValueError("tau must be a non-negative integer")
-        if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) \
-                or not 1 <= self.alpha <= 10**5:
+        if not _is_int(self.alpha) or not 1 <= self.alpha <= 10**5:
             raise ValueError("alpha must be an integer in [1, 100000]")
         if self.q_sod is None:
             object.__setattr__(self, "q_sod", self.k if self.k >= 2 else 0)
-        if not isinstance(self.q_sod, int) or self.q_sod < 0:
+        if not _is_int(self.q_sod) or self.q_sod < 0:
             raise ValueError("q_sod must be a non-negative integer")
         if self.q_sod > 0 and self.k < 2:
             raise ValueError("separation pairs need at least two steps")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK:
+        if not _is_int(self.seed) or not 0 <= self.seed <= _MASK:
             raise ValueError("seed must be an integer in [0, 2^64)")
 
 

@@ -6,14 +6,18 @@ resources[i]); k is capped at 30 so masks stay cheap machine ints.
 Relation instances (`Instance`) and plan instances (`wsp.WspInstance`)
 share one per-user authorization table, built or taken by `_auth_tables`:
 each user's authorized mask (`_base_mask`) and, under per-pair penalties,
-each user's penalty row (`_pen`, priced by `_row_sum`).  Both loaders read
-the document head in `_doc_head`, which builds the masks once, straight
-from the `[user, name]` pairs, in passes that run in C (`map` over dict
-lookups); when the pairs name every user once, in user order, each mask is
-just its pair's bit.  A fault in the pairs stops those passes, and a walk
-over the pairs in order reports the first one, with the message a per-pair
-loader would give.  `AuthCost.base` is built from the masks only when
-something reads it.
+each user's penalty row (`_pen`, priced by `_row_sum`).
+
+They also share one document layer; `wsp` keeps only what is specific to
+plans.  Both loaders read the document head in `_doc_head`, walk the
+constraint list in `_constraint_walk` and build the instance in
+`_from_pairs`; both writers write through `_instance_doc` and `_dump_doc`.
+`_doc_head` builds the masks once, straight from the `[user, name]` pairs,
+in passes that run in C (`map` over dict lookups); when the pairs name
+every user once, in user order, each mask is just its pair's bit.  A fault
+in the pairs stops those passes, and a walk over the pairs in order reports
+the first one, with the message a per-pair loader would give.
+`AuthCost.base` is built from the masks only when something reads it.
 """
 from __future__ import annotations
 
@@ -277,18 +281,22 @@ def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
-def _auth_from_pairs(pairs, masks: Optional[list[int]], users, names, pp) -> AuthCost:
-    """The AuthCost of the `[user, name]` pairs, whose masks over `names`
-    `_pair_masks` built; its base is built from the masks when first read.
-    Without masks, its base holds the pairs grouped per user, for the
-    caller's constructor to report the unknown user or name.
-    """
+def _from_pairs(make: Callable, users, names, pairs, uindex: dict, masks: Optional[list[int]],
+                pp, cons, rows=None, **fields):
+    """`make(names, users, cons, auth, **fields)` for a document head that
+    `_doc_head` read.  Its base is built from the masks when first read, and
+    the masks and penalty rows go to `make` as they are; without masks, the
+    base holds the pairs grouped per user, for `make` to report the fault."""
+    tables = None
     if masks is None:
         base: dict = {}
         for p in pairs:
             base.setdefault(p[0], []).append(p[1])
-        return AuthCost(base, pp)
-    return _auth_of_masks(masks, users, names, pp)
+        auth = AuthCost(base, pp)
+    else:
+        auth = _auth_of_masks(masks, users, names, pp)
+        tables = masks, rows
+    return make(names, users, cons, auth, _prebuilt=(uindex, tables), **fields)
 
 
 @dataclass
@@ -676,16 +684,28 @@ def _parse_penalty(entry: dict, where: str) -> Optional[int]:
     return alias if slope is None else slope
 
 
-def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
-    where = f"constraints[{idx}]"
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be an object")
-    _reject_unknown(entry, _CON_KEYS, where)
-    kind = entry.get("type")
-    scope = entry.get("scope", [])
-    if not isinstance(scope, list):
-        raise ValueError(f"{where}: scope must be a list")
+def _constraint_walk(doc: dict, keys: set, no_scope: Optional[list] = None):
+    """(where, entry, type, scope) of each entry of the document's constraint
+    list, checked to be an object with only `keys` and a list scope; a
+    missing scope reads as `no_scope`."""
+    cons_doc = doc.get("constraints", [])
+    if not isinstance(cons_doc, list):
+        raise ValueError("constraints must be a list")
+    for idx, entry in enumerate(cons_doc):
+        where = f"constraints[{idx}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
+        _reject_unknown(entry, keys, where)
+        scope = entry.get("scope", no_scope)
+        if not isinstance(scope, list):
+            raise ValueError(f"{where}: scope must be a list")
+        yield where, entry, entry.get("type"), scope
+
+
+def _constraint_from_doc(where: str, entry: dict, kind, scope: list) -> Constraint:
+    """The constraint of one entry that `_constraint_walk` yielded."""
     slope = _parse_penalty(entry, where)
+    linear = partial(PenaltySpec.linear, 1 if slope is None else slope)
 
     def no(*fields):
         for f in fields:
@@ -694,7 +714,7 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
 
     if kind in ("sod_u", "bod_u"):
         no("t", "ell")
-        return Constraint(kind, tuple(scope), spec=PenaltySpec.linear(slope or 1))
+        return Constraint(kind, tuple(scope), spec=linear())
     if kind in ("sod_e", "bod_e"):
         no("t", "slope", "penalty")
         return Constraint(kind, tuple(scope), ell=entry.get("ell", 1))
@@ -702,22 +722,22 @@ def _constraint_from_doc(entry: dict, idx: int) -> Constraint:
         no("ell")
         if "t" not in entry:
             raise ValueError(f"{where}: {kind} needs a threshold t")
-        return Constraint(kind, tuple(scope), t=entry["t"], spec=PenaltySpec.linear(slope or 1))
+        return Constraint(kind, tuple(scope), t=entry["t"], spec=linear())
     if kind == "user_count":
         no("t", "ell")
         if scope:
             raise ValueError(f"{where}: user_count takes no scope")
         if slope is None:
             return Constraint("user_count", (), quadratic=True)
-        return Constraint("user_count", (), spec=PenaltySpec.linear(slope))
+        return Constraint("user_count", (), spec=linear())
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
 def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: int):
     """The head of an instance (or plan instance) document, checked in the
     order it is read: the document's keys, its `names_key` and users lists,
-    the auth object and its keys, then the pairs' shapes and items.  Returns
-    the users and names as tuples, the pairs, the users' index
+    the auth object, its keys and its pairs list, then the pairs' shapes and
+    items.  Returns the users and names as tuples, the pairs, the users' index
     (`_name_index`), their authorized masks over the names (`_pair_masks`)
     and the pair penalty as given."""
     if not isinstance(doc, dict):
@@ -730,8 +750,10 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
-    users, names = doc["users"], doc[names_key]
     pairs = auth_doc.get("pairs", [])
+    if not isinstance(pairs, list):
+        raise ValueError("auth.pairs must be a list")
+    users, names = doc["users"], doc[names_key]
     uindex = _name_index(users)
     masks = _pair_masks(pairs, shape, users, uindex, names, cap)
     return tuple(users), tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
@@ -751,32 +773,33 @@ def instance_from_doc(doc: dict) -> Instance:
     )
     rows = None
     if isinstance(pp, list):
-        rows = pp
-        if len(rows) != len(users) or any(
-            not isinstance(row, list) or len(row) != len(resources) for row in rows
+        if len(pp) != len(users) or any(
+            not isinstance(row, list) or len(row) != len(resources) for row in pp
         ):
             raise ValueError("pair_penalty matrix must be |users| x |resources|")
+        rows = list(map(list, pp))
         pp = dict(zip(product(users, resources), chain.from_iterable(rows)))
-    cons_doc = doc.get("constraints", [])
-    if not isinstance(cons_doc, list):
-        raise ValueError("constraints must be a list")
-    cons = tuple(_constraint_from_doc(e, i) for i, e in enumerate(cons_doc))
+    cons = tuple(_constraint_from_doc(*c) for c in _constraint_walk(doc, _CON_KEYS, []))
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("meta must be an object")
     if rows is None and isinstance(pp, dict):  # per-pair penalties come as a matrix
         raise ValueError(_PAIR_PENALTY_TYPE)
-    auth = _auth_from_pairs(pairs, masks, users, resources, pp)
-    tables = None
-    if masks is not None:
-        tables = masks, None if rows is None else list(map(list, rows))
-    return Instance(resources, users, cons, auth, meta, _prebuilt=(uindex, tables))
+    return _from_pairs(Instance, users, resources, pairs, uindex, masks, pp, cons, rows,
+                       meta=meta)
+
+
+def _instance_doc(inst, names_key: str, pair_penalty, cons: list) -> dict:
+    """The document of a relation or plan instance, its names under `names_key`."""
+    names = getattr(inst, names_key)
+    pairs = _mask_pairs(inst.users, names, inst._base_mask)
+    return {names_key: list(names), "users": list(inst.users),
+            "auth": {"pairs": pairs, "pair_penalty": pair_penalty}, "constraints": cons}
 
 
 def instance_to_doc(instance: Instance) -> dict:
     if instance.auth.custom is not None:
         raise ValueError("custom authorization costs are not serializable")
-    pairs = _mask_pairs(instance.users, instance.resources, instance._base_mask)
     pp = instance.auth.pair_penalty if instance._pen is None else list(map(list, instance._pen))
     cons = []
     for c in instance.constraints:
@@ -795,12 +818,7 @@ def instance_to_doc(instance: Instance) -> dict:
                 raise ValueError("penalty tables are not serializable")
             entry["slope"] = c.spec.slope
         cons.append(entry)
-    doc = {
-        "resources": list(instance.resources),
-        "users": list(instance.users),
-        "auth": {"pairs": pairs, "pair_penalty": pp},
-        "constraints": cons,
-    }
+    doc = _instance_doc(instance, "resources", pp, cons)
     if instance.meta is not None:
         doc["meta"] = instance.meta
     return doc
@@ -828,12 +846,16 @@ def load_instance(path: str) -> Instance:
     return _load_doc(path, instance_from_doc)
 
 
-def dump_instance(instance: Instance, path: Optional[str] = None) -> str:
-    text = canonical_json(instance_to_doc(instance))
+def _dump_doc(doc: dict, path: Optional[str]) -> str:
+    text = canonical_json(doc)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def dump_instance(instance: Instance, path: Optional[str] = None) -> str:
+    return _dump_doc(instance_to_doc(instance), path)
 
 
 def relation_from_doc(doc: dict, instance: Instance) -> AuthorizationRelation:
@@ -857,5 +879,4 @@ def relation_to_doc(instance: Instance, rel: AuthorizationRelation) -> dict:
 
 
 def load_relation(path: str, instance: Instance) -> AuthorizationRelation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return relation_from_doc(json.load(fh), instance)
+    return _load_doc(path, partial(relation_from_doc, instance=instance))

@@ -32,15 +32,15 @@ from .model import (
     GuardError,
     Instance,
     _PAIR_PENALTY_TYPE,
-    _auth_from_pairs,
     _auth_tables,
+    _constraint_walk,
     _doc_head,
+    _dump_doc,
+    _from_pairs,
     _index_names,
+    _instance_doc,
     _load_doc,
-    _mask_pairs,
-    _reject_unknown,
     _row_sum,
-    canonical_json,
 )
 
 log = logging.getLogger("vapep.wsp")
@@ -66,6 +66,8 @@ class WspConstraint:
         if self.kind in (MUST_EQUAL, MUST_DIFFER):
             if len(self.scope) != 2 or self.scope[0] == self.scope[1]:
                 raise ValueError(f"{self.kind} needs two distinct steps")
+            if isinstance(self.scope, str) or not all(isinstance(s, str) for s in self.scope):
+                raise ValueError(f"{self.kind} scope must be two step names")
             ell = 1 if self.ell is None else self.ell
             if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= MAX_PENALTY:
                 raise ValueError(f"{self.kind} penalty must be in [1, {MAX_PENALTY}]")
@@ -73,9 +75,13 @@ class WspConstraint:
         elif self.kind == DISJOINT:
             if len(self.scope) != 2:
                 raise ValueError("disjoint needs two step groups")
+            if any(isinstance(g, str) for g in self.scope):
+                raise ValueError("disjoint groups must not be strings")
             a, b = tuple(self.scope[0]), tuple(self.scope[1])
             if not a or not b:
                 raise ValueError("disjoint groups must be non-empty")
+            if not all(isinstance(s, str) for s in a + b):
+                raise ValueError("disjoint groups must hold step names")
             object.__setattr__(self, "scope", (a, b))
             spec = self.spec if self.spec is not None else PenaltySpec()
             if not isinstance(spec, PenaltySpec):
@@ -94,8 +100,9 @@ def must_differ(s1: str, s2: str, ell: int = 1) -> WspConstraint:
 
 
 def disjoint(group_a, group_b, spec=None) -> WspConstraint:
-    spec = spec if isinstance(spec, PenaltySpec) else PenaltySpec.linear(spec or 1)
-    return WspConstraint(DISJOINT, (tuple(group_a), tuple(group_b)), spec=spec)
+    if not isinstance(spec, PenaltySpec):
+        spec = PenaltySpec.linear(1 if spec is None else spec)
+    return WspConstraint(DISJOINT, (group_a, group_b), spec=spec)
 
 
 @dataclass
@@ -412,25 +419,13 @@ _WSP_CON_KEYS = {"type", "scope", "ell", "slope"}
 
 
 def wsp_from_doc(doc: dict) -> WspInstance:
-    """The plan instance a JSON document describes; its head is checked and
-    its `[user, step]` pairs are read as `instance_from_doc` reads its own
-    (`model._doc_head`)."""
+    """The plan instance a JSON document describes, read as
+    `instance_from_doc` reads its own, through the same `model` helpers."""
     users, steps, pairs, uindex, masks, pp = _doc_head(
         doc, "plan instance", _WSP_KEYS, "steps", "[user, step]", MAX_STEPS
     )
-    cons_doc = doc.get("constraints", [])
-    if not isinstance(cons_doc, list):
-        raise ValueError("constraints must be a list")
     cons = []
-    for idx, entry in enumerate(cons_doc):
-        where = f"constraints[{idx}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object")
-        _reject_unknown(entry, _WSP_CON_KEYS, where)
-        kind = entry.get("type")
-        scope = entry.get("scope")
-        if not isinstance(scope, list):
-            raise ValueError(f"{where}: scope must be a list")
+    for where, entry, kind, scope in _constraint_walk(doc, _WSP_CON_KEYS):
         if kind in (MUST_EQUAL, MUST_DIFFER):
             if entry.get("slope") is not None:
                 raise ValueError(f"{where}: {kind} takes ell, not slope")
@@ -438,7 +433,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
         elif kind == DISJOINT:
             if entry.get("ell") is not None:
                 raise ValueError(f"{where}: disjoint takes slope, not ell")
-            if len(scope) != 2:
+            if len(scope) != 2 or not all(isinstance(g, list) for g in scope):
                 raise ValueError(f"{where}: disjoint scope is a pair of lists")
             cons.append(
                 disjoint(scope[0], scope[1], PenaltySpec.linear(entry.get("slope", 1)))
@@ -447,9 +442,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")
     if isinstance(pp, dict):  # a JSON object; plan documents take an int only
         raise ValueError(_PAIR_PENALTY_TYPE)
-    auth = _auth_from_pairs(pairs, masks, users, steps, pp)
-    tables = None if masks is None else (masks, None)
-    return WspInstance(steps, users, tuple(cons), auth, _prebuilt=(uindex, tables))
+    return _from_pairs(WspInstance, users, steps, pairs, uindex, masks, pp, tuple(cons))
 
 
 def wsp_to_doc(w: WspInstance) -> dict:
@@ -457,7 +450,6 @@ def wsp_to_doc(w: WspInstance) -> dict:
         raise ValueError("derived plan instances are not serializable")
     if isinstance(w.auth.pair_penalty, dict):
         raise ValueError("per-pair penalties are not serializable in plan documents")
-    pairs = _mask_pairs(w.users, w.steps, w._base_mask)
     cons = []
     for c in w.constraints:
         if c.kind == DISJOINT:
@@ -469,12 +461,7 @@ def wsp_to_doc(w: WspInstance) -> dict:
             )
         else:
             cons.append({"type": c.kind, "scope": list(c.scope), "ell": c.ell})
-    return {
-        "steps": list(w.steps),
-        "users": list(w.users),
-        "auth": {"pairs": pairs, "pair_penalty": w.auth.pair_penalty},
-        "constraints": cons,
-    }
+    return _instance_doc(w, "steps", w.auth.pair_penalty, cons)
 
 
 def load_wsp(path: str) -> WspInstance:
@@ -482,8 +469,4 @@ def load_wsp(path: str) -> WspInstance:
 
 
 def dump_wsp(w: WspInstance, path: Optional[str] = None) -> str:
-    text = canonical_json(wsp_to_doc(w))
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return _dump_doc(wsp_to_doc(w), path)

@@ -174,6 +174,19 @@ def test_solve_missing_and_malformed_files(tmp_path):
     assert run("solve", "--in", str(wrong)) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"auth": {"pairs": None}},  # exited 1 with a TypeError
+    {"constraints": [{"type": "sod_u", "scope": ["r1", ["r2"]]}]},  # exited 1 likewise
+    {"constraints": [{"type": "sod_u", "scope": ["r1", "r2"], "slope": 0}]},  # was slope 1
+])
+def test_solve_rejects_malformed_documents_as_bad_input(tmp_path, change):
+    doc = {"resources": ["r1", "r2"], "users": ["u1", "u2"],
+           "auth": {"pairs": [["u1", "r1"], ["u2", "r2"]]}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(doc, **change)), encoding="utf-8")
+    assert run("solve", "--in", str(path)) == 2
+
+
 def test_solve_guard_exit_code(tmp_path):
     inst_file = tmp_path / "inst.json"
     assert run("generate", "--n", "30", "--k", "1", "--seed", "2",
@@ -271,6 +284,19 @@ def test_check_resilience_bad_plan_document(tmp_path):
         plan_file.write_text(json.dumps(plan), encoding="utf-8")
         assert run("check-resilience", "--wsp", str(wsp_file),
                    "--plan", str(plan_file), "--tau", "0") == 2
+
+
+def test_check_resilience_rejects_string_disjoint_groups(tmp_path):
+    # the groups ["ab", "c"] were read as (a, b) and (c,), and the check exited 0
+    wsp_file, plan_file = tmp_path / "wsp.json", tmp_path / "plan.json"
+    wsp_file.write_text(json.dumps({
+        "steps": ["a", "b", "c"], "users": ["u1", "u2"],
+        "auth": {"pairs": [["u1", "a"], ["u1", "b"], ["u2", "c"]]},
+        "constraints": [{"type": "disjoint", "scope": ["ab", "c"]}],
+    }), encoding="utf-8")
+    plan_file.write_text(json.dumps({"a": ["u1"], "b": ["u1"], "c": ["u2"]}), encoding="utf-8")
+    assert run("check-resilience", "--wsp", str(wsp_file), "--plan", str(plan_file),
+               "--tau", "0") == 2
 
 
 def test_bench_grid(tmp_path):

@@ -69,6 +69,21 @@ def test_factories_validate_scopes():
         vapep.user_count(slope=0)
 
 
+@pytest.mark.parametrize("kind, scope, extra", [
+    ("sod_u", "ab", {}),  # was read as the scope ("a", "b")
+    ("user_count", "", {"quadratic": True}),
+    ("sod_u", ("r1", ["r2"]), {}),
+    ("bod_e", (["r1"], "r2"), {}),
+    ("card_lb", (7,), {"t": 1}),
+])
+def test_constraint_scopes_are_resource_names(kind, scope, extra):
+    with pytest.raises(ValueError, match=f"{kind} scope"):
+        vapep.Constraint(kind, scope, **extra)
+    if kind == "sod_u" and not isinstance(scope, str):
+        with pytest.raises(ValueError, match="sod_u scope"):
+            vapep.sod_u(*scope)
+
+
 def test_eval_relation_pinned_examples():
     sep = vapep.sod_u("r1", "r4", 1)
     rel = rel_of({"u1": ["r1"], "u2": ["r1"], "u4": ["r4"]})

@@ -136,6 +136,13 @@ def test_config_validation():
         GeneratorConfig(n=40, seed=1 << 64)
 
 
+@pytest.mark.parametrize("field", ["k", "tau", "alpha", "q_sod", "seed"])
+def test_config_rejects_bools(field):
+    # GeneratorConfig(n=10, k=True) generated, and wrote "k": true into meta
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        GeneratorConfig(n=10, **{field: True})
+
+
 # --------------------------------------------------------------------------
 # generated instances
 

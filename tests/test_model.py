@@ -511,7 +511,7 @@ def _reference_from_doc(doc):
             raise ValueError("pair_penalty matrix must be |users| x |resources|")
         pp = {(u, r): row[i] for u, row in zip(users, pp) for i, r in enumerate(resources)}
     cons = tuple(
-        model._constraint_from_doc(e, i) for i, e in enumerate(doc.get("constraints", []))
+        model._constraint_from_doc(*c) for c in model._constraint_walk(doc, model._CON_KEYS, [])
     )
     if isinstance(auth_doc.get("pair_penalty"), dict):
         raise ValueError("pair penalty must be an integer or per-pair penalties")
@@ -805,7 +805,7 @@ _HEAD_OUTCOMES = {
     "unknown auth field": ("unknown field(s) in auth: weights",) * 2,
     "pair shape": ("auth.pairs entries must be [user, resource]",
                    "auth.pairs entries must be [user, step]"),
-    "pairs not a list": (("TypeError", "'NoneType' object is not iterable"),) * 2,
+    "pairs not a list": ("auth.pairs must be a list",) * 2,
     "unknown user": ("authorization for unknown user 'ghost'",) * 2,
     "unknown name": ("authorization for unknown resource 'ghost'",
                      "authorization for unknown step 'ghost'"),
@@ -922,6 +922,58 @@ def test_loaders_reject_pair_penalties_that_are_not_integers(pp):
     else:
         with pytest.raises(ValueError, match=message):
             instance_from_doc(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"constraints": {}}, "constraints must be a list"),
+    ({"constraints": [5]}, "constraints[0] must be an object"),
+    ({"constraints": [{"type": "sod_u", "scope": "r0"}]}, "constraints[0]: scope must be a list"),
+    ({"constraints": [{"type": "user_count", "weight": 1, "why": 0}]},
+     "unknown field(s) in constraints[0]: weight, why"),
+    ({"constraints": [{"type": "user_count"}, {"type": "sod_x"}]},
+     "constraints[1]: unknown constraint type 'sod_x'"),
+    ({"constraints": [{"type": "sod_u"}]}, "sod_u needs two distinct resources"),
+    ({"constraints": 5, "meta": []}, "constraints must be a list"),
+    ({"constraints": [], "meta": []}, "meta must be an object"),
+    ({"constraints": 5, "auth": {"pair_penalty": [[1]]}},
+     "pair_penalty matrix must be |users| x |resources|"),
+])
+def test_instance_loader_checks_the_constraint_list(change, message):
+    # the messages and their order; the set-based reference loader shares
+    # the constraint-list walk, so it does not pin these
+    doc = {"resources": ["r0", "r1"], "users": ["u0"], "auth": {"pairs": [["u0", "r0"]]}}
+    doc.update(change)
+    with pytest.raises(ValueError) as err:
+        instance_from_doc(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("slope", 0, "penalty slope must be in"),
+    ("penalty", 0, "penalty slope must be in"),
+    ("slope", False, "penalty slope must be an integer"),
+])
+@pytest.mark.parametrize("entry", [
+    {"type": "sod_u", "scope": ["r0", "r1"]},
+    {"type": "bod_u", "scope": ["r0", "r1"]},
+    {"type": "card_lb", "scope": ["r0"], "t": 1},
+    {"type": "card_ub", "scope": ["r1"], "t": 1},
+])
+def test_loader_rejects_a_zero_or_false_slope(entry, field, value, message):
+    # these were read as slope 1
+    doc = {"resources": ["r0", "r1"], "users": ["u0"], "auth": {"pairs": [["u0", "r0"]]},
+           "constraints": [dict(entry, **{field: value})]}
+    with pytest.raises(ValueError, match=message):
+        instance_from_doc(doc)
+
+
+@pytest.mark.parametrize("scope", [["r0", ["r1"]], [["r0"], "r1"], ["r0", 1]])
+def test_loader_rejects_scope_entries_that_are_not_names(scope):
+    # an unhashable entry raised TypeError from the Instance constructor
+    doc = {"resources": ["r0", "r1"], "users": ["u0"], "auth": {"pairs": [["u0", "r0"]]},
+           "constraints": [{"type": "sod_u", "scope": scope}]}
+    with pytest.raises(ValueError, match="sod_u scope entries must be resource names"):
+        instance_from_doc(doc)
 
 
 def _reference_users_by_base(masks, m):

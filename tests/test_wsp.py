@@ -29,7 +29,7 @@ from vapep import (
     wsp_to_doc,
 )
 from vapep.matching import INF, assignment_cost, min_cost_assignment
-from vapep.wsp import _rgs
+from vapep.wsp import DISJOINT, MUST_EQUAL, _rgs
 
 import helpers
 
@@ -56,12 +56,35 @@ def test_wsp_constraint_validation():
         must_differ("s1", "s2", ell=0)
     with pytest.raises(ValueError):
         disjoint([], ["s1"])
+    with pytest.raises(ValueError, match="penalty slope must be in"):
+        disjoint(["s1"], ["s2"], 0)  # was read as slope 1
     with pytest.raises(ValueError):
         WspConstraint("sometimes_equal", ("s1", "s2"))
     with pytest.raises(ValueError):
         WspInstance(("s1",), ("u1",), (must_equal("s1", "s9"),), AuthCost({}))
     with pytest.raises(ValueError):
         WspInstance(("s1",), ("u1",), (), None)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: disjoint("ab", "c"), "disjoint groups must not be strings"),  # was (a, b), (c,)
+    (lambda: WspConstraint(DISJOINT, "ab"), "disjoint groups must not be strings"),
+    (lambda: disjoint(["s1"], ["s2", ["s3"]]), "disjoint groups must hold step names"),
+    (lambda: WspConstraint(MUST_EQUAL, "ab"), "must_equal scope must be two step names"),
+    (lambda: must_differ("s1", ["s2"]), "must_differ scope must be two step names"),
+    (lambda: must_equal("s1", 2), "must_equal scope must be two step names"),
+])
+def test_wsp_constraint_scopes_are_step_names(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("scope", [["ab", "c"], [["s1"], "s2"], [["s1"], 2]])
+def test_wsp_loader_reads_disjoint_groups_as_lists_only(scope):
+    doc = {"steps": ["s1", "s2", "a", "b", "c"], "users": ["u1"], "auth": {"pairs": []},
+           "constraints": [{"type": "disjoint", "scope": scope}]}
+    with pytest.raises(ValueError, match=r"constraints\[0\]: disjoint scope is a pair of lists"):
+        wsp_from_doc(doc)
 
 
 def test_solve_wsp_single_step_picks_cheapest_user():
