@@ -1,5 +1,8 @@
 """Integer-program builders, LP text round trips, point evaluation."""
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,8 @@ from vapep import (
 from vapep.mipgen import Row, Var, _quad_cut_rows
 
 import helpers
+
+DATA = Path(__file__).with_name("data")
 
 
 def family_instance(rng, n_max=6, k_max=3):
@@ -291,3 +296,63 @@ def test_generated_instance_exports():
     want, _ = total_weight(inst, rel)
     assert eval_at(f, rel) == want
     assert eval_at(fup, rel) == want
+
+
+# --------------------------------------------------------------------------
+# pinned output
+
+
+def test_export_mip_output_is_pinned(tmp_path):
+    # sha256 of `vapep export-mip` in both forms on `vapep generate` outputs,
+    # recorded before the builders and the LP writer were last rewritten;
+    # the grid covers k = 1 (no separation pair), the n = 3000, k = 3
+    # benchmark instance and k = 4..6
+    from vapep import cli
+    pinned = json.loads((DATA / "export_mip_sha256.json").read_text())
+    inst = tmp_path / "instance.json"
+    out = tmp_path / "model.lp"
+    for entry in pinned:
+        assert cli.main(["generate", *entry["args"], "-o", str(inst)]) == 0
+        for form in ("naive", "up"):
+            argv = ["export-mip", "--in", str(inst), "--form", form, "-o", str(out)]
+            assert cli.main(argv) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == entry[form], (entry["args"], form)
+
+
+def _custom_cost(inst):
+    """inst with a non-additive cost hook: the priced pairs plus one per
+    resource beyond the second."""
+    def cost(user, rs):
+        ui = inst.user_index(user)
+        return inst.omega_mask(ui, inst.resource_mask(rs)) + max(0, len(rs) - 2)
+    return Instance(inst.resources, inst.users, inst.constraints,
+                    AuthCost(inst.auth.base, inst.auth.pair_penalty, custom=cost))
+
+
+# sha256 of the reprs and LP texts of both builders over FAMILY_SEEDS
+# family instances, recorded alongside export_mip_sha256.json
+FAMILY_SEEDS = 200
+FAMILY_SHA256 = {
+    "naive_repr": "27b7c52e5d9fd44f878cf08be8c659ec70e37d9b10ae67b2c2b145cafaf8c874",
+    "naive_lp": "308bfe28f5d945fb10a79239118a4a10db3aa320095b8e2dd876bd14bc26d717",
+    "up_repr": "f2407d2de30afe10c635fa6d38cd9241fcd26de48e46df411c84341e40ed4d76",
+    "up_lp": "569e865a46ba457160151bb718d2ddd1c8d3af619460a4ddea643fcbd2a8834f",
+}
+
+
+def test_builders_output_is_pinned():
+    # LP text sorts terms and variables; only repr pins the term order
+    # inside rows and the order of the vars dict
+    rng = random.Random(1616)
+    digests = {key: hashlib.sha256() for key in FAMILY_SHA256}
+    for i in range(FAMILY_SEEDS):
+        inst = family_instance(rng, n_max=7, k_max=4)
+        for form, build, subject in (("naive", build_naive, inst),
+                                     ("up", build_up, inst),
+                                     ("up", build_up, _custom_cost(inst))):
+            f = build(subject)
+            digests[f"{form}_repr"].update(repr(f).encode())
+            digests[f"{form}_lp"].update(export_lp(f).encode())
+    got = {key: h.hexdigest() for key, h in digests.items()}
+    assert got == FAMILY_SHA256
