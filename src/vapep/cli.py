@@ -30,6 +30,7 @@ from .mipgen import build_naive, build_up, export_lp
 from .model import (
     GuardError,
     SolveResult,
+    _gc_paused,
     canonical_json,
     dump_instance,
     load_instance,
@@ -112,9 +113,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_mip(args) -> int:
-    instance = load_instance(args.infile)
     build = build_up if args.form == "up" else build_naive
-    _write_text(export_lp(build(instance)), args.output)
+    # the formulation holds no reference cycles: with the collector paused
+    # from its build to its release, no collection ever scans it
+    with _gc_paused():
+        _write_text(export_lp(build(load_instance(args.infile))), args.output)
     return 0
 
 

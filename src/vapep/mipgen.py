@@ -20,21 +20,29 @@ resource, seventh user), never raw names, so arbitrary identifiers survive
 the LP dialect.  `export_lp` writes a pinned plain-text form, `parse_lp`
 reads it back, `eval_at` checks a formulation against a concrete relation
 by fixing the assignment variables and propagating the rest.
+
+The builders work in bulk: each name is made once, in tables of per-user
+suffixes and per-resource or per-subset heads, and the objective, the
+variables and the rows are comprehensions over those tables.  A build
+makes a few small objects per variable, none in a reference cycle, so it
+runs with the cyclic collector paused.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .model import AuthorizationRelation, GuardError, Instance
+from .model import AuthorizationRelation, GuardError, Instance, _gc_paused
 
 log = logging.getLogger("vapep.mipgen")
 
 MAX_UP_VARS = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     lb: int = 0
@@ -42,7 +50,7 @@ class Var:
     binary: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     name: str
     terms: tuple  # ((coef, varname), ...)
@@ -88,19 +96,29 @@ def _check_family(instance: Instance) -> None:
 
 
 def _quad_cut_rows(p_name: str, n: int) -> list[Row]:
-    rows = []
-    for i in range(1, max(1, n - 1) + 1):
-        rows.append(
-            Row(
-                name=f"ucut{i}",
-                terms=((1, p_name), (-(2 * i + 1), "z")),
-                sense=">=",
-                rhs=-(i + 1) * i,
-            )
-        )
-    return rows
+    return [
+        Row(f"ucut{i}", ((1, p_name), (-(2 * i + 1), "z")), ">=", -(i + 1) * i)
+        for i in range(1, max(1, n - 1) + 1)
+    ]
 
 
+def _binaries(names: list[str]) -> dict[str, Var]:
+    return dict(zip(names, map(Var, names, repeat(0), repeat(None), repeat(True))))
+
+
+def _count_vars(vars: dict, ys: list[str]) -> None:
+    """The user-count indicators y_u and their sum z."""
+    vars.update(zip(ys, map(Var, ys, repeat(0), repeat(1))))
+    vars["z"] = Var("z", 0, len(ys))
+
+
+def _count_rows(p_name: str, ys: list[str]) -> list[Row]:
+    """z as the sum of the indicators, then the cuts pricing z^2 in p_name."""
+    ucz = Row("ucz", ((1, "z"), *zip(repeat(-1), ys)), "=", 0)
+    return [ucz, *_quad_cut_rows(p_name, len(ys))]
+
+
+@_gc_paused()
 def build_naive(instance: Instance) -> Formulation:
     """Assignment-variable formulation: one binary per (resource, user)."""
     _check_family(instance)
@@ -109,67 +127,39 @@ def build_naive(instance: Instance) -> Formulation:
             "non-additive authorization costs need the subset formulation"
         )
     k, n = instance.k, instance.n
-    vars: dict[str, Var] = {}
-    obj: list[tuple] = []
+    us = [f"_u{j}" for j in range(1, n + 1)]
+    x = [list(map(f"x_r{ri}".__add__, us)) for ri in range(1, k + 1)]  # x[ri][ui]
+    xs = list(chain.from_iterable(x))
+    omega = instance.omega_mask
+    obj = [t for ri, row in enumerate(x)
+           for t in zip(map(omega, range(n), repeat(1 << ri)), row) if t[0]]
+    vars = _binaries(xs)
+    ys = ["y" + u for u in us]
+    if any(c.kind == "user_count" for c in instance.constraints):
+        _count_vars(vars, ys)
+
     rows: list[Row] = []
-
-    def xname(ri: int, ui: int) -> str:
-        return f"x_r{ri + 1}_u{ui + 1}"
-
-    for ri in range(k):
-        for ui in range(n):
-            name = xname(ri, ui)
-            vars[name] = Var(name, binary=True)
-            w = instance.omega_mask(ui, 1 << ri)
-            if w:
-                obj.append((w, name))
-
-    need_count = any(c.kind == "user_count" for c in instance.constraints)
-    if need_count:
-        for ui in range(n):
-            vars[f"y_u{ui + 1}"] = Var(f"y_u{ui + 1}", 0, 1)
-        vars["z"] = Var("z", 0, n)
-
     for idx, c in enumerate(instance.constraints, start=1):
         pname = f"p_c{idx}"
         vars[pname] = Var(pname, 0, None)
         obj.append((1, pname))
         if c.kind == "sod_u":
-            a = instance._rindex[c.scope[0]]
-            b = instance._rindex[c.scope[1]]
-            sumterms: list[tuple] = [(1, pname)]
-            for ui in range(n):
-                yname = f"y_c{idx}_u{ui + 1}"
-                vars[yname] = Var(yname, binary=True)
-                rows.append(
-                    Row(
-                        name=f"sod{idx}_u{ui + 1}",
-                        terms=((1, yname), (-1, xname(a, ui)), (-1, xname(b, ui))),
-                        sense=">=",
-                        rhs=-1,
-                    )
-                )
-                sumterms.append((-c.spec.slope, yname))
-            rows.append(Row(f"sodsum{idx}", tuple(sumterms), "=", 0))
+            xa, xb = (x[instance._rindex[r]] for r in c.scope)
+            yc = list(map(f"y_c{idx}".__add__, us))
+            vars.update(_binaries(yc))
+            terms = zip(zip(repeat(1), yc), zip(repeat(-1), xa), zip(repeat(-1), xb))
+            rows += map(Row, map(f"sod{idx}".__add__, us), terms, repeat(">="), repeat(-1))
+            rows.append(Row(f"sodsum{idx}", ((1, pname), *zip(repeat(-c.spec.slope), yc)),
+                            "=", 0))
         elif c.kind == "card_lb":
-            ri = instance._rindex[c.scope[0]]
-            terms = [(1, pname)]
-            terms += [(c.spec.slope, xname(ri, ui)) for ui in range(n)]
-            rows.append(Row(f"card{idx}", tuple(terms), ">=", c.spec.slope * c.t))
+            s = c.spec.slope
+            held = x[instance._rindex[c.scope[0]]]
+            rows.append(Row(f"card{idx}", ((1, pname), *zip(repeat(s), held)), ">=", s * c.t))
         else:  # user_count, quadratic
-            for ri in range(k):
-                for ui in range(n):
-                    rows.append(
-                        Row(
-                            name=f"ucy_r{ri + 1}_u{ui + 1}",
-                            terms=((1, f"y_u{ui + 1}"), (-1, xname(ri, ui))),
-                            sense=">=",
-                            rhs=0,
-                        )
-                    )
-            zterms = [(1, "z")] + [(-1, f"y_u{ui + 1}") for ui in range(n)]
-            rows.append(Row("ucz", tuple(zterms), "=", 0))
-            rows.extend(_quad_cut_rows(pname, n))
+            names = [f"ucy_r{ri}" + u for ri in range(1, k + 1) for u in us]
+            terms = zip(list(zip(repeat(1), ys)) * k, zip(repeat(-1), xs))
+            rows += map(Row, names, terms, repeat(">="), repeat(0))
+            rows += _count_rows(pname, ys)
 
     return Formulation(
         name=f"apep_naive_k{k}_n{n}",
@@ -182,12 +172,14 @@ def build_naive(instance: Instance) -> Formulation:
     )
 
 
+@_gc_paused()
 def build_up(instance: Instance) -> Formulation:
     """Subset-variable formulation: one binary per (user, resource subset).
 
     Every user picks exactly one subset (the empty one included), which makes
     all penalty terms linear and lets arbitrary authorization costs be
-    tabulated straight into the objective.
+    tabulated straight into the objective.  The size guard comes first,
+    before any name is made or any cost is asked for.
     """
     _check_family(instance)
     k, n = instance.k, instance.n
@@ -197,72 +189,43 @@ def build_up(instance: Instance) -> Formulation:
             f"subset formulation needs 2^k * n = {nsub * n} variables; "
             f"the guard allows {MAX_UP_VARS}"
         )
-    vars: dict[str, Var] = {}
-    obj: list[tuple] = []
-    rows: list[Row] = []
+    us = [f"_u{j}" for j in range(1, n + 1)]
+    heads = [f"xT{mask}" for mask in range(nsub)]
+    x = [[h + u for h in heads] for u in us]  # x[ui][mask]
+    omega = instance.omega_mask
+    obj = [t for ui, row in enumerate(x)
+           for t in zip(map(omega, repeat(ui), range(nsub)), row) if t[0]]
+    vars = _binaries(list(chain.from_iterable(x)))
+    ones = [tuple(zip(repeat(1), row)) for row in x]
+    rows = list(map(Row, map("one".__add__, us), ones, repeat("="), repeat(1)))
+    ys = ["y" + u for u in us]
+    if any(c.kind == "user_count" for c in instance.constraints):
+        _count_vars(vars, ys)
 
-    def xname(mask: int, ui: int) -> str:
-        return f"xT{mask}_u{ui + 1}"
-
-    for ui in range(n):
-        for mask in range(nsub):
-            name = xname(mask, ui)
-            vars[name] = Var(name, binary=True)
-            w = instance.omega_mask(ui, mask)
-            if w:
-                obj.append((w, name))
-    for ui in range(n):
-        rows.append(
-            Row(
-                name=f"one_u{ui + 1}",
-                terms=tuple((1, xname(mask, ui)) for mask in range(nsub)),
-                sense="=",
-                rhs=1,
-            )
-        )
-
-    need_count = any(c.kind == "user_count" for c in instance.constraints)
-    if need_count:
-        for ui in range(n):
-            vars[f"y_u{ui + 1}"] = Var(f"y_u{ui + 1}", 0, 1)
-        vars["z"] = Var("z", 0, n)
+    def held(want: int) -> list[str]:
+        """Every user's subset variables whose subsets include want."""
+        masks = [mask for mask in range(nsub) if mask & want == want]
+        return [row[mask] for row in x for mask in masks]
 
     for idx, c in enumerate(instance.constraints, start=1):
         pname = f"p_c{idx}"
         vars[pname] = Var(pname, 0, None)
         obj.append((1, pname))
         if c.kind == "sod_u":
-            a = instance._rindex[c.scope[0]]
-            b = instance._rindex[c.scope[1]]
-            both = (1 << a) | (1 << b)
-            terms = [(1, pname)]
-            for ui in range(n):
-                for mask in range(nsub):
-                    if mask & both == both:
-                        terms.append((-c.spec.slope, xname(mask, ui)))
-            rows.append(Row(f"sod{idx}", tuple(terms), "=", 0))
+            both = held(instance.resource_mask(c.scope))
+            rows.append(Row(f"sod{idx}", ((1, pname), *zip(repeat(-c.spec.slope), both)),
+                            "=", 0))
         elif c.kind == "card_lb":
-            ri = instance._rindex[c.scope[0]]
-            terms = [(1, pname)]
-            for ui in range(n):
-                for mask in range(nsub):
-                    if mask >> ri & 1:
-                        terms.append((c.spec.slope, xname(mask, ui)))
-            rows.append(Row(f"card{idx}", tuple(terms), ">=", c.spec.slope * c.t))
+            s = c.spec.slope
+            one = held(instance.resource_mask(c.scope))
+            rows.append(Row(f"card{idx}", ((1, pname), *zip(repeat(s), one)), ">=", s * c.t))
         else:  # user_count, quadratic
-            for ui in range(n):
-                for mask in range(1, nsub):
-                    rows.append(
-                        Row(
-                            name=f"ucy{mask}_u{ui + 1}",
-                            terms=((1, f"y_u{ui + 1}"), (-1, xname(mask, ui))),
-                            sense=">=",
-                            rhs=0,
-                        )
-                    )
-            zterms = [(1, "z")] + [(-1, f"y_u{ui + 1}") for ui in range(n)]
-            rows.append(Row("ucz", tuple(zterms), "=", 0))
-            rows.extend(_quad_cut_rows(pname, n))
+            ucy = [f"ucy{mask}" for mask in range(1, nsub)]
+            names = [h + u for u in us for h in ucy]
+            plus_y = zip(repeat(1), ys)
+            terms = [(y, (-1, v)) for y, row in zip(plus_y, x) for v in row[1:]]
+            rows += map(Row, names, terms, repeat(">="), repeat(0))
+            rows += _count_rows(pname, ys)
 
     return Formulation(
         name=f"apep_up_k{k}_n{n}",
@@ -279,40 +242,30 @@ def build_up(instance: Instance) -> Formulation:
 # LP text
 
 
-def _format_terms(terms) -> str:
-    parts = []
-    for coef, name in sorted(terms, key=lambda t: t[1]):
-        if not parts:
-            parts.append(f"{coef} {name}" if coef >= 0 else f"- {-coef} {name}")
-        elif coef >= 0:
-            parts.append(f"+ {coef} {name}")
-        else:
-            parts.append(f"- {-coef} {name}")
-    return " ".join(parts)
+def _lp_terms(terms) -> str:
+    """Terms sorted by variable name, signed; the first has no "+"."""
+    text = " ".join([f"+ {c} {v}" if c >= 0 else f"- {-c} {v}"
+                     for c, v in sorted(terms, key=itemgetter(1))])
+    return text[2:] if text[:1] == "+" else text
 
 
 def export_lp(f: Formulation) -> str:
     """Formulation as LP text.  Term order, bounds and sections are pinned,
     so equal formulations always export byte-identical files."""
-    out = [f"\\ {f.name}", "Minimize", f" obj: {_format_terms(f.objective)}".rstrip()]
-    out.append("Subject To")
-    for row in f.rows:
-        out.append(f" {row.name}: {_format_terms(row.terms)} {row.sense} {row.rhs}")
-    bounded = [v for v in f.vars.values() if not v.binary]
+    out = [f"\\ {f.name}", "Minimize", f" obj: {_lp_terms(f.objective)}".rstrip(),
+           "Subject To"]
+    out += [f" {r.name}: {_lp_terms(r.terms)} {r.sense} {r.rhs}" for r in f.rows]
+    bounded = sorted((v for v in f.vars.values() if not v.binary), key=attrgetter("name"))
     if bounded:
         out.append("Bounds")
-        for v in sorted(bounded, key=lambda v: v.name):
-            if v.ub is None:
-                out.append(f" {v.name} >= {v.lb}")
-            else:
-                out.append(f" {v.lb} <= {v.name} <= {v.ub}")
+        out += [f" {v.name} >= {v.lb}" if v.ub is None else f" {v.lb} <= {v.name} <= {v.ub}"
+                for v in bounded]
     binary = sorted(v.name for v in f.vars.values() if v.binary)
     if binary:
         out.append("Binary")
-        for name in binary:
-            out.append(f" {name}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+        out += map(" ".__add__, binary)
+    out.append("End\n")
+    return "\n".join(out)
 
 
 def _parse_terms(text: str) -> tuple:

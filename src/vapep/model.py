@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import partial
 from itertools import chain, compress, islice, product, repeat
@@ -824,22 +825,30 @@ def instance_to_doc(instance: Instance) -> dict:
     return doc
 
 
-def _load_doc(path: str, from_doc: Callable):
-    """from_doc applied to the JSON document at path.
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector; restore the caller's state however the
+    block ends.  Also a decorator.
 
-    The cyclic collector is paused meanwhile: the parsed document and the
-    tables built from it are many small objects without reference cycles,
-    which would only trigger collections that free nothing.  The caller's
-    collector state is restored however the load ends.
+    For code that allocates many small objects without reference cycles,
+    such as a parsed document and the tables built from it, or the rows of
+    an integer program: there collections would only scan objects and free
+    nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_doc(json.load(fh))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _load_doc(path: str, from_doc: Callable):
+    """from_doc applied to the JSON document at path, with the cyclic
+    collector paused (`_gc_paused`)."""
+    with _gc_paused(), open(path, "r", encoding="utf-8") as fh:
+        return from_doc(json.load(fh))
 
 
 def load_instance(path: str) -> Instance:

@@ -72,6 +72,7 @@ class WspConstraint:
             if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= MAX_PENALTY:
                 raise ValueError(f"{self.kind} penalty must be in [1, {MAX_PENALTY}]")
             object.__setattr__(self, "ell", ell)
+            object.__setattr__(self, "scope", tuple(self.scope))
         elif self.kind == DISJOINT:
             if len(self.scope) != 2:
                 raise ValueError("disjoint needs two step groups")
@@ -435,8 +436,9 @@ def wsp_from_doc(doc: dict) -> WspInstance:
                 raise ValueError(f"{where}: disjoint takes slope, not ell")
             if len(scope) != 2 or not all(isinstance(g, list) for g in scope):
                 raise ValueError(f"{where}: disjoint scope is a pair of lists")
+            slope = entry.get("slope")  # null reads as absent, as in relation documents
             cons.append(
-                disjoint(scope[0], scope[1], PenaltySpec.linear(entry.get("slope", 1)))
+                disjoint(scope[0], scope[1], PenaltySpec.linear(1 if slope is None else slope))
             )
         else:
             raise ValueError(f"{where}: unknown constraint type {kind!r}")

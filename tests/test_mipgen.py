@@ -1,7 +1,9 @@
 """Integer-program builders, LP text round trips, point evaluation."""
+import gc
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -164,14 +166,45 @@ def test_builders_reject_unsupported_input():
     build_up(custom)  # subset form tabulates any cost hook
 
 
-def test_up_guard():
+def guard_instance(custom=None):
+    """2^30 * 10 subset variables, far over MAX_UP_VARS."""
     resources = tuple(f"r{i}" for i in range(1, 31))
     users = tuple(f"u{j}" for j in range(1, 11))
     base = {u: frozenset(resources) for u in users}
-    inst = Instance(resources, users, (), AuthCost(base, 1))
+    return Instance(resources, users, (), AuthCost(base, 1, custom=custom))
+
+
+def test_up_guard():
     with pytest.raises(GuardError) as err:
-        build_up(inst)
+        build_up(guard_instance())
     assert "10000000" in str(err.value)
+
+
+def test_up_guard_refuses_before_any_work():
+    # names or costs made before the guard would exhaust memory here
+    def cost(user, rs):
+        raise AssertionError("the guard let a cost be asked for")
+
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        build_up(guard_instance(cost))
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_builders_restore_the_collector_state():
+    inst = sod_fixture()
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            build_naive(inst)
+            build_up(inst)
+            assert gc.isenabled() is enabled
+            with pytest.raises(GuardError):
+                build_up(guard_instance())
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_row_sense_validation():

@@ -29,7 +29,7 @@ from vapep import (
     wsp_to_doc,
 )
 from vapep.matching import INF, assignment_cost, min_cost_assignment
-from vapep.wsp import DISJOINT, MUST_EQUAL, _rgs
+from vapep.wsp import DISJOINT, MUST_DIFFER, MUST_EQUAL, _rgs
 
 import helpers
 
@@ -77,6 +77,29 @@ def test_wsp_constraint_validation():
 def test_wsp_constraint_scopes_are_step_names(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("kind", [MUST_EQUAL, MUST_DIFFER])
+def test_wsp_constraint_of_a_list_scope_is_hashable(kind):
+    # a list scope was kept as given, so the constraint could not be hashed
+    made = WspConstraint(kind, ["s1", "s2"])
+    assert made.scope == ("s1", "s2")
+    assert made == WspConstraint(kind, ("s1", "s2"))
+    assert hash(made) == hash(WspConstraint(kind, ("s1", "s2")))
+
+
+def test_null_slope_reads_as_absent_in_both_document_kinds():
+    # a relation document read "slope": null as slope 1; a plan document
+    # passed the null on and raised
+    plan = {"steps": ["s1", "s2"], "users": ["u1"], "auth": {"pairs": [["u1", "s1"]]},
+            "constraints": [{"type": "disjoint", "scope": [["s1"], ["s2"]], "slope": None}]}
+    relation = {"resources": ["r1", "r2"], "users": ["u1"], "auth": {"pairs": [["u1", "r1"]]},
+                "constraints": [{"type": "sod_u", "scope": ["r1", "r2"], "slope": None}]}
+    linear = vapep.PenaltySpec.linear(1)
+    assert wsp_from_doc(plan).constraints[0].spec == linear
+    assert vapep.instance_from_doc(relation).constraints[0].spec == linear
+    del plan["constraints"][0]["slope"]
+    assert wsp_from_doc(plan).constraints[0].spec == linear
 
 
 @pytest.mark.parametrize("scope", [["ab", "c"], [["s1"], "s2"], [["s1"], 2]])
