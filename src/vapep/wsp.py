@@ -430,7 +430,7 @@ def wsp_from_doc(doc: dict) -> WspInstance:
         if kind in (MUST_EQUAL, MUST_DIFFER):
             if entry.get("slope") is not None:
                 raise ValueError(f"{where}: {kind} takes ell, not slope")
-            cons.append(WspConstraint(kind, tuple(scope), ell=entry.get("ell", 1)))
+            cons.append(WspConstraint(kind, scope, ell=entry.get("ell", 1)))
         elif kind == DISJOINT:
             if entry.get("ell") is not None:
                 raise ValueError(f"{where}: disjoint takes slope, not ell")
