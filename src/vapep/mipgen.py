@@ -39,7 +39,9 @@ from .model import AuthorizationRelation, GuardError, Instance, _gc_paused
 
 log = logging.getLogger("vapep.mipgen")
 
-MAX_UP_VARS = 10**7
+# subset variables, 2^k * n: at 2 * 10^6 (n=250,000, k=3) `export-mip`
+# peaked at 2,346 MiB, and time and memory grow linearly with the count
+MAX_UP_VARS = 2 * 10**6
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ from typing import Optional
 from . import _kernels
 from .matching import INF
 from .model import GuardError, Instance, SolveResult, subset_order
-from .solver_profile import _compile_constraints, solve
+from .solver_profile import _compile_constraints, check_preparation, solve
 
 log = logging.getLogger("vapep.solver")
 
@@ -35,6 +35,8 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
             f"brute force needs (2^{k})^{n} = 2^{n * k} relations; "
             f"the guard allows at most 2^{MAX_RELATIONS_LOG2}"
         )
+    # the relation comes from solve(ell=n), so its guard applies first
+    check_preparation(k, n, len(instance.constraints))
     kb = _kernels.get_backend(backend)
     subs_all = [0] + subset_order(k)
     # costs capped at INF, which no relation that holds one can beat, so

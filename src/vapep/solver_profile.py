@@ -34,6 +34,15 @@ from .model import (
 log = logging.getLogger("vapep.solver")
 
 MAX_PROFILES = 10**9
+# The preparation builds, for each of the 2^k - 1 subsets, a cost row of
+# ell + 1 entries, a candidate list of ell users, constraint classes and a
+# fixed set of small tables, which weigh about as much as 64 constraints.
+# Measured at ell=1 from `vapep generate --n 3 --seed 0` (2k + 1
+# constraints): k=20 in 19 s and 840 MiB, k=21 in 36 s and 1.7 GiB; with no
+# constraints k=20 in 9 s and 603 MiB.  2^27 cells admits k=20 while
+# ell + constraints <= 64 and refuses k=21 for every instance.
+PREP_SUBSET_CELLS = 64
+MAX_PREP_CELLS = 1 << 27
 
 
 def count_profiles(k: int, ell: int) -> int:
@@ -274,6 +283,19 @@ class _Search:
         return self.incumbent
 
 
+def check_preparation(k: int, ell: int, constraints: int) -> None:
+    """Raise GuardError, allocating nothing, when preparing a profile search
+    over k resources, at most ell users and the given number of constraints
+    needs more than MAX_PREP_CELLS cells, 2^k * (ell + constraints + 64)."""
+    cells = (1 << k) * (ell + constraints + PREP_SUBSET_CELLS)
+    if cells > MAX_PREP_CELLS:
+        raise GuardError(
+            f"profile search at k={k}, ell={ell} prepares 2^{k} * ({ell} + "
+            f"{constraints} constraints + {PREP_SUBSET_CELLS}) = {cells} cells; "
+            f"the guard allows {MAX_PREP_CELLS}. Cut k"
+        )
+
+
 def default_ell(instance: Instance) -> int:
     """The cap solve() uses when none is given: suggestion clamped to [k, n]."""
     sug = wbound_suggestion(instance.constraints, instance.k)
@@ -302,8 +324,9 @@ def solve(
     `threads` is accepted for compatibility and has no effect: the search
     runs on one thread, and the result is the same for every value.
 
-    Raises GuardError, before any authorization cost is read, when the
-    profile space exceeds MAX_PROFILES.
+    Raises GuardError, before any authorization cost is read or any
+    per-subset table is built, when the profile space exceeds MAX_PROFILES
+    or the preparation exceeds MAX_PREP_CELLS (`check_preparation`).
     """
     t0 = time.perf_counter()
     k, n = instance.k, instance.n
@@ -312,8 +335,6 @@ def solve(
     else:
         L = max(1, min(n, int(ell)))
     kb = _kernels.get_backend(backend)
-    subs = subset_order(k)
-    M = len(subs)
     total_profiles = count_profiles(k, L)
     if total_profiles > MAX_PROFILES:
         raise GuardError(
@@ -321,6 +342,9 @@ def solve(
             f"profiles; the guard allows {MAX_PROFILES}. Pass a smaller --ell "
             f"(optimal only among solutions with that many users) or cut k"
         )
+    check_preparation(k, L, len(instance.constraints))
+    subs = subset_order(k)
+    M = len(subs)
     by_cost = cheapest_users(instance, subs, L)
     # cheap[j][c]: summed cost of the c cheapest users for subs[j], c = 0..L
     cheap = [

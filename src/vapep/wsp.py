@@ -4,12 +4,18 @@ A plan assigns each step exactly one user.  Grouping steps by their assigned
 user yields a set partition, and constraint weight only depends on that
 partition, so a scan of the partitions (restricted growth strings) plus a
 min-cost matching of blocks to users solves the problem exactly.  The scan
-is depth first and cuts every prefix whose constraint weight, or every
-partition whose weight plus a lower bound on its matching, reaches the best
-plan found so far (the pattern-based branch and bound of Karapetyan, Parkes,
-Gutin and Gagarin, JAIR 2019).  Without pruning it reaches all Bell(K)
-partitions: Bell(12) is about 4.2 million, which took about 9 s with
-CPython 3.11 on a 2-vCPU machine, so a guard refuses more than 12 steps.
+is depth first, in the manner of the pattern-based branch and bound of
+Karapetyan, Parkes, Gutin and Gagarin (JAIR 2019): it cuts every prefix
+whose constraint weight plus a lower bound on the authorization cost of any
+completion reaches the best plan found so far.  That bound needs to know
+how the cost grows with a block, which the instance records where it is
+built: under its own authorization table (a sum over the steps) both the
+open blocks and the unplaced steps count, under `reduce_bode_sodu`'s cost
+(monotone in the steps) only the open blocks, and under any other
+`cost_fn` nothing until a partition is complete.  Such a plan may reach all
+Bell(K) partitions: Bell(12) is about 4.2 million, which took about 9 s
+with CPython 3.11 on a 2-vCPU machine, so a guard refuses more than 12
+steps.
 
 Two reductions connect these instances to authorization relations:
 one for instances with only user-based separation/binding constraints, and
@@ -21,6 +27,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import KW_ONLY, InitVar, dataclass
+from operator import add
 from typing import Callable, Dict, Iterator, Optional
 
 from .constraints import MAX_PENALTY, PenaltySpec
@@ -51,6 +58,9 @@ MAX_STEPS_EXACT = 12
 MUST_EQUAL = "must_equal"
 MUST_DIFFER = "must_differ"
 DISJOINT = "disjoint"
+
+ADDITIVE = "additive"
+MONOTONE = "monotone"
 
 Plan = Dict[str, str]
 
@@ -117,8 +127,10 @@ class WspInstance:
     # (user index or None, (masks, penalty rows or None) or None), as on
     # `Instance`
     _prebuilt: InitVar[Optional[tuple]] = None
+    # set by a builder that knows its cost_fn never falls as steps are added
+    _monotone: InitVar[bool] = False
 
-    def __post_init__(self, _prebuilt):
+    def __post_init__(self, _prebuilt, _monotone):
         uindex, tables = _prebuilt or (None, None)
         self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
         self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
@@ -135,6 +147,11 @@ class WspInstance:
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
             self.auth, tables, self.users, self._uindex, self.steps, "step"
         )
+        # what `solve_wsp` may assume of cost(u, B) for its interior bound:
+        # ADDITIVE, a sum over the steps of B; MONOTONE, never smaller for a
+        # superset of B; None, nothing
+        self._cost_shape = (ADDITIVE if self.cost_fn is None
+                            else MONOTONE if _monotone else None)
 
     @property
     def k(self) -> int:
@@ -204,12 +221,22 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
     h blocks having met both before.  Penalties are non-negative and f is
     non-decreasing, so the weight of a prefix never exceeds that of any
     partition below it, and a subtree is cut once its prefix weight reaches
-    the incumbent.  At a leaf the cached cost row of each block (one per
-    block mask) gives the sum of row minima, a lower bound on any matching;
-    the leaf is skipped when the weight plus that bound reaches the
-    incumbent, and is matched otherwise.
-    There is no interior authorization bound: a `cost_fn` need not be
-    monotone in the step mask.
+    the incumbent.
+
+    Placing step i in a block also cuts that child once the prefix weight
+    plus an authorization bound reaches the incumbent.  Blocks only grow and
+    never merge, and a matching gives each final block its own user, so
+    under a cost that never falls as steps join a block (`MONOTONE`), the
+    minimum over users of each open block's cost (one cached row per block
+    mask) sums to at most the matching of any completion.  Under the
+    instance's own authorization table (`ADDITIVE`, the cost of a block is
+    the sum of its steps' costs), each unplaced step also adds at least the
+    minimum of its own cost, to whichever block it joins, so the singleton
+    minima of the unplaced steps add to the bound; a block's row is the sum
+    of the rows of the block before step i joined it and of step i.  Any
+    other `cost_fn` gets neither term.  At a leaf the sum of the blocks' row
+    minima bounds the matching; the leaf is skipped when the weight plus
+    that sum reaches the incumbent, and is matched otherwise.
 
     The result is the one of a flat scan that matches every partition with
     at most n blocks and keeps strictly better totals.  Both visit the
@@ -243,27 +270,50 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
         else:
             s, t = sorted((w._sindex[c.scope[0]], w._sindex[c.scope[1]]))
             pairs[t].append((s, c.ell, c.kind == MUST_EQUAL))
+    shape = w._cost_shape
+    bounded = shape is not None
+    cost = w.cost
     rgs = [0] * K  # block of each placed step
     blocks = [0] * K  # step mask of each block; 0 past the open ones
     rows: dict[int, list[int]] = {}  # block mask -> cost row
-    mins: dict[int, int] = {}  # block mask -> row minimum
+    mins: dict[int, int] = {0: 0}  # block mask -> row minimum
+
+    def block_min(bm: int) -> int:
+        """min_u cost(u, bm); builds and caches the row of bm on first use."""
+        m = mins.get(bm)
+        if m is None:
+            top = 1 << (bm.bit_length() - 1)
+            if shape == ADDITIVE and bm != top:
+                # row(B) = row(B minus its highest step) + row(that step)
+                block_min(bm ^ top)
+                row = list(map(add, rows[bm ^ top], rows[top]))
+            else:
+                row = [cost(u, bm) for u in range(n)]
+            rows[bm] = row
+            m = mins[bm] = min(row)
+        return m
+
+    # rest[i]: the singleton minima of steps i..K-1, under an additive cost
+    rest = [0] * (K + 1)
+    if shape == ADDITIVE:
+        for i in range(K - 1, -1, -1):
+            rest[i] = rest[i + 1] + block_min(1 << i)
     inc = INF
     best: Optional[tuple[list[int], list[list[int]]]] = None  # (rgs, cost rows)
     nodes = leaves = bound_cuts = matchings = 0
 
-    def visit(i: int, p: int, cw: int) -> None:
+    def visit(i: int, p: int, cw: int, bw: int) -> None:
+        # bw: the sum of the open blocks' minima when bounded, else 0; an
+        # argument, so a return restores the parent's sum
         nonlocal inc, best, nodes, leaves, bound_cuts, matchings
         nodes += 1
         if i == K:
             leaves += 1
-            lb = cw
-            for bm in blocks[:p]:
-                m = mins.get(bm)
-                if m is None:
-                    row = rows[bm] = [w.cost(u, bm) for u in range(n)]
-                    m = mins[bm] = min(row)
-                lb += m
-            if lb >= inc:
+            if not bounded:
+                for bm in blocks[:p]:
+                    m = mins.get(bm)
+                    bw += block_min(bm) if m is None else m
+            if cw + bw >= inc:
                 bound_cuts += 1
                 return
             matchings += 1
@@ -274,6 +324,7 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
                 best = rgs[:], costs
             return
         bit = 1 << i
+        after = rest[i + 1]
         for g in range(p + 1 if p < n else p):
             x = cw
             for s, ell, equal in pairs[i]:
@@ -289,14 +340,18 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
                     hits[d] = h + 1
                     met.append(d)
             if x < inc:
-                rgs[i] = g
-                blocks[g] = new
-                visit(i + 1, p + (g == p), x)
-                blocks[g] = old
+                nbw = bw - mins[old] + block_min(new) if bounded else 0
+                if x + nbw + after < inc:
+                    rgs[i] = g
+                    blocks[g] = new
+                    visit(i + 1, p + (g == p), x, nbw)
+                    blocks[g] = old
+                else:
+                    bound_cuts += 1
             for d in met:
                 hits[d] -= 1
 
-    visit(0, 0, 0)
+    visit(0, 0, 0, 0)
     if best is None:
         raise ValueError(TOO_HEAVY)
     best_rgs, costs = best
@@ -386,12 +441,16 @@ def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
         else:
             cons.append(disjoint(group[i1], group[i2], c.spec))
 
+    rmasks: dict[int, int] = {}  # step mask -> resource mask
+
     def cost_fn(ui: int, mask: int) -> int:
-        rmask = 0
-        while mask:
-            b = mask & -mask
-            rmask |= 1 << res_of_step[b.bit_length() - 1]
-            mask ^= b
+        rmask = rmasks.get(mask)
+        if rmask is None:
+            rmask = 0
+            for i in range(len(res_of_step)):
+                if mask >> i & 1:
+                    rmask |= 1 << res_of_step[i]
+            rmasks[mask] = rmask
         return instance.omega_mask(ui, rmask)
 
     wsp = WspInstance(
@@ -400,6 +459,9 @@ def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
         constraints=tuple(cons),
         auth=None,
         cost_fn=cost_fn,
+        # omega_mask is monotone in the resource mask, and so in the step
+        # mask, unless a custom cost says otherwise
+        _monotone=instance.auth.custom is None,
     )
     return wsp, origin
 

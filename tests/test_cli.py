@@ -203,6 +203,19 @@ def test_solve_profile_guard_exit_code(tmp_path):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_solve_refuses_a_preparation_past_its_budget(tmp_path, capsys):
+    # ell=1 gives 2^24 profiles, within MAX_PROFILES, but preparing 2^24
+    # subsets would take minutes and more memory than most machines have
+    inst_file = tmp_path / "inst.json"
+    assert run("generate", "--n", "3", "--k", "24", "-o", str(inst_file)) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run("solve", "--in", str(inst_file), "--ell", "1") == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "k=24" in err and "ell=1" in err
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_solve_profile_pinned_output(tmp_path, seed):
     # The expected files hold the output of the reconstruction that matched

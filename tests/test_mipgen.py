@@ -27,6 +27,7 @@ from vapep import (
     total_weight,
     user_count,
 )
+from vapep import mipgen
 from vapep.mipgen import Row, Var, _quad_cut_rows
 
 import helpers
@@ -177,7 +178,19 @@ def guard_instance(custom=None):
 def test_up_guard():
     with pytest.raises(GuardError) as err:
         build_up(guard_instance())
-    assert "10000000" in str(err.value)
+    assert f"the guard allows {mipgen.MAX_UP_VARS}" in str(err.value)
+
+
+def test_up_guard_boundary(monkeypatch):
+    # 2^2 * 4 = 16 subset variables: admitted at a limit of 16, and refused
+    # when they are one more than the limit
+    inst = Instance(("r1", "r2"), tuple(f"u{j}" for j in range(1, 5)), (),
+                    AuthCost({}, 1))
+    monkeypatch.setattr(mipgen, "MAX_UP_VARS", 16)
+    assert len(build_up(inst).vars) == 16
+    monkeypatch.setattr(mipgen, "MAX_UP_VARS", 15)
+    with pytest.raises(GuardError):
+        build_up(inst)
 
 
 def test_up_guard_refuses_before_any_work():

@@ -1,5 +1,6 @@
 """Exhaustive reference solver."""
 import random
+import time
 
 import pytest
 
@@ -32,6 +33,21 @@ def test_guard_refuses_large_search_space():
     with pytest.raises(GuardError) as err:
         solve_exhaustive(inst)
     assert "2^24" in str(err.value) or "16777216" in str(err.value)
+
+
+def test_one_user_brute_solve_refuses_before_enumerating():
+    # n * k = 24 passes the relation guard, but the relation comes from the
+    # profile solver at ell = n, whose preparation at k=24 is refused
+    def custom(u, rs):
+        raise AssertionError("authorization costs read before the guard")
+
+    inst = Instance(tuple(f"r{i}" for i in range(1, 25)), ("u1",), (),
+                    AuthCost({}, 1, custom=custom))
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError) as err:
+        solve_exhaustive(inst)
+    assert time.perf_counter() - t0 < 0.5
+    assert "k=24, ell=1" in str(err.value)
 
 
 def test_matches_flat_oracle():

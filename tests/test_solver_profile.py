@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+import time
 
 import pytest
 
@@ -478,6 +479,38 @@ def test_profile_guard_boundary(monkeypatch):
     monkeypatch.setattr(solver_profile, "MAX_PROFILES", size - 1)
     with pytest.raises(GuardError):
         solve(inst, ell=4)
+
+
+def test_preparation_guard_boundary():
+    check = solver_profile.check_preparation
+    # k=20 passes while ell + constraints <= 64; k=21 never does
+    check(20, 1, 63)
+    check(20, 64, 0)
+    with pytest.raises(GuardError):
+        check(20, 1, 64)
+    with pytest.raises(GuardError) as err:
+        check(21, 1, 0)
+    assert "k=21, ell=1" in str(err.value)
+    assert str(solver_profile.MAX_PREP_CELLS) in str(err.value)
+    # large ell at small k stays within it: one resource, 10^6 users
+    check(1, 10**6, 10)
+
+
+def test_solve_refuses_a_huge_preparation_before_building_it():
+    def custom(u, rs):
+        raise AssertionError("authorization costs read before the guard")
+
+    inst = Instance(
+        tuple(f"r{i}" for i in range(1, 25)), ("u1", "u2"), (),
+        AuthCost({}, 1, custom=custom),
+    )
+    # one profile per subset at ell=1: well within MAX_PROFILES
+    assert count_profiles(24, 1) <= solver_profile.MAX_PROFILES
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError) as err:
+        solve(inst, ell=1)
+    assert time.perf_counter() - t0 < 0.5
+    assert "k=24, ell=1" in str(err.value)
 
 
 @pytest.mark.parametrize("weight", [1 << 62, 1 << 63, 1 << 70])

@@ -4,6 +4,7 @@ import itertools
 import json
 import logging
 import random
+import time
 
 import pytest
 
@@ -29,7 +30,7 @@ from vapep import (
     wsp_to_doc,
 )
 from vapep.matching import INF, assignment_cost, min_cost_assignment
-from vapep.wsp import DISJOINT, MUST_DIFFER, MUST_EQUAL, _rgs
+from vapep.wsp import ADDITIVE, DISJOINT, MONOTONE, MUST_DIFFER, MUST_EQUAL, _rgs
 
 import helpers
 
@@ -141,6 +142,20 @@ def test_solve_wsp_guard():
         solve_wsp(w)
 
 
+def test_solve_wsp_bounds_a_plan_with_nothing_to_prune():
+    # 12 steps and users, no constraints, no authorizations: each of the
+    # Bell(12) = 4,213,597 partitions costs 12, so the leaf bound alone
+    # reaches every one; the interior bound cuts each second block
+    steps = tuple(f"s{i}" for i in range(12))
+    users = tuple(f"u{j}" for j in range(12))
+    w = WspInstance(steps, users, (), AuthCost({}, 1))
+    t0 = time.perf_counter()
+    plan, weight = solve_wsp(w)
+    assert time.perf_counter() - t0 < 1
+    assert weight == 12
+    assert set(plan.values()) == {"u0"}
+
+
 def test_solve_wsp_matches_plan_space_oracle():
     rng = random.Random(71)
     for _ in range(60):
@@ -241,23 +256,126 @@ def test_solve_wsp_matches_flat_scan():
     assert ties >= 400
 
 
-def test_solve_wsp_logs_search_counters(caplog):
-    # Without constraints or authorizations every partition costs one pair
-    # penalty per step, so after the first leaf the row-minimum bound cuts
-    # all the others: S(6,1) + S(6,2) + S(6,3) = 122 partitions of 6 steps
-    # into at most 3 blocks are reached and one is matched.
-    steps = tuple(f"s{i}" for i in range(6))
-    w = WspInstance(steps, ("u1", "u2", "u3"), (), AuthCost({}, 1))
+def with_table_cost(rng, inst):
+    """The instance with a custom cost read from a seeded table over every
+    (user, resource subset): neither additive nor monotone."""
+    table = {(u, rs): rng.randint(0, 4)
+             for u in inst.users for rs in helpers.all_subsets(inst.resources)}
+    return Instance(inst.resources, inst.users, inst.constraints,
+                    AuthCost(inst.auth.base, 1, custom=lambda u, rs: table[u, rs]))
+
+
+def rand_bode_sodu(rng):
+    """A bod_e/sod_u relation instance whose reduction has at most 7 steps.
+    At least two bindings, so that some resources have two steps, which pay
+    for it once when they share a user; few authorizations, so that a step's
+    cheapest user often pays for its resource."""
+    while True:
+        k = rng.randint(3, 4)
+        resources = tuple(f"r{i + 1}" for i in range(k))
+        users = tuple(f"u{j + 1}" for j in range(rng.randint(1, 4)))
+        pairs = list(itertools.combinations(resources, 2))
+        cons = [vapep.bod_e(a, b, rng.randint(1, 6))
+                for a, b in rng.sample(pairs, rng.randint(2, len(pairs)))]
+        cons += [vapep.sod_u(a, b, helpers.rand_penalty(rng))
+                 for a, b in rng.sample(pairs, rng.randint(1, 3))]
+        if sum(max(1, sum(r in c.scope for c in cons if c.kind == "bod_e"))
+               for r in resources) <= 7:
+            break
+    base = {u: frozenset(r for r in resources if rng.random() < 0.2) for u in users}
+    pp = rng.randint(1, 4) if rng.random() < 0.5 else {
+        (u, r): rng.randint(0, 4) for u in users for r in resources}
+    return Instance(resources, users, tuple(cons), AuthCost(base, pp))
+
+
+def test_bode_sodu_plans_match_flat_scan():
+    # reduce_bode_sodu's cost, omega_mask of the union of the steps'
+    # resources, is monotone but not additive in the step mask (two steps of
+    # one resource cost it once), so only the block minima bound its
+    # prefixes, and nothing does under a custom cost
+    rng = random.Random(81)
+    for trial in range(300):
+        inst = rand_bode_sodu(rng)
+        custom = trial % 4 == 3
+        if custom:
+            inst = with_table_cost(rng, inst)
+        w, _ = reduce_bode_sodu(inst)
+        assert w.k <= 7
+        assert w._cost_shape == (None if custom else MONOTONE)
+        assert solve_wsp(w) == flat_scan(w)
+
+
+def test_sodu_bodu_plans_match_flat_scan():
+    # one step per resource: under a per-pair penalty matrix the cost is a
+    # sum over the steps, so both terms bound a prefix; a custom cost gets
+    # no interior bound
+    rng = random.Random(82)
+    for trial in range(300):
+        inst = helpers.rand_instance(
+            rng, n_max=6, k_max=7, families=("sod_u", "bod_u"), k_min=1,
+            max_cons=8, allow_matrix=False,
+        )
+        pp = {(u, r): rng.randint(0, 4) for u in inst.users for r in inst.resources
+              if rng.random() < 0.7}
+        inst = Instance(inst.resources, inst.users, inst.constraints,
+                        AuthCost(inst.auth.base, pp))
+        custom = trial % 5 == 4
+        if custom:
+            inst = with_table_cost(rng, inst)
+        w = reduce_sodu_bodu(inst)
+        assert w._cost_shape == (None if custom else ADDITIVE)
+        assert solve_wsp(w) == flat_scan(w)
+
+
+def test_cost_shape_is_set_where_the_plan_is_built():
+    steps, users = ("s1", "s2"), ("u1", "u2")
+    assert WspInstance(steps, users, (), AuthCost({}, 2))._cost_shape == ADDITIVE
+    assert WspInstance(steps, users, (), AuthCost({}, {("u1", "s1"): 3}))._cost_shape == ADDITIVE
+    assert WspInstance(steps, users, (), None, cost_fn=lambda u, m: 0)._cost_shape is None
+    assert WspInstance(steps, users, (), None, cost_fn=lambda u, m: 0,
+                       _monotone=True)._cost_shape == MONOTONE
+
+
+def logged_counters(caplog, w, weight):
+    """The fields of the log line a solve of w writes; the weight checked."""
     with caplog.at_level(logging.INFO, logger="vapep.wsp"):
-        assert solve_wsp(w)[1] == 6
+        assert solve_wsp(w)[1] == weight
     msg = caplog.records[-1].getMessage()
     assert msg.startswith("plan solve:")
     fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
+    assert "partitions" not in fields
+    return fields
+
+
+def test_solve_wsp_logs_search_counters(caplog):
+    # Without constraints or authorizations every partition costs one pair
+    # penalty per step.  Written as a user cost_fn, which gets no interior
+    # bound, the cost leaves only the leaf bound, which cuts every partition
+    # after the first: S(6,1) + S(6,2) + S(6,3) = 122 partitions of 6 steps
+    # into at most 3 blocks are reached and one is matched.
+    steps = tuple(f"s{i}" for i in range(6))
+    users = ("u1", "u2", "u3")
+    w = WspInstance(steps, users, (), None, cost_fn=lambda u, m: m.bit_count())
+    fields = logged_counters(caplog, w, 6)
     assert fields["leaves"] == "122"
     assert fields["bound_cuts"] == "121"
     assert fields["matchings"] == "1"
     assert int(fields["nodes"]) > 122
-    assert "partitions" not in fields
+
+
+def test_solve_wsp_logs_bounded_search_counters(caplog):
+    # The same plan under its authorization table: every prefix is bounded by
+    # one penalty per step, 6, so after the first leaf each step's second
+    # block is cut where the step is placed.  The walk enters the root and
+    # the six steps of the first leaf, and cuts one child at each of steps
+    # 1 to 5 (step 0 has only block 0 to join).
+    steps = tuple(f"s{i}" for i in range(6))
+    w = WspInstance(steps, ("u1", "u2", "u3"), (), AuthCost({}, 1))
+    fields = logged_counters(caplog, w, 6)
+    assert fields["nodes"] == "7"
+    assert fields["leaves"] == "1"
+    assert fields["bound_cuts"] == "5"
+    assert fields["matchings"] == "1"
 
 
 def test_partition_evaluation_soundness():
