@@ -1,22 +1,26 @@
 /* Compiled search kernels, a hand-written CPython extension.
  *
- * Statement-for-statement mirror of the pure-Python twin in _ref.py: same
+ * Statement-for-statement mirror of the pure-Python twins of the three hot
+ * loops in _ref.py (profile search, brute enumeration, plan walk): same
  * search order, same bounds and cuts, same tie handling, so both backends
- * make the same `evaluate` calls and return bit-identical results and
- * search counters.  Keep the two files in sync; _ref.py documents the
- * profile search's bound.
+ * make the same callbacks and return bit-identical results and search
+ * counters.  Keep the two files in sync; _ref.py documents each search.
  *
  * Every input is copied into int64 buffers and checked before a search
  * starts, so the loops never index out of bounds: malformed input raises
  * ValueError, TypeError or OverflowError instead.  The GIL stays held, since
- * `evaluate` is Python and no second thread runs a search.
+ * the callbacks are Python and no second thread runs a search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 typedef long long i64;
 typedef unsigned long long u64;
+typedef __int128 i128;
 #define C_INF ((i64)1 << 62)
+/* as_i64's hi for a plan table: each int in [0, C_INF], larger ones read
+   as C_INF */
+#define TO_INF (C_INF + 1)
 
 /* Zeroed memory for n items (at least one), or NULL with MemoryError set. */
 static void *zalloc(Py_ssize_t n, size_t size)
@@ -25,8 +29,23 @@ static void *zalloc(Py_ssize_t n, size_t size)
     return p ? p : (void *)PyErr_NoMemory();
 }
 
+/* *v = int(obj), read as C_INF past it; OverflowError below the int64 range. */
+static int read_clamped(PyObject *obj, i64 *v)
+{
+    int over;
+    i64 x = PyLong_AsLongLongAndOverflow(obj, &over);
+    if (x == -1 && PyErr_Occurred()) return -1;
+    if (over < 0) {
+        PyErr_SetString(PyExc_OverflowError, "value below the int64 range");
+        return -1;
+    }
+    *v = over > 0 || x > C_INF ? C_INF : x;
+    return 0;
+}
+
 /* A fresh buffer holding the `len` ints of sequence `obj`.  With hi >= 0 each
-   must lie in [0, hi), as a kernel indexes an array of that length with it. */
+   must lie in [0, hi), as a kernel indexes an array of that length with it;
+   with hi == TO_INF each is read clamped. */
 static i64 *as_i64(PyObject *obj, Py_ssize_t len, i64 hi, const char *name)
 {
     PyObject *seq = PySequence_Fast(obj, "expected a sequence of ints");
@@ -39,8 +58,10 @@ static i64 *as_i64(PyObject *obj, Py_ssize_t len, i64 hi, const char *name)
     }
     if (!(out = zalloc(len, sizeof(i64)))) goto fail;
     for (Py_ssize_t i = 0; i < len; i++) {
-        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (out[i] == -1 && PyErr_Occurred()) goto fail;
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        if (hi == TO_INF ? read_clamped(item, &out[i]) < 0
+                         : (out[i] = PyLong_AsLongLong(item)) == -1 && PyErr_Occurred())
+            goto fail;
         if (hi >= 0 && (out[i] < 0 || out[i] >= hi)) {
             PyErr_Format(PyExc_ValueError, "%s holds %lld, outside [0, %lld)", name, out[i], hi);
             goto fail;
@@ -405,9 +426,185 @@ done:
     return result;
 }
 
+/* The plan walk's inputs and state; see _ref.plan_search. */
+typedef struct {
+    Py_ssize_t K, n;
+    Ragged pairs, groups, incs;  /* flat triples per step; increments per disjoint */
+    i64 *rest;
+    int bounded;
+    PyObject *block_min, *leaf;
+    i64 *rgs;  /* block of each placed step */
+    u64 *blocks;  /* step mask of each block; 0 past the open ones */
+    i64 *hits;  /* blocks meeting both groups, per disjoint constraint */
+    i64 *mins;  /* block mask -> min(block_min(mask), INF) once known */
+    unsigned char *known;
+    i64 inc, nodes, leaves, bound_cuts, matchings;
+} Plan;
+
+/* *m = the minimum of block bm, from block_min on its first use. */
+static int plan_minimum(Plan *P, u64 bm, i64 *m)
+{
+    if (!P->known[bm]) {
+        PyObject *r = PyObject_CallFunction(P->block_min, "K", bm);
+        int rc = r ? read_clamped(r, &P->mins[bm]) : -1;
+        Py_XDECREF(r);
+        if (rc < 0) return -1;
+        P->known[bm] = 1;
+    }
+    *m = P->mins[bm];
+    return 0;
+}
+
+/* Whether block old | bit newly meets both groups of the triple at q. */
+static inline int plan_meets(const i64 *q, u64 old, u64 new)
+{
+    u64 a = (u64)q[1], b = (u64)q[2];
+    return (new & a) && (new & b) && !((old & a) && (old & b));
+}
+
+static int plan_visit(Plan *P, Py_ssize_t i, Py_ssize_t p, i128 cw, i128 bw)
+{
+    /* bw: the sum of the open blocks' minima when bounded, else 0; an
+       argument, so a return restores the parent's sum */
+    P->nodes++;
+    if (i == P->K) {
+        P->leaves++;
+        if (!P->bounded) {
+            for (Py_ssize_t g = 0; g < p; g++) {
+                i64 m;
+                if (plan_minimum(P, P->blocks[g], &m) < 0) return -1;
+                bw += m;
+            }
+        }
+        if (cw + bw >= P->inc) { P->bound_cuts++; return 0; }
+        P->matchings++;
+        PyObject *blocks = PyList_New(p);
+        for (Py_ssize_t g = 0; blocks && g < p; g++) {
+            PyObject *v = PyLong_FromUnsignedLongLong(P->blocks[g]);
+            if (!v) Py_CLEAR(blocks);
+            else PyList_SET_ITEM(blocks, g, v);
+        }
+        if (!blocks) return -1;
+        PyObject *r = PyObject_CallFunction(P->leaf, "NL", blocks, (i64)cw);
+        i64 v;
+        int rc = r ? read_clamped(r, &v) : -1;
+        Py_XDECREF(r);
+        if (rc < 0) return -1;
+        if (v < P->inc) P->inc = v;
+        return 0;
+    }
+    u64 bit = (u64)1 << i;
+    i64 after = P->rest[i + 1];
+    const i64 *pi = P->pairs.flat + P->pairs.off[i], *pend = P->pairs.flat + P->pairs.off[i + 1];
+    const i64 *gi = P->groups.flat + P->groups.off[i], *gend = P->groups.flat + P->groups.off[i + 1];
+    for (Py_ssize_t g = 0; g < (p < P->n ? p + 1 : p); g++) {
+        i128 x = cw;
+        for (const i64 *q = pi; q < pend; q += 3)
+            if ((P->rgs[q[0]] == g) != (q[2] != 0)) x += q[1];
+        u64 old = P->blocks[g], new = old | bit;
+        for (const i64 *q = gi; q < gend; q += 3) {
+            if (!plan_meets(q, old, new)) continue;
+            i64 h = P->hits[q[0]];
+            if (h >= P->K) {
+                PyErr_Format(PyExc_ValueError, "disjoint constraint %lld met past %zd blocks",
+                             q[0], P->K);
+                return -1;
+            }
+            x += P->incs.flat[P->incs.off[q[0]] + h];
+            P->hits[q[0]] = h + 1;
+        }
+        if (x < P->inc) {
+            i128 nbw = 0;
+            if (P->bounded) {
+                /* min(new) >= min(old), so a child that old's minimum
+                   already cuts needs no minimum for new */
+                nbw = bw;
+                if (x + bw + after < P->inc) {
+                    i64 m;
+                    if (plan_minimum(P, new, &m) < 0) return -1;
+                    nbw = bw - P->mins[old] + m;
+                }
+            }
+            if (x + nbw + after < P->inc) {
+                P->rgs[i] = g;
+                P->blocks[g] = new;
+                if (plan_visit(P, i + 1, p + (g == p), x, nbw) < 0) return -1;
+                P->blocks[g] = old;
+            } else {
+                P->bound_cuts++;
+            }
+        }
+        for (const i64 *q = gi; q < gend; q += 3)
+            if (plan_meets(q, old, new)) P->hits[q[0]]--;
+    }
+    return 0;
+}
+
+/* The largest K whose block-minimum table (2^K entries) a walk allocates. */
+#define PLAN_MAX_STEPS 24
+
+static PyObject *plan_search(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_ssize_t n;
+    int bounded;
+    PyObject *pairs_o, *groups_o, *incs_o, *rest_o;
+    Plan P = {0};
+    if (!PyArg_ParseTuple(args, "nOOOOpOO:plan_search", &n, &pairs_o, &groups_o,
+                          &incs_o, &rest_o, &bounded, &P.block_min, &P.leaf))
+        return NULL;
+    if ((P.K = PyObject_Length(pairs_o)) < 0) return NULL;
+    Py_ssize_t D = PyObject_Length(incs_o);
+    if (D < 0) return NULL;
+    if (n < 0) return PyErr_Format(PyExc_ValueError, "n=%zd is negative", n);
+    if (P.K > PLAN_MAX_STEPS)
+        return PyErr_Format(PyExc_ValueError, "%zd steps is more than the %d a walk takes",
+                            P.K, PLAN_MAX_STEPS);
+    P.n = n;
+    P.bounded = bounded;
+    PyObject *result = NULL;
+    const i64 full = ((i64)1 << P.K);
+    if (flatten(pairs_o, P.K, -1, TO_INF, "pairs", &P.pairs) < 0
+        || flatten(groups_o, P.K, -1, TO_INF, "groups", &P.groups) < 0
+        || flatten(incs_o, D, P.K, TO_INF, "incs", &P.incs) < 0
+        || !(P.rest = as_i64(rest_o, P.K + 1, TO_INF, "rest"))
+        || !(P.rgs = zalloc(P.K, sizeof(i64)))
+        || !(P.blocks = zalloc(P.K, sizeof(u64)))
+        || !(P.hits = zalloc(D, sizeof(i64)))
+        || !(P.mins = zalloc(full, sizeof(i64)))
+        || !(P.known = zalloc(full, 1)))
+        goto done;
+    /* the triples index rgs with an earlier step and hits and incs with a
+       disjoint index; equal is 0 or 1, and a mask's bits lie below K */
+    for (Py_ssize_t i = 0; i < P.K; i++) {
+        const i64 *t, *pend = P.pairs.flat + P.pairs.off[i + 1];
+        const i64 *gend = P.groups.flat + P.groups.off[i + 1];
+        int ok = (P.pairs.off[i + 1] - P.pairs.off[i]) % 3 == 0
+                 && (P.groups.off[i + 1] - P.groups.off[i]) % 3 == 0;
+        for (t = P.pairs.flat + P.pairs.off[i]; ok && t < pend; t += 3)
+            ok = t[0] < i && t[2] <= 1;
+        for (t = P.groups.flat + P.groups.off[i]; ok && t < gend; t += 3)
+            ok = t[0] < D && t[1] < full && t[2] < full;
+        if (!ok) {
+            PyErr_Format(PyExc_ValueError, "pairs[%zd] or groups[%zd] holds a malformed triple", i, i);
+            goto done;
+        }
+    }
+    P.known[0] = 1;  /* mins[0] = 0 */
+    P.inc = C_INF;
+    if (plan_visit(&P, 0, 0, 0, 0) == 0)
+        result = Py_BuildValue("(LLLL)", P.nodes, P.leaves, P.bound_cuts, P.matchings);
+done:
+    PyMem_Free(P.pairs.flat); PyMem_Free(P.pairs.off); PyMem_Free(P.groups.flat);
+    PyMem_Free(P.groups.off); PyMem_Free(P.incs.flat); PyMem_Free(P.incs.off);
+    PyMem_Free(P.rest); PyMem_Free(P.rgs); PyMem_Free(P.blocks); PyMem_Free(P.hits);
+    PyMem_Free(P.mins); PyMem_Free(P.known);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"profile_search", profile_search, METH_VARARGS, "Compiled twin of _ref.profile_search."},
     {"brute_search", brute_search, METH_VARARGS, "Compiled twin of _ref.brute_search."},
+    {"plan_search", plan_search, METH_VARARGS, "Compiled twin of _ref.plan_search."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,11 +1,11 @@
 """Pure-Python search kernels, the executable spec of the compiled ones.
 
-Two hot loops live here: the branch and bound over user profiles behind the
-profile solver and the relation enumeration behind the exhaustive solver.
-The compiled module, hand-written C in ``_core.c``, mirrors both loops
-statement for statement; any change here must be made there as well so the
-backends stay bit-identical, down to every `evaluate` call and search
-counter.
+Three hot loops live here: the branch and bound over user profiles behind
+the profile solver, the relation enumeration behind the exhaustive solver
+and the partition walk behind the plan solver.  The compiled module,
+hand-written C in ``_core.c``, mirrors all three statement for statement;
+any change here must be made there as well so the backends stay
+bit-identical, down to every callback and search counter.
 """
 from __future__ import annotations
 
@@ -285,3 +285,102 @@ def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,
         j += 1
         down = True
     return inc, best, leaves
+
+
+def plan_search(n, pairs, groups, incs, rest, bounded, block_min, leaf):
+    """Depth-first walk over the partitions of K = len(pairs) plan steps into
+    at most n blocks, in the restricted-growth order of `wsp._rgs`: step i
+    joins blocks 0..p-1 in turn and then opens block p, while p < n.
+
+    pairs[i] holds the must_equal/must_differ pairs settled at step i as flat
+    (earlier step, penalty, equal) triples; groups[i] holds the disjoint
+    constraints whose groups contain step i as flat (index, mask a, mask b)
+    triples, and incs[d][h] is f(h+1) - f(h) of disjoint constraint d.  A
+    child whose prefix weight reaches the incumbent is skipped.  When
+    `bounded`, which promises that a block's minimum never falls as steps
+    join it, a child is also cut (a bound cut) once its prefix weight plus
+    the sum of its open blocks' minima plus rest[i + 1] reaches the
+    incumbent; otherwise the blocks' minima are summed only at a leaf.  A
+    leaf whose weight plus block minima reaches the incumbent is a bound cut
+    too; any other leaf calls `leaf(blocks, cw)`, which returns the updated
+    incumbent.  `block_min(bm)` is called at most once per block mask, on
+    its first use.
+
+    Every callback value and table entry is read clamped to INF, and sums
+    are exact, so both backends make the same decisions.
+    Returns (nodes, leaves, bound_cuts, matchings): nodes entered, leaves
+    reached, bound cuts and leaf calls.
+    """
+    K = len(pairs)
+    pairs = [[(s, min(ell, INF), eq != 0) for s, ell, eq in zip(*[iter(row)] * 3)]
+             for row in pairs]
+    groups = [list(zip(*[iter(row)] * 3)) for row in groups]
+    incs = [[min(v, INF) for v in row] for row in incs]
+    rest = [min(v, INF) for v in rest]
+    rgs = [0] * K  # block of each placed step
+    blocks = [0] * K  # step mask of each block; 0 past the open ones
+    hits = [0] * len(incs)  # blocks meeting both groups, per disjoint constraint
+    mins = {0: 0}  # block mask -> min(block_min(mask), INF)
+    inc = INF
+    nodes = leaves = bound_cuts = matchings = 0
+
+    def minimum(bm):
+        m = mins.get(bm)
+        if m is None:
+            m = mins[bm] = min(block_min(bm), INF)
+        return m
+
+    def visit(i, p, cw, bw):
+        # bw: the sum of the open blocks' minima when bounded, else 0; an
+        # argument, so a return restores the parent's sum
+        nonlocal inc, nodes, leaves, bound_cuts, matchings
+        nodes += 1
+        if i == K:
+            leaves += 1
+            if not bounded:
+                for g in range(p):
+                    bw += minimum(blocks[g])
+            if cw + bw >= inc:
+                bound_cuts += 1
+                return
+            matchings += 1
+            r = leaf(blocks[:p], cw)
+            if r < inc:
+                inc = r
+            return
+        bit = 1 << i
+        after = rest[i + 1]
+        gi = groups[i]
+        for g in range(p + 1 if p < n else p):
+            x = cw
+            for s, ell, equal in pairs[i]:
+                if (rgs[s] == g) != equal:
+                    x += ell
+            old = blocks[g]
+            new = old | bit
+            for d, a, b in gi:
+                if new & a and new & b and not (old & a and old & b):
+                    h = hits[d]
+                    x += incs[d][h]
+                    hits[d] = h + 1
+            if x < inc:
+                nbw = 0
+                if bounded:
+                    # min(new) >= min(old), so a child that old's minimum
+                    # already cuts needs no minimum for new
+                    nbw = bw
+                    if x + bw + after < inc:
+                        nbw = bw - mins[old] + minimum(new)
+                if x + nbw + after < inc:
+                    rgs[i] = g
+                    blocks[g] = new
+                    visit(i + 1, p + (g == p), x, nbw)
+                    blocks[g] = old
+                else:
+                    bound_cuts += 1
+            for d, a, b in gi:
+                if new & a and new & b and not (old & a and old & b):
+                    hits[d] -= 1
+
+    visit(0, 0, 0, 0)
+    return nodes, leaves, bound_cuts, matchings

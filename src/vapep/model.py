@@ -220,6 +220,15 @@ def _row_sum(row: list[int], mask: int) -> int:
     return w
 
 
+def _cost_row(masks: list[int], pen: Optional[list[list[int]]], pair_penalty, mask: int
+              ) -> list[int]:
+    """Every user's authorization cost for `mask` under `_auth_tables`'
+    masks and penalty rows: its bits outside the user's mask, priced."""
+    if pen is None:
+        return [pair_penalty * (mask & ~m).bit_count() for m in masks]
+    return [_row_sum(row, mask & ~m) for row, m in zip(pen, masks)]
+
+
 _user_of = itemgetter(0)
 _name_of = itemgetter(1)
 
@@ -382,6 +391,12 @@ class Instance:
             return self._uindex[name]
         except KeyError:
             raise ValueError(f"unknown user {name!r}") from None
+
+    def omega_row(self, mask: int) -> list[int]:
+        """omega_mask(u, mask) for every user index u, in one call."""
+        if self.auth.custom is not None:
+            return [self.omega_mask(u, mask) for u in range(len(self.users))]
+        return _cost_row(self._base_mask, self._pen, self.auth.pair_penalty, mask)
 
     def omega_mask(self, ui: int, mask: int) -> int:
         """Authorization cost for user index ui holding the masked subset."""

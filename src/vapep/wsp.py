@@ -13,9 +13,9 @@ built: under its own authorization table (a sum over the steps) both the
 open blocks and the unplaced steps count, under `reduce_bode_sodu`'s cost
 (monotone in the steps) only the open blocks, and under any other
 `cost_fn` nothing until a partition is complete.  Such a plan may reach all
-Bell(K) partitions: Bell(12) is about 4.2 million, which took about 9 s
-with CPython 3.11 on a 2-vCPU machine, so a guard refuses more than 12
-steps.
+Bell(K) partitions: Bell(12) is about 4.2 million, which the compiled walk
+(`_kernels.plan_search`) visits in 0.09 to 0.2 s on a 2-vCPU machine (about
+5 s in Python), and a guard refuses more than 12 steps.
 
 Two reductions connect these instances to authorization relations:
 one for instances with only user-based separation/binding constraints, and
@@ -30,6 +30,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 from operator import add
 from typing import Callable, Dict, Iterator, Optional
 
+from . import _kernels
 from .constraints import MAX_PENALTY, PenaltySpec
 from .matching import INF, TOO_HEAVY, assignment_cost, min_cost_assignment
 from .model import (
@@ -41,6 +42,7 @@ from .model import (
     _PAIR_PENALTY_TYPE,
     _auth_tables,
     _constraint_walk,
+    _cost_row,
     _doc_head,
     _dump_doc,
     _from_pairs,
@@ -129,8 +131,10 @@ class WspInstance:
     _prebuilt: InitVar[Optional[tuple]] = None
     # set by a builder that knows its cost_fn never falls as steps are added
     _monotone: InitVar[bool] = False
+    # a builder's whole-row form of cost_fn: mask -> [cost_fn(u, mask) for u]
+    _row_fn: InitVar[Optional[Callable[[int], list[int]]]] = None
 
-    def __post_init__(self, _prebuilt, _monotone):
+    def __post_init__(self, _prebuilt, _monotone, _row_fn):
         uindex, tables = _prebuilt or (None, None)
         self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
         self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
@@ -152,6 +156,7 @@ class WspInstance:
         # superset of B; None, nothing
         self._cost_shape = (ADDITIVE if self.cost_fn is None
                             else MONOTONE if _monotone else None)
+        self._row_fn = _row_fn
 
     @property
     def k(self) -> int:
@@ -180,6 +185,18 @@ class WspInstance:
         if self._pen is None:
             return self.auth.pair_penalty * extra.bit_count()
         return _row_sum(self._pen[ui], extra)
+
+    def cost_row(self, mask: int) -> list[int]:
+        """cost(u, mask) for every user index u, in one call; callers must
+        not modify the list, which may be shared."""
+        if mask == 0:
+            return [0] * len(self.users)
+        if self._row_fn is not None:
+            return self._row_fn(mask)
+        if self.cost_fn is not None:
+            fn = self.cost_fn
+            return [fn(u, mask) for u in range(len(self.users))]
+        return _cost_row(self._base_mask, self._pen, self.auth.pair_penalty, mask)
 
     def authorized(self, ui: int, si: int) -> bool:
         if self.auth is None:
@@ -238,6 +255,11 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
     minima bounds the matching; the leaf is skipped when the weight plus
     that sum reaches the incumbent, and is matched otherwise.
 
+    The walk runs in the search kernel (`plan_search`, chosen as
+    `APEP_KERNEL` says), which keeps each block mask's minimum; this function
+    builds the constraint tables, one cost row per block mask (`cost_row`)
+    and the matchings.
+
     The result is the one of a flat scan that matches every partition with
     at most n blocks and keeps strictly better totals.  Both visit the
     partitions in the same order, and every partition that is cut or skipped
@@ -254,44 +276,40 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
             f"plan search over {K} steps needs Bell({K}) partitions; "
             f"the guard allows at most {MAX_STEPS_EXACT} steps"
         )
-    # pairs[i]: (earlier step, penalty, must be equal) settled at step i;
-    # groups[i]: (disjoint index, group mask a, group mask b, curve) for the
-    # disjoint constraints whose groups hold step i
-    pairs: list[list[tuple]] = [[] for _ in range(K)]
-    groups: list[list[tuple]] = [[] for _ in range(K)]
-    hits: list[int] = []
+    # pairs[i]: flat (earlier step, penalty, must be equal) triples settled
+    # at step i; groups[i]: flat (disjoint index, group mask a, group mask b)
+    # triples for the disjoint constraints whose groups hold step i; incs[d]:
+    # the increments f(h+1) - f(h) of disjoint constraint d, h < K
+    pairs: list[list[int]] = [[] for _ in range(K)]
+    groups: list[list[int]] = [[] for _ in range(K)]
+    incs: list[list[int]] = []
     for c in w.constraints:
         if c.kind == DISJOINT:
             a, b = w.step_mask(c.scope[0]), w.step_mask(c.scope[1])
             for i in range(K):
                 if (a | b) >> i & 1:
-                    groups[i].append((len(hits), a, b, c.spec))
-            hits.append(0)
+                    groups[i] += (len(incs), a, b)
+            incs.append([c.spec(h + 1) - c.spec(h) for h in range(K)])
         else:
             s, t = sorted((w._sindex[c.scope[0]], w._sindex[c.scope[1]]))
-            pairs[t].append((s, c.ell, c.kind == MUST_EQUAL))
+            pairs[t] += (s, c.ell, c.kind == MUST_EQUAL)
     shape = w._cost_shape
-    bounded = shape is not None
-    cost = w.cost
-    rgs = [0] * K  # block of each placed step
-    blocks = [0] * K  # step mask of each block; 0 past the open ones
     rows: dict[int, list[int]] = {}  # block mask -> cost row
-    mins: dict[int, int] = {0: 0}  # block mask -> row minimum
 
     def block_min(bm: int) -> int:
-        """min_u cost(u, bm); builds and caches the row of bm on first use."""
-        m = mins.get(bm)
-        if m is None:
+        """min_u cost(u, bm); builds and caches the row of bm."""
+        row = rows.get(bm)
+        if row is None:
             top = 1 << (bm.bit_length() - 1)
             if shape == ADDITIVE and bm != top:
-                # row(B) = row(B minus its highest step) + row(that step)
-                block_min(bm ^ top)
+                # row(B) = row(B minus its highest step) + row(that step): the
+                # walk asks for B once B minus its highest step has a row, as
+                # the block step i joined, and `rest` builds every singleton's
                 row = list(map(add, rows[bm ^ top], rows[top]))
             else:
-                row = [cost(u, bm) for u in range(n)]
+                row = w.cost_row(bm)
             rows[bm] = row
-            m = mins[bm] = min(row)
-        return m
+        return min(row)
 
     # rest[i]: the singleton minima of steps i..K-1, under an additive cost
     rest = [0] * (K + 1)
@@ -299,64 +317,25 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
         for i in range(K - 1, -1, -1):
             rest[i] = rest[i + 1] + block_min(1 << i)
     inc = INF
-    best: Optional[tuple[list[int], list[list[int]]]] = None  # (rgs, cost rows)
-    nodes = leaves = bound_cuts = matchings = 0
+    best: Optional[tuple[list[int], list[list[int]]]] = None  # (blocks, cost rows)
 
-    def visit(i: int, p: int, cw: int, bw: int) -> None:
-        # bw: the sum of the open blocks' minima when bounded, else 0; an
-        # argument, so a return restores the parent's sum
-        nonlocal inc, best, nodes, leaves, bound_cuts, matchings
-        nodes += 1
-        if i == K:
-            leaves += 1
-            if not bounded:
-                for bm in blocks[:p]:
-                    m = mins.get(bm)
-                    bw += block_min(bm) if m is None else m
-            if cw + bw >= inc:
-                bound_cuts += 1
-                return
-            matchings += 1
-            costs = [rows[bm] for bm in blocks[:p]]
-            total = cw + assignment_cost(costs)
-            if total < inc:
-                inc = total
-                best = rgs[:], costs
-            return
-        bit = 1 << i
-        after = rest[i + 1]
-        for g in range(p + 1 if p < n else p):
-            x = cw
-            for s, ell, equal in pairs[i]:
-                if (rgs[s] == g) != equal:
-                    x += ell
-            old = blocks[g]
-            new = old | bit
-            met = []
-            for d, a, b, spec in groups[i]:
-                if new & a and new & b and not (old & a and old & b):
-                    h = hits[d]
-                    x += spec(h + 1) - spec(h)
-                    hits[d] = h + 1
-                    met.append(d)
-            if x < inc:
-                nbw = bw - mins[old] + block_min(new) if bounded else 0
-                if x + nbw + after < inc:
-                    rgs[i] = g
-                    blocks[g] = new
-                    visit(i + 1, p + (g == p), x, nbw)
-                    blocks[g] = old
-                else:
-                    bound_cuts += 1
-            for d in met:
-                hits[d] -= 1
+    def leaf(blocks: list[int], cw: int) -> int:
+        nonlocal inc, best
+        costs = [rows[bm] for bm in blocks]
+        total = cw + assignment_cost(costs)
+        if total < inc:
+            inc = total
+            best = blocks, costs
+        return inc
 
-    visit(0, 0, 0, 0)
+    nodes, leaves, bound_cuts, matchings = _kernels.get_backend().plan_search(
+        n, pairs, groups, incs, rest, shape is not None, block_min, leaf)
     if best is None:
         raise ValueError(TOO_HEAVY)
-    best_rgs, costs = best
+    blocks, costs = best
     match, _ = min_cost_assignment(costs)
-    plan = {w.steps[i]: w.users[match[best_rgs[i]]] for i in range(K)}
+    block_of = [g for i in range(K) for g, bm in enumerate(blocks) if bm >> i & 1]
+    plan = {w.steps[i]: w.users[match[block_of[i]]] for i in range(K)}
     log.info(
         "plan solve: steps=%d users=%d nodes=%d leaves=%d bound_cuts=%d "
         "matchings=%d weight=%d (%.3fs)",
@@ -442,16 +421,31 @@ def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
             cons.append(disjoint(group[i1], group[i2], c.spec))
 
     rmasks: dict[int, int] = {}  # step mask -> resource mask
+    rrows: dict[int, list[int]] = {}  # resource mask -> omega_mask row
 
-    def cost_fn(ui: int, mask: int) -> int:
+    def resource_mask(mask: int) -> int:
         rmask = rmasks.get(mask)
         if rmask is None:
             rmask = 0
-            for i in range(len(res_of_step)):
-                if mask >> i & 1:
-                    rmask |= 1 << res_of_step[i]
+            bits = mask
+            while bits:
+                low = bits & -bits
+                rmask |= 1 << res_of_step[low.bit_length() - 1]
+                bits ^= low
             rmasks[mask] = rmask
-        return instance.omega_mask(ui, rmask)
+        return rmask
+
+    def cost_fn(ui: int, mask: int) -> int:
+        return instance.omega_mask(ui, resource_mask(mask))
+
+    def cost_row(mask: int) -> list[int]:
+        # one row per resource mask, at most 2^k - 1 of them, shared by the
+        # step masks that map to it
+        rmask = resource_mask(mask)
+        row = rrows.get(rmask)
+        if row is None:
+            row = rrows[rmask] = instance.omega_row(rmask)
+        return row
 
     wsp = WspInstance(
         steps=tuple(steps),
@@ -462,6 +456,7 @@ def reduce_bode_sodu(instance: Instance) -> tuple[WspInstance, dict[str, str]]:
         # omega_mask is monotone in the resource mask, and so in the step
         # mask, unless a custom cost says otherwise
         _monotone=instance.auth.custom is None,
+        _row_fn=cost_row,
     )
     return wsp, origin
 

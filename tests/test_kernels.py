@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import vapep
-from vapep import available_backends, default_backend_name, get_backend
-from vapep.matching import INF
+from vapep import WspInstance, available_backends, default_backend_name, get_backend, solve_wsp
+from vapep.matching import INF, TOO_HEAVY, assignment_cost
 from vapep.model import subset_order
 from vapep.solver_profile import _compile_constraints, _level_classes
+from vapep.wsp import ADDITIVE, MONOTONE
 
 import helpers
 import kernel_build
@@ -241,6 +242,204 @@ def test_compiled_kernel_rejects_malformed_input():
                         rB, tvals, pkinds, pslopes, ptables)
 
 
+# --------------------------------------------------------------------------
+# the plan walk
+
+def _solve_recorded(w, monkeypatch, name="python"):
+    """Solve plan w on backend `name`; return the tables `solve_wsp` hands
+    the kernel, (n, pairs, groups, incs, rest, bounded), and the kernel's
+    counters, (nodes, leaves, bound_cuts, matchings)."""
+    kb = get_backend(name)
+    real = kb.plan_search
+    seen = []
+
+    def record(*args):
+        seen.append(args[:6])
+        seen.append(real(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(kb, "plan_search", record)
+        m.setenv("APEP_KERNEL", name)
+        try:
+            solve_wsp(w)
+        except ValueError as err:
+            assert str(err) == TOO_HEAVY
+    return seen
+
+
+def _plan_tables(w, monkeypatch):
+    return _solve_recorded(w, monkeypatch)[0]
+
+
+def _plan_callbacks(w):
+    """block_min and leaf over plan w's cost rows, logging each call; leaf
+    keeps its own incumbent, as solve_wsp's does."""
+    calls = []
+    inc = [INF]
+
+    def block_min(bm):
+        calls.append(bm)
+        return min(w.cost(u, bm) for u in range(w.n))
+
+    def leaf(blocks, cw):
+        calls.append((list(blocks), cw))
+        costs = [[w.cost(u, bm) for u in range(w.n)] for bm in blocks]
+        inc[0] = min(inc[0], cw + assignment_cost(costs))
+        return inc[0]
+    return block_min, leaf, calls
+
+
+def _rand_plan(rng, case):
+    """A seeded plan of up to 6 steps and 4 users; its cost shape cycles
+    through ADDITIVE (its own table), MONOTONE (a capped table cost) and
+    none (a seeded cost per user and mask)."""
+    w = helpers.rand_wsp(rng, k_max=6, n_max=4)
+    if case % 3 == 1:
+        cap = rng.randint(1, 6)
+        return WspInstance(w.steps, w.users, w.constraints, None,
+                           cost_fn=lambda u, m: min(cap, w.cost(u, m)), _monotone=True)
+    if case % 3 == 2:
+        table = {(u, m): rng.randint(0, 5) for u in range(w.n) for m in range(1, 1 << w.k)}
+        return WspInstance(w.steps, w.users, w.constraints, None,
+                           cost_fn=lambda u, m: table[u, m])
+    return w
+
+
+@needs_compiler
+def test_plan_kernels_agree_call_for_call(monkeypatch):
+    rng = random.Random(74)
+    shapes, seen = set(), {"table": 0, "few_users": 0, "cuts": 0, "skipped_leaves": 0}
+    for case in range(240):
+        w = _rand_plan(rng, case)
+        tables = _plan_tables(w, monkeypatch)
+        results = []
+        for name in ("python", "cython"):
+            block_min, leaf, calls = _plan_callbacks(w)
+            out = get_backend(name).plan_search(*tables, block_min, leaf)
+            results.append((out, calls))
+        assert results[0] == results[1], case
+        nodes, leaves, cuts, matchings = results[0][0]
+        shapes.add(w._cost_shape)
+        seen["table"] += any(c.spec is not None and c.spec.table for c in w.constraints)
+        seen["few_users"] += w.n < w.k
+        seen["cuts"] += cuts > 0
+        seen["skipped_leaves"] += leaves > matchings
+    assert shapes == {ADDITIVE, MONOTONE, None}
+    assert min(seen.values()) >= 20, seen
+
+
+class _PlanBoom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["python", pytest.param("cython", marks=needs_compiler)])
+@pytest.mark.parametrize("where", ["block_min", "leaf"])
+def test_plan_kernel_callback_errors_propagate(name, where, monkeypatch):
+    kb = get_backend(name)
+    w = WspInstance(("s1", "s2", "s3", "s4"), ("u1", "u2"), (vapep.must_differ("s1", "s2", 2),),
+                    vapep.AuthCost({"u1": frozenset({"s1"})}, 1))
+    tables = _plan_tables(w, monkeypatch)
+    block_min, leaf, _ = _plan_callbacks(w)
+
+    def boom(*args):
+        raise _PlanBoom
+
+    with pytest.raises(_PlanBoom):
+        kb.plan_search(*tables, *((boom, leaf) if where == "block_min" else (block_min, boom)))
+    block_min, leaf, calls = _plan_callbacks(w)
+    again = kb.plan_search(*tables, block_min, leaf)
+    block_min, leaf, ref_calls = _plan_callbacks(w)
+    assert again == get_backend("python").plan_search(*tables, block_min, leaf)
+    assert calls == ref_calls
+
+
+@needs_compiler
+def test_compiled_plan_kernel_rejects_malformed_tables():
+    kb = get_backend("cython")
+    # three steps, two users: a must_differ pair settled at step 2 and one
+    # disjoint constraint whose groups hold steps 0 and 1
+    n, pairs, groups, incs, rest = 2, [[], [], [0, 3, 0]], [[0, 1, 2], [0, 1, 2], []], [[1, 1, 1]], [0] * 4
+
+    def search(block_min=lambda bm: bm.bit_count(), leaf=lambda blocks, cw: cw, **over):
+        a = dict(n=n, pairs=pairs, groups=groups, incs=incs, rest=rest)
+        a.update(over)
+        return kb.plan_search(*a.values(), True, block_min, leaf)
+
+    good = search()
+    bad = [
+        (ValueError, dict(n=-1)),
+        (ValueError, dict(pairs=pairs[:2])),  # a row per step
+        (ValueError, dict(groups=groups + [[]])),
+        (ValueError, dict(rest=rest[:3])),  # K + 1 entries
+        (ValueError, dict(incs=[[1, 1]])),  # K entries per disjoint constraint
+        (ValueError, dict(pairs=[[], [], [0, 3]])),  # not triples
+        (ValueError, dict(pairs=[[], [], [2, 3, 0]])),  # not an earlier step
+        (ValueError, dict(pairs=[[], [], [-1, 3, 0]])),
+        (ValueError, dict(pairs=[[], [], [0, 3, 2]])),  # equal is 0 or 1
+        (ValueError, dict(pairs=[[], [], [0, -3, 0]])),  # a negative penalty
+        (ValueError, dict(groups=[[1, 1, 2], [0, 1, 2], []])),  # no disjoint 1
+        (ValueError, dict(groups=[[0, 8, 2], [0, 1, 2], []])),  # a mask past K steps
+        (ValueError, dict(incs=[[1, -1, 1]])),
+        (ValueError, dict(rest=[0, -1, 0, 0])),
+        (ValueError, dict(pairs=[[]] * 25, groups=[[]] * 25, incs=[], rest=[0] * 26)),
+        (TypeError, dict(pairs=[[], [], [0, "3", 0]])),
+        (TypeError, dict(incs=[[1, 1.0, 1]])),
+        (TypeError, dict(rest=None)),
+        (OverflowError, dict(incs=[[1, -(1 << 64), 1]])),
+        (TypeError, dict(block_min=lambda bm: "1")),
+        (OverflowError, dict(block_min=lambda bm: -(1 << 64))),
+        (TypeError, dict(leaf=lambda blocks, cw: None)),
+    ]
+    for error, over in bad:
+        with pytest.raises(error):
+            search(**over)
+    # a table that makes one block meet a disjoint constraint twice at one
+    # step: hits would pass K, where the twin's incs row ends
+    with pytest.raises(ValueError):
+        kb.plan_search(1, [[]], [[0, 1, 1, 0, 1, 1]], [[0]], [0, 0], True,
+                       lambda bm: 0, lambda blocks, cw: cw)
+    with pytest.raises(IndexError):
+        get_backend("python").plan_search(1, [[]], [[0, 1, 1, 0, 1, 1]], [[0]], [0, 0], True,
+                                          lambda bm: 0, lambda blocks, cw: cw)
+    # the well-formed call still runs after the rejections
+    assert search() == good == get_backend("python").plan_search(
+        n, pairs, groups, incs, rest, True, lambda bm: bm.bit_count(), lambda blocks, cw: cw)
+
+
+@pytest.mark.parametrize("weight", [1 << 62, (1 << 62) + 1, 1 << 63, 1 << 70])
+def test_plan_kernels_agree_past_two_to_the_62(weight, monkeypatch):
+    # costs at or past INF read as INF, and sums are exact, so both backends
+    # cut where Python ints would: every partition weighs at least INF, and
+    # solve_wsp raises TOO_HEAVY; the walk without an interior bound cuts
+    # every leaf, the bounded one every child
+    for monotone in (False, True):
+        w = helpers.rand_wsp(random.Random(76), k_max=5, n_max=3)
+        heavy = lambda u, m, w=w: weight if u else w.cost(u, m) + (1 << 62)
+        w = WspInstance(w.steps, w.users, w.constraints, None, cost_fn=heavy,
+                        _monotone=monotone)
+        runs = [_solve_recorded(w, monkeypatch, name) for name in available_backends()]
+        assert all(run == runs[0] for run in runs), (monotone, runs)
+        nodes, leaves, cuts, matchings = runs[0][1]
+        assert matchings == 0 and cuts > 0 and (leaves == 0) == monotone
+    # and table entries that heavy, called directly: a penalty, an increment
+    # and a rest bound
+    tables = [
+        (3, [[], [0, weight, 0], []], [[], [], []], [], [0] * 4),
+        (3, [[], [], []], [[0, 1, 2], [0, 1, 2], []], [[weight, 1, 1]], [0] * 4),
+        (3, [[], [], []], [[], [], []], [], [weight, weight, 0, 0]),
+    ]
+    for args in tables:
+        results = []
+        for name in available_backends():
+            calls = []
+            out = get_backend(name).plan_search(
+                *args, True, lambda bm: calls.append(bm) or bm.bit_count(),
+                lambda blocks, cw: calls.append((blocks, cw)) or cw + len(blocks))
+            results.append((out, calls))
+        assert all(r == results[0] for r in results), args
+
+
 @needs_compiler
 def test_compiled_kernel_compiles_without_warnings():
     cc = sysconfig.get_config_var("CC").split()
@@ -264,9 +463,24 @@ def test_compiled_kernel_frees_buffers_on_every_path():
     bad_cls = [list(row) for row in args[7]]
     bad_cls[0] += [0] * 7 + [-1]  # rejected after its buffer is allocated
     bad_cheap = args[1][:-1] + [args[1][-1][:-1]]  # rejected on the last row
+    plan = (2, [[], [], [0, 3, 0]], [[0, 1, 2], [0, 1, 2], []], [[1, 1, 1]], [0] * 4, True)
+    twice = (1, [[]], [[0, 1, 1, 0, 1, 1]], [[0]], [0, 0], True)  # fails in the walk
+
+    def block_min(bm):
+        return bm.bit_count()
+
+    def leaf(blocks, cw):
+        return cw + len(blocks)
 
     def rounds(count):
         for _ in range(count):
+            kb.plan_search(*plan, block_min, leaf)
+            with pytest.raises(_Boom):
+                kb.plan_search(*plan, block_min, _raise_on_call)
+            with pytest.raises(ValueError):  # rejected after every buffer is allocated
+                kb.plan_search(*plan[:4], [0, 0, 0, -1], True, block_min, leaf)
+            with pytest.raises(ValueError):
+                kb.plan_search(*twice, block_min, leaf)
             with pytest.raises(_Boom):
                 kb.profile_search(3, 5, *args, _raise_on_call)
             with pytest.raises(ValueError):

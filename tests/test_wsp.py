@@ -246,12 +246,22 @@ def rand_diff_wsp(rng):
     return WspInstance(steps, users, tuple(cons), AuthCost(base, rng.randint(1, 3)))
 
 
-def test_solve_wsp_matches_flat_scan():
+def each_kernel(monkeypatch):
+    """Set APEP_KERNEL to each built kernel backend in turn, yielding its
+    name."""
+    for name in vapep.available_backends():
+        monkeypatch.setenv("APEP_KERNEL", name)
+        yield name
+
+
+def test_solve_wsp_matches_flat_scan(monkeypatch):
     rng = random.Random(80)
     ties = 0
     for _ in range(2000):
         w = rand_diff_wsp(rng)
-        assert solve_wsp(w) == flat_scan(w)
+        expected = flat_scan(w)
+        for kernel in each_kernel(monkeypatch):
+            assert solve_wsp(w) == expected, kernel
         ties += w.auth is not None and w.auth.pair_penalty == 0
     assert ties >= 400
 
@@ -288,7 +298,7 @@ def rand_bode_sodu(rng):
     return Instance(resources, users, tuple(cons), AuthCost(base, pp))
 
 
-def test_bode_sodu_plans_match_flat_scan():
+def test_bode_sodu_plans_match_flat_scan(monkeypatch):
     # reduce_bode_sodu's cost, omega_mask of the union of the steps'
     # resources, is monotone but not additive in the step mask (two steps of
     # one resource cost it once), so only the block minima bound its
@@ -302,7 +312,9 @@ def test_bode_sodu_plans_match_flat_scan():
         w, _ = reduce_bode_sodu(inst)
         assert w.k <= 7
         assert w._cost_shape == (None if custom else MONOTONE)
-        assert solve_wsp(w) == flat_scan(w)
+        expected = flat_scan(w)
+        for kernel in each_kernel(monkeypatch):
+            assert solve_wsp(w) == expected, kernel
 
 
 def test_sodu_bodu_plans_match_flat_scan():
@@ -336,18 +348,23 @@ def test_cost_shape_is_set_where_the_plan_is_built():
                        _monotone=True)._cost_shape == MONOTONE
 
 
-def logged_counters(caplog, w, weight):
-    """The fields of the log line a solve of w writes; the weight checked."""
-    with caplog.at_level(logging.INFO, logger="vapep.wsp"):
-        assert solve_wsp(w)[1] == weight
-    msg = caplog.records[-1].getMessage()
-    assert msg.startswith("plan solve:")
-    fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
-    assert "partitions" not in fields
-    return fields
+def logged_counters(caplog, monkeypatch, w, weight):
+    """The fields of the log line a solve of w writes, the same on each
+    kernel backend; the weight checked."""
+    seen = []
+    for kernel in each_kernel(monkeypatch):
+        with caplog.at_level(logging.INFO, logger="vapep.wsp"):
+            assert solve_wsp(w)[1] == weight
+        msg = caplog.records[-1].getMessage()
+        assert msg.startswith("plan solve:")
+        fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
+        assert "partitions" not in fields
+        seen.append((kernel, fields))
+    assert all(fields == seen[0][1] for _, fields in seen), seen
+    return seen[0][1]
 
 
-def test_solve_wsp_logs_search_counters(caplog):
+def test_solve_wsp_logs_search_counters(caplog, monkeypatch):
     # Without constraints or authorizations every partition costs one pair
     # penalty per step.  Written as a user cost_fn, which gets no interior
     # bound, the cost leaves only the leaf bound, which cuts every partition
@@ -356,14 +373,14 @@ def test_solve_wsp_logs_search_counters(caplog):
     steps = tuple(f"s{i}" for i in range(6))
     users = ("u1", "u2", "u3")
     w = WspInstance(steps, users, (), None, cost_fn=lambda u, m: m.bit_count())
-    fields = logged_counters(caplog, w, 6)
+    fields = logged_counters(caplog, monkeypatch, w, 6)
     assert fields["leaves"] == "122"
     assert fields["bound_cuts"] == "121"
     assert fields["matchings"] == "1"
     assert int(fields["nodes"]) > 122
 
 
-def test_solve_wsp_logs_bounded_search_counters(caplog):
+def test_solve_wsp_logs_bounded_search_counters(caplog, monkeypatch):
     # The same plan under its authorization table: every prefix is bounded by
     # one penalty per step, 6, so after the first leaf each step's second
     # block is cut where the step is placed.  The walk enters the root and
@@ -371,7 +388,7 @@ def test_solve_wsp_logs_bounded_search_counters(caplog):
     # 1 to 5 (step 0 has only block 0 to join).
     steps = tuple(f"s{i}" for i in range(6))
     w = WspInstance(steps, ("u1", "u2", "u3"), (), AuthCost({}, 1))
-    fields = logged_counters(caplog, w, 6)
+    fields = logged_counters(caplog, monkeypatch, w, 6)
     assert fields["nodes"] == "7"
     assert fields["leaves"] == "1"
     assert fields["bound_cuts"] == "5"
@@ -669,14 +686,36 @@ def test_plan_cost_equals_relation_cost():
             a, b = rng.sample(names, 2)
             con = rng.choice([vapep.sod_u, vapep.bod_u])(a, b, rng.randint(1, 3))
             built.append(reduce_sodu_bodu(Instance(names, users, (con,), AuthCost(base, pp))))
-        for ui, u in enumerate(users):
-            for mask in range(1 << k):
-                want = _cost_reference(base, pp, u, names, mask)
-                assert inst.omega_mask(ui, mask) == want
-                for other in built:
-                    cost = other.omega_mask if isinstance(other, Instance) else other.cost
-                    assert cost(ui, mask) == want
+        for mask in range(1 << k):
+            want = [_cost_reference(base, pp, u, names, mask) for u in users]
+            for other in [inst] + built:
+                if isinstance(other, Instance):
+                    cost, cost_row = other.omega_mask, other.omega_row
+                else:
+                    cost, cost_row = other.cost, other.cost_row
+                assert [cost(ui, mask) for ui in range(n)] == want
+                assert cost_row(mask) == want
     assert kinds == {int, dict}
+
+
+def test_cost_rows_of_derived_plans_match_their_cells():
+    # a row is every user's cost at once, also where a reduction shares one
+    # row between the step masks of one resource mask
+    rng = random.Random(86)
+    for trial in range(40):
+        inst = rand_bode_sodu(rng)
+        if trial % 2:
+            inst = with_table_cost(rng, inst)
+        plans = [reduce_bode_sodu(inst)[0],
+                 WspInstance(("s1", "s2", "s3"), inst.users, (), None,
+                             cost_fn=lambda u, m: (u + 1) * m % 5)]
+        if trial % 2:
+            plans.append(reduce_sodu_bodu(Instance(inst.resources, inst.users, (), inst.auth)))
+        for mask in range(1 << inst.k):
+            assert inst.omega_row(mask) == [inst.omega_mask(u, mask) for u in range(inst.n)]
+        for w in plans:
+            for mask in range(1 << w.k):
+                assert w.cost_row(mask) == [w.cost(u, mask) for u in range(w.n)]
 
 
 def test_wsp_json_files(tmp_path):
