@@ -23,9 +23,14 @@ by fixing the assignment variables and propagating the rest.
 
 The builders work in bulk: each name is made once, in tables of per-user
 suffixes and per-resource or per-subset heads, and the objective, the
-variables and the rows are comprehensions over those tables.  A build
-makes a few small objects per variable, none in a reference cycle, so it
-runs with the cyclic collector paused.
+variables and the rows are comprehensions over those tables.  The
+objective takes one `Instance.omega_row` per resource (naive) or subset
+(UP), never a cost call per cell.  A build makes per variable its name, a
+`Var` and one or two term tuples, plus a `Row` per row: about 640 B per
+UP variable, none of it in a reference cycle, so it runs with the cyclic
+collector paused.  `Var` and `Row` are slotted but not frozen, since a
+frozen dataclass sets each field through `object.__setattr__` and took
+over three times as long to make.
 """
 from __future__ import annotations
 
@@ -40,11 +45,12 @@ from .model import AuthorizationRelation, GuardError, Instance, _gc_paused
 log = logging.getLogger("vapep.mipgen")
 
 # subset variables, 2^k * n: at 2 * 10^6 (n=250,000, k=3) `export-mip`
-# peaked at 2,346 MiB, and time and memory grow linearly with the count
+# took 14.9 s and peaked at 2,398 MiB (benchmarks/mip_bench.py), and time
+# and memory grow linearly with the count
 MAX_UP_VARS = 2 * 10**6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Var:
     name: str
     lb: int = 0
@@ -52,7 +58,7 @@ class Var:
     binary: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Row:
     name: str
     terms: tuple  # ((coef, varname), ...)
@@ -132,9 +138,7 @@ def build_naive(instance: Instance) -> Formulation:
     us = [f"_u{j}" for j in range(1, n + 1)]
     x = [list(map(f"x_r{ri}".__add__, us)) for ri in range(1, k + 1)]  # x[ri][ui]
     xs = list(chain.from_iterable(x))
-    omega = instance.omega_mask
-    obj = [t for ri, row in enumerate(x)
-           for t in zip(map(omega, range(n), repeat(1 << ri)), row) if t[0]]
+    obj = [t for ri, row in enumerate(x) for t in zip(instance.omega_row(1 << ri), row) if t[0]]
     vars = _binaries(xs)
     ys = ["y" + u for u in us]
     if any(c.kind == "user_count" for c in instance.constraints):
@@ -194,9 +198,9 @@ def build_up(instance: Instance) -> Formulation:
     us = [f"_u{j}" for j in range(1, n + 1)]
     heads = [f"xT{mask}" for mask in range(nsub)]
     x = [[h + u for h in heads] for u in us]  # x[ui][mask]
-    omega = instance.omega_mask
-    obj = [t for ui, row in enumerate(x)
-           for t in zip(map(omega, repeat(ui), range(nsub)), row) if t[0]]
+    # one cost row per subset, read user by user: cost[mask] for each user
+    obj = [t for cost, row in zip(zip(*map(instance.omega_row, range(nsub))), x)
+           for t in zip(cost, row) if t[0]]
     vars = _binaries(list(chain.from_iterable(x)))
     ones = [tuple(zip(repeat(1), row)) for row in x]
     rows = list(map(Row, map("one".__add__, us), ones, repeat("="), repeat(1)))
@@ -244,19 +248,39 @@ def build_up(instance: Instance) -> Formulation:
 # LP text
 
 
-def _lp_terms(terms) -> str:
+class _Signed(dict):
+    """Each coefficient's signed LP prefix, "+ 1 " or "- 3 ", made once.
+
+    It keeps at most `SIZE` of them: the tangent cuts hold a distinct
+    coefficient per user, and a table of all of them would grow with n.
+    """
+
+    SIZE = 64
+
+    def __missing__(self, c: int) -> str:
+        text = f"+ {c} " if c >= 0 else f"- {-c} "
+        if len(self) < self.SIZE:
+            self[c] = text
+        return text
+
+
+_by_name = itemgetter(1)
+_row_fields = attrgetter("name", "terms", "sense", "rhs")
+
+
+def _lp_terms(terms, signed: _Signed) -> str:
     """Terms sorted by variable name, signed; the first has no "+"."""
-    text = " ".join([f"+ {c} {v}" if c >= 0 else f"- {-c} {v}"
-                     for c, v in sorted(terms, key=itemgetter(1))])
-    return text[2:] if text[:1] == "+" else text
+    return " ".join([signed[c] + v for c, v in sorted(terms, key=_by_name)]).removeprefix("+ ")
 
 
 def export_lp(f: Formulation) -> str:
     """Formulation as LP text.  Term order, bounds and sections are pinned,
     so equal formulations always export byte-identical files."""
-    out = [f"\\ {f.name}", "Minimize", f" obj: {_lp_terms(f.objective)}".rstrip(),
+    signed = _Signed()
+    out = [f"\\ {f.name}", "Minimize", f" obj: {_lp_terms(f.objective, signed)}".rstrip(),
            "Subject To"]
-    out += [f" {r.name}: {_lp_terms(r.terms)} {r.sense} {r.rhs}" for r in f.rows]
+    out += [f" {name}: {_lp_terms(terms, signed)} {sense} {rhs}"
+            for name, terms, sense, rhs in map(_row_fields, f.rows)]
     bounded = sorted((v for v in f.vars.values() if not v.binary), key=attrgetter("name"))
     if bounded:
         out.append("Bounds")

@@ -13,7 +13,6 @@ from vapep import (
     eval_relation,
     profile_of,
     solve,
-    solve_exhaustive,
     wbound_suggestion,
 )
 

@@ -1,11 +1,14 @@
-"""Every top-level import of a vapep module is used in that module."""
+"""Every top-level import of a vapep module, a test module or a benchmark
+script is used in that file."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).parents[1] / "src" / "vapep"
+ROOT = pathlib.Path(__file__).parents[1]
+SRC = ROOT / "src" / "vapep"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")])
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -24,9 +27,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 def test_modules_are_found():
     assert {"model.py", "wsp.py", "cli.py"} <= {p.name for p in MODULES}
+    assert {"test_imports.py", "mip_bench.py"} <= {p.name for p in SCRIPTS}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def _id(path: pathlib.Path) -> str:
+    """A module's path under src/vapep, or a script's under the checkout."""
+    return str(path.relative_to(SRC if path.is_relative_to(SRC) else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_id)
 def test_no_unused_top_level_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []

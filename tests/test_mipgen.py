@@ -1,4 +1,5 @@
 """Integer-program builders, LP text round trips, point evaluation."""
+import dataclasses
 import gc
 import hashlib
 import json
@@ -223,6 +224,63 @@ def test_builders_restore_the_collector_state():
 def test_row_sense_validation():
     with pytest.raises(ValueError):
         Row("bad", ((1, "x"),), "<=", 0)
+
+
+def test_var_and_row_public_shape():
+    assert [fd.name for fd in dataclasses.fields(Var)] == ["name", "lb", "ub", "binary"]
+    assert [fd.name for fd in dataclasses.fields(Row)] == ["name", "terms", "sense", "rhs"]
+    v = Var("x")
+    assert (v.lb, v.ub, v.binary) == (0, None, False)
+    assert repr(v) == "Var(name='x', lb=0, ub=None, binary=False)"
+    assert repr(Var("z", 0, 5)) == "Var(name='z', lb=0, ub=5, binary=False)"
+    assert repr(Var("b", binary=True)) == "Var(name='b', lb=0, ub=None, binary=True)"
+    assert v == Var(name="x", lb=0, ub=None, binary=False)
+    assert v != Var("x", binary=True) and v != Var("y")
+    row = Row("c1", ((1, "x"), (-2, "y")), ">=", -3)
+    assert repr(row) == "Row(name='c1', terms=((1, 'x'), (-2, 'y')), sense='>=', rhs=-3)"
+    assert row == Row(name="c1", terms=((1, "x"), (-2, "y")), sense=">=", rhs=-3)
+    assert row != Row("c1", ((1, "x"), (-2, "y")), "=", -3)
+    assert row != Row("c1", ((-2, "y"), (1, "x")), ">=", -3)
+    # slotted: a build holds tens of thousands of them
+    assert not hasattr(v, "__dict__") and not hasattr(row, "__dict__")
+
+
+def _priced_objective(inst, form: str) -> list:
+    """The builder's objective from one omega_mask call per cell, in the
+    builder's order: resource-major for naive, user-major for UP, then one
+    unit term per constraint penalty variable."""
+    k, n = inst.k, inst.n
+    if form == "naive":
+        cells = [(1 << ri, ui, f"x_r{ri + 1}_u{ui + 1}") for ri in range(k) for ui in range(n)]
+    else:
+        cells = [(mask, ui, f"xT{mask}_u{ui + 1}") for ui in range(n) for mask in range(1 << k)]
+    priced = [(inst.omega_mask(ui, mask), name) for mask, ui, name in cells]
+    pens = [(1, f"p_c{idx}") for idx in range(1, len(inst.constraints) + 1)]
+    return [t for t in priced if t[0]] + pens
+
+
+def test_objective_rows_match_per_cell_prices():
+    rng = random.Random(1919)
+    matrices = 0
+    for _ in range(120):
+        inst = family_instance(rng, n_max=7, k_max=4)
+        matrices += isinstance(inst.auth.pair_penalty, dict)
+        assert list(build_naive(inst).objective) == _priced_objective(inst, "naive")
+        assert list(build_up(inst).objective) == _priced_objective(inst, "up")
+        custom = _custom_cost(inst)
+        assert list(build_up(custom).objective) == _priced_objective(custom, "up")
+    assert matrices >= 20  # per-pair penalty matrices are drawn, not only uniform prices
+
+
+def test_build_up_rejects_a_negative_custom_cost():
+    inst = sod_fixture()
+    for bad in (-1, 1.5, True):
+        def cost(user, rs, bad=bad):
+            return bad if user == "u2" and len(rs) == 2 else len(rs)
+        hooked = Instance(inst.resources, inst.users, inst.constraints,
+                          AuthCost(inst.auth.base, 1, custom=cost))
+        with pytest.raises(ValueError, match="non-negative int"):
+            build_up(hooked)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import vapep
 from vapep import (
     AuthCost,
     GuardError,

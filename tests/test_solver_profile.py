@@ -1,5 +1,4 @@
 """Profile-space exact solver: counting, streaming, completion, solve."""
-import itertools
 import logging
 import math
 import random
