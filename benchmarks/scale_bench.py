@@ -4,9 +4,11 @@ Generates an instance with `vapep generate --n N --k K --seed 0`, then
 solves it with `vapep solve --in`, each in a fresh interpreter that imports
 `vapep` from this checkout's `src/`.  Prints, per step, the wall time from
 process start to exit and the child's peak resident set (`ru_maxrss` from
-`os.wait4`), plus the size of the instance file.  A third child splits the
-load of the instance: `json.load` against `instance_from_doc`, with the
-cyclic collector paused as `load_instance` pauses it.
+`os.wait4`), plus the size of the instance file.  Two more children split
+the two steps: one times `generate` against `dump_instance` writing the same
+instance again, the other `json.load` against `instance_from_doc` on the
+file; both run with the cyclic collector paused, as `dump_instance` and
+`load_instance` pause it.
 
 Usage:
     python3 benchmarks/scale_bench.py --n 1000000 --k 3
@@ -25,6 +27,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 0
 
+
+# times generate and dump_instance for argv[1:4] (n, k, seed), writing to
+# the file named by argv[4]
+GENERATE_SPLIT = """
+import gc, sys, time
+from vapep.generator import GeneratorConfig, generate
+from vapep.model import dump_instance
+gc.disable()
+n, k, seed = map(int, sys.argv[1:4])
+t0 = time.perf_counter()
+inst = generate(GeneratorConfig(n=n, k=k, seed=seed))
+t1 = time.perf_counter()
+dump_instance(inst, sys.argv[4])
+print(t1 - t0, time.perf_counter() - t1)
+"""
 
 # times json.load and instance_from_doc on the file named by argv[1]
 LOAD_SPLIT = """
@@ -80,6 +97,14 @@ def main() -> int:
             wall, rss, _ = run_child(["-m", "vapep.cli", *argv])
             print(f"{name:<9} {wall:>8.2f} {rss:>11.1f}", flush=True)
         print(f"instance file: {inst.stat().st_size / 1e6:.1f} MB")
+        again = work / "instance-split.json"
+        _, _, out = run_child(["-c", GENERATE_SPLIT, str(args.n), str(args.k), str(SEED),
+                               str(again)], stdout=subprocess.PIPE)
+        made, dump = map(float, out.split())
+        same = again.read_bytes() == inst.read_bytes()
+        again.unlink()
+        print(f"generate split (GC paused): generate {made:.2f} s, "
+              f"dump_instance {dump:.2f} s, same bytes: {same}")
         _, _, out = run_child(["-c", LOAD_SPLIT, str(inst)], stdout=subprocess.PIPE)
         parse, build = map(float, out.split())
         print(f"load split (GC paused): json.load {parse:.2f} s, "

@@ -1,14 +1,15 @@
-"""Search kernel selection.
+"""Kernel selection.
 
-The three hot loops (the profile search, the brute enumeration and the plan
-walk) run compiled, in the hand-written C extension ``_core``, when the
-extension built; otherwise the pure-Python twins in ``_ref`` take over.
-The compiled backend is named "cython" after the tool that once generated
-it: the name is kept as the backend label in solver output, which pinned
-outputs compare byte for byte.  APEP_KERNEL=python|cython forces a choice,
-and solve(..., backend=...) overrides per call (the plan solver takes no
-such argument).  Both implementations
-search in the same order and produce identical results.
+The four hot loops (the profile search, the brute enumeration, the plan
+walk and the generator's mask sampler) run compiled, in the hand-written C
+extension ``_core``, when the extension built; otherwise the pure-Python
+twins in ``_ref`` take over.  The compiled backend is named "cython" after
+the tool that once generated it: the name is kept as the backend label in
+solver output, which pinned outputs compare byte for byte.
+APEP_KERNEL=python|cython forces a choice, and solve(..., backend=...)
+overrides per call (the plan solver and the generator take no such
+argument).  Both implementations search and draw in the same order and
+produce identical results.
 """
 import os
 

@@ -1,10 +1,11 @@
-/* Compiled search kernels, a hand-written CPython extension.
+/* Compiled kernels, a hand-written CPython extension.
  *
- * Statement-for-statement mirror of the pure-Python twins of the three hot
- * loops in _ref.py (profile search, brute enumeration, plan walk): same
- * search order, same bounds and cuts, same tie handling, so both backends
- * make the same callbacks and return bit-identical results and search
- * counters.  Keep the two files in sync; _ref.py documents each search.
+ * Statement-for-statement mirror of the pure-Python twins of the four hot
+ * loops in _ref.py (profile search, brute enumeration, plan walk and the
+ * generator's mask sampler): same search order, same bounds and cuts, same
+ * tie handling and the same draws, so both backends make the same callbacks
+ * and return bit-identical results, search counters and stream states.
+ * Keep the two files in sync; _ref.py documents each loop.
  *
  * Every input is copied into int64 buffers and checked before a search
  * starts, so the loops never index out of bounds: malformed input raises
@@ -601,15 +602,119 @@ done:
     return result;
 }
 
+/* The most steps a sampled mask spans; see _ref.subset_masks. */
+#define MAX_SAMPLE_K 30
+
+/* One SplitMix64 output from state *s; unsigned wraparound is the & _MASK
+   of _ref.py. */
+static inline u64 splitmix64(u64 *s)
+{
+    *s += 0x9E3779B97F4A7C15ULL;
+    u64 z = (*s ^ (*s >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* (1 << (x - 1).bit_length()) - 1 for x >= 1: the rejection mask of a draw
+   below x. */
+static inline u64 draw_bits(i64 x)
+{
+    return x > 1 ? ~(u64)0 >> __builtin_clzll((u64)(x - 1)) : 0;
+}
+
+static PyObject *subset_masks(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *in[4], *ints[4] = {NULL, NULL, NULL, NULL}, *result = NULL, *out = NULL;
+    if (!PyArg_ParseTuple(args, "OOOO:subset_masks", &in[0], &in[1], &in[2], &in[3]))
+        return NULL;
+    /* every argument an int first (TypeError), then their ranges (ValueError),
+       in _ref.py's order; a value past the int64 range is out of range too */
+    for (int a = 0; a < 4; a++)
+        if (!(ints[a] = PyNumber_Index(in[a]))) goto done;
+    u64 s = PyLong_AsUnsignedLongLong(ints[0]);
+    if (s == (u64)-1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError)) goto done;
+        PyErr_SetString(PyExc_ValueError, "state must lie in [0, 2^64)");
+        goto done;
+    }
+    i64 v[3];
+    for (int a = 1; a < 4; a++) {
+        int over;
+        v[a - 1] = PyLong_AsLongLongAndOverflow(ints[a], &over);
+        if (v[a - 1] == -1 && PyErr_Occurred()) goto done;
+        if (over) v[a - 1] = over > 0 ? LLONG_MAX : LLONG_MIN;
+    }
+    i64 count = v[0], k = v[1], cmax = v[2];
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        goto done;
+    }
+    if (k > MAX_SAMPLE_K) {
+        PyErr_Format(PyExc_ValueError, "k=%S is more than %d", ints[2], MAX_SAMPLE_K);
+        goto done;
+    }
+    if (!(1 <= cmax && cmax <= k)) {
+        PyErr_SetString(PyExc_ValueError, "sample size out of range");
+        goto done;
+    }
+    u64 cbits = draw_bits(cmax);
+    /* (span, rejection mask) of the draw at sample position i */
+    i64 span[MAX_SAMPLE_K], fresh[MAX_SAMPLE_K], pool[MAX_SAMPLE_K];
+    u64 bits[MAX_SAMPLE_K];
+    for (i64 i = 0; i < k; i++) {
+        span[i] = k - i;
+        bits[i] = draw_bits(k - i);
+        fresh[i] = i;
+    }
+    if (!(out = PyList_New((Py_ssize_t)count))) goto done;
+    for (Py_ssize_t n = 0; n < (Py_ssize_t)count; n++) {
+        i64 c = 1;
+        if (cmax > 1) {
+            while (1) {
+                u64 x = splitmix64(&s) & cbits;
+                if (x < (u64)cmax) {
+                    c += (i64)x;
+                    break;
+                }
+            }
+        }
+        memcpy(pool, fresh, sizeof(i64) * k);
+        u64 m = 0;
+        for (i64 i = 0; i < c; i++) {
+            i64 j = i;
+            if (span[i] > 1) {
+                while (1) {
+                    u64 x = splitmix64(&s) & bits[i];
+                    if (x < (u64)span[i]) {
+                        j += (i64)x;
+                        break;
+                    }
+                }
+            }
+            i64 t = pool[i]; pool[i] = pool[j]; pool[j] = t;
+            m |= (u64)1 << pool[i];
+        }
+        PyObject *mo = PyLong_FromUnsignedLongLong(m);
+        if (!mo) goto done;
+        PyList_SET_ITEM(out, n, mo);
+    }
+    result = Py_BuildValue("(OK)", out, s);
+done:
+    Py_XDECREF(out);
+    for (int a = 0; a < 4; a++) Py_XDECREF(ints[a]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"profile_search", profile_search, METH_VARARGS, "Compiled twin of _ref.profile_search."},
     {"brute_search", brute_search, METH_VARARGS, "Compiled twin of _ref.brute_search."},
     {"plan_search", plan_search, METH_VARARGS, "Compiled twin of _ref.plan_search."},
+    {"subset_masks", subset_masks, METH_VARARGS, "Compiled twin of _ref.subset_masks."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {.m_base = PyModuleDef_HEAD_INIT, .m_size = -1,
-    .m_name = "vapep._kernels._core", .m_doc = "Compiled search kernels.", .m_methods = methods};
+    .m_name = "vapep._kernels._core", .m_doc = "Compiled kernels.", .m_methods = methods};
 
 PyMODINIT_FUNC PyInit__core(void)
 {

@@ -1,13 +1,16 @@
-"""Pure-Python search kernels, the executable spec of the compiled ones.
+"""Pure-Python kernels, the executable spec of the compiled ones.
 
-Three hot loops live here: the branch and bound over user profiles behind
-the profile solver, the relation enumeration behind the exhaustive solver
-and the partition walk behind the plan solver.  The compiled module,
-hand-written C in ``_core.c``, mirrors all three statement for statement;
-any change here must be made there as well so the backends stay
-bit-identical, down to every callback and search counter.
+Four hot loops live here: the branch and bound over user profiles behind
+the profile solver, the relation enumeration behind the exhaustive solver,
+the partition walk behind the plan solver and the SplitMix64 draws behind
+the generator's authorization masks.  The compiled module, hand-written C
+in ``_core.c``, mirrors all four statement for statement; any change here
+must be made there as well so the backends stay bit-identical, down to
+every callback, search counter and stream state.
 """
 from __future__ import annotations
+
+from operator import index
 
 NAME = "python"
 
@@ -384,3 +387,66 @@ def plan_search(n, pairs, groups, incs, rest, bounded, block_min, leaf):
 
     visit(0, 0, 0, 0)
     return nodes, leaves, bound_cuts, matchings
+
+
+_MASK = (1 << 64) - 1  # SplitMix64 state and outputs are 64-bit words
+MAX_SAMPLE_K = 30  # the most steps a sampled mask spans
+
+
+def subset_masks(state, count, k, cmax):
+    """`count` draws from the SplitMix64 stream at `state`, each of
+    `c = randint(1, cmax)` and then a partial Fisher-Yates `sample(k, c)`,
+    as `generator.SplitMix64` defines them; returns (masks, state): the
+    bitmask of each sample and the state left behind.
+
+    Each bounded draw is a masked rejection: a 64-bit output is masked to
+    the bit length of span - 1 and redrawn until it is below span.  The
+    masked-rejection parameters are computed once per call.  Every argument
+    must be an int (TypeError otherwise), with 0 <= state < 2^64,
+    count >= 0 and 1 <= cmax <= k <= 30 (ValueError otherwise).
+    """
+    state, count, k, cmax = index(state), index(count), index(k), index(cmax)
+    if not 0 <= state <= _MASK:
+        raise ValueError("state must lie in [0, 2^64)")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if k > MAX_SAMPLE_K:
+        raise ValueError(f"k={k} is more than {MAX_SAMPLE_K}")
+    if not 1 <= cmax <= k:
+        raise ValueError("sample size out of range")
+    cbits = (1 << (cmax - 1).bit_length()) - 1
+    # (span, rejection mask) of the draw at sample position i
+    steps = [(k - i, (1 << (k - i - 1).bit_length()) - 1) for i in range(k)]
+    fresh = list(range(k))
+    mask64 = _MASK  # a local name is faster to load in the loop
+    s = state
+    out = []
+    for _ in range(count):
+        c = 1
+        if cmax > 1:
+            while True:
+                s = (s + 0x9E3779B97F4A7C15) & mask64
+                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+                v = (z ^ (z >> 31)) & cbits
+                if v < cmax:
+                    c += v
+                    break
+        pool = fresh[:]
+        m = 0
+        for i in range(c):
+            span, bits = steps[i]
+            j = i
+            if span > 1:
+                while True:
+                    s = (s + 0x9E3779B97F4A7C15) & mask64
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+                    v = (z ^ (z >> 31)) & bits
+                    if v < span:
+                        j += v
+                        break
+            pool[i], pool[j] = pool[j], pool[i]
+            m |= 1 << pool[i]
+        out.append(m)
+    return out, s

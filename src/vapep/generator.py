@@ -17,7 +17,8 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance, _auth_of_masks
+from ._kernels import get_backend
+from .model import MAX_USERS, Instance, _auth_of_masks
 from .resiliency import encode_resilient
 from .wsp import WspInstance, must_differ
 
@@ -67,48 +68,12 @@ class SplitMix64:
         returned as the bitmask of its sample.
 
         The stream is used exactly as those calls use it, so the masks and
-        the state left behind are the same; `next_u64` is inlined and the
-        masked-rejection parameters are computed once.
+        the state left behind are the same.  The draws run in the kernel
+        that `APEP_KERNEL` selects (`_kernels._ref.subset_masks` is the
+        spec).
         """
-        if not 1 <= cmax <= k:
-            raise ValueError("sample size out of range")
-        cbits = (1 << (cmax - 1).bit_length()) - 1
-        # (span, rejection mask) of the draw at sample position i
-        steps = [(k - i, (1 << (k - i - 1).bit_length()) - 1) for i in range(k)]
-        fresh = list(range(k))
-        mask64 = _MASK  # a local name is faster to load in the loop
-        s = self._state
-        out = []
-        for _ in range(count):
-            c = 1
-            if cmax > 1:
-                while True:
-                    s = (s + 0x9E3779B97F4A7C15) & mask64
-                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-                    v = (z ^ (z >> 31)) & cbits
-                    if v < cmax:
-                        c += v
-                        break
-            pool = fresh[:]
-            m = 0
-            for i in range(c):
-                span, bits = steps[i]
-                j = i
-                if span > 1:
-                    while True:
-                        s = (s + 0x9E3779B97F4A7C15) & mask64
-                        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-                        v = (z ^ (z >> 31)) & bits
-                        if v < span:
-                            j += v
-                            break
-                pool[i], pool[j] = pool[j], pool[i]
-                m |= 1 << pool[i]
-            out.append(m)
-        self._state = s
-        return out
+        masks, self._state = get_backend().subset_masks(self._state, count, k, cmax)
+        return masks
 
 
 def substream(seed: int, purpose: str) -> SplitMix64:
@@ -137,6 +102,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
+        if self.n > MAX_USERS:  # refused before any draw
+            raise ValueError(f"at most {MAX_USERS} users are supported")
         if self.k is None:
             object.__setattr__(self, "k", max(1, self.n // 10))
         if not _is_int(self.k) or not 1 <= self.k <= 30:

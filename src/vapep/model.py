@@ -878,6 +878,7 @@ def _dump_doc(doc: dict, path: Optional[str]) -> str:
     return text
 
 
+@_gc_paused()  # the document holds no cycles
 def dump_instance(instance: Instance, path: Optional[str] = None) -> str:
     return _dump_doc(instance_to_doc(instance), path)
 

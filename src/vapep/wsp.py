@@ -46,6 +46,7 @@ from .model import (
     _doc_head,
     _dump_doc,
     _from_pairs,
+    _gc_paused,
     _index_names,
     _instance_doc,
     _load_doc,
@@ -527,5 +528,6 @@ def load_wsp(path: str) -> WspInstance:
     return _load_doc(path, wsp_from_doc)
 
 
+@_gc_paused()  # the document holds no cycles
 def dump_wsp(w: WspInstance, path: Optional[str] = None) -> str:
     return _dump_doc(wsp_to_doc(w), path)

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import vapep
-from vapep import GeneratorConfig, SplitMix64, canonical_json, generate, instance_to_doc
+from vapep import (
+    GeneratorConfig, SplitMix64, available_backends, canonical_json, generate, instance_to_doc,
+)
 from vapep.generator import substream
+from vapep.model import MAX_USERS
 
 DATA = Path(__file__).with_name("data")
 
@@ -68,21 +71,37 @@ def test_sample_is_roughly_uniform():
     assert len(seen) == 6
 
 
-def test_subset_masks_replay_randint_and_sample():
-    # same masks and the same stream state after as the per-user calls
-    for k in list(range(1, 11)) + [17, 30]:
-        for cmax in sorted({1, max(1, (k - 1) // 2), k}):
-            fast, slow = SplitMix64(k * 31 + cmax), SplitMix64(k * 31 + cmax)
-            want = []
-            for _ in range(60):
-                picks = slow.sample(k, slow.randint(1, cmax))
-                want.append(sum(1 << i for i in picks))
-            assert fast.subset_masks(60, k, cmax) == want
-            assert fast.next_u64() == slow.next_u64()
-    with pytest.raises(ValueError):
-        SplitMix64(1).subset_masks(5, 3, 4)
-    with pytest.raises(ValueError):
-        SplitMix64(1).subset_masks(5, 3, 0)
+def test_subset_masks_replay_randint_and_sample(monkeypatch):
+    # same masks and the same stream state after as the per-user calls, on
+    # every built kernel
+    for name in available_backends():
+        monkeypatch.setenv("APEP_KERNEL", name)
+        for k in list(range(1, 11)) + [17, 30]:
+            for cmax in sorted({1, max(1, (k - 1) // 2), k}):
+                fast, slow = SplitMix64(k * 31 + cmax), SplitMix64(k * 31 + cmax)
+                want = []
+                for _ in range(60):
+                    picks = slow.sample(k, slow.randint(1, cmax))
+                    want.append(sum(1 << i for i in picks))
+                assert fast.subset_masks(60, k, cmax) == want, (name, k, cmax)
+                assert fast.next_u64() == slow.next_u64()
+        with pytest.raises(ValueError):
+            SplitMix64(1).subset_masks(5, 3, 4)
+        with pytest.raises(ValueError):
+            SplitMix64(1).subset_masks(5, 3, 0)
+
+
+def test_sampler_follows_apep_kernel(monkeypatch, capsys):
+    # choosing the compiled kernel when it is not built stops the generator
+    # as it stops solve: exit 2, nothing written
+    from vapep import _kernels, cli
+    monkeypatch.delitem(_kernels._BACKENDS, "cython", raising=False)
+    monkeypatch.setenv("APEP_KERNEL", "cython")
+    with pytest.raises(ValueError, match="kernel backend 'cython' unavailable"):
+        generate(GeneratorConfig(n=10, k=3))
+    assert cli.main(["generate", "--n", "10", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "kernel backend 'cython' unavailable" in err
 
 
 def test_substreams_are_tagged():
@@ -134,6 +153,19 @@ def test_config_validation():
         GeneratorConfig(n=40, seed=-1)
     with pytest.raises(ValueError):
         GeneratorConfig(n=40, seed=1 << 64)
+
+
+def test_config_refuses_too_many_users_before_drawing(monkeypatch, capsys):
+    from vapep import cli
+
+    def no_draws(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(SplitMix64, "subset_masks", no_draws)
+    with pytest.raises(ValueError, match="at most 1000000 users are supported"):
+        GeneratorConfig(n=MAX_USERS + 1, k=3)
+    assert cli.main(["generate", "--n", str(MAX_USERS + 1), "--k", "3"]) == 2
+    assert "error: at most 1000000 users are supported" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["k", "tau", "alpha", "q_sod", "seed"])
@@ -255,15 +287,17 @@ def test_generated_instance_solves():
     assert res.relation.is_complete(inst)
 
 
-def test_generate_pinned_bytes(tmp_path):
+def test_generate_pinned_bytes(tmp_path, monkeypatch):
     # sha256 of `vapep generate` output, recorded before the generator's
     # draw loop and the JSON writer were last rewritten; the grid covers
     # k = 1 (no separation pairs), k = 2..4 (one step per user), k = 5..8
     # (count draws with rejection), k = 30 and the option overrides
     from vapep import cli
     pinned = json.loads((DATA / "generate_sha256.json").read_text())
-    for entry in pinned:
-        out = tmp_path / "instance.json"
-        assert cli.main(["generate", *entry["args"], "-o", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == entry["sha256"], entry["args"]
+    for name in available_backends():  # the draws run in the selected kernel
+        monkeypatch.setenv("APEP_KERNEL", name)
+        for entry in pinned:
+            out = tmp_path / "instance.json"
+            assert cli.main(["generate", *entry["args"], "-o", str(out)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == entry["sha256"], (name, entry["args"])

@@ -441,6 +441,42 @@ def test_plan_kernels_agree_past_two_to_the_62(weight, monkeypatch):
 
 
 @needs_compiler
+def test_sampler_kernels_agree_call_for_call():
+    # the generator's mask draws: same masks and the same final state at
+    # both ends of the state range, every k and the smallest, the
+    # generator's and the largest count per user
+    for state in (0, (1 << 64) - 1):
+        for k in range(1, 31):
+            for cmax in sorted({1, max(1, (k - 1) // 2), k}):
+                for count in (0, 1, 257):
+                    ref = get_backend("python").subset_masks(state, count, k, cmax)
+                    fast = get_backend("cython").subset_masks(state, count, k, cmax)
+                    assert fast == ref, (state, k, cmax, count)
+                    masks, after = ref
+                    assert len(masks) == count and 0 <= after < 1 << 64
+                    assert all(1 <= m.bit_count() <= cmax and m >> k == 0 for m in masks)
+
+
+@pytest.mark.parametrize("name", ["python", pytest.param("cython", marks=needs_compiler)])
+@pytest.mark.parametrize("args, error", [
+    ((0, 5, 3, 0), ValueError),  # cmax 0
+    ((0, 5, 3, 4), ValueError),  # cmax above k
+    ((0, 5, 31, 1), ValueError),  # k past 30
+    ((0, 5, 1 << 70, 1), ValueError),
+    ((0, -1, 3, 1), ValueError),  # negative count
+    ((-1, 5, 3, 1), ValueError),  # state outside [0, 2^64)
+    ((1 << 64, 5, 3, 1), ValueError),
+    ((0.0, 5, 3, 1), TypeError),  # a non-int
+    ((0, 5.0, 3, 1), TypeError),
+    ((0, 5, "3", 1), TypeError),
+    ((0, 5, 3, None), TypeError),
+])
+def test_sampler_kernels_reject_malformed_input_alike(name, args, error):
+    with pytest.raises(error):
+        get_backend(name).subset_masks(*args)
+
+
+@needs_compiler
 def test_compiled_kernel_compiles_without_warnings():
     cc = sysconfig.get_config_var("CC").split()
     source = Path(kernel_build.ROOT, "src/vapep/_kernels/_core.c")
@@ -493,6 +529,11 @@ def test_compiled_kernel_frees_buffers_on_every_path():
             kb.brute_search(*brute_args)
             with pytest.raises(ValueError):
                 kb.brute_search(*brute_args[:3], [[1] * 8, [1] * 7], *brute_args[4:])
+            kb.subset_masks((1 << 64) - 1, 3, 30, 30)  # masks past the cached small ints
+            with pytest.raises(ValueError):
+                kb.subset_masks(1 << 64, 3, 30, 30)
+            with pytest.raises(TypeError):
+                kb.subset_masks(0, 3, 30, 30.0)
 
     rounds(20)
     tracemalloc.start()
