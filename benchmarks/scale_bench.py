@@ -6,9 +6,12 @@ solves it with `vapep solve --in`, each in a fresh interpreter that imports
 process start to exit and the child's peak resident set (`ru_maxrss` from
 `os.wait4`), plus the size of the instance file.  Two more children split
 the two steps: one times `generate` against `dump_instance` writing the same
-instance again, the other `json.load` against `instance_from_doc` on the
-file; both run with the cyclic collector paused, as `dump_instance` and
-`load_instance` pause it.
+instance again; the other times `load_instance`, the route `vapep solve`
+takes (the file's text read by the compiled reader when the compiled
+backend is selected, then the instance built), and then the reference
+route on the same file, `json.load` against `instance_from_doc`.  Both run
+with the cyclic collector paused, as `dump_instance` and `load_instance`
+pause it.
 
 Usage:
     python3 benchmarks/scale_bench.py --n 1000000 --k 3
@@ -43,17 +46,22 @@ dump_instance(inst, sys.argv[4])
 print(t1 - t0, time.perf_counter() - t1)
 """
 
-# times json.load and instance_from_doc on the file named by argv[1]
+# times load_instance on the file named by argv[1], then json.load and
+# instance_from_doc on it
 LOAD_SPLIT = """
 import gc, json, sys, time
-from vapep.model import instance_from_doc
+from vapep.model import instance_from_doc, load_instance
 gc.disable()
 t0 = time.perf_counter()
+inst = load_instance(sys.argv[1])
+t1 = time.perf_counter()
+del inst
+t2 = time.perf_counter()
 with open(sys.argv[1], encoding="utf-8") as fh:
     doc = json.load(fh)
-t1 = time.perf_counter()
+t3 = time.perf_counter()
 instance_from_doc(doc)
-print(t1 - t0, time.perf_counter() - t1)
+print(t1 - t0, t3 - t2, time.perf_counter() - t3)
 """
 
 
@@ -106,9 +114,9 @@ def main() -> int:
         print(f"generate split (GC paused): generate {made:.2f} s, "
               f"dump_instance {dump:.2f} s, same bytes: {same}")
         _, _, out = run_child(["-c", LOAD_SPLIT, str(inst)], stdout=subprocess.PIPE)
-        parse, build = map(float, out.split())
-        print(f"load split (GC paused): json.load {parse:.2f} s, "
-              f"instance_from_doc {build:.2f} s")
+        load, parse, build = map(float, out.split())
+        print(f"load split (GC paused): load_instance {load:.2f} s; "
+              f"reference: json.load {parse:.2f} s, instance_from_doc {build:.2f} s")
     return 0
 
 

@@ -10,6 +10,12 @@ APEP_KERNEL=python|cython forces a choice, and solve(..., backend=...)
 overrides per call (the plan solver and the generator take no such
 argument).  Both implementations search and draw in the same order and
 produce identical results.
+
+One compiled routine has no twin in ``_ref``: the document reader
+``_core.read_head`` (`doc_reader`), which `model` uses to load instance and
+plan documents.  Its reference is ``json.loads`` followed by
+`model._doc_head`, which runs on every document the reader declines.  It
+declines rather than raises on malformed text; only MemoryError propagates.
 """
 import os
 
@@ -43,3 +49,11 @@ def get_backend(name=None):
 
 def available_backends() -> list:
     return sorted(_BACKENDS)
+
+
+def doc_reader():
+    """The compiled document reader when the compiled backend is selected
+    (`default_backend_name`), else None."""
+    if _core is not None and default_backend_name() == "cython":
+        return _core.read_head
+    return None

@@ -11,6 +11,11 @@
  * starts, so the loops never index out of bounds: malformed input raises
  * ValueError, TypeError or OverflowError instead.  The GIL stays held, since
  * the callbacks are Python and no second thread runs a search.
+ *
+ * One routine has no twin in _ref.py: the document reader read_head, at the
+ * end of the file, whose reference is json.loads followed by
+ * model._doc_head.  It declines malformed text rather than raising, and the
+ * reference then reads it; only MemoryError propagates.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -705,11 +710,289 @@ done:
     return result;
 }
 
+/* ---- instance and plan documents ----------------------------------------
+ *
+ * read_head(text, names_key, scan_once, cap) reads an instance document
+ * (names_key "resources") or a plan document ("steps") without building its
+ * [user, name] pairs.  It reads the top-level object, the users and names
+ * lists and the auth object itself, and ORs each pair's name bit straight
+ * into its user's mask.  Every other value (constraints, meta, pair_penalty,
+ * unknown keys) goes through scan_once, the scanner json.loads runs, so it
+ * comes out as json.loads gives it.
+ *
+ * It returns (doc, uindex, masks): doc is the document json.loads gives,
+ * less auth.pairs; uindex maps each user to its position; masks holds each
+ * user's authorized mask over the names.  It has no _ref.py twin: its
+ * reference is json.loads followed by model._doc_head.  On anything outside
+ * the subset it reads it declines, returning None, and the caller runs the
+ * reference:
+ *   - text that is not ASCII, or a string it reads with an escape or a
+ *     control character in it;
+ *   - a duplicate key, a missing users list, names list or auth object, or
+ *     auth before the users or the names;
+ *   - a user or name that is empty or repeated, or more names than
+ *     min(cap, 64);
+ *   - a pair that is not a two-string list, or names an unknown user or name;
+ *   - malformed JSON anywhere, or data after the document.
+ * It never raises on malformed text: only MemoryError propagates.
+ */
+
+/* The text being read (its bytes, the cursor and the length) and the scanner
+   of the values the reader leaves to json. */
+typedef struct { const char *s; Py_ssize_t i, len; PyObject *text, *scan_once; } Doc;
+
+/* The loops below work on local copies of the cursor: the text is chars,
+   which may alias d->i, so a loop on d->i would reload it at every byte. */
+static inline void skip_ws(Doc *d)
+{
+    const char *s = d->s;
+    Py_ssize_t i = d->i, len = d->len;
+    while (i < len && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' || s[i] == '\r')) i++;
+    d->i = i;
+}
+
+/* Past whitespace, take the byte c if it is next; 1 if it was. */
+static inline int take(Doc *d, char c)
+{
+    skip_ws(d);
+    if (d->i < d->len && d->s[d->i] == c) {
+        d->i++;
+        return 1;
+    }
+    return 0;
+}
+
+/* Past whitespace, a string with no escape or control character in it: its
+   n bytes at *p.  0 if there is none. */
+static int plain(Doc *d, const char **p, Py_ssize_t *n)
+{
+    skip_ws(d);
+    const char *s = d->s;
+    Py_ssize_t i = d->i, len = d->len;
+    if (i >= len || s[i] != '"') return 0;
+    for (Py_ssize_t j = i + 1; j < len; j++) {
+        unsigned char c = (unsigned char)s[j];
+        if (c == '"') {
+            *p = s + i + 1;
+            *n = j - i - 1;
+            d->i = j + 1;
+            return 1;
+        }
+        if (c == '\\' || c < 0x20) return 0;
+    }
+    return 0;
+}
+
+/* Steps through an array or object whose opening byte was taken: 1 if an
+   item follows, 0 once the closing byte is taken, -1 on anything else. */
+static int more(Doc *d, char close, int *first)
+{
+    if (*first) {
+        *first = 0;
+        return take(d, close) ? 0 : 1;
+    }
+    if (take(d, ',')) return 1;
+    return take(d, close) ? 0 : -1;
+}
+
+static PyObject *ascii_str(const char *p, Py_ssize_t n)
+{
+    PyObject *u = PyUnicode_New(n, 127);
+    if (u) memcpy(PyUnicode_1BYTE_DATA(u), p, n);
+    return u;
+}
+
+/* 1 if the ASCII str u holds the n bytes at p. */
+static inline int same(PyObject *u, const char *p, Py_ssize_t n)
+{
+    return PyUnicode_GET_LENGTH(u) == n && memcmp(PyUnicode_1BYTE_DATA(u), p, n) == 0;
+}
+
+/* A new str of the key's n bytes at p, or NULL when dict holds it already. */
+static PyObject *new_key(PyObject *dict, const char *p, Py_ssize_t n)
+{
+    PyObject *key = ascii_str(p, n);
+    if (key && PyDict_Contains(dict, key) != 0) Py_CLEAR(key);
+    return key;
+}
+
+/* Past whitespace, the value scan_once reads there, or NULL. */
+static PyObject *scan_value(Doc *d)
+{
+    skip_ws(d);
+    PyObject *at = PyLong_FromSsize_t(d->i), *got = NULL, *v = NULL;
+    if (at) got = PyObject_CallFunctionObjArgs(d->scan_once, d->text, at, NULL);
+    Py_XDECREF(at);
+    if (got && PyTuple_Check(got) && PyTuple_GET_SIZE(got) == 2) {
+        Py_ssize_t end = PyLong_AsSsize_t(PyTuple_GET_ITEM(got, 1));
+        if (end > d->i && end <= d->len) {
+            d->i = end;
+            v = Py_NewRef(PyTuple_GET_ITEM(got, 0));
+        }
+    }
+    Py_XDECREF(got);
+    return v;
+}
+
+/* The list of the array of at most cap non-empty plain strings at the
+   cursor, none repeated, or NULL.  `index`, when given, gets each string's
+   position, which finds the repeats; otherwise each is compared with those
+   before it. */
+static PyObject *read_names(Doc *d, Py_ssize_t cap, PyObject *index)
+{
+    PyObject *list = PyList_New(0);
+    int first = 1, step = -1;
+    if (!list || !take(d, '[')) goto fail;
+    while ((step = more(d, ']', &first)) == 1) {
+        const char *p;
+        Py_ssize_t n, at = PyList_GET_SIZE(list);
+        if (at >= cap || !plain(d, &p, &n) || !n) goto fail;
+        for (Py_ssize_t j = 0; !index && j < at; j++)
+            if (same(PyList_GET_ITEM(list, j), p, n)) goto fail;
+        PyObject *s = ascii_str(p, n), *pos = NULL;
+        int ok = s && PyList_Append(list, s) == 0;
+        if (ok && index) {
+            ok = (pos = PyLong_FromSsize_t(at)) && PyDict_SetItem(index, s, pos) == 0
+                 && PyDict_GET_SIZE(index) == at + 1;
+        }
+        Py_XDECREF(s);
+        Py_XDECREF(pos);
+        if (!ok) goto fail;
+    }
+    if (step == 0) return list;
+fail:
+    Py_XDECREF(list);
+    return NULL;
+}
+
+/* Reads the pairs array at the cursor, ORing each [user, name] pair's name
+   bit into its user's mask.  A pair's user is compared with the user of the
+   pair before it and the user after that, and looked up in index
+   otherwise.  0 once read, -1 otherwise. */
+static int read_pairs(Doc *d, PyObject *users, PyObject *index, PyObject *names, u64 *masks)
+{
+    Py_ssize_t nu = PyList_GET_SIZE(users), nn = PyList_GET_SIZE(names), cur = 0;
+    int first = 1, step = -1;
+    if (!take(d, '[')) return -1;
+    while ((step = more(d, ']', &first)) == 1) {
+        const char *u, *r;
+        Py_ssize_t un, rn, b = 0;
+        if (!take(d, '[') || !plain(d, &u, &un) || !take(d, ',') || !plain(d, &r, &rn)
+            || !take(d, ']'))
+            return -1;
+        if (!(cur < nu && same(PyList_GET_ITEM(users, cur), u, un))) {
+            if (cur + 1 < nu && same(PyList_GET_ITEM(users, cur + 1), u, un)) {
+                cur++;
+            } else {
+                PyObject *key = ascii_str(u, un);
+                PyObject *pos = key ? PyDict_GetItemWithError(index, key) : NULL;
+                Py_XDECREF(key);
+                if (!pos) return -1;
+                cur = PyLong_AsSsize_t(pos);
+            }
+        }
+        while (b < nn && !same(PyList_GET_ITEM(names, b), r, rn)) b++;
+        if (b == nn) return -1;
+        masks[cur] |= (u64)1 << b;
+    }
+    return step;
+}
+
+/* The auth object at the cursor as a dict of its values other than pairs,
+   whose bits go to masks; NULL if it is not read. */
+static PyObject *read_auth(Doc *d, PyObject *users, PyObject *index, PyObject *names,
+                           u64 *masks)
+{
+    PyObject *auth = PyDict_New();
+    int first = 1, step = -1, pairs = 0;
+    if (!auth || !take(d, '{')) goto fail;
+    while ((step = more(d, '}', &first)) == 1) {
+        const char *p;
+        Py_ssize_t n;
+        if (!plain(d, &p, &n) || !take(d, ':')) goto fail;
+        if (n == 5 && !memcmp(p, "pairs", 5)) {
+            if (pairs++ || read_pairs(d, users, index, names, masks) < 0) goto fail;
+            continue;
+        }
+        PyObject *key = new_key(auth, p, n), *v = key ? scan_value(d) : NULL;
+        int ok = v && PyDict_SetItem(auth, key, v) == 0;
+        Py_XDECREF(key);
+        Py_XDECREF(v);
+        if (!ok) goto fail;
+    }
+    if (step == 0) return auth;
+fail:
+    Py_XDECREF(auth);
+    return NULL;
+}
+
+static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *text, *names_key, *scan_once;
+    Py_ssize_t cap, key_len;
+    if (!PyArg_ParseTuple(args, "UUOn:read_head", &text, &names_key, &scan_once, &cap))
+        return NULL;
+    /* only a compact ASCII str is read byte for byte; any other is declined */
+    const char *key_s = PyUnicode_AsUTF8AndSize(names_key, &key_len);
+    if (!key_s) return NULL;
+    if (!PyUnicode_IS_ASCII(text)) Py_RETURN_NONE;
+    Doc d = {(const char *)PyUnicode_1BYTE_DATA(text), 0, PyUnicode_GET_LENGTH(text), text,
+             scan_once};
+    PyObject *doc = PyDict_New(), *index = PyDict_New(), *users = NULL, *names = NULL;
+    PyObject *auth = NULL, *out = NULL, *result = NULL;
+    u64 *masks = NULL;
+    int first = 1, step = -1;
+    if (!doc || !index || !take(&d, '{')) goto done;
+    while ((step = more(&d, '}', &first)) == 1) {
+        const char *p;
+        Py_ssize_t n;
+        if (!plain(&d, &p, &n) || !take(&d, ':')) goto done;
+        PyObject *key = new_key(doc, p, n), *v = NULL;
+        if (!key) goto done;
+        /* users, names and auth stay alive in doc */
+        if (n == 5 && !memcmp(p, "users", 5)) {
+            v = users = read_names(&d, PY_SSIZE_T_MAX, index);
+        } else if (n == key_len && !memcmp(p, key_s, n)) {
+            v = names = read_names(&d, cap < 64 ? cap : 64, NULL);
+        } else if (n == 4 && !memcmp(p, "auth", 4)) {
+            if (users && names && (masks = zalloc(PyList_GET_SIZE(users), sizeof(u64))))
+                v = auth = read_auth(&d, users, index, names, masks);
+        } else {
+            v = scan_value(&d);
+        }
+        int ok = v && PyDict_SetItem(doc, key, v) == 0;
+        Py_DECREF(key);
+        Py_XDECREF(v);
+        if (!ok) goto done;
+    }
+    skip_ws(&d);
+    if (step != 0 || d.i != d.len || !auth) goto done;
+    Py_ssize_t nu = PyList_GET_SIZE(users);
+    if (!(out = PyList_New(nu))) goto done;
+    for (Py_ssize_t u = 0; u < nu; u++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(masks[u]);
+        if (!m) goto done;
+        PyList_SET_ITEM(out, u, m);
+    }
+    result = PyTuple_Pack(3, doc, index, out);
+done:
+    Py_XDECREF(doc);
+    Py_XDECREF(index);
+    Py_XDECREF(out);
+    PyMem_Free(masks);
+    if (result || (PyErr_Occurred() && PyErr_ExceptionMatches(PyExc_MemoryError)))
+        return result;
+    PyErr_Clear();
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"profile_search", profile_search, METH_VARARGS, "Compiled twin of _ref.profile_search."},
     {"brute_search", brute_search, METH_VARARGS, "Compiled twin of _ref.brute_search."},
     {"plan_search", plan_search, METH_VARARGS, "Compiled twin of _ref.plan_search."},
     {"subset_masks", subset_masks, METH_VARARGS, "Compiled twin of _ref.subset_masks."},
+    {"read_head", read_head, METH_VARARGS,
+     "An instance or plan document read from its text, or None; see model._load_doc."},
     {NULL, NULL, 0, NULL},
 };
 

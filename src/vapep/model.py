@@ -12,12 +12,20 @@ They also share one document layer; `wsp` keeps only what is specific to
 plans.  Both loaders read the document head in `_doc_head`, walk the
 constraint list in `_constraint_walk` and build the instance in
 `_from_pairs`; both writers write through `_instance_doc` and `_dump_doc`.
-`_doc_head` builds the masks once, straight from the `[user, name]` pairs,
-in passes that run in C (`map` over dict lookups); when the pairs name
+`load_instance` and `wsp.load_wsp` hand the file's text to the compiled
+reader (`_kernels.doc_reader`) when the compiled backend is selected.  It
+builds the users' index and masks straight from the text, with no object
+per `[user, name]` pair, and the document it returns holds them in place of
+the pairs (`_ReadPairs`).  Text it declines, and every document under the
+pure-Python backend or given to `instance_from_doc` or `wsp_from_doc`, is
+parsed by `json.loads`; `_doc_head` then builds the masks from the pairs,
+in passes that run in C (`map` over dict lookups), and when the pairs name
 every user once, in user order, each mask is just its pair's bit.  A fault
 in the pairs stops those passes, and a walk over the pairs in order reports
-the first one, with the message a per-pair loader would give.
-`AuthCost.base` is built from the masks only when something reads it.
+the first one, with the message a per-pair loader would give.  Both routes
+check the rest of the document in the same code, so they give the same
+instance or the same error.  `AuthCost.base` is built from the masks only
+when something reads it.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
+from . import _kernels
 from .constraints import (
     CARD_LB,
     CARD_UB,
@@ -749,13 +758,24 @@ def _constraint_from_doc(where: str, entry: dict, kind, scope: list) -> Constrai
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
+class _ReadPairs:
+    """What a document that the compiled reader read holds in place of its
+    pairs list: the users' index and masks the reader built from the pairs."""
+
+    __slots__ = ("uindex", "masks")
+
+    def __init__(self, uindex: dict, masks: list[int]):
+        self.uindex, self.masks = uindex, masks
+
+
 def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: int):
     """The head of an instance (or plan instance) document, checked in the
     order it is read: the document's keys, its `names_key` and users lists,
     the auth object, its keys and its pairs list, then the pairs' shapes and
     items.  Returns the users and names as tuples, the pairs, the users' index
     (`_name_index`), their authorized masks over the names (`_pair_masks`)
-    and the pair penalty as given."""
+    and the pair penalty as given.  Pairs the compiled reader read
+    (`_ReadPairs`) come with their index and masks."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document must be a JSON object")
     _reject_unknown(doc, top_keys, what)
@@ -767,11 +787,14 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
     pairs = auth_doc.get("pairs", [])
-    if not isinstance(pairs, list):
-        raise ValueError("auth.pairs must be a list")
     users, names = doc["users"], doc[names_key]
-    uindex = _name_index(users)
-    masks = _pair_masks(pairs, shape, users, uindex, names, cap)
+    if type(pairs) is _ReadPairs:
+        uindex, masks = pairs.uindex, pairs.masks
+    elif not isinstance(pairs, list):
+        raise ValueError("auth.pairs must be a list")
+    else:
+        uindex = _name_index(users)
+        masks = _pair_masks(pairs, shape, users, uindex, names, cap)
     return tuple(users), tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
 
 
@@ -859,15 +882,30 @@ def _gc_paused():
             gc.enable()
 
 
-def _load_doc(path: str, from_doc: Callable):
+# the scanner json.loads runs, for the values the compiled reader leaves to it
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _load_doc(path: str, from_doc: Callable, names_key: Optional[str] = None, cap: int = 0):
     """from_doc applied to the JSON document at path, with the cyclic
-    collector paused (`_gc_paused`)."""
-    with _gc_paused(), open(path, "r", encoding="utf-8") as fh:
-        return from_doc(json.load(fh))
+    collector paused (`_gc_paused`).  An instance or plan document, whose
+    `names_key` and name cap are given, goes to the compiled reader when it
+    is selected (`_kernels.doc_reader`); json.loads parses what the reader
+    declines, and every other document."""
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        read = _kernels.doc_reader() if names_key else None
+        head = read(text, names_key, _scan_once, cap) if read else None
+        if head is None:
+            return from_doc(json.loads(text))
+        doc, uindex, masks = head
+        doc["auth"]["pairs"] = _ReadPairs(uindex, masks)
+        return from_doc(doc)
 
 
 def load_instance(path: str) -> Instance:
-    return _load_doc(path, instance_from_doc)
+    return _load_doc(path, instance_from_doc, "resources", MAX_RESOURCES)
 
 
 def _dump_doc(doc: dict, path: Optional[str]) -> str:

@@ -525,7 +525,7 @@ def wsp_to_doc(w: WspInstance) -> dict:
 
 
 def load_wsp(path: str) -> WspInstance:
-    return _load_doc(path, wsp_from_doc)
+    return _load_doc(path, wsp_from_doc, "steps", MAX_STEPS)
 
 
 @_gc_paused()  # the document holds no cycles

@@ -1,7 +1,9 @@
 """Compiled and pure-Python search kernels must be interchangeable."""
 import gc
+import json
 import random
 import subprocess
+import sys
 import sysconfig
 import tracemalloc
 from itertools import accumulate
@@ -508,8 +510,37 @@ def test_compiled_kernel_frees_buffers_on_every_path():
     def leaf(blocks, cw):
         return cw + len(blocks)
 
+    doc = {"resources": ["r1", "r2"], "users": ["u1", "u2", "u3"],
+           "auth": {"pairs": [["u1", "r1"], ["u3", "r2"], ["u1", "r2"]], "pair_penalty": 2},
+           "constraints": [{"type": "sod_u", "scope": ["r1", "r2"]}], "meta": {"n": [1.5]}}
+    text = json.dumps(doc, indent=2)
+    declined = [  # each stops the reader at a different point
+        text.replace('"n"', '"\u00e9"'),  # not ASCII
+        text.replace('"u2"', '"\\u00752"'), text.replace('"u2"', '"u\t2"'),
+        text[:-1] + ', "meta": 1}', text.replace('"auth": {', '"auth": {"pairs": [], '),
+        json.dumps({"auth": doc["auth"], **doc}), json.dumps(dict(doc, users=["u1", ""])),
+        json.dumps(dict(doc, users=["u1", "u1"])),
+        json.dumps(dict(doc, resources=["r1", "r1"], auth={"pairs": [["u1", "r1"]]})),
+        json.dumps({"users": doc["users"], "auth": doc["auth"], "resources": doc["resources"]}),
+        json.dumps(dict(doc, resources=["r1", "r2", "r3"])),  # more than cap=2 names
+        text.replace('"r2"\n      ]', '"r2", "r2"\n      ]', 1),  # a 3-item pair
+        text.replace('[\n        "u3"', '[\n        "u9"'),  # unknown user
+        text.replace('"u1",\n        "r1"', '"u1",\n        "r9"'),  # unknown name
+        text.replace('"meta": {', '"meta": {,'),  # scan_once raises
+        text + " 1", text[:-30], json.dumps({k: v for k, v in doc.items() if k != "auth"}),
+    ]
+    scan_once = json.JSONDecoder().scan_once
+    refs_before = [sys.getrefcount(t) for t in [text, scan_once] + declined]
+
     def rounds(count):
         for _ in range(count):
+            head = kb.read_head(text, "resources", scan_once, 2)
+            # counted outside the asserts, whose rewriting holds its operands
+            refs = [sys.getrefcount(x) for x in head] + [sys.getrefcount(head[0]["users"])]
+            assert refs == [3, 3, 3, 2]  # held by `head` (or doc), `x` and the argument
+            del head
+            for bad in declined:
+                assert kb.read_head(bad, "resources", scan_once, 2) is None
             kb.plan_search(*plan, block_min, leaf)
             with pytest.raises(_Boom):
                 kb.plan_search(*plan, block_min, _raise_on_call)
@@ -547,3 +578,4 @@ def test_compiled_kernel_frees_buffers_on_every_path():
         tracemalloc.stop()
     # a leaked buffer of even one int64 per round would add 8 kB
     assert grown < 4096, grown
+    assert [sys.getrefcount(t) for t in [text, scan_once] + declined] == refs_before

@@ -700,14 +700,21 @@ def test_pairs_in_user_order_need_no_user_lookups(plan):
         assert instance_from_doc(doc)._base_mask == masks
 
 
-def test_loader_error_messages_match_set_based_loader():
+def _fault_docs():
+    """(faults, document) for 600 random documents, each broken by one or
+    two loader faults."""
     rng = random.Random(32)
-    hits = dict.fromkeys(LOADER_FAULTS, 0)
     for i in range(600):
         faults = rng.sample(sorted(LOADER_FAULTS), 1 if i % 3 else 2)
         doc = _random_doc(rng)
         for fault in faults:
             _break(rng, doc, fault)
+        yield faults, doc
+
+
+def test_loader_error_messages_match_set_based_loader():
+    hits = dict.fromkeys(LOADER_FAULTS, 0)
+    for faults, doc in _fault_docs():
         text = json.dumps(doc)
         want = _outcome(_reference_from_doc, json.loads(text))
         got = _outcome(lambda d: _loaded_fields(instance_from_doc(d)), json.loads(text))
@@ -988,11 +995,12 @@ def _reference_users_by_base(masks, m):
     return groups
 
 
-@pytest.mark.parametrize("n, k", [(20000, 3), (3000, 6)])
-def test_loader_matches_set_based_loader_at_scale(n, k):
-    # generated documents with shuffled, repeated and missing pairs;
-    # users_by_base stops early when m is 1 or 5 and passes over every user
-    # when m is n
+SCALE_CASES = [(20000, 3), (3000, 6)]
+
+
+def _scale_doc(n, k):
+    """A generated document with shuffled, repeated and missing pairs, and
+    at k=6 a per-pair penalty matrix."""
     from vapep.generator import GeneratorConfig, generate
 
     rng = random.Random(37)
@@ -1006,7 +1014,14 @@ def test_loader_matches_set_based_loader_at_scale(n, k):
         doc["auth"]["pair_penalty"] = [
             [rng.randint(0, 3) for _ in doc["resources"]] for _ in doc["users"]
         ]
-    text = json.dumps(doc)
+    return doc
+
+
+@pytest.mark.parametrize("n, k", SCALE_CASES)
+def test_loader_matches_set_based_loader_at_scale(n, k):
+    # users_by_base stops early when m is 1 or 5 and passes over every user
+    # when m is n
+    text = json.dumps(_scale_doc(n, k))
     want = _reference_from_doc(json.loads(text))
     inst = instance_from_doc(json.loads(text))
     assert _loaded_fields(inst) == want
