@@ -11,11 +11,15 @@ overrides per call (the plan solver and the generator take no such
 argument).  Both implementations search and draw in the same order and
 produce identical results.
 
-One compiled routine has no twin in ``_ref``: the document reader
-``_core.read_head`` (`doc_reader`), which `model` uses to load instance and
+Two compiled routines have no twin in ``_ref``.  The document reader
+``_core.read_head`` (`doc_reader`) is what `model` uses to load instance and
 plan documents.  Its reference is ``json.loads`` followed by
 `model._doc_head`, which runs on every document the reader declines.  It
 declines rather than raises on malformed text; only MemoryError propagates.
+The user-name index ``_core.name_index`` (`name_indexer`), a compact
+read-only name -> position mapping, is what instances keep as their users'
+index, and what the reader builds.  Its reference is the dict of
+`model._name_index`, which instances keep under the pure-Python backend.
 """
 import os
 
@@ -51,9 +55,23 @@ def available_backends() -> list:
     return sorted(_BACKENDS)
 
 
-def doc_reader():
-    """The compiled document reader when the compiled backend is selected
+def _compiled():
+    """The compiled module when the compiled backend is selected
     (`default_backend_name`), else None."""
     if _core is not None and default_backend_name() == "cython":
-        return _core.read_head
+        return _core
     return None
+
+
+def doc_reader():
+    """The compiled document reader when the compiled backend is selected,
+    else None."""
+    core = _compiled()
+    return core.read_head if core else None
+
+
+def name_indexer():
+    """The compiled user-name index builder when the compiled backend is
+    selected, else None."""
+    core = _compiled()
+    return core.name_index if core else None

@@ -12,10 +12,12 @@
  * ValueError, TypeError or OverflowError instead.  The GIL stays held, since
  * the callbacks are Python and no second thread runs a search.
  *
- * One routine has no twin in _ref.py: the document reader read_head, at the
- * end of the file, whose reference is json.loads followed by
- * model._doc_head.  It declines malformed text rather than raising, and the
- * reference then reads it; only MemoryError propagates.
+ * Two routines at the end of the file have no twin in _ref.py.  The user-name
+ * index name_index, whose reference is the dict of model._name_index.  The
+ * document reader read_head, which builds that index for the users it reads,
+ * and whose reference is json.loads followed by model._doc_head; it declines
+ * malformed text rather than raising, and the reference then reads it; only
+ * MemoryError propagates.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -710,6 +712,185 @@ done:
     return result;
 }
 
+/* ---- the user-name index ------------------------------------------------
+ *
+ * name_index(names) is a NameIndex of a tuple of distinct non-empty
+ * strings, or None when the names are not that.  A NameIndex maps each name
+ * to its position: a read-only mapping with `in`, [], get, len, keys() (the
+ * tuple itself) and iteration in position order.  Its table is open
+ * addressing over int32 positions, keyed by each name's hash and checked
+ * against the tuple, so it holds 8 to 16 bytes a name and no object per name.
+ * A key is found as a dict finds it: same object, or equal hash and ==; an
+ * unhashable key raises TypeError.  It has no _ref.py twin: its reference is
+ * the dict of model._name_index, which serves under the pure-Python backend.
+ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *names;  /* the tuple of names */
+    size_t mask;      /* the table's size less one; the size is a power of 2 */
+    int32_t *slots;   /* a name's position, or -1 for an empty slot */
+} NameIndex;
+
+static PyTypeObject NameIndexType;
+
+/* The position of key, whose hash is h: -1 if it is absent, with *empty set
+   to the slot it would take when empty is given; -2 with an error set. */
+static Py_ssize_t index_probe(const NameIndex *ix, PyObject *key, Py_hash_t h, int32_t **empty)
+{
+    for (size_t i = (size_t)h & ix->mask;; i = (i + 1) & ix->mask) {
+        int32_t p = ix->slots[i];
+        if (p < 0) {
+            if (empty) *empty = &ix->slots[i];
+            return -1;
+        }
+        PyObject *name = PyTuple_GET_ITEM(ix->names, p);
+        if (name == key) return p;
+        Py_hash_t hn = PyObject_Hash(name);  /* cached in a str */
+        if (hn == -1) return -2;
+        if (hn != h) continue;
+        int eq = PyObject_RichCompareBool(name, key, Py_EQ);
+        if (eq) return eq > 0 ? p : -2;
+    }
+}
+
+/* The position of key, -1 if it is absent, -2 with an error set. */
+static Py_ssize_t index_find(const NameIndex *ix, PyObject *key)
+{
+    Py_hash_t h = PyObject_Hash(key);
+    return h == -1 ? -2 : index_probe(ix, key, h, NULL);
+}
+
+/* The NameIndex of the tuple names; NULL with no error set when a name is
+   not a non-empty str or is repeated. */
+static PyObject *index_build(PyObject *names)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(names);
+    if (n > INT32_MAX / 2)
+        return PyErr_Format(PyExc_OverflowError, "%zd names are too many to index", n);
+    size_t size = 8;
+    while (size < 2 * (size_t)n) size <<= 1;
+    NameIndex *ix = PyObject_GC_New(NameIndex, &NameIndexType);
+    if (!ix) return NULL;
+    ix->names = Py_NewRef(names);
+    ix->mask = size - 1;
+    if (!(ix->slots = PyMem_Malloc(size * sizeof(int32_t)))) {
+        Py_DECREF(ix);
+        return PyErr_NoMemory();
+    }
+    memset(ix->slots, 0xff, size * sizeof(int32_t));
+    for (Py_ssize_t p = 0; p < n; p++) {
+        PyObject *name = PyTuple_GET_ITEM(names, p);
+        int32_t *slot;
+        if (!PyUnicode_Check(name) || PyUnicode_GET_LENGTH(name) == 0) goto bad;
+        Py_hash_t h = PyObject_Hash(name);
+        Py_ssize_t at = h == -1 ? -2 : index_probe(ix, name, h, &slot);
+        if (at == -2) {
+            Py_DECREF(ix);
+            return NULL;
+        }
+        if (at >= 0) goto bad;  /* a repeat */
+        *slot = (int32_t)p;
+    }
+    PyObject_GC_Track(ix);
+    return (PyObject *)ix;
+bad:
+    Py_DECREF(ix);
+    return NULL;
+}
+
+static PyObject *name_index(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    PyObject *names = PySequence_Tuple(arg);
+    if (!names) return NULL;
+    PyObject *ix = index_build(names);
+    Py_DECREF(names);
+    return ix || PyErr_Occurred() ? ix : Py_NewRef(Py_None);
+}
+
+static void index_dealloc(NameIndex *ix)
+{
+    PyObject_GC_UnTrack(ix);
+    Py_XDECREF(ix->names);
+    PyMem_Free(ix->slots);
+    PyObject_GC_Del(ix);
+}
+
+static int index_traverse(NameIndex *ix, visitproc visit, void *arg)
+{
+    Py_VISIT(ix->names);
+    return 0;
+}
+
+static Py_ssize_t index_len(NameIndex *ix)
+{
+    return PyTuple_GET_SIZE(ix->names);
+}
+
+static PyObject *index_getitem(NameIndex *ix, PyObject *key)
+{
+    Py_ssize_t p = index_find(ix, key);
+    if (p >= 0) return PyLong_FromSsize_t(p);
+    if (p == -1) {
+        /* as a dict raises it: a tuple key shows as itself */
+        PyObject *args = PyTuple_Pack(1, key);
+        if (args) PyErr_SetObject(PyExc_KeyError, args);
+        Py_XDECREF(args);
+    }
+    return NULL;
+}
+
+static int index_contains(NameIndex *ix, PyObject *key)
+{
+    Py_ssize_t p = index_find(ix, key);
+    return p >= 0 ? 1 : p == -1 ? 0 : -1;
+}
+
+static PyObject *index_get(NameIndex *ix, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2)
+        return PyErr_Format(PyExc_TypeError, "get expected 1 or 2 arguments, got %zd", nargs);
+    Py_ssize_t p = index_find(ix, args[0]);
+    if (p >= 0) return PyLong_FromSsize_t(p);
+    return p == -1 ? Py_NewRef(nargs > 1 ? args[1] : Py_None) : NULL;
+}
+
+static PyObject *index_keys(NameIndex *ix, PyObject *Py_UNUSED(ignored))
+{
+    return Py_NewRef(ix->names);
+}
+
+static PyObject *index_iter(NameIndex *ix)
+{
+    return PyObject_GetIter(ix->names);
+}
+
+static PyMethodDef index_methods[] = {
+    {"get", (PyCFunction)(void (*)(void))index_get, METH_FASTCALL,
+     "The position of a name, or the default (None)."},
+    {"keys", (PyCFunction)index_keys, METH_NOARGS, "The names, as the tuple the index reads."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMappingMethods index_mapping = {
+    .mp_length = (lenfunc)index_len, .mp_subscript = (binaryfunc)index_getitem};
+
+static PySequenceMethods index_sequence = {.sq_contains = (objobjproc)index_contains};
+
+static PyTypeObject NameIndexType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "vapep._kernels._core.NameIndex",
+    .tp_doc = "A read-only name -> position mapping over a tuple of names; see name_index.",
+    .tp_basicsize = sizeof(NameIndex),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_dealloc = (destructor)index_dealloc,
+    .tp_traverse = (traverseproc)index_traverse,
+    .tp_as_mapping = &index_mapping,
+    .tp_as_sequence = &index_sequence,
+    .tp_iter = (getiterfunc)index_iter,
+    .tp_methods = index_methods,
+};
+
 /* ---- instance and plan documents ----------------------------------------
  *
  * read_head(text, names_key, scan_once, cap) reads an instance document
@@ -721,11 +902,13 @@ done:
  * comes out as json.loads gives it.
  *
  * It returns (doc, uindex, masks): doc is the document json.loads gives,
- * less auth.pairs; uindex maps each user to its position; masks holds each
- * user's authorized mask over the names.  It has no _ref.py twin: its
- * reference is json.loads followed by model._doc_head.  On anything outside
- * the subset it reads it declines, returning None, and the caller runs the
- * reference:
+ * less auth.pairs; uindex is the NameIndex of the users (above), built once
+ * the users list is read, which also finds a repeated user and the users of
+ * pairs out of user order, so no dict and no int is made per user; masks
+ * holds each user's authorized mask over the names.  It has no _ref.py
+ * twin: its reference is json.loads followed by model._doc_head.  On
+ * anything outside the subset it reads it declines, returning None, and the
+ * caller runs the reference:
  *   - text that is not ASCII, or a string it reads with an escape or a
  *     control character in it;
  *   - a duplicate key, a missing users list, names list or auth object, or
@@ -834,11 +1017,10 @@ static PyObject *scan_value(Doc *d)
     return v;
 }
 
-/* The list of the array of at most cap non-empty plain strings at the
-   cursor, none repeated, or NULL.  `index`, when given, gets each string's
-   position, which finds the repeats; otherwise each is compared with those
-   before it. */
-static PyObject *read_names(Doc *d, Py_ssize_t cap, PyObject *index)
+/* The list of the array of at most cap plain strings at the cursor, and in
+   *index their NameIndex, which refuses an empty or repeated string; NULL if
+   either is not made. */
+static PyObject *read_names(Doc *d, Py_ssize_t cap, PyObject **index)
 {
     PyObject *list = PyList_New(0);
     int first = 1, step = -1;
@@ -846,20 +1028,18 @@ static PyObject *read_names(Doc *d, Py_ssize_t cap, PyObject *index)
     while ((step = more(d, ']', &first)) == 1) {
         const char *p;
         Py_ssize_t n, at = PyList_GET_SIZE(list);
-        if (at >= cap || !plain(d, &p, &n) || !n) goto fail;
-        for (Py_ssize_t j = 0; !index && j < at; j++)
-            if (same(PyList_GET_ITEM(list, j), p, n)) goto fail;
-        PyObject *s = ascii_str(p, n), *pos = NULL;
+        if (at >= cap || !plain(d, &p, &n)) goto fail;
+        PyObject *s = ascii_str(p, n);
         int ok = s && PyList_Append(list, s) == 0;
-        if (ok && index) {
-            ok = (pos = PyLong_FromSsize_t(at)) && PyDict_SetItem(index, s, pos) == 0
-                 && PyDict_GET_SIZE(index) == at + 1;
-        }
         Py_XDECREF(s);
-        Py_XDECREF(pos);
         if (!ok) goto fail;
     }
-    if (step == 0) return list;
+    if (step == 0) {
+        PyObject *names = PyList_AsTuple(list);
+        *index = names ? index_build(names) : NULL;
+        Py_XDECREF(names);
+        if (*index) return list;
+    }
 fail:
     Py_XDECREF(list);
     return NULL;
@@ -869,7 +1049,7 @@ fail:
    bit into its user's mask.  A pair's user is compared with the user of the
    pair before it and the user after that, and looked up in index
    otherwise.  0 once read, -1 otherwise. */
-static int read_pairs(Doc *d, PyObject *users, PyObject *index, PyObject *names, u64 *masks)
+static int read_pairs(Doc *d, PyObject *users, NameIndex *index, PyObject *names, u64 *masks)
 {
     Py_ssize_t nu = PyList_GET_SIZE(users), nn = PyList_GET_SIZE(names), cur = 0;
     int first = 1, step = -1;
@@ -885,10 +1065,10 @@ static int read_pairs(Doc *d, PyObject *users, PyObject *index, PyObject *names,
                 cur++;
             } else {
                 PyObject *key = ascii_str(u, un);
-                PyObject *pos = key ? PyDict_GetItemWithError(index, key) : NULL;
+                Py_ssize_t at = key ? index_find(index, key) : -2;
                 Py_XDECREF(key);
-                if (!pos) return -1;
-                cur = PyLong_AsSsize_t(pos);
+                if (at < 0) return -1;
+                cur = at;
             }
         }
         while (b < nn && !same(PyList_GET_ITEM(names, b), r, rn)) b++;
@@ -900,7 +1080,7 @@ static int read_pairs(Doc *d, PyObject *users, PyObject *index, PyObject *names,
 
 /* The auth object at the cursor as a dict of its values other than pairs,
    whose bits go to masks; NULL if it is not read. */
-static PyObject *read_auth(Doc *d, PyObject *users, PyObject *index, PyObject *names,
+static PyObject *read_auth(Doc *d, PyObject *users, NameIndex *index, PyObject *names,
                            u64 *masks)
 {
     PyObject *auth = PyDict_New();
@@ -938,11 +1118,11 @@ static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
     if (!PyUnicode_IS_ASCII(text)) Py_RETURN_NONE;
     Doc d = {(const char *)PyUnicode_1BYTE_DATA(text), 0, PyUnicode_GET_LENGTH(text), text,
              scan_once};
-    PyObject *doc = PyDict_New(), *index = PyDict_New(), *users = NULL, *names = NULL;
+    PyObject *doc = PyDict_New(), *index = NULL, *users = NULL, *names = NULL;
     PyObject *auth = NULL, *out = NULL, *result = NULL;
     u64 *masks = NULL;
     int first = 1, step = -1;
-    if (!doc || !index || !take(&d, '{')) goto done;
+    if (!doc || !take(&d, '{')) goto done;
     while ((step = more(&d, '}', &first)) == 1) {
         const char *p;
         Py_ssize_t n;
@@ -951,12 +1131,14 @@ static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
         if (!key) goto done;
         /* users, names and auth stay alive in doc */
         if (n == 5 && !memcmp(p, "users", 5)) {
-            v = users = read_names(&d, PY_SSIZE_T_MAX, index);
+            v = users = read_names(&d, PY_SSIZE_T_MAX, &index);
         } else if (n == key_len && !memcmp(p, key_s, n)) {
-            v = names = read_names(&d, cap < 64 ? cap : 64, NULL);
+            PyObject *names_index = NULL;  /* only its checks are kept */
+            v = names = read_names(&d, cap < 64 ? cap : 64, &names_index);
+            Py_XDECREF(names_index);
         } else if (n == 4 && !memcmp(p, "auth", 4)) {
             if (users && names && (masks = zalloc(PyList_GET_SIZE(users), sizeof(u64))))
-                v = auth = read_auth(&d, users, index, names, masks);
+                v = auth = read_auth(&d, users, (NameIndex *)index, names, masks);
         } else {
             v = scan_value(&d);
         }
@@ -987,6 +1169,8 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"name_index", name_index, METH_O,
+     "The NameIndex of distinct non-empty strings, or None; see model._user_index."},
     {"profile_search", profile_search, METH_VARARGS, "Compiled twin of _ref.profile_search."},
     {"brute_search", brute_search, METH_VARARGS, "Compiled twin of _ref.brute_search."},
     {"plan_search", plan_search, METH_VARARGS, "Compiled twin of _ref.plan_search."},
@@ -1001,7 +1185,9 @@ static struct PyModuleDef module = {.m_base = PyModuleDef_HEAD_INIT, .m_size = -
 
 PyMODINIT_FUNC PyInit__core(void)
 {
+    if (PyType_Ready(&NameIndexType) < 0) return NULL;
     PyObject *m = PyModule_Create(&module);
+    if (m && PyModule_AddObjectRef(m, "NameIndex", (PyObject *)&NameIndexType) < 0) Py_CLEAR(m);
     /* the backend label: meta.backend in the canonical solver output reads
        it, and pinned outputs hold "cython", the name of the earlier build */
     if (m && PyModule_AddStringConstant(m, "NAME", "cython") < 0) Py_CLEAR(m);

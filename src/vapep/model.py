@@ -16,16 +16,20 @@ constraint list in `_constraint_walk` and build the instance in
 reader (`_kernels.doc_reader`) when the compiled backend is selected.  It
 builds the users' index and masks straight from the text, with no object
 per `[user, name]` pair, and the document it returns holds them in place of
-the pairs (`_ReadPairs`).  Text it declines, and every document under the
-pure-Python backend or given to `instance_from_doc` or `wsp_from_doc`, is
-parsed by `json.loads`; `_doc_head` then builds the masks from the pairs,
-in passes that run in C (`map` over dict lookups), and when the pairs name
-every user once, in user order, each mask is just its pair's bit.  A fault
-in the pairs stops those passes, and a walk over the pairs in order reports
-the first one, with the message a per-pair loader would give.  Both routes
-check the rest of the document in the same code, so they give the same
-instance or the same error.  `AuthCost.base` is built from the masks only
-when something reads it.
+the pairs (`_ReadPairs`).  That index is the compiled `NameIndex`, a table
+of positions with no object per user, which every instance keeps as its
+users' index under the compiled backend (`_user_index`); under the
+pure-Python backend it is `_name_index`'s dict.  Text the reader declines,
+and every document under the pure-Python backend or given to
+`instance_from_doc` or `wsp_from_doc`, is parsed by `json.loads`;
+`_doc_head` then builds the masks from the pairs, in passes that run in C
+(`map` over dict lookups), and when the pairs name every user once, in
+user order, each mask is just its pair's bit.  A fault in the pairs stops
+those passes, and a walk over the pairs in order reports the first one,
+with the message a per-pair loader would give.  Both routes check the rest
+of the document in the same code, so they give the same instance or the
+same error.  `AuthCost.base` is built from the masks only when something
+reads it.
 """
 from __future__ import annotations
 
@@ -155,17 +159,26 @@ def _name_index(names) -> dict:
     return index if len(index) == len(names) and "" not in index else {}
 
 
-def _index_names(names, what, cap, index=None) -> tuple[tuple, dict]:
-    """The names as a tuple and a name -> position dict, once the names are
-    checked to be at most `cap` distinct non-empty strings.  `index`, when
-    given, is `_name_index(names)`, already built."""
+def _user_index(users: tuple):
+    """The users' name -> position index: the compiled `NameIndex` when the
+    compiled backend is selected (`_kernels.name_indexer`), 8 to 16 bytes a
+    user against about 70 for a dict and its ints, else `_name_index`'s
+    dict.  Falsy unless the users are distinct non-empty strings."""
+    build = _kernels.name_indexer()
+    return build(users) if build else _name_index(users)
+
+
+def _index_names(names, what, cap, index=None, build=_name_index) -> tuple[tuple, Mapping]:
+    """The names as a tuple and their name -> position index, `build(names)`,
+    once the names are checked to be at most `cap` distinct non-empty
+    strings.  `index`, when given, is that index, already built."""
     names = tuple(names)
     if not names:
         raise ValueError(f"at least one {what} is required")
     if len(names) > cap:
         raise ValueError(f"at most {cap} {what}s are supported")
     if index is None:
-        index = _name_index(names)
+        index = build(names)
     if not index:
         # report the first bad name in list order
         seen = set()
@@ -178,7 +191,7 @@ def _index_names(names, what, cap, index=None) -> tuple[tuple, dict]:
     return names, index
 
 
-def _auth_tables(auth: Optional[AuthCost], tables, users, uindex: dict, names, what: str
+def _auth_tables(auth: Optional[AuthCost], tables, users, uindex: Mapping, names, what: str
                  ) -> tuple[list[int], Optional[list[list[int]]]]:
     """The per-user authorization table of an instance: each user's
     authorized mask over `names`, in user-index order, and the per-(user,
@@ -300,7 +313,7 @@ def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
-def _from_pairs(make: Callable, users, names, pairs, uindex: dict, masks: Optional[list[int]],
+def _from_pairs(make: Callable, users, names, pairs, uindex: Mapping, masks: Optional[list[int]],
                 pp, cons, rows=None, **fields):
     """`make(names, users, cons, auth, **fields)` for a document head that
     `_doc_head` read.  Its base is built from the masks when first read, and
@@ -335,7 +348,8 @@ class Instance:
         self.resources, self._rindex = _index_names(
             self.resources, "resource", MAX_RESOURCES
         )
-        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
+        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex,
+                                                _user_index)
         self.constraints = tuple(self.constraints)
         if len(self.constraints) > MAX_CONSTRAINTS:
             raise ValueError(f"at most {MAX_CONSTRAINTS} constraints are supported")
@@ -366,7 +380,7 @@ class Instance:
         cap, groups = self._groups
         if cap < m:
             masks = self._base_mask
-            short = len(dict.fromkeys(masks))  # groups not yet holding m users
+            short = len(set(masks))  # groups not yet holding m users
             groups = {}
             for u, base in enumerate(masks):
                 group = groups.get(base)
@@ -760,11 +774,12 @@ def _constraint_from_doc(where: str, entry: dict, kind, scope: list) -> Constrai
 
 class _ReadPairs:
     """What a document that the compiled reader read holds in place of its
-    pairs list: the users' index and masks the reader built from the pairs."""
+    pairs list: the users' index (a `NameIndex`) and the masks the reader
+    built from the pairs."""
 
     __slots__ = ("uindex", "masks")
 
-    def __init__(self, uindex: dict, masks: list[int]):
+    def __init__(self, uindex: Mapping, masks: list[int]):
         self.uindex, self.masks = uindex, masks
 
 
@@ -775,7 +790,8 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     items.  Returns the users and names as tuples, the pairs, the users' index
     (`_name_index`), their authorized masks over the names (`_pair_masks`)
     and the pair penalty as given.  Pairs the compiled reader read
-    (`_ReadPairs`) come with their index and masks."""
+    (`_ReadPairs`) come with their index and masks, and the users are the
+    index's tuple, equal to the users list."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document must be a JSON object")
     _reject_unknown(doc, top_keys, what)
@@ -790,6 +806,7 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     users, names = doc["users"], doc[names_key]
     if type(pairs) is _ReadPairs:
         uindex, masks = pairs.uindex, pairs.masks
+        users = uindex.keys()
     elif not isinstance(pairs, list):
         raise ValueError("auth.pairs must be a list")
     else:
@@ -899,6 +916,7 @@ def _load_doc(path: str, from_doc: Callable, names_key: Optional[str] = None, ca
         head = read(text, names_key, _scan_once, cap) if read else None
         if head is None:
             return from_doc(json.loads(text))
+        del text  # not alive next to the instance built from it
         doc, uindex, masks = head
         doc["auth"]["pairs"] = _ReadPairs(uindex, masks)
         return from_doc(doc)

@@ -51,6 +51,7 @@ from .model import (
     _instance_doc,
     _load_doc,
     _row_sum,
+    _user_index,
 )
 
 log = logging.getLogger("vapep.wsp")
@@ -138,7 +139,8 @@ class WspInstance:
     def __post_init__(self, _prebuilt, _monotone, _row_fn):
         uindex, tables = _prebuilt or (None, None)
         self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
-        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex)
+        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex,
+                                                _user_index)
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             names = c.scope[0] + c.scope[1] if c.kind == DISJOINT else c.scope

@@ -530,7 +530,11 @@ def test_compiled_kernel_frees_buffers_on_every_path():
         text + " 1", text[:-30], json.dumps({k: v for k, v in doc.items() if k != "auth"}),
     ]
     scan_once = json.JSONDecoder().scan_once
-    refs_before = [sys.getrefcount(t) for t in [text, scan_once] + declined]
+    names = tuple(f"u{j}" for j in range(40))
+    bad_names = [names + (names[3],), names + ("",), (7,) + names]
+    probes = [names[0], names[-1], "".join(["u", "99"]), 7, None, ("u", 1)]
+    counted = [text, scan_once, names, names[0], probes[2], probes[5]] + declined
+    refs_before = [sys.getrefcount(t) for t in counted]
 
     def rounds(count):
         for _ in range(count):
@@ -560,6 +564,16 @@ def test_compiled_kernel_frees_buffers_on_every_path():
             kb.brute_search(*brute_args)
             with pytest.raises(ValueError):
                 kb.brute_search(*brute_args[:3], [[1] * 8, [1] * 7], *brute_args[4:])
+            index = kb.name_index(names)
+            assert [index.get(p) for p in probes] == [0, 39, None, None, None, None]
+            assert sum(map(index.__contains__, probes)) == 2 and len(list(index)) == 40
+            with pytest.raises(KeyError):
+                index[probes[2]]
+            with pytest.raises(TypeError):
+                index.get([])
+            del index
+            for bad in bad_names:
+                assert kb.name_index(bad) is None
             kb.subset_masks((1 << 64) - 1, 3, 30, 30)  # masks past the cached small ints
             with pytest.raises(ValueError):
                 kb.subset_masks(1 << 64, 3, 30, 30)
@@ -578,4 +592,4 @@ def test_compiled_kernel_frees_buffers_on_every_path():
         tracemalloc.stop()
     # a leaked buffer of even one int64 per round would add 8 kB
     assert grown < 4096, grown
-    assert [sys.getrefcount(t) for t in [text, scan_once] + declined] == refs_before
+    assert [sys.getrefcount(t) for t in counted] == refs_before

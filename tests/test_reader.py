@@ -27,9 +27,12 @@ LOADERS = {"resources": (load_instance, MAX_RESOURCES), "steps": (load_wsp, MAX_
 
 
 def _fields(inst):
-    """Every attribute of a loaded instance, and the order of its dicts."""
+    """Every attribute of a loaded instance, and the order of its dicts.  The
+    users' index, a compiled `NameIndex` on the compiled backend, is
+    compared as the dict it maps."""
     fields = dict(vars(inst))
-    fields["order"] = (list(inst._uindex.items()), list(inst.auth.base.items()),
+    uindex = fields["_uindex"] = dict(inst._uindex)
+    fields["order"] = (list(uindex.items()), list(inst.auth.base.items()),
                        repr(getattr(inst, "meta", None)))
     return fields
 
