@@ -15,6 +15,7 @@ From k=4 up the generator's default cap needs more profiles than the
 solver's guard allows, so pass --ell there.
 """
 import argparse
+import os
 import statistics
 import time
 
@@ -22,7 +23,9 @@ from vapep import GeneratorConfig, available_backends, generate, get_backend, so
 
 
 def time_solve(inst, backend: str, ell) -> tuple[float, int, int]:
-    """Wall time, total weight and kernel nodes of one solve."""
+    """Wall time, total weight and kernel nodes of one solve on the backend,
+    which APEP_KERNEL selects; it stays set for the next solve to replace."""
+    os.environ["APEP_KERNEL"] = backend
     kernel = get_backend(backend)
     search = kernel.profile_search
     nodes = []
@@ -35,7 +38,7 @@ def time_solve(inst, backend: str, ell) -> tuple[float, int, int]:
     kernel.profile_search = counted
     try:
         t0 = time.perf_counter()
-        res = solve(inst, ell=ell, backend=backend)
+        res = solve(inst, ell=ell)
         dt = time.perf_counter() - t0
     finally:
         kernel.profile_search = search

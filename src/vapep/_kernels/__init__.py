@@ -6,20 +6,20 @@ extension ``_core``, when the extension built; otherwise the pure-Python
 twins in ``_ref`` take over.  The compiled backend is named "cython" after
 the tool that once generated it: the name is kept as the backend label in
 solver output, which pinned outputs compare byte for byte.
-APEP_KERNEL=python|cython forces a choice, and solve(..., backend=...)
-overrides per call (the plan solver and the generator take no such
-argument).  Both implementations search and draw in the same order and
-produce identical results.
+APEP_KERNEL=python|cython forces a choice, and it is the only one: every
+routine below follows it, so the label a solver writes names the backend
+that read the file, searched and wrote.  Both implementations search and
+draw in the same order and produce identical results.
 
 Two compiled routines have no twin in ``_ref``.  The document reader
-``_core.read_head`` (`doc_reader`) is what `model` uses to load instance and
-plan documents.  Its reference is ``json.loads`` followed by
-`model._doc_head`, which runs on every document the reader declines.  It
-declines rather than raises on malformed text; only MemoryError propagates.
-The user-name index ``_core.name_index`` (`name_indexer`), a compact
-read-only name -> position mapping, is what instances keep as their users'
-index, and what the reader builds.  Its reference is the dict of
-`model._name_index`, which instances keep under the pure-Python backend.
+``_core.read_head`` is what `model` uses to load instance and plan
+documents.  Its reference is ``json.loads`` followed by `model._doc_head`,
+which runs on every document the reader declines.  It declines rather than
+raises on malformed text; only MemoryError propagates.  The user-name index
+``_core.name_index``, a compact read-only name -> position mapping, is what
+instances keep as their users' index, and what the reader builds.  Its
+reference is the dict of `model._name_index`, which instances keep under
+the pure-Python backend.
 """
 import os
 
@@ -32,7 +32,7 @@ try:
 
     _BACKENDS["cython"] = _core
 except ImportError:
-    _core = None
+    pass
 
 
 def default_backend_name() -> str:
@@ -55,23 +55,7 @@ def available_backends() -> list:
     return sorted(_BACKENDS)
 
 
-def _compiled():
-    """The compiled module when the compiled backend is selected
-    (`default_backend_name`), else None."""
-    if _core is not None and default_backend_name() == "cython":
-        return _core
-    return None
-
-
-def doc_reader():
-    """The compiled document reader when the compiled backend is selected,
-    else None."""
-    core = _compiled()
-    return core.read_head if core else None
-
-
-def name_indexer():
-    """The compiled user-name index builder when the compiled backend is
-    selected, else None."""
-    core = _compiled()
-    return core.name_index if core else None
+def selected_backend():
+    """The selected backend module (`default_backend_name`), or None when
+    APEP_KERNEL names no built backend."""
+    return _BACKENDS.get(default_backend_name())

@@ -398,7 +398,6 @@ static PyObject *brute_search(PyObject *Py_UNUSED(self), PyObject *args)
                 }
                 down = 0; j--; continue;
             }
-            if (omb[j] >= inc) { down = 0; j--; continue; }
             val[j] = 0;  /* empty set first; costs nothing */
             omb[j + 1] = omb[j];
             j++;

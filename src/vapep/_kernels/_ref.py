@@ -258,10 +258,6 @@ def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,
                 down = False
                 j -= 1
                 continue
-            if omb[j] >= inc:
-                down = False
-                j -= 1
-                continue
             val[j] = 0  # empty set first; costs nothing
             omb[j + 1] = omb[j]
             j += 1

@@ -93,20 +93,14 @@ def _solve_via_plan(instance) -> SolveResult:
 
 
 def _cmd_solve(args) -> int:
+    if args.solver != "profile" and (args.ell is not None or args.threads != 1):
+        raise ValueError("--ell/--threads only apply to the profile solver")
     instance = load_instance(args.infile)
     if args.solver == "profile":
-        result = solve(
-            instance, ell=args.ell, threads=args.threads, backend=args.backend
-        )
+        result = solve(instance, ell=args.ell)
     elif args.solver == "brute":
-        if args.ell is not None or args.threads != 1:
-            raise ValueError("--ell/--threads only apply to the profile solver")
-        result = solve_exhaustive(instance, backend=args.backend)
+        result = solve_exhaustive(instance)
     else:
-        if args.ell is not None or args.threads != 1 or args.backend is not None:
-            raise ValueError(
-                "--ell/--threads/--backend only apply to the relation solvers"
-            )
         result = _solve_via_plan(instance)
     _write_text(result.to_json(instance), args.output)
     return 0
@@ -234,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored by the profile solver, which "
                         "runs on one thread; the other solvers take only 1")
-    s.add_argument("--backend", choices=("python", "cython"), default=None,
-                   help="search kernel: pure Python, or the compiled C kernel "
-                        "(labelled 'cython' in output)")
     s.add_argument("-o", "--out", dest="output", default=None)
     s.set_defaults(func=_cmd_solve)
 

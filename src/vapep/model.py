@@ -13,7 +13,7 @@ plans.  Both loaders read the document head in `_doc_head`, walk the
 constraint list in `_constraint_walk` and build the instance in
 `_from_pairs`; both writers write through `_instance_doc` and `_dump_doc`.
 `load_instance` and `wsp.load_wsp` hand the file's text to the compiled
-reader (`_kernels.doc_reader`) when the compiled backend is selected.  It
+reader (`_core.read_head`) when the compiled backend is selected.  It
 builds the users' index and masks straight from the text, with no object
 per `[user, name]` pair, and the document it returns holds them in place of
 the pairs (`_ReadPairs`).  That index is the compiled `NameIndex`, a table
@@ -142,15 +142,6 @@ def _auth_of_masks(masks: list[int], users, names, pair_penalty) -> AuthCost:
     return _lazy_auth(partial(_masks_base, masks, users, names), pair_penalty)
 
 
-def _auth_with_penalty(auth: AuthCost, pair_penalty) -> AuthCost:
-    """An AuthCost holding auth's base and the given pair penalty.  A base
-    that auth has not built yet is built from the same masks when read."""
-    build = auth.__dict__.get("_build_base")
-    if build is None:
-        return AuthCost(dict(auth.base), pair_penalty)
-    return _lazy_auth(build, pair_penalty)
-
-
 def _name_index(names) -> dict:
     """name -> position if the names are distinct non-empty strings, else {}."""
     if not all(map(isinstance, names, repeat(str))):
@@ -161,11 +152,10 @@ def _name_index(names) -> dict:
 
 def _user_index(users: tuple):
     """The users' name -> position index: the compiled `NameIndex` when the
-    compiled backend is selected (`_kernels.name_indexer`), 8 to 16 bytes a
-    user against about 70 for a dict and its ints, else `_name_index`'s
-    dict.  Falsy unless the users are distinct non-empty strings."""
-    build = _kernels.name_indexer()
-    return build(users) if build else _name_index(users)
+    compiled backend is selected (`_core.name_index`), 8 to 16 bytes a user
+    against about 70 for a dict and its ints, else `_name_index`'s dict.
+    Falsy unless the users are distinct non-empty strings."""
+    return getattr(_kernels.selected_backend(), "name_index", _name_index)(users)
 
 
 def _index_names(names, what, cap, index=None, build=_name_index) -> tuple[tuple, Mapping]:
@@ -907,12 +897,12 @@ def _load_doc(path: str, from_doc: Callable, names_key: Optional[str] = None, ca
     """from_doc applied to the JSON document at path, with the cyclic
     collector paused (`_gc_paused`).  An instance or plan document, whose
     `names_key` and name cap are given, goes to the compiled reader when it
-    is selected (`_kernels.doc_reader`); json.loads parses what the reader
+    is selected (`_core.read_head`); json.loads parses what the reader
     declines, and every other document."""
     with _gc_paused():
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        read = _kernels.doc_reader() if names_key else None
+        read = getattr(_kernels.selected_backend(), "read_head", None) if names_key else None
         head = read(text, names_key, _scan_once, cap) if read else None
         if head is None:
             return from_doc(json.loads(text))

@@ -17,7 +17,7 @@ import math
 from typing import Iterable, Mapping, Optional
 
 from .constraints import MAX_PENALTY, card_lb, sod_u, user_count
-from .model import GuardError, Instance, _auth_with_penalty
+from .model import GuardError, Instance, _auth_of_masks
 from .wsp import MUST_DIFFER, WspInstance, must_differ
 
 log = logging.getLogger("vapep.resiliency")
@@ -51,7 +51,7 @@ def encode_resilient(
         resources=wsp.steps,
         users=wsp.users,
         constraints=tuple(cons),
-        auth=_auth_with_penalty(wsp.auth, p_a),
+        auth=_auth_of_masks(wsp._base_mask, wsp.users, wsp.steps, p_a),
         _prebuilt=(wsp._uindex, (wsp._base_mask, None)),
     )
 
@@ -67,7 +67,7 @@ def wsp_from_encoded(instance: Instance) -> WspInstance:
         steps=instance.resources,
         users=instance.users,
         constraints=cons,
-        auth=_auth_with_penalty(instance.auth, 1),
+        auth=_auth_of_masks(instance._base_mask, instance.users, instance.resources, 1),
         _prebuilt=(instance._uindex, (instance._base_mask, None)),
     )
 

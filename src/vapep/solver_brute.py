@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Optional
 
 from . import _kernels
 from .matching import INF
@@ -20,7 +19,7 @@ log = logging.getLogger("vapep.solver")
 MAX_RELATIONS_LOG2 = 24
 
 
-def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> SolveResult:
+def solve_exhaustive(instance: Instance) -> SolveResult:
     """Minimum-weight complete relation by full enumeration.
 
     The brute kernel walks every relation for the optimum's weight; the
@@ -37,7 +36,7 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
         )
     # the relation comes from solve(ell=n), so its guard applies first
     check_preparation(k, n, len(instance.constraints))
-    kb = _kernels.get_backend(backend)
+    kb = _kernels.get_backend()
     subs_all = [0] + subset_order(k)
     # costs capped at INF, which no relation that holds one can beat, so
     # that the compiled kernel's int64 holds them
@@ -50,7 +49,7 @@ def solve_exhaustive(instance: Instance, backend: Optional[str] = None) -> Solve
         n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes, ptables
     )
     # raises ValueError(TOO_HEAVY) when the enumeration found nothing below INF
-    canonical = solve(instance, ell=n, backend=backend)
+    canonical = solve(instance, ell=n)
     if canonical.total_weight != best_total:
         raise RuntimeError(f"internal: brute optimum {best_total} != profile "
                            f"optimum {canonical.total_weight}")

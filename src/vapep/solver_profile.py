@@ -304,12 +304,7 @@ def default_ell(instance: Instance) -> int:
     return min(instance.n, max(instance.k, sug))
 
 
-def solve(
-    instance: Instance,
-    ell: Optional[int] = None,
-    threads: int = 1,
-    backend: Optional[str] = None,
-) -> SolveResult:
+def solve(instance: Instance, ell: Optional[int] = None) -> SolveResult:
     """Exact minimum-weight complete relation via profile search.
 
     The kernel searches complete profiles with at most ell users by branch
@@ -321,8 +316,8 @@ def solve(
     that work (nodes, leaves, bound cuts and `evaluate` calls) goes to the
     log at INFO level.
 
-    `threads` is accepted for compatibility and has no effect: the search
-    runs on one thread, and the result is the same for every value.
+    The search runs in the kernel that APEP_KERNEL selects
+    (`_kernels.get_backend`), whose name goes to `meta["backend"]`.
 
     Raises GuardError, before any authorization cost is read or any
     per-subset table is built, when the profile space exceeds MAX_PROFILES
@@ -334,7 +329,7 @@ def solve(
         L = default_ell(instance)
     else:
         L = max(1, min(n, int(ell)))
-    kb = _kernels.get_backend(backend)
+    kb = _kernels.get_backend()
     total_profiles = count_profiles(k, L)
     if total_profiles > MAX_PROFILES:
         raise GuardError(

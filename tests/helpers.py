@@ -13,6 +13,17 @@ import vapep
 
 
 # --------------------------------------------------------------------------
+# kernel selection, for tests that run on every built backend
+
+def each_kernel(monkeypatch):
+    """Set APEP_KERNEL to each built kernel backend in turn, yielding its
+    name."""
+    for name in vapep.available_backends():
+        monkeypatch.setenv("APEP_KERNEL", name)
+        yield name
+
+
+# --------------------------------------------------------------------------
 # penalty curves and constraint weights, recomputed from the definitions
 
 def pen_value(spec, z: int) -> int:

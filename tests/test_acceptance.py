@@ -257,24 +257,21 @@ def test_criterion_10_clean_optima_are_resilient():
     assert not helpers.plan_exists_flat(w, left)
 
 
-def test_criterion_11_everything_is_deterministic():
+def test_criterion_11_everything_is_deterministic(monkeypatch):
     rng = random.Random(9111)
-    # relation solvers: byte-identical result documents across runs and
-    # thread counts at fixed flags; backends agree on everything except the
-    # provenance field naming the kernel that ran
+    # relation solvers: byte-identical result documents across runs at
+    # fixed flags; backends agree on everything except the provenance field
+    # naming the kernel that ran
     for _ in range(10):
         inst = helpers.rand_instance(rng, n_max=5, k_max=3)
         payloads = set()
-        for b in vapep.available_backends():
-            docs = {
-                solve(inst, ell=inst.n, threads=t, backend=b).to_json(inst)
-                for t in (1, 8)
-                for _ in range(2)
-            }
+        for b in helpers.each_kernel(monkeypatch):
+            docs = {solve(inst, ell=inst.n).to_json(inst) for _ in range(2)}
             assert len(docs) == 1
-            doc = solve(inst, ell=inst.n, backend=b).to_doc(inst)
+            doc = solve(inst, ell=inst.n).to_doc(inst)
             assert doc["meta"].pop("backend") == b
             payloads.add(canonical_json(doc))
+        monkeypatch.undo()  # the rest runs on the default kernel
         assert len(payloads) == 1
         assert len({solve_exhaustive(inst).to_json(inst) for _ in range(2)}) == 1
     # plan solver: identical plans and weights across runs

@@ -80,18 +80,60 @@ def test_solve_profile_vs_brute(tmp_path):
     assert db["meta"]["solver"] == "brute"
 
 
-def test_solve_flag_combinations(tmp_path):
+def test_solve_flag_combinations(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     rng = random.Random(5151)
     dump_instance(
         helpers.rand_instance(rng, n_max=3, k_max=2, linear_only=True),
         str(inst_file),
     )
-    assert run("solve", "--in", str(inst_file), "--solver", "brute", "--ell", "2") == 2
-    assert run("solve", "--in", str(inst_file), "--solver", "brute", "--threads", "4") == 2
-    assert run("solve", "--in", str(inst_file), "--solver", "wsp", "--ell", "2") == 2
-    assert run("solve", "--in", str(inst_file), "--solver", "wsp",
-               "--backend", "python") == 2
+    for flags in (["--solver", "brute", "--ell", "2"], ["--solver", "brute", "--threads", "4"],
+                  ["--solver", "wsp", "--ell", "2"]):
+        assert run("solve", "--in", str(inst_file), *flags) == 2
+        assert capsys.readouterr().err == (
+            "error: --ell/--threads only apply to the profile solver\n")
+    # APEP_KERNEL is the only kernel switch
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--in", str(inst_file), "--backend", "python")
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --backend python" in capsys.readouterr().err
+
+
+@pytest.mark.skipif("cython" not in vapep.available_backends(),
+                    reason="the compiled kernel is not built")
+def test_apep_kernel_selects_reader_index_and_search(tmp_path, monkeypatch):
+    # under APEP_KERNEL=python, `vapep solve` reads the file with json.loads,
+    # keeps a dict as the users' index and searches in Python; by default it
+    # does all three in the compiled kernel, and meta.backend names it
+    from vapep import cli
+    from vapep._kernels import _core
+
+    inst_file, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run("generate", "--n", "30", "--k", "3", "--seed", "2", "-o", str(inst_file)) == 0
+    reads, loaded = [], []
+    read_head, load_instance = _core.read_head, cli.load_instance
+
+    def counted_read(*args):
+        reads.append(args[1])
+        return read_head(*args)
+
+    def kept_load(path):
+        loaded.append(load_instance(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(_core, "read_head", counted_read)
+    monkeypatch.setattr(cli, "load_instance", kept_load)
+    for kernel, want_reads, index_type in (("python", [], dict),
+                                           (None, ["resources"], _core.NameIndex)):
+        if kernel:
+            monkeypatch.setenv("APEP_KERNEL", kernel)
+        else:
+            monkeypatch.delenv("APEP_KERNEL", raising=False)
+        reads.clear()
+        assert run("solve", "--in", str(inst_file), "-o", str(out)) == 0
+        assert reads == want_reads
+        assert type(loaded[-1]._uindex) is index_type
+        assert json.loads(out.read_text())["meta"]["backend"] == (kernel or "cython")
 
 
 def test_solve_wsp_matches_profile(tmp_path):

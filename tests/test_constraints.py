@@ -42,6 +42,10 @@ def test_penalty_validation():
         PenaltySpec.from_table([3, 2])  # decreasing
     with pytest.raises(ValueError):
         PenaltySpec.from_table([0, 1])  # f(1) must be positive
+    for entry in (1.5, True, "2"):
+        with pytest.raises(ValueError) as err:
+            PenaltySpec.from_table([1, entry])
+        assert str(err.value) == "penalty table entries must be integers"
 
 
 def test_penalty_monotone_sampled():
@@ -81,6 +85,24 @@ def test_constraint_scopes_are_resource_names(kind, scope, extra):
     if kind == "sod_u" and not isinstance(scope, str):
         with pytest.raises(ValueError, match="sod_u scope"):
             vapep.sod_u(*scope)
+
+
+@pytest.mark.parametrize("kind, scope, extra, message", [
+    ("sod_x", ("r1", "r2"), {}, "unknown constraint kind 'sod_x'"),
+    ("card_ub", ("r1", "r2"), {"t": 1}, "card_ub applies to a single resource"),
+    ("card_lb", ("r1",), {"t": 1.5}, "card_lb needs an integer threshold"),
+    ("card_lb", ("r1",), {"t": True}, "card_lb needs an integer threshold"),
+    ("user_count", ("r1",), {}, "user_count ranges over all resources; no scope"),
+    ("sod_u", ("r1", "r2"), {"ell": 2}, "sod_u does not take a flat penalty"),
+    ("bod_e", ("r1", "r2"), {"spec": PenaltySpec.linear(2)},
+     "bod_e takes a flat penalty, not a curve"),
+    ("user_count", (), {"quadratic": True, "spec": PenaltySpec.linear(2)},
+     "user_count is either quadratic or linear"),
+])
+def test_constraint_rejects_fields_its_kind_does_not_take(kind, scope, extra, message):
+    with pytest.raises(ValueError) as err:
+        vapep.Constraint(kind, scope, **extra)
+    assert str(err.value) == message
 
 
 def test_eval_relation_pinned_examples():

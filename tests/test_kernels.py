@@ -60,12 +60,12 @@ def test_backend_env_override(monkeypatch):
 
 
 @needs_compiler
-def test_profile_solver_backends_bit_identical():
+def test_profile_solver_backends_bit_identical(monkeypatch):
     rng = random.Random(61)
     for _ in range(25):
         inst = helpers.rand_instance(rng, n_max=6, k_max=3)
-        ref = vapep.solve(inst, backend="python")
-        fast = vapep.solve(inst, backend="cython")
+        # each_kernel sets "cython", then "python"
+        fast, ref = (vapep.solve(inst) for _ in helpers.each_kernel(monkeypatch))
         assert ref.total_weight == fast.total_weight
         assert ref.meta["profiles_enumerated"] == fast.meta["profiles_enumerated"]
         assert {u: ref.relation.resources_of(u) for u in inst.users} == {
@@ -75,12 +75,12 @@ def test_profile_solver_backends_bit_identical():
 
 
 @needs_compiler
-def test_brute_solver_backends_bit_identical():
+def test_brute_solver_backends_bit_identical(monkeypatch):
     rng = random.Random(62)
     for _ in range(25):
         inst = helpers.rand_instance(rng, n_max=4, k_max=3)
-        ref = vapep.solve_exhaustive(inst, backend="python")
-        fast = vapep.solve_exhaustive(inst, backend="cython")
+        # each_kernel sets "cython", then "python"
+        fast, ref = (vapep.solve_exhaustive(inst) for _ in helpers.each_kernel(monkeypatch))
         assert ref.total_weight == fast.total_weight
         assert ref.meta["relations_enumerated"] == fast.meta["relations_enumerated"]
         assert {u: ref.relation.resources_of(u) for u in inst.users} == {

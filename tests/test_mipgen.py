@@ -317,13 +317,36 @@ def test_eval_rejects_parsed_and_unknown_names():
     inst = sod_fixture()
     f = build_naive(inst)
     parsed = parse_lp(export_lp(f))
-    rel = AuthorizationRelation.from_mapping({"u1": ["r1"], "u2": ["r2"]})
-    with pytest.raises(ValueError):
-        eval_at(parsed, rel)
-    with pytest.raises(ValueError):
-        eval_at(f, AuthorizationRelation.from_mapping({"ghost": ["r1"]}))
-    with pytest.raises(ValueError):
-        eval_at(f, AuthorizationRelation.from_mapping({"u1": ["nope"]}))
+    for form, mapping, message in (
+        (parsed, {}, "evaluation needs a built formulation, not a parsed one"),
+        (f, {"ghost": ["r1"]}, "relation mentions unknown user 'ghost'"),
+        (f, {"u1": ["nope"]}, "relation mentions unknown resource 'nope'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            eval_at(form, AuthorizationRelation.from_mapping(mapping))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, mapping, message", [
+    ([Row("f", ((2, "y"),), "=", 1)], {}, "row f pins y to a fraction"),
+    ([Row("a", ((1, "y"),), "=", 1), Row("b", ((1, "y"),), "=", 2)], {},
+     "conflicting pins for y"),
+    ([], {}, "could not resolve variables: ['y']"),
+    ([Row("y", ((1, "y"),), "=", 0), Row("e", ((1, "x_r1_u1"),), "=", 0)], {"u1": ["r1"]},
+     "row e violated: 1 != 0"),
+    ([Row("y", ((1, "y"),), "=", 0), Row("g", ((1, "x_r1_u1"),), ">=", 1)], {},
+     "row g violated: 0 < 1"),
+], ids=["fraction", "conflicting pins", "unresolved", "equality violated",
+        "inequality violated"])
+def test_eval_rejects_rows_it_cannot_settle(rows, mapping, message):
+    # one assignment variable, fixed by the relation, and one variable y
+    # that only the rows can settle
+    f = Formulation(name="f", kind="naive", objective=((1, "y"),),
+                    vars={"x_r1_u1": Var("x_r1_u1", binary=True), "y": Var("y")},
+                    rows=rows, resources=("r1",), users=("u1",))
+    with pytest.raises(ValueError) as err:
+        eval_at(f, AuthorizationRelation.from_mapping(mapping))
+    assert str(err.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -377,14 +400,18 @@ def test_parse_lp_pins_structure():
 
 
 def test_parse_lp_errors():
-    with pytest.raises(ValueError):
-        parse_lp("stray\nMinimize\n obj:\nEnd\n")
-    with pytest.raises(ValueError):
-        parse_lp("Minimize\n obj:\nSubject To\n r1: 1 x 5\nEnd\n")
-    with pytest.raises(ValueError):
-        parse_lp("Minimize\n obj:\nEnd\ntrailing\n")
-    with pytest.raises(ValueError):
-        parse_lp("Minimize\n obj: 1 2 x\nEnd\n")
+    for text, message in (
+        ("stray\nMinimize\n obj:\nEnd\n", "content before Minimize: 'stray'"),
+        ("Minimize\n obj:\nSubject To\n r1: 1 x 5\nEnd\n", "row without sense: 'r1: 1 x 5'"),
+        ("Minimize\n obj:\nEnd\ntrailing\n", "content after End: 'trailing'"),
+        ("Minimize\n obj: 1 2 x\nEnd\n", "two coefficients in a row near '2'"),
+        ("Minimize\n cost: 1 x\nEnd\n", "unexpected objective label 'cost'"),
+        ("Minimize\n obj: 1 x 2\nEnd\n", "dangling coefficient in expression"),
+        ("Minimize\n obj: 1 x\nBounds\n x <= 4\nEnd\n", "unsupported bound line: 'x <= 4'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_lp(text)
+        assert str(err.value) == message
 
 
 def test_generated_instance_exports():

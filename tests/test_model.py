@@ -306,6 +306,10 @@ def test_table_penalties_are_not_serializable():
     )
     with pytest.raises(ValueError):
         instance_to_doc(inst)
+    custom = Instance(("r1",), ("u1",), (), AuthCost({}, 1, custom=lambda u, rs: 0))
+    with pytest.raises(ValueError) as err:
+        instance_to_doc(custom)
+    assert str(err.value) == "custom authorization costs are not serializable"
 
 
 def test_instance_json_rejects_unknown_fields():
@@ -368,6 +372,24 @@ def test_relation_doc_roundtrip():
         }
     with pytest.raises(ValueError):
         relation_from_doc({"assignment": {"u1": ["r1"]}, "x": 1}, inst)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "relation document must be a JSON object"),
+    ({}, "relation needs an 'assignment' object"),
+    ({"assignment": [["u1", "a"]]}, "relation needs an 'assignment' object"),
+    ({"assignment": {"u1": ["c"]}}, "relation mentions unknown resource 'c'"),
+], ids=["not an object", "no assignment", "a list as assignment", "unknown resource"])
+def test_load_relation_reads_and_checks_the_file(tmp_path, doc, message):
+    inst = Instance(("a", "b"), ("u1", "u2"), (), AuthCost({"u1": frozenset("ab")}))
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"assignment": {"u2": ["b", "a"]}}))
+    rel = vapep.load_relation(str(path), inst)
+    assert rel.assignment == {"u2": frozenset("ab")}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        vapep.load_relation(str(path), inst)
+    assert str(err.value) == message
 
 
 def test_relation_doc_needs_lists_of_resource_names():
@@ -944,6 +966,14 @@ def test_loaders_reject_pair_penalties_that_are_not_integers(pp):
     ({"constraints": [], "meta": []}, "meta must be an object"),
     ({"constraints": 5, "auth": {"pair_penalty": [[1]]}},
      "pair_penalty matrix must be |users| x |resources|"),
+    ({"constraints": [{"type": "sod_u", "scope": ["r0", "r1"], "t": 2}]},
+     "constraints[0]: field 't' not valid for sod_u"),
+    ({"constraints": [{"type": "sod_e", "scope": ["r0", "r1"], "slope": 2}]},
+     "constraints[0]: field 'slope' not valid for sod_e"),
+    ({"constraints": [{"type": "card_lb", "scope": ["r0"]}]},
+     "constraints[0]: card_lb needs a threshold t"),
+    ({"constraints": [{"type": "user_count", "scope": ["r0"]}]},
+     "constraints[0]: user_count takes no scope"),
 ])
 def test_instance_loader_checks_the_constraint_list(change, message):
     # the messages and their order; the set-based reference loader shares

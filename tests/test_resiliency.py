@@ -14,6 +14,7 @@ from vapep import (
     solve,
     wsp_from_encoded,
 )
+from vapep.constraints import MAX_PENALTY
 
 import helpers
 
@@ -83,6 +84,11 @@ def test_encode_rejects_bad_input():
         encode_resilient(w, -1)
     with pytest.raises(ValueError):
         encode_resilient(w, True)
+    # tau + 1 becomes a card_lb threshold, which MAX_PENALTY caps
+    encode_resilient(w, MAX_PENALTY - 1)
+    with pytest.raises(ValueError) as err:
+        encode_resilient(w, MAX_PENALTY)
+    assert str(err.value) == "tau is too large"
 
 
 def test_roundtrip_recovers_plan_instance():

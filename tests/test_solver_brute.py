@@ -86,6 +86,7 @@ def test_weight_disagreement_raises(monkeypatch):
         return best_total + 1, best, leaves
 
     monkeypatch.setattr(_ref, "brute_search", heavier)
+    monkeypatch.setenv("APEP_KERNEL", "python")
     inst = Instance(("r1",), ("u1", "u2"), (), AuthCost({}, 3))
     with pytest.raises(RuntimeError, match="brute optimum 4 != profile optimum 3"):
-        solve_exhaustive(inst, backend="python")
+        solve_exhaustive(inst)

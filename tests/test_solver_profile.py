@@ -70,10 +70,11 @@ def test_enumeration_is_lexicographic_and_well_formed():
 
 
 def test_enumerate_profiles_guards():
-    with pytest.raises(ValueError):
-        list(enumerate_profiles(2, 3, n=2))
-    with pytest.raises(ValueError):
-        list(enumerate_profiles(2, -1, n=2))
+    for k, ell, n, message in ((2, 3, 2, "ell=3 exceeds the number of users n=2"),
+                               (2, -1, 2, "need ell >= 0"), (0, 1, 2, "need k >= 1")):
+        with pytest.raises(ValueError) as err:
+            list(enumerate_profiles(k, ell, n=n))
+        assert str(err.value) == message
 
 
 def test_enumerate_complete_examples():
@@ -125,6 +126,18 @@ def test_best_relation_single_slot_picks_cheapest_user():
     assert weight == 0
     assert rel.resources_of("u1") == frozenset({"r1"})
     assert not rel.resources_of("u2")
+
+
+@pytest.mark.parametrize("usr, message", [
+    (UserProfile({1: 1}, ("r2",)), "profile resources do not match the instance"),
+    (UserProfile({2: 1}), "profile mask 2 out of range for k=1"),
+    (UserProfile({1: 3}), "profile assigns more users than the instance has"),
+], ids=["other resources", "mask out of range", "too many users"])
+def test_best_relation_rejects_a_profile_of_another_instance(usr, message):
+    inst = Instance(("r1",), ("u1", "u2"), (), AuthCost({"u1": frozenset({"r1"})}, 5))
+    with pytest.raises(ValueError) as err:
+        best_relation_for_profile(inst, usr)
+    assert str(err.value) == message
 
 
 def test_best_relation_profile_roundtrip():
@@ -227,26 +240,14 @@ def test_solve_respects_user_cap_size():
         assert res.relation.size() <= ell * inst.k
 
 
-def test_solve_threads_give_identical_results():
-    rng = random.Random(45)
-    for _ in range(10):
-        inst = helpers.rand_instance(rng, n_max=6, k_max=3, n_min=2)
-        docs = {
-            vapep.canonical_json(solve(inst, threads=t).to_doc(inst))
-            for t in (1, 2, 4)
-        }
-        assert len(docs) == 1
-
-
-def test_solve_backends_agree():
+def test_solve_backends_agree(monkeypatch):
     rng = random.Random(46)
-    names = vapep.available_backends()
-    assert "python" in names
+    assert "python" in vapep.available_backends()
     for _ in range(10):
         inst = helpers.rand_instance(rng, n_max=5, k_max=3)
         docs = set()
-        for name in names:
-            res = solve(inst, backend=name)
+        for name in helpers.each_kernel(monkeypatch):
+            res = solve(inst)
             assert res.meta["backend"] == name
             doc = res.to_doc(inst)
             doc["meta"].pop("backend")
@@ -255,10 +256,11 @@ def test_solve_backends_agree():
 
 
 @pytest.mark.parametrize("backend", vapep.available_backends())
-def test_solve_matches_unbounded_first_optimum(backend):
+def test_solve_matches_unbounded_first_optimum(backend, monkeypatch):
     # the bounded search keeps the profile a full enumeration keeps: the
     # same relation and weight on every constraint kind, penalty tables,
     # uniform, per-pair and custom authorization costs
+    monkeypatch.setenv("APEP_KERNEL", backend)
     rng = random.Random(47)
     kinds, costs, tested = set(), set(), 0
     for i in range(320):
@@ -269,7 +271,7 @@ def test_solve_matches_unbounded_first_optimum(backend):
         if i % 5 == 0:
             inst = helpers.with_custom_cost(rng, inst)
         ell = rng.randint(1, inst.n)
-        res = solve(inst, ell=ell, backend=backend)
+        res = solve(inst, ell=ell)
         rel, weight = helpers.first_optimum(inst, ell)
         assert res.total_weight == weight, i
         assert res.relation.assignment == rel.assignment, i
@@ -283,7 +285,7 @@ def test_solve_matches_unbounded_first_optimum(backend):
 
 
 @pytest.mark.parametrize("backend", vapep.available_backends())
-def test_card_lb_on_the_level_being_counted(backend):
+def test_card_lb_on_the_level_being_counted(backend, monkeypatch):
     # r1's last level is the full mask, whose children are leaves: there
     # the card_lb shortfall falls as the count grows, so a leaf that fails
     # the bound must not end the count loop, or a later optimum is missed
@@ -291,21 +293,23 @@ def test_card_lb_on_the_level_being_counted(backend):
             "u4": {"r1", "r2", "r3"}, "u5": {"r1", "r2", "r3"}}
     inst = Instance(("r1", "r2", "r3"), tuple(base), (vapep.card_lb("r1", 3, 9),),
                     AuthCost(base, 1))
-    res = solve(inst, ell=3, backend=backend)
+    monkeypatch.setenv("APEP_KERNEL", backend)
+    res = solve(inst, ell=3)
     rel, weight = helpers.first_optimum(inst, 3)
     assert res.total_weight == weight == 0
     assert res.relation.assignment == rel.assignment
 
 
 @pytest.mark.parametrize("backend", vapep.available_backends())
-def test_linear_user_count_with_a_penalty_table(backend):
+def test_linear_user_count_with_a_penalty_table(backend, monkeypatch):
     # the kernels read a user_count's table as they read any other's
     spec = vapep.PenaltySpec.from_table([5, 6], 1)
     uc = vapep.Constraint("user_count", (), spec=spec)
     base = {"u1": {"a"}, "u2": {"b"}, "u3": {"a", "b"}}
     inst = Instance(("a", "b"), tuple(base), (uc,), AuthCost(base, 10))
     rel, weight = helpers.first_optimum(inst, 3)
-    for res in [solve(inst, backend=backend), vapep.solve_exhaustive(inst, backend=backend)]:
+    monkeypatch.setenv("APEP_KERNEL", backend)
+    for res in [solve(inst), vapep.solve_exhaustive(inst)]:
         assert res.total_weight == weight == 5
         assert res.relation.assignment == rel.assignment
 
@@ -322,9 +326,9 @@ def _evaluate_bound_instance():
     return Instance(resources, users, tuple(cons), AuthCost(base, rng.randint(2, 6)))
 
 
-def test_evaluate_bound_instance_pinned():
+def test_evaluate_bound_instance_pinned(monkeypatch):
     inst = _evaluate_bound_instance()
-    results = [solve(inst, ell=14, backend=b) for b in vapep.available_backends()]
+    results = [solve(inst, ell=14) for _ in helpers.each_kernel(monkeypatch)]
     assert [r.total_weight for r in results] == [48] * len(results)
     assert len({frozenset(r.relation.assignment.items()) for r in results}) == 1
 
@@ -513,7 +517,7 @@ def test_solve_refuses_a_huge_preparation_before_building_it():
 
 
 @pytest.mark.parametrize("weight", [1 << 62, 1 << 63, 1 << 70])
-def test_optima_at_or_past_two_to_the_62_raise(weight):
+def test_optima_at_or_past_two_to_the_62_raise(weight, monkeypatch):
     # the searches start from 2^62 as their incumbent; an optimum that heavy
     # used to surface as a TypeError or an internal RuntimeError, and costs
     # past int64 as an OverflowError from the compiled kernels
@@ -523,24 +527,23 @@ def test_optima_at_or_past_two_to_the_62_raise(weight):
     )
     plan = vapep.WspInstance(("s1", "s2"), ("u1", "u2"), (vapep.must_differ("s1", "s2"),),
                              cost_fn=lambda ui, mask: weight)
-    runs = [lambda: vapep.solve_wsp(plan)]
-    for backend in vapep.available_backends():
-        runs.append(lambda b=backend: solve(inst, backend=b))
-        runs.append(lambda b=backend: vapep.solve_exhaustive(inst, backend=b))
-    for run in runs:
-        with pytest.raises(ValueError, match=r"2\^62"):
-            run()
+    with pytest.raises(ValueError, match=r"2\^62"):
+        vapep.solve_wsp(plan)
+    for _ in helpers.each_kernel(monkeypatch):
+        for run in (solve, vapep.solve_exhaustive):
+            with pytest.raises(ValueError, match=r"2\^62"):
+                run(inst)
 
 
-def test_optimum_just_below_two_to_the_62_is_found():
+def test_optimum_just_below_two_to_the_62_is_found(monkeypatch):
     top = (1 << 62) - 1
     inst = Instance(
         ("r1",), ("u1", "u2"), (),
         AuthCost({}, 1, custom=lambda u, rs: (top if u == "u2" else 1 << 62) if rs else 0),
     )
-    for backend in vapep.available_backends():
-        assert solve(inst, backend=backend).total_weight == top
-        assert vapep.solve_exhaustive(inst, backend=backend).total_weight == top
+    for _ in helpers.each_kernel(monkeypatch):
+        assert solve(inst).total_weight == top
+        assert vapep.solve_exhaustive(inst).total_weight == top
     plan = vapep.WspInstance(("s1",), ("u1", "u2"), (),
                              cost_fn=lambda ui, mask: top if ui == 1 else 1 << 62)
     assert vapep.solve_wsp(plan) == ({"s1": "u2"}, top)

@@ -65,6 +65,11 @@ def test_wsp_constraint_validation():
         WspInstance(("s1",), ("u1",), (must_equal("s1", "s9"),), AuthCost({}))
     with pytest.raises(ValueError):
         WspInstance(("s1",), ("u1",), (), None)
+    w = WspInstance(("s1", "s2"), ("u1",), (), AuthCost({}))
+    assert w.step_mask(["s2"]) == 2
+    with pytest.raises(ValueError) as err:
+        w.step_mask(["s1", "s9"])
+    assert str(err.value) == "unknown step 's9'"
 
 
 @pytest.mark.parametrize("make, message", [
@@ -74,10 +79,14 @@ def test_wsp_constraint_validation():
     (lambda: WspConstraint(MUST_EQUAL, "ab"), "must_equal scope must be two step names"),
     (lambda: must_differ("s1", ["s2"]), "must_differ scope must be two step names"),
     (lambda: must_equal("s1", 2), "must_equal scope must be two step names"),
+    (lambda: WspConstraint(DISJOINT, (["s1"],)), "disjoint needs two step groups"),
+    (lambda: WspConstraint(DISJOINT, (["s1"], ["s2"]), spec=2),
+     "disjoint needs a penalty curve"),
 ])
 def test_wsp_constraint_scopes_are_step_names(make, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         make()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind", [MUST_EQUAL, MUST_DIFFER])
@@ -246,21 +255,13 @@ def rand_diff_wsp(rng):
     return WspInstance(steps, users, tuple(cons), AuthCost(base, rng.randint(1, 3)))
 
 
-def each_kernel(monkeypatch):
-    """Set APEP_KERNEL to each built kernel backend in turn, yielding its
-    name."""
-    for name in vapep.available_backends():
-        monkeypatch.setenv("APEP_KERNEL", name)
-        yield name
-
-
 def test_solve_wsp_matches_flat_scan(monkeypatch):
     rng = random.Random(80)
     ties = 0
     for _ in range(2000):
         w = rand_diff_wsp(rng)
         expected = flat_scan(w)
-        for kernel in each_kernel(monkeypatch):
+        for kernel in helpers.each_kernel(monkeypatch):
             assert solve_wsp(w) == expected, kernel
         ties += w.auth is not None and w.auth.pair_penalty == 0
     assert ties >= 400
@@ -313,7 +314,7 @@ def test_bode_sodu_plans_match_flat_scan(monkeypatch):
         assert w.k <= 7
         assert w._cost_shape == (None if custom else MONOTONE)
         expected = flat_scan(w)
-        for kernel in each_kernel(monkeypatch):
+        for kernel in helpers.each_kernel(monkeypatch):
             assert solve_wsp(w) == expected, kernel
 
 
@@ -352,7 +353,7 @@ def logged_counters(caplog, monkeypatch, w, weight):
     """The fields of the log line a solve of w writes, the same on each
     kernel backend; the weight checked."""
     seen = []
-    for kernel in each_kernel(monkeypatch):
+    for kernel in helpers.each_kernel(monkeypatch):
         with caplog.at_level(logging.INFO, logger="vapep.wsp"):
             assert solve_wsp(w)[1] == weight
         msg = caplog.records[-1].getMessage()
@@ -462,6 +463,9 @@ def test_reduce_sodu_bodu_rejects_other_families():
     )
     with pytest.raises(ValueError):
         reduce_sodu_bodu(inst)
+    with pytest.raises(ValueError) as err:
+        reduce_bode_sodu(inst)
+    assert str(err.value) == "reduction only handles bod_e/sod_u, got card_lb"
 
 
 def test_sodu_bodu_reduction_equals_profile_solver():
@@ -777,6 +781,13 @@ def test_wsp_loader_masks_and_errors(tmp_path):
     ({"constraints": [{"type": "must_equal"}]}, "constraints[0]: scope must be a list"),
     ({"constraints": [{"type": "disjoint", "scope": "s1"}]},
      "constraints[0]: scope must be a list"),
+    ({"constraints": [{"type": "must_equal", "scope": ["s1", "s2"], "slope": 2}]},
+     "constraints[0]: must_equal takes ell, not slope"),
+    ({"constraints": [{"type": "disjoint", "scope": [["s1"], ["s2"]], "ell": 2}]},
+     "constraints[0]: disjoint takes slope, not ell"),
+    ({"constraints": [{"type": "must_differ", "scope": ["s1", "s2"]},
+                      {"type": "sod_u", "scope": ["s1", "s2"]}]},
+     "constraints[1]: unknown constraint type 'sod_u'"),
 ])
 def test_wsp_loader_checks_the_document_shape(change, message):
     # as instance_from_doc checks them; these raised AttributeError or
@@ -822,3 +833,6 @@ def test_derived_cost_instances_not_serializable():
     assert w.cost_fn is not None
     with pytest.raises(ValueError):
         wsp_to_doc(w)
+    with pytest.raises(ValueError) as err:
+        w.authorized(0, 0)
+    assert str(err.value) == "authorization base unavailable for derived instances"
