@@ -2,14 +2,16 @@
 
 Runs the profile solver over generated instances with every available
 backend and prints a small table: median wall time per backend, the median
-number of search nodes the kernel entered, the median nanoseconds per node
-(wall time over nodes, so it includes preparation and `evaluate` calls),
-plus the speedup of the compiled kernel when both are present.  Totals and
-node counts are checked to match across backends while we are at it.
+number of search nodes the kernel entered, of complete leaves it tested and
+of nodes its bound cut, the median nanoseconds per node (wall time over
+nodes, so it includes preparation and `evaluate` calls), plus the speedup
+of the compiled kernel when both are present.  Totals and search counters
+are checked to match across backends while we are at it.
 
 Usage:
     python3 benchmarks/kernel_bench.py
     python3 benchmarks/kernel_bench.py --k 4 --n 20,40 --ell 11 --seeds 5
+    python3 benchmarks/kernel_bench.py --n 50,100,200,400,800 --seeds 1
 
 From k=4 up the generator's default cap needs more profiles than the
 solver's guard allows, so pass --ell there.
@@ -22,17 +24,18 @@ import time
 from vapep import GeneratorConfig, available_backends, generate, get_backend, solve
 
 
-def time_solve(inst, backend: str, ell) -> tuple[float, int, int]:
-    """Wall time, total weight and kernel nodes of one solve on the backend,
-    which APEP_KERNEL selects; it stays set for the next solve to replace."""
+def time_solve(inst, backend: str, ell) -> tuple[float, int, tuple[int, int, int]]:
+    """Wall time, total weight and kernel (nodes, leaves, cuts) of one solve
+    on the backend, which APEP_KERNEL selects; it stays set for the next
+    solve to replace."""
     os.environ["APEP_KERNEL"] = backend
     kernel = get_backend(backend)
     search = kernel.profile_search
-    nodes = []
+    counters = []
 
     def counted(*args):
         out = search(*args)  # (leaves, incumbent, nodes, cuts)
-        nodes.append(out[2])
+        counters.append((out[2], out[0], out[3]))
         return out
 
     kernel.profile_search = counted
@@ -42,7 +45,7 @@ def time_solve(inst, backend: str, ell) -> tuple[float, int, int]:
         dt = time.perf_counter() - t0
     finally:
         kernel.profile_search = search
-    return dt, res.total_weight, nodes[0]
+    return dt, res.total_weight, counters[0]
 
 
 def main() -> int:
@@ -58,7 +61,7 @@ def main() -> int:
     backends = available_backends()
     sizes = [int(v) for v in args.n.split(",") if v.strip()]
     print(f"backends: {', '.join(backends)}")
-    print(f"{'n':>6} {'k':>3} {'nodes':>9}", end="")
+    print(f"{'n':>6} {'k':>3} {'nodes':>9} {'leaves':>9} {'cuts':>9}", end="")
     for b in backends:
         print(f" {b + ' (ms)':>14} {b + ' (ns/node)':>18}", end="")
     if len(backends) > 1:
@@ -68,20 +71,22 @@ def main() -> int:
     for n in sizes:
         per_backend = {b: [] for b in backends}
         per_node = {b: [] for b in backends}
-        node_counts = []
+        counts = []
         for seed in range(args.seeds):
             inst = generate(GeneratorConfig(n=n, k=args.k, seed=seed))
             seen = set()
             for b in backends:
-                dt, total, nodes = time_solve(inst, b, args.ell)
+                dt, total, counters = time_solve(inst, b, args.ell)
                 per_backend[b].append(dt)
-                per_node[b].append(dt * 1e9 / max(nodes, 1))
-                seen.add((total, nodes))
+                per_node[b].append(dt * 1e9 / max(counters[0], 1))
+                seen.add((total, counters))
             if len(seen) != 1:
                 raise SystemExit(f"backends disagree on n={n} seed={seed}")
-            node_counts.append(nodes)
+            counts.append(counters)
         meds = {b: statistics.median(ts) for b, ts in per_backend.items()}
-        print(f"{n:>6} {args.k:>3} {statistics.median(node_counts):>9.0f}", end="")
+        print(f"{n:>6} {args.k:>3}", end="")
+        for column in zip(*counts):
+            print(f" {statistics.median(column):>9.0f}", end="")
         for b in backends:
             print(f" {meds[b] * 1000:>14.2f} {statistics.median(per_node[b]):>18.1f}",
                   end="")

@@ -185,6 +185,59 @@ static inline i64 node_bound(const Cons *c, const i64 *cntA, const i64 *cntB,
     return mo + rest;
 }
 
+/* The summed user_count terms at m assigned users. */
+static inline i64 users_weight(const Cons *c, i64 m)
+{
+    i64 w = 0;
+    for (Py_ssize_t i = 0; i < c->C; i++)
+        if (c->kinds[i] == 6) w += c->pkinds[i] == 2 ? m * m : penalty(c, i, m);
+    return w;
+}
+
+/* The least (*lo) and largest (*hi) penalty step penalty(i, z + 1) -
+   penalty(i, z), z >= 0: the table's steps from 0 and the slope past it. */
+static void steps(const Cons *c, Py_ssize_t i, i64 *lo, i64 *hi)
+{
+    *lo = *hi = c->pslopes[i];
+    if (c->pkinds[i] != 1) return;
+    i64 prev = 0;
+    for (Py_ssize_t p = c->tables.off[i]; p < c->tables.off[i + 1]; p++) {
+        i64 d = c->tables.flat[p] - prev;
+        prev = c->tables.flat[p];
+        if (d < *lo) *lo = d;
+        if (d > *hi) *hi = d;
+    }
+}
+
+/* The coupled bound, tried at an interior node that node_bound keeps: 1 when,
+   for every number e = 0..b of users still to place, U(e) + max(F(e), P +
+   e * g) >= need, the gap between the incumbent and the never-falling part
+   plus the authorization bound.  U(e) is what the user_count terms gain
+   from m to m + e users, F(e) the card_lb part with e in place of b, P the
+   card_lb part with no reduction, and g the least net gain of a remaining
+   level (the smallest penalty step of each sod_u it bumps less the largest
+   step of each card_lb it bumps).  A user added raises each count by at
+   most one and every penalty is non-decreasing, so both F(e) and P + e * g
+   bound what card_lb and the growth of sod_u weigh below the node; U never
+   falls as e grows, so U(e) >= need settles the rest. */
+static int coupled_cut(const Cons *c, const i64 *cntA, i64 m, const i64 *last,
+                       Py_ssize_t j, i64 b, i64 g, i64 need)
+{
+    i64 u0 = users_weight(c, m), p = 0;
+    for (Py_ssize_t i = 0; i < c->C; i++)
+        if (c->kinds[i] == 5) p += penalty(c, i, c->tvals[i] - cntA[i]);
+    for (i64 e = 0; e <= b; e++) {
+        i64 u = users_weight(c, m + e) - u0, f = 0;
+        if (u >= need) return 1;
+        for (Py_ssize_t i = 0; i < c->C; i++)
+            if (c->kinds[i] == 5)
+                f += penalty(c, i, c->tvals[i] - cntA[i] - (j <= last[i] ? e : 0));
+        i64 pg = p + e * g;
+        if (u + (f >= pg ? f : pg) < need) return 0;
+    }
+    return 1;
+}
+
 /* Constraint weight of a complete relation; rmask[r] holds the users of r. */
 static inline i64 relation_weight(const Cons *c, const u64 *rmask, int k,
                                   const i64 *rA, const i64 *rB)
@@ -265,7 +318,7 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
     if (M < 0) return NULL;
     Cons cons = {0}; Ragged cheap = {0}, clsA = {0}, clsB = {0};
     i64 *subs = NULL, *sufun = NULL, *last = NULL, *cntA = NULL, *cntB = NULL;
-    i64 *val = NULL, *budb = NULL, *olbb = NULL;
+    i64 *val = NULL, *budb = NULL, *olbb = NULL, *g = NULL;
     u64 *covb = NULL;
     PyObject *inc = NULL, *result = NULL;
     if (cons_load(&cons, kinds, tvals, pkinds, pslopes, ptables) < 0
@@ -281,11 +334,22 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         || !(budb = zalloc(M + 2, sizeof(i64)))  /* budget entering each level */
         || !(covb = zalloc(M + 2, sizeof(u64)))  /* coverage mask entering each level */
         || !(olbb = zalloc(M + 2, sizeof(i64)))  /* authorization lower bound entering each level */
+        || !(g = zalloc(M, sizeof(i64)))  /* the least net gain of a level j' >= j */
         || !(inc = PyLong_FromLongLong(C_INF)))
         goto done;
     for (Py_ssize_t i = 0; i < cons.C; i++) last[i] = -1;
     for (Py_ssize_t j = 0; j < M; j++)
         for (Py_ssize_t p = clsA.off[j]; p < clsA.off[j + 1]; p++) last[clsA.flat[p]] = j;
+    for (Py_ssize_t j = M - 1; j >= 0; j--) {
+        i64 net = 0, lo, hi;
+        for (Py_ssize_t p = clsA.off[j]; p < clsA.off[j + 1]; p++) {
+            Py_ssize_t i = clsA.flat[p];
+            steps(&cons, i, &lo, &hi);
+            if (cons.kinds[i] == 0) net += lo;
+            else if (cons.kinds[i] == 5) net -= hi;
+        }
+        g[j] = j == M - 1 || net < g[j + 1] ? net : g[j + 1];
+    }
     const u64 full = ((u64)1 << k) - 1;
     i64 m_assigned = 0, leaves = 0, nodes = 0, cuts = 0, inc_c = C_INF;
     int stop = 0;  /* the parent level's count loop ends */
@@ -311,7 +375,8 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
                 if (bound + olb < inc_c
                     && evaluate_leaf(evaluate, val, j, bound, &inc, &inc_c) < 0)
                     goto done;
-            } else if (bound + olb >= inc_c) {
+            } else if (bound + olb >= inc_c
+                       || coupled_cut(&cons, cntA, m_assigned, last, j, b, g[j], inc_c - mono - olb)) {
                 cuts++;
             } else {
                 val[j] = 0;
@@ -346,7 +411,7 @@ done:
     PyMem_Free(cheap.flat); PyMem_Free(cheap.off);
     PyMem_Free(clsA.flat); PyMem_Free(clsA.off); PyMem_Free(clsB.flat); PyMem_Free(clsB.off);
     PyMem_Free(subs); PyMem_Free(sufun); PyMem_Free(last); PyMem_Free(cntA); PyMem_Free(cntB);
-    PyMem_Free(val); PyMem_Free(budb); PyMem_Free(covb); PyMem_Free(olbb);
+    PyMem_Free(val); PyMem_Free(budb); PyMem_Free(covb); PyMem_Free(olbb); PyMem_Free(g);
     return result;
 }
 

@@ -39,6 +39,21 @@ def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
     rest (`card_lb`, and at a leaf `sod_e` and `bod_e`) may fall as that
     count grows, so it never stops the loop.
 
+    An interior node that bound keeps is still cut when, for every number
+    e = 0..b of users still to place, U(e) + max(F(e), P + e * g[j]) reaches
+    the incumbent less the never-falling part and the authorization bound.
+    U(e) is what the `user_count` terms gain from m to m + e users; F(e) is
+    the `card_lb` part with e in place of b; P is the `card_lb` part with no
+    reduction; g[j] is the least net gain of a level j' >= j: the smallest
+    penalty step of each `sod_u` it bumps less the largest step of each
+    `card_lb` it bumps.  Each user added raises a count by at most one and
+    every penalty is non-decreasing, so each of F(e) and P + e * g[j] bounds
+    what `card_lb` and the growth of `sod_u` weigh below the node, and U(e)
+    what `user_count` gains.  The loop over e ends once U(e) alone reaches
+    the gap (a cut: U never falls) or once the sum falls short of it.  The
+    test only adds cuts of nodes that cannot beat the incumbent strictly,
+    and never stops the count loop, so the incumbent sequence is unchanged.
+
     At a complete leaf the bound is the exact constraint weight cw plus the
     authorization bound; `evaluate(pairs, cw)` is only called when that
     still beats the incumbent, and returns the updated incumbent.  When
@@ -66,6 +81,55 @@ def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
                 return tab[z - 1]
             return tab[tl - 1] + pslopes[i] * (z - tl)
         return pslopes[i] * z
+
+    def steps(i):
+        """The penalty steps penalty(i, z + 1) - penalty(i, z), z >= 0."""
+        if pkinds[i] == 1:
+            tab = ptables[i]
+            return [b - a for a, b in zip([0, *tab], tab)] + [pslopes[i]]
+        return [pslopes[i]]
+
+    ucs = [i for i in range(C) if kinds[i] == 6]
+    lbs = [i for i in range(C) if kinds[i] == 5]
+
+    def users_weight(m):
+        """The summed `user_count` terms at m assigned users."""
+        w = 0
+        for i in ucs:
+            w += m * m if pkinds[i] == 2 else penalty(i, m)
+        return w
+
+    # g[j]: the least net gain of a level j' >= j
+    g = [0] * M
+    for jj in range(M - 1, -1, -1):
+        net = 0
+        for i in clsA[jj]:
+            if kinds[i] == 0:
+                net += min(steps(i))
+            elif kinds[i] == 5:
+                net -= max(steps(i))
+        g[jj] = net if jj == M - 1 or net < g[jj + 1] else g[jj + 1]
+
+    def coupled_cut(m, j, b, need):
+        """Whether U(e) + max(F(e), P + e * g[j]) >= need for e = 0..b."""
+        u0 = users_weight(m)
+        p = 0
+        for i in lbs:
+            p += penalty(i, tvals[i] - cntA[i])
+        for e in range(b + 1):
+            u = users_weight(m + e) - u0
+            if u >= need:
+                return True
+            f = 0
+            for i in lbs:
+                z = tvals[i] - cntA[i]
+                if j <= last[i]:
+                    z -= e
+                f += penalty(i, z)
+            pg = p + e * g[j]
+            if u + (f if f >= pg else pg) < need:
+                return False
+        return True
 
     cntA = [0] * C
     cntB = [0] * C
@@ -133,7 +197,8 @@ def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
                     r = evaluate(pairs, mono + rest)
                     if r < inc:
                         inc = r
-            elif mono + rest + olb >= inc:
+            elif mono + rest + olb >= inc or coupled_cut(m_assigned, j, b,
+                                                         inc - mono - olb):
                 cuts += 1
             else:
                 val[j] = 0

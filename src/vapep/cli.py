@@ -25,6 +25,7 @@ import os
 import sys
 import time
 
+from . import _kernels
 from .generator import GeneratorConfig, generate
 from .mipgen import build_naive, build_up, export_lp
 from .model import (
@@ -270,6 +271,7 @@ def main(argv=None) -> int:
         )
     args = _parser().parse_args(argv)
     try:
+        _kernels.get_backend()  # an APEP_KERNEL naming no built backend is bad input
         return args.func(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

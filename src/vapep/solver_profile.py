@@ -9,6 +9,20 @@ users.  The profile space, C(ell + 2^k - 1, ell) profiles, is independent
 of n; the kernel walks it depth first and cuts every subtree whose lower
 bound (constraint terms that only grow, `card_lb` shortfalls less the
 remaining budget, the cheapest users per subset) reaches the incumbent.
+
+That bound lets each `card_lb` shortfall shrink by every user still to
+place, as if those users were free.  A second test weighs them: for each
+number e of users still to place it adds what `user_count` gains from e
+more users to the larger of two lower bounds on the `card_lb` and `sod_u`
+part, the shortfalls less e, and the shortfalls as they stand plus e times
+the least net gain of a remaining subset (what each user there adds to
+`sod_u` at least, less what it takes off `card_lb` at most).  A count rises
+by at most one per user and every penalty is non-decreasing, so both are
+lower bounds, and a subtree is cut when no e brings the sum below the
+incumbent.  On generated k=3 instances the generator's `card_lb` asks for
+n // 20 + 1 users, more than the cap from n = 320 up: the first bound then
+cuts almost nothing, and the second keeps the search at a few thousand
+nodes for every n.
 """
 from __future__ import annotations
 

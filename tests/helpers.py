@@ -279,6 +279,27 @@ def rand_constraint(rng, resources, families=FAMILIES, linear_only=False):
     return vapep.bod_e(r1, r2, rng.randint(1, 9))
 
 
+def rand_coupled(rng, resources, n) -> list:
+    """Constraints that the profile kernels' coupled bound reads: a
+    user_count that is quadratic, linear or a penalty table, one to k card_lb
+    with thresholds up to n + 1 and, when k > 1, one or two sod_u; the
+    card_lb and sod_u penalties are linear or tables."""
+    pick = rng.randrange(3)
+    if pick == 2:
+        table = sorted(rng.randint(1, 9) for _ in range(rng.randint(1, 3)))
+        spec = vapep.PenaltySpec.from_table(table, rng.randint(1, 4))
+        cons = [vapep.Constraint("user_count", (), spec=spec)]
+    else:
+        cons = [vapep.user_count() if pick == 0 else vapep.user_count(rng.randint(1, 5))]
+    for _ in range(rng.randint(1, len(resources))):
+        cons.append(vapep.card_lb(rng.choice(resources), rng.randint(1, n + 1),
+                                  rand_penalty(rng)))
+    if len(resources) > 1:
+        for _ in range(rng.randint(1, 2)):
+            cons.append(vapep.sod_u(*rng.sample(list(resources), 2), rand_penalty(rng)))
+    return cons
+
+
 def rand_instance(
     rng,
     n_max=5,

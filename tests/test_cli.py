@@ -341,6 +341,26 @@ def test_check_resilience_bad_plan_document(tmp_path):
                    "--plan", str(plan_file), "--tau", "0") == 2
 
 
+def test_unknown_kernel_rejected_by_every_subcommand(tmp_path, monkeypatch, capsys):
+    # an APEP_KERNEL that names no built backend is bad input to every
+    # subcommand, also to those that run no search but read a file
+    _, wsp_file = wsp_files(tmp_path)
+    plan_file, inst_file = tmp_path / "plan.json", tmp_path / "inst.json"
+    plan_file.write_text(json.dumps({"s1": ["u1"], "s2": ["u3"]}), encoding="utf-8")
+    assert run("generate", "--n", "6", "--k", "2", "--seed", "1", "-o", str(inst_file)) == 0
+    out = tmp_path / "out.txt"
+    monkeypatch.setenv("APEP_KERNEL", "fortran")
+    for argv in (("export-mip", "--in", str(inst_file)),
+                 ("check-resilience", "--wsp", str(wsp_file), "--plan", str(plan_file),
+                  "--tau", "1"),
+                 ("solve", "--in", str(inst_file)),
+                 ("generate", "--n", "6", "--k", "2"),
+                 ("bench", "--grid", "n=6;k=2;seeds=1")):
+        assert run(*argv, "-o", str(out)) == 2, argv
+        assert "kernel backend 'fortran' unavailable" in capsys.readouterr().err
+        assert not out.exists(), argv
+
+
 def test_check_resilience_rejects_string_disjoint_groups(tmp_path):
     # the groups ["ab", "c"] were read as (a, b) and (c,), and the check exited 0
     wsp_file, plan_file = tmp_path / "wsp.json", tmp_path / "plan.json"

@@ -91,15 +91,19 @@ def test_brute_solver_backends_bit_identical(monkeypatch):
 # --------------------------------------------------------------------------
 # the kernels called directly, outside the solvers
 
-def _kernel_case(rng, k, n, ell):
+def _kernel_case(rng, k, n, ell, coupled=False):
     """Random constraints compiled for the kernels, and seeded
     profile-search inputs over them (all but k, ell and evaluate).  The
-    authorization rows are prefix sums of sorted random costs, as the solver
-    builds them, one entry per count 0..ell."""
+    constraints are of any kind, or with `coupled` those of
+    `helpers.rand_coupled`.  The authorization rows are prefix sums of sorted
+    random costs, as the solver builds them, one entry per count 0..ell."""
     resources = tuple(f"r{i + 1}" for i in range(k))
     users = tuple(f"u{j + 1}" for j in range(n))
-    cons = [c for c in (helpers.rand_constraint(rng, resources)
-                        for _ in range(rng.randint(1, 6))) if c is not None]
+    if coupled:
+        cons = helpers.rand_coupled(rng, resources, n)
+    else:
+        cons = [c for c in (helpers.rand_constraint(rng, resources)
+                            for _ in range(rng.randint(1, 6))) if c is not None]
     inst = vapep.Instance(resources, users, tuple(cons),
                           vapep.AuthCost({u: frozenset() for u in users}, 1))
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(inst)
@@ -170,6 +174,31 @@ def test_kernels_agree_call_for_call():
     assert pkinds_seen == {0, 1, 2}
     assert ks_seen == {1, 2, 3, 4} and full_ell
     assert cut_cases >= 20 and lb_cut_cases >= 8, (cut_cases, lb_cut_cases)
+
+
+@needs_compiler
+def test_kernels_agree_call_for_call_on_coupled_cases():
+    # user_count of every penalty kind against card_lb and sod_u with
+    # linear and table penalties: the constraints the coupled bound reads
+    rng = random.Random(74)
+    pkinds_seen, cut_cases = set(), 0
+    for case in range(300):
+        k = 1 + case % 3
+        n = rng.randint(1, 7)
+        ell = n if case % 4 == 0 else rng.randint(0, n)
+        cons, args = _kernel_case(rng, k, n, ell, coupled=True)
+        results = []
+        for name in ("python", "cython"):
+            evaluate, calls = _recording_evaluate(case)
+            out = get_backend(name).profile_search(k, ell, *args, evaluate)
+            results.append((out, calls))
+        assert results[0] == results[1], (case, k, n, ell)
+        cut_cases += results[0][0][3] > 0
+        kinds, pkinds = cons[0], cons[2]
+        pkinds_seen.update((kd, pk) for kd, pk in zip(kinds, pkinds))
+    # user_count quadratic, linear and tabled; card_lb and sod_u linear and tabled
+    assert pkinds_seen == {(6, 2), (6, 0), (6, 1), (5, 0), (5, 1), (0, 0), (0, 1)}
+    assert cut_cases >= 150, cut_cases
 
 
 class _Boom(Exception):

@@ -285,6 +285,65 @@ def test_solve_matches_unbounded_first_optimum(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", vapep.available_backends())
+def test_coupled_bound_keeps_the_first_optimum(backend, monkeypatch):
+    # the coupled bound weighs each user still to place against user_count,
+    # card_lb and sod_u; on instances made of those constraints, with every
+    # penalty kind, the search still keeps the first optimal profile
+    monkeypatch.setenv("APEP_KERNEL", backend)
+    rng = random.Random(49)
+    for i in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        resources = tuple(f"r{r + 1}" for r in range(k))
+        users = tuple(f"u{u + 1}" for u in range(n))
+        base = {u: frozenset(r for r in resources if rng.random() < 0.5) for u in users}
+        inst = Instance(resources, users, tuple(helpers.rand_coupled(rng, resources, n)),
+                        AuthCost(base, rng.randint(0, 4)))
+        ell = rng.randint(1, n)
+        res = solve(inst, ell=ell)
+        rel, weight = helpers.first_optimum(inst, ell)
+        assert res.total_weight == weight, i
+        assert res.relation.assignment == rel.assignment, i
+
+
+def _logged_solve(caplog, inst, **kw):
+    """One solve of inst, and the int fields of the solver's INFO line."""
+    with caplog.at_level(logging.INFO, logger="vapep.solver"):
+        res = solve(inst, **kw)
+    msg = caplog.records[-1].getMessage()
+    assert msg.startswith("profile solve:")
+    return res, {k: int(v) for k, v in (kv.split("=") for kv in msg.split() if "=" in kv)}
+
+
+@pytest.mark.parametrize("backend", vapep.available_backends())
+def test_search_counters_pinned(backend, monkeypatch, caplog):
+    # k=3 generator instances at seed 0: with the coupled bound the search
+    # enters 568 and 2,403 nodes at n=50 and n=400, not 4,316 and 232,425;
+    # the space counted in meta stays the same
+    monkeypatch.setenv("APEP_KERNEL", backend)
+    got = [_logged_solve(caplog, vapep.generate(vapep.GeneratorConfig(n=n, k=3, seed=0)))[1]
+           for n in (50, 400)]
+    assert got == [
+        dict(k=3, n=50, ell=16, profiles=242300, nodes=568, leaves=17, bound_cuts=407,
+             evaluate_calls=11, weight=65),
+        dict(k=3, n=400, ell=16, profiles=242300, nodes=2403, leaves=446,
+             bound_cuts=1705, evaluate_calls=12, weight=605),
+    ]
+
+
+@pytest.mark.skipif("cython" not in vapep.available_backends(),
+                    reason="the compiled kernel is not built")
+def test_k6_search_with_the_profile_guard_lifted(monkeypatch, caplog):
+    # k=6, n=60 took 718M nodes before the coupled bound; the guard
+    # refuses its 6.7e24-profile space, so it is lifted here
+    monkeypatch.setenv("APEP_KERNEL", "cython")
+    monkeypatch.setattr(solver_profile, "MAX_PROFILES", 10**30)
+    _, got = _logged_solve(caplog, vapep.generate(vapep.GeneratorConfig(n=60, k=6, seed=0)))
+    assert got["weight"] == 72
+    assert got["nodes"] < 10**6, got
+
+
+@pytest.mark.parametrize("backend", vapep.available_backends())
 def test_card_lb_on_the_level_being_counted(backend, monkeypatch):
     # r1's last level is the full mask, whose children are leaves: there
     # the card_lb shortfall falls as the count grows, so a leaf that fails
@@ -335,17 +394,13 @@ def test_evaluate_bound_instance_pinned(monkeypatch):
 
 def test_solve_logs_search_counters(caplog):
     inst = _evaluate_bound_instance()
-    with caplog.at_level(logging.INFO, logger="vapep.solver"):
-        res = solve(inst, ell=3)
-    msg = caplog.records[-1].getMessage()
-    assert msg.startswith("profile solve:")
-    fields = dict(kv.split("=") for kv in msg.split() if "=" in kv)
-    assert int(fields["profiles"]) == res.meta["profiles_enumerated"]
-    assert 0 < int(fields["leaves"]) <= int(fields["profiles"])
-    assert int(fields["nodes"]) > int(fields["leaves"])
-    assert 0 < int(fields["evaluate_calls"]) <= int(fields["leaves"])
-    assert int(fields["bound_cuts"]) > 0
-    assert fields["weight"] == str(res.total_weight)
+    res, fields = _logged_solve(caplog, inst, ell=3)
+    assert fields["profiles"] == res.meta["profiles_enumerated"]
+    assert 0 < fields["leaves"] <= fields["profiles"]
+    assert fields["nodes"] > fields["leaves"]
+    assert 0 < fields["evaluate_calls"] <= fields["leaves"]
+    assert fields["bound_cuts"] > 0
+    assert fields["weight"] == res.total_weight
     doc = res.to_doc(inst)
     assert not {"nodes", "leaves", "bound_cuts", "evaluate_calls"} & set(doc["meta"])
 
