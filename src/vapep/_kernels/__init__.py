@@ -13,13 +13,14 @@ draw in the same order and produce identical results.
 
 Two compiled routines have no twin in ``_ref``.  The document reader
 ``_core.read_head`` is what `model` uses to load instance and plan
-documents.  Its reference is ``json.loads`` followed by `model._doc_head`,
-which runs on every document the reader declines.  It declines rather than
-raises on malformed text; only MemoryError propagates.  The user-name index
-``_core.name_index``, a compact read-only name -> position mapping, is what
-instances keep as their users' index, and what the reader builds.  Its
-reference is the dict of `model._name_index`, which instances keep under
-the pure-Python backend.
+documents from their bytes.  Its reference is ``json.loads`` followed by
+`model._doc_head`, which runs on every document the reader declines.  It
+declines rather than raises on malformed or non-ASCII input; only
+MemoryError propagates.  The user-name index ``_core.name_index``, a
+compact read-only name -> position mapping, is what instances keep as
+their users' index; the reader builds one that holds the names as a byte
+table.  Its reference is the dict of `model._name_index`, which instances
+keep under the pure-Python backend.
 """
 import os
 

@@ -14,10 +14,11 @@
  *
  * Two routines at the end of the file have no twin in _ref.py.  The user-name
  * index name_index, whose reference is the dict of model._name_index.  The
- * document reader read_head, which builds that index for the users it reads,
- * and whose reference is json.loads followed by model._doc_head; it declines
- * malformed text rather than raising, and the reference then reads it; only
- * MemoryError propagates.
+ * document reader read_head, which reads a file's bytes and builds that
+ * index for the users it reads as a byte table, with no object per user; its
+ * reference is json.loads followed by model._doc_head.  It declines what is
+ * not ASCII or otherwise outside what it reads, rather than raising, and the
+ * reference then reads the file; only MemoryError propagates.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -781,26 +782,99 @@ done:
  * name_index(names) is a NameIndex of a tuple of distinct non-empty
  * strings, or None when the names are not that.  A NameIndex maps each name
  * to its position: a read-only mapping with `in`, [], get, len, keys() (the
- * tuple itself) and iteration in position order.  Its table is open
- * addressing over int32 positions, keyed by each name's hash and checked
- * against the tuple, so it holds 8 to 16 bytes a name and no object per name.
- * A key is found as a dict finds it: same object, or equal hash and ==; an
- * unhashable key raises TypeError.  It has no _ref.py twin: its reference is
- * the dict of model._name_index, which serves under the pure-Python backend.
+ * names as a tuple), iteration in position order, and name(p), the name at
+ * position p.  Its table is open addressing over int32 positions, keyed by
+ * each name's hash, so it holds 8 to 16 bytes a name and no object per name.
+ *
+ * An index built from a tuple keeps the tuple, and checks a slot against
+ * the str there.  An index the document reader builds (read_head, below)
+ * keeps its ASCII names as one byte table plus offsets instead, with no
+ * object per name: a slot is checked against the bytes, and a name is
+ * hashed as Python hashes an ASCII str (_Py_HashBytes).  Its keys() builds
+ * the tuple on the first call and keeps it; name(p) makes one str without
+ * building it.
+ *
+ * A key is found as a dict finds it: same object, or equal hash and ==.
+ * Against a byte table an exact str is compared byte for byte, and any
+ * other key with == against the name made at each slot of its hash.  An
+ * unhashable key raises TypeError.  It has no _ref.py twin: its reference
+ * is the dict of model._name_index, which serves under the pure-Python
+ * backend.
  */
 
 typedef struct {
     PyObject_HEAD
-    PyObject *names;  /* the tuple of names */
-    size_t mask;      /* the table's size less one; the size is a power of 2 */
-    int32_t *slots;   /* a name's position, or -1 for an empty slot */
+    Py_ssize_t n;       /* the number of names */
+    PyObject *names;    /* the tuple of names; NULL until keys() builds it */
+    char *bytes;        /* a reader-built index: name p is bytes[offs[p]:offs[p + 1]] */
+    Py_ssize_t *offs;   /* NULL in an index built from a tuple */
+    size_t mask;        /* the table's size less one; the size is a power of 2 */
+    int32_t *slots;     /* a name's position, or -1 for an empty slot */
 } NameIndex;
 
 static PyTypeObject NameIndexType;
 
-/* The position of key, whose hash is h: -1 if it is absent, with *empty set
-   to the slot it would take when empty is given; -2 with an error set. */
-static Py_ssize_t index_probe(const NameIndex *ix, PyObject *key, Py_hash_t h, int32_t **empty)
+static PyObject *ascii_str(const char *p, Py_ssize_t n)
+{
+    PyObject *u = PyUnicode_New(n, 127);
+    if (u) memcpy(PyUnicode_1BYTE_DATA(u), p, n);
+    return u;
+}
+
+/* The bytes of name p of a reader-built index, *n of them. */
+static inline const char *table_name(const NameIndex *ix, Py_ssize_t p, Py_ssize_t *n)
+{
+    *n = ix->offs[p + 1] - ix->offs[p];
+    return ix->bytes + ix->offs[p];
+}
+
+/* 1 if name p of a reader-built index is the n bytes at s. */
+static inline int same(const NameIndex *ix, Py_ssize_t p, const char *s, Py_ssize_t n)
+{
+    Py_ssize_t pn;
+    const char *ps = table_name(ix, p, &pn);
+    return pn == n && memcmp(ps, s, n) == 0;
+}
+
+/* A new reference to name p. */
+static PyObject *name_at(const NameIndex *ix, Py_ssize_t p)
+{
+    if (ix->names) return Py_NewRef(PyTuple_GET_ITEM(ix->names, p));
+    Py_ssize_t n;
+    const char *s = table_name(ix, p, &n);
+    return ascii_str(s, n);
+}
+
+/* A NameIndex of n names, its slots empty and not yet tracked; NULL with an
+   error set. */
+static NameIndex *index_new(Py_ssize_t n)
+{
+    if (n > INT32_MAX / 2) {
+        PyErr_Format(PyExc_OverflowError, "%zd names are too many to index", n);
+        return NULL;
+    }
+    size_t size = 8;
+    while (size < 2 * (size_t)n) size <<= 1;
+    NameIndex *ix = PyObject_GC_New(NameIndex, &NameIndexType);
+    if (!ix) return NULL;
+    ix->n = n;
+    ix->names = NULL;
+    ix->bytes = NULL;
+    ix->offs = NULL;
+    ix->mask = size - 1;
+    if (!(ix->slots = PyMem_Malloc(size * sizeof(int32_t)))) {
+        Py_DECREF(ix);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    memset(ix->slots, 0xff, size * sizeof(int32_t));
+    return ix;
+}
+
+/* In an index built from a tuple: the position of key, whose hash is h; -1
+   if it is absent, with *empty set to the slot it would take when empty is
+   given; -2 with an error set. */
+static Py_ssize_t tuple_probe(const NameIndex *ix, PyObject *key, Py_hash_t h, int32_t **empty)
 {
     for (size_t i = (size_t)h & ix->mask;; i = (i + 1) & ix->mask) {
         int32_t p = ix->slots[i];
@@ -818,37 +892,60 @@ static Py_ssize_t index_probe(const NameIndex *ix, PyObject *key, Py_hash_t h, i
     }
 }
 
+/* In a reader-built index: the position of the n bytes at s, whose hash is
+   h; -1 if they are absent, with *empty set as in tuple_probe. */
+static Py_ssize_t table_probe(const NameIndex *ix, const char *s, Py_ssize_t n, Py_hash_t h,
+                              int32_t **empty)
+{
+    for (size_t i = (size_t)h & ix->mask;; i = (i + 1) & ix->mask) {
+        int32_t p = ix->slots[i];
+        if (p < 0) {
+            if (empty) *empty = &ix->slots[i];
+            return -1;
+        }
+        if (same(ix, p, s, n)) return p;
+    }
+}
+
 /* The position of key, -1 if it is absent, -2 with an error set. */
 static Py_ssize_t index_find(const NameIndex *ix, PyObject *key)
 {
     Py_hash_t h = PyObject_Hash(key);
-    return h == -1 ? -2 : index_probe(ix, key, h, NULL);
+    if (h == -1) return -2;
+    if (!ix->bytes) return tuple_probe(ix, key, h, NULL);
+    if (PyUnicode_CheckExact(key)) {
+        /* equal to an ASCII name only when it is ASCII and holds its bytes */
+        if (PyUnicode_READY(key) < 0) return -2;
+        if (!PyUnicode_IS_ASCII(key)) return -1;
+        return table_probe(ix, (const char *)PyUnicode_1BYTE_DATA(key), PyUnicode_GET_LENGTH(key),
+                           h, NULL);
+    }
+    for (size_t i = (size_t)h & ix->mask;; i = (i + 1) & ix->mask) {
+        int32_t p = ix->slots[i];
+        if (p < 0) return -1;
+        Py_ssize_t n;
+        const char *s = table_name(ix, p, &n);
+        if (_Py_HashBytes(s, n) != h) continue;
+        PyObject *name = ascii_str(s, n);
+        int eq = name ? PyObject_RichCompareBool(name, key, Py_EQ) : -1;
+        Py_XDECREF(name);
+        if (eq) return eq > 0 ? p : -2;
+    }
 }
 
 /* The NameIndex of the tuple names; NULL with no error set when a name is
    not a non-empty str or is repeated. */
 static PyObject *index_build(PyObject *names)
 {
-    Py_ssize_t n = PyTuple_GET_SIZE(names);
-    if (n > INT32_MAX / 2)
-        return PyErr_Format(PyExc_OverflowError, "%zd names are too many to index", n);
-    size_t size = 8;
-    while (size < 2 * (size_t)n) size <<= 1;
-    NameIndex *ix = PyObject_GC_New(NameIndex, &NameIndexType);
+    NameIndex *ix = index_new(PyTuple_GET_SIZE(names));
     if (!ix) return NULL;
     ix->names = Py_NewRef(names);
-    ix->mask = size - 1;
-    if (!(ix->slots = PyMem_Malloc(size * sizeof(int32_t)))) {
-        Py_DECREF(ix);
-        return PyErr_NoMemory();
-    }
-    memset(ix->slots, 0xff, size * sizeof(int32_t));
-    for (Py_ssize_t p = 0; p < n; p++) {
+    for (Py_ssize_t p = 0; p < ix->n; p++) {
         PyObject *name = PyTuple_GET_ITEM(names, p);
         int32_t *slot;
         if (!PyUnicode_Check(name) || PyUnicode_GET_LENGTH(name) == 0) goto bad;
         Py_hash_t h = PyObject_Hash(name);
-        Py_ssize_t at = h == -1 ? -2 : index_probe(ix, name, h, &slot);
+        Py_ssize_t at = h == -1 ? -2 : tuple_probe(ix, name, h, &slot);
         if (at == -2) {
             Py_DECREF(ix);
             return NULL;
@@ -861,6 +958,33 @@ static PyObject *index_build(PyObject *names)
 bad:
     Py_DECREF(ix);
     return NULL;
+}
+
+/* The NameIndex of the n names in bytes and offs, whose buffers it takes
+   (and frees on failure); NULL with no error set when a name is empty or
+   repeated. */
+static PyObject *table_build(char *bytes, Py_ssize_t *offs, Py_ssize_t n)
+{
+    NameIndex *ix = index_new(n);
+    if (!ix) {
+        PyMem_Free(bytes);
+        PyMem_Free(offs);
+        return NULL;
+    }
+    ix->bytes = bytes;
+    ix->offs = offs;
+    for (Py_ssize_t p = 0; p < n; p++) {
+        Py_ssize_t len;
+        const char *s = table_name(ix, p, &len);
+        int32_t *slot;
+        if (len == 0 || table_probe(ix, s, len, _Py_HashBytes(s, len), &slot) >= 0) {
+            Py_DECREF(ix);  /* an empty name or a repeat */
+            return NULL;
+        }
+        *slot = (int32_t)p;
+    }
+    PyObject_GC_Track(ix);
+    return (PyObject *)ix;
 }
 
 static PyObject *name_index(PyObject *Py_UNUSED(self), PyObject *arg)
@@ -876,6 +1000,8 @@ static void index_dealloc(NameIndex *ix)
 {
     PyObject_GC_UnTrack(ix);
     Py_XDECREF(ix->names);
+    PyMem_Free(ix->bytes);
+    PyMem_Free(ix->offs);
     PyMem_Free(ix->slots);
     PyObject_GC_Del(ix);
 }
@@ -888,7 +1014,7 @@ static int index_traverse(NameIndex *ix, visitproc visit, void *arg)
 
 static Py_ssize_t index_len(NameIndex *ix)
 {
-    return PyTuple_GET_SIZE(ix->names);
+    return ix->n;
 }
 
 static PyObject *index_getitem(NameIndex *ix, PyObject *key)
@@ -921,18 +1047,43 @@ static PyObject *index_get(NameIndex *ix, PyObject *const *args, Py_ssize_t narg
 
 static PyObject *index_keys(NameIndex *ix, PyObject *Py_UNUSED(ignored))
 {
+    if (!ix->names) {
+        PyObject *names = PyTuple_New(ix->n);
+        for (Py_ssize_t p = 0; names && p < ix->n; p++) {
+            PyObject *name = name_at(ix, p);
+            if (!name) Py_CLEAR(names);
+            else PyTuple_SET_ITEM(names, p, name);
+        }
+        if (!names) return NULL;
+        ix->names = names;
+    }
     return Py_NewRef(ix->names);
+}
+
+static PyObject *index_name(NameIndex *ix, PyObject *arg)
+{
+    Py_ssize_t p = PyNumber_AsSsize_t(arg, PyExc_IndexError);
+    if (p == -1 && PyErr_Occurred()) return NULL;
+    if (p < 0 || p >= ix->n)
+        return PyErr_Format(PyExc_IndexError, "name position %zd is outside [0, %zd)", p, ix->n);
+    return name_at(ix, p);
 }
 
 static PyObject *index_iter(NameIndex *ix)
 {
-    return PyObject_GetIter(ix->names);
+    PyObject *names = index_keys(ix, NULL);
+    PyObject *it = names ? PyObject_GetIter(names) : NULL;
+    Py_XDECREF(names);
+    return it;
 }
 
 static PyMethodDef index_methods[] = {
     {"get", (PyCFunction)(void (*)(void))index_get, METH_FASTCALL,
      "The position of a name, or the default (None)."},
-    {"keys", (PyCFunction)index_keys, METH_NOARGS, "The names, as the tuple the index reads."},
+    {"keys", (PyCFunction)index_keys, METH_NOARGS,
+     "The names as a tuple, built on the first call by a reader-built index."},
+    {"name", (PyCFunction)index_name, METH_O,
+     "The name at a position, made without building keys()."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -944,7 +1095,7 @@ static PySequenceMethods index_sequence = {.sq_contains = (objobjproc)index_cont
 static PyTypeObject NameIndexType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "vapep._kernels._core.NameIndex",
-    .tp_doc = "A read-only name -> position mapping over a tuple of names; see name_index.",
+    .tp_doc = "A read-only name -> position mapping; see name_index.",
     .tp_basicsize = sizeof(NameIndex),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_dealloc = (destructor)index_dealloc,
@@ -957,36 +1108,40 @@ static PyTypeObject NameIndexType = {
 
 /* ---- instance and plan documents ----------------------------------------
  *
- * read_head(text, names_key, scan_once, cap) reads an instance document
- * (names_key "resources") or a plan document ("steps") without building its
- * [user, name] pairs.  It reads the top-level object, the users and names
- * lists and the auth object itself, and ORs each pair's name bit straight
- * into its user's mask.  Every other value (constraints, meta, pair_penalty,
- * unknown keys) goes through scan_once, the scanner json.loads runs, so it
- * comes out as json.loads gives it.
+ * read_head(data, names_key, scan_once, cap) reads an instance document
+ * (names_key "resources") or a plan document ("steps") from the bytes of its
+ * file, without building its [user, name] pairs or any object per user.  It
+ * reads the top-level object, the users and names lists and the auth object
+ * itself, and ORs each pair's name bit straight into its user's mask.  Every
+ * other value (constraints, meta, pair_penalty, unknown keys) goes through
+ * scan_once, the scanner json.loads runs, as its own ASCII str: the slice a
+ * bracket-and-string skip finds (value_end), which scan_once must read to
+ * its end.  So each comes out as json.loads gives it.
  *
  * It returns (doc, uindex, masks): doc is the document json.loads gives,
- * less auth.pairs; uindex is the NameIndex of the users (above), built once
- * the users list is read, which also finds a repeated user and the users of
- * pairs out of user order, so no dict and no int is made per user; masks
- * holds each user's authorized mask over the names.  It has no _ref.py
- * twin: its reference is json.loads followed by model._doc_head.  On
- * anything outside the subset it reads it declines, returning None, and the
- * caller runs the reference:
- *   - text that is not ASCII, or a string it reads with an escape or a
- *     control character in it;
+ * less auth.pairs and with uindex in place of the users list; uindex is the
+ * users' NameIndex, a byte table (above) built as the users list is read,
+ * which also finds a repeated user and the users of pairs out of user
+ * order, so no str, list or int is made per user; masks holds each user's
+ * authorized mask over the names.  It has no _ref.py twin: its reference is
+ * json.loads, on the text a text-mode read of the file gives, followed by
+ * model._doc_head.  On anything outside the subset it reads it declines,
+ * returning None, and the caller runs the reference:
+ *   - a byte of 0x80 or more (text that is not ASCII), or a string it reads
+ *     with an escape or a control character in it;
  *   - a duplicate key, a missing users list, names list or auth object, or
  *     auth before the users or the names;
  *   - a user or name that is empty or repeated, or more names than
  *     min(cap, 64);
  *   - a pair that is not a two-string list, or names an unknown user or name;
+ *   - a value scan_once does not read to the end of its slice;
  *   - malformed JSON anywhere, or data after the document.
- * It never raises on malformed text: only MemoryError propagates.
+ * It never raises on malformed input: only MemoryError propagates.
  */
 
-/* The text being read (its bytes, the cursor and the length) and the scanner
-   of the values the reader leaves to json. */
-typedef struct { const char *s; Py_ssize_t i, len; PyObject *text, *scan_once; } Doc;
+/* The bytes being read, the cursor, the length and the scanner of the
+   values the reader leaves to json. */
+typedef struct { const char *s; Py_ssize_t i, len; PyObject *scan_once; } Doc;
 
 /* The loops below work on local copies of the cursor: the text is chars,
    which may alias d->i, so a loop on d->i would reload it at every byte. */
@@ -1009,8 +1164,8 @@ static inline int take(Doc *d, char c)
     return 0;
 }
 
-/* Past whitespace, a string with no escape or control character in it: its
-   n bytes at *p.  0 if there is none. */
+/* Past whitespace, an ASCII string with no escape or control character in
+   it: its n bytes at *p.  0 if there is none. */
 static int plain(Doc *d, const char **p, Py_ssize_t *n)
 {
     skip_ws(d);
@@ -1025,7 +1180,7 @@ static int plain(Doc *d, const char **p, Py_ssize_t *n)
             d->i = j + 1;
             return 1;
         }
-        if (c == '\\' || c < 0x20) return 0;
+        if (c == '\\' || c < 0x20 || c >= 0x80) return 0;
     }
     return 0;
 }
@@ -1042,19 +1197,6 @@ static int more(Doc *d, char close, int *first)
     return take(d, close) ? 0 : -1;
 }
 
-static PyObject *ascii_str(const char *p, Py_ssize_t n)
-{
-    PyObject *u = PyUnicode_New(n, 127);
-    if (u) memcpy(PyUnicode_1BYTE_DATA(u), p, n);
-    return u;
-}
-
-/* 1 if the ASCII str u holds the n bytes at p. */
-static inline int same(PyObject *u, const char *p, Py_ssize_t n)
-{
-    return PyUnicode_GET_LENGTH(u) == n && memcmp(PyUnicode_1BYTE_DATA(u), p, n) == 0;
-}
-
 /* A new str of the key's n bytes at p, or NULL when dict holds it already. */
 static PyObject *new_key(PyObject *dict, const char *p, Py_ssize_t n)
 {
@@ -1063,59 +1205,124 @@ static PyObject *new_key(PyObject *dict, const char *p, Py_ssize_t n)
     return key;
 }
 
-/* Past whitespace, the value scan_once reads there, or NULL. */
+/* The end of the value at i, as far as strings and brackets tell: past a
+   string, or past the bracket that closes an array or object (the strings
+   in it skipped), or else at the next ',', ']', '}' or whitespace; -1 if
+   the text ends inside a string or an open bracket.  Whether the slice is
+   one value is left to scan_once. */
+static Py_ssize_t value_end(const char *s, Py_ssize_t i, Py_ssize_t len)
+{
+    Py_ssize_t depth = 0;
+    for (; i < len; i++) {
+        switch (s[i]) {
+        case '"':
+            for (i++; i < len && s[i] != '"'; i++)
+                if (s[i] == '\\') i++;
+            if (i >= len) return -1;
+            break;
+        case '[': case '{':
+            depth++;
+            continue;
+        case ']': case '}':
+            if (depth == 0) return i;  /* closes what holds the value */
+            depth--;
+            break;
+        case ',': case ' ': case '\n': case '\t': case '\r':
+            if (depth == 0) return i;
+            continue;
+        default:
+            continue;
+        }
+        if (depth == 0) return i + 1;  /* a string or bracket closed at the top */
+    }
+    return depth ? -1 : len;
+}
+
+/* Past whitespace, the value scan_once reads from the slice value_end finds
+   there, decoded as ASCII; NULL unless it reads the whole slice. */
 static PyObject *scan_value(Doc *d)
 {
     skip_ws(d);
-    PyObject *at = PyLong_FromSsize_t(d->i), *got = NULL, *v = NULL;
-    if (at) got = PyObject_CallFunctionObjArgs(d->scan_once, d->text, at, NULL);
-    Py_XDECREF(at);
-    if (got && PyTuple_Check(got) && PyTuple_GET_SIZE(got) == 2) {
-        Py_ssize_t end = PyLong_AsSsize_t(PyTuple_GET_ITEM(got, 1));
-        if (end > d->i && end <= d->len) {
-            d->i = end;
-            v = Py_NewRef(PyTuple_GET_ITEM(got, 0));
-        }
+    Py_ssize_t end = value_end(d->s, d->i, d->len);
+    if (end <= d->i) return NULL;
+    PyObject *slice = PyUnicode_DecodeASCII(d->s + d->i, end - d->i, NULL);
+    PyObject *got = slice ? PyObject_CallFunction(d->scan_once, "Oi", slice, 0) : NULL;
+    PyObject *v = NULL;
+    if (got && PyTuple_Check(got) && PyTuple_GET_SIZE(got) == 2
+        && PyLong_AsSsize_t(PyTuple_GET_ITEM(got, 1)) == end - d->i) {
+        d->i = end;
+        v = Py_NewRef(PyTuple_GET_ITEM(got, 0));
     }
+    Py_XDECREF(slice);
     Py_XDECREF(got);
     return v;
 }
 
-/* The list of the array of at most cap plain strings at the cursor, and in
-   *index their NameIndex, which refuses an empty or repeated string; NULL if
-   either is not made. */
-static PyObject *read_names(Doc *d, Py_ssize_t cap, PyObject **index)
+/* Makes room for need items of `size` bytes in *buf, which holds *room;
+   -1 with MemoryError set if there is none. */
+static int grow(void **buf, Py_ssize_t *room, Py_ssize_t need, size_t size)
 {
-    PyObject *list = PyList_New(0);
+    if (need <= *room) return 0;
+    Py_ssize_t more_room = *room > 16 ? *room : 16;
+    while (more_room < need) more_room *= 2;
+    void *p = PyMem_Realloc(*buf, more_room * size);
+    if (!p) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = p;
+    *room = more_room;
+    return 0;
+}
+
+/* The NameIndex of the array of at most cap plain strings at the cursor,
+   kept as a byte table; NULL if it is not read, or a string in it is empty
+   or repeated. */
+static PyObject *read_names(Doc *d, Py_ssize_t cap)
+{
+    char *bytes = NULL;
+    Py_ssize_t *offs = NULL, n = 0, offs_room = 0, bytes_room = 0;
     int first = 1, step = -1;
-    if (!list || !take(d, '[')) goto fail;
+    if (!take(d, '[') || grow((void **)&offs, &offs_room, 1, sizeof(Py_ssize_t)) < 0)
+        goto fail;
+    offs[0] = 0;
     while ((step = more(d, ']', &first)) == 1) {
         const char *p;
-        Py_ssize_t n, at = PyList_GET_SIZE(list);
-        if (at >= cap || !plain(d, &p, &n)) goto fail;
-        PyObject *s = ascii_str(p, n);
-        int ok = s && PyList_Append(list, s) == 0;
-        Py_XDECREF(s);
-        if (!ok) goto fail;
+        Py_ssize_t len;
+        if (n >= cap || !plain(d, &p, &len)
+            || grow((void **)&offs, &offs_room, n + 2, sizeof(Py_ssize_t)) < 0
+            || grow((void **)&bytes, &bytes_room, offs[n] + len, 1) < 0)
+            goto fail;
+        memcpy(bytes + offs[n], p, len);
+        offs[n + 1] = offs[n] + len;
+        n++;
     }
-    if (step == 0) {
-        PyObject *names = PyList_AsTuple(list);
-        *index = names ? index_build(names) : NULL;
-        Py_XDECREF(names);
-        if (*index) return list;
-    }
+    if (step == 0) return table_build(bytes, offs, n);
 fail:
-    Py_XDECREF(list);
+    PyMem_Free(bytes);
+    PyMem_Free(offs);
     return NULL;
+}
+
+/* The names of ix as a list. */
+static PyObject *names_list(const NameIndex *ix)
+{
+    PyObject *list = PyList_New(ix->n);
+    for (Py_ssize_t p = 0; list && p < ix->n; p++) {
+        PyObject *name = name_at(ix, p);
+        if (!name) Py_CLEAR(list);
+        else PyList_SET_ITEM(list, p, name);
+    }
+    return list;
 }
 
 /* Reads the pairs array at the cursor, ORing each [user, name] pair's name
    bit into its user's mask.  A pair's user is compared with the user of the
-   pair before it and the user after that, and looked up in index
+   pair before it and the user after that, and looked up in users
    otherwise.  0 once read, -1 otherwise. */
-static int read_pairs(Doc *d, PyObject *users, NameIndex *index, PyObject *names, u64 *masks)
+static int read_pairs(Doc *d, const NameIndex *users, const NameIndex *names, u64 *masks)
 {
-    Py_ssize_t nu = PyList_GET_SIZE(users), nn = PyList_GET_SIZE(names), cur = 0;
+    Py_ssize_t nu = users->n, nn = names->n, cur = 0;
     int first = 1, step = -1;
     if (!take(d, '[')) return -1;
     while ((step = more(d, ']', &first)) == 1) {
@@ -1124,18 +1331,16 @@ static int read_pairs(Doc *d, PyObject *users, NameIndex *index, PyObject *names
         if (!take(d, '[') || !plain(d, &u, &un) || !take(d, ',') || !plain(d, &r, &rn)
             || !take(d, ']'))
             return -1;
-        if (!(cur < nu && same(PyList_GET_ITEM(users, cur), u, un))) {
-            if (cur + 1 < nu && same(PyList_GET_ITEM(users, cur + 1), u, un)) {
+        if (!(cur < nu && same(users, cur, u, un))) {
+            if (cur + 1 < nu && same(users, cur + 1, u, un)) {
                 cur++;
             } else {
-                PyObject *key = ascii_str(u, un);
-                Py_ssize_t at = key ? index_find(index, key) : -2;
-                Py_XDECREF(key);
+                Py_ssize_t at = table_probe(users, u, un, _Py_HashBytes(u, un), NULL);
                 if (at < 0) return -1;
                 cur = at;
             }
         }
-        while (b < nn && !same(PyList_GET_ITEM(names, b), r, rn)) b++;
+        while (b < nn && !same(names, b, r, rn)) b++;
         if (b == nn) return -1;
         masks[cur] |= (u64)1 << b;
     }
@@ -1144,8 +1349,7 @@ static int read_pairs(Doc *d, PyObject *users, NameIndex *index, PyObject *names
 
 /* The auth object at the cursor as a dict of its values other than pairs,
    whose bits go to masks; NULL if it is not read. */
-static PyObject *read_auth(Doc *d, PyObject *users, NameIndex *index, PyObject *names,
-                           u64 *masks)
+static PyObject *read_auth(Doc *d, const NameIndex *users, const NameIndex *names, u64 *masks)
 {
     PyObject *auth = PyDict_New();
     int first = 1, step = -1, pairs = 0;
@@ -1155,7 +1359,7 @@ static PyObject *read_auth(Doc *d, PyObject *users, NameIndex *index, PyObject *
         Py_ssize_t n;
         if (!plain(d, &p, &n) || !take(d, ':')) goto fail;
         if (n == 5 && !memcmp(p, "pairs", 5)) {
-            if (pairs++ || read_pairs(d, users, index, names, masks) < 0) goto fail;
+            if (pairs++ || read_pairs(d, users, names, masks) < 0) goto fail;
             continue;
         }
         PyObject *key = new_key(auth, p, n), *v = key ? scan_value(d) : NULL;
@@ -1172,17 +1376,14 @@ fail:
 
 static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *text, *names_key, *scan_once;
+    PyObject *data, *names_key, *scan_once;
     Py_ssize_t cap, key_len;
-    if (!PyArg_ParseTuple(args, "UUOn:read_head", &text, &names_key, &scan_once, &cap))
+    if (!PyArg_ParseTuple(args, "SUOn:read_head", &data, &names_key, &scan_once, &cap))
         return NULL;
-    /* only a compact ASCII str is read byte for byte; any other is declined */
     const char *key_s = PyUnicode_AsUTF8AndSize(names_key, &key_len);
     if (!key_s) return NULL;
-    if (!PyUnicode_IS_ASCII(text)) Py_RETURN_NONE;
-    Doc d = {(const char *)PyUnicode_1BYTE_DATA(text), 0, PyUnicode_GET_LENGTH(text), text,
-             scan_once};
-    PyObject *doc = PyDict_New(), *index = NULL, *users = NULL, *names = NULL;
+    Doc d = {PyBytes_AS_STRING(data), 0, PyBytes_GET_SIZE(data), scan_once};
+    PyObject *doc = PyDict_New(), *users = NULL, *names = NULL;
     PyObject *auth = NULL, *out = NULL, *result = NULL;
     u64 *masks = NULL;
     int first = 1, step = -1;
@@ -1193,16 +1394,15 @@ static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
         if (!plain(&d, &p, &n) || !take(&d, ':')) goto done;
         PyObject *key = new_key(doc, p, n), *v = NULL;
         if (!key) goto done;
-        /* users, names and auth stay alive in doc */
+        /* users and auth stay alive in doc, which holds a list of the names */
         if (n == 5 && !memcmp(p, "users", 5)) {
-            v = users = read_names(&d, PY_SSIZE_T_MAX, &index);
+            v = users = read_names(&d, PY_SSIZE_T_MAX);
         } else if (n == key_len && !memcmp(p, key_s, n)) {
-            PyObject *names_index = NULL;  /* only its checks are kept */
-            v = names = read_names(&d, cap < 64 ? cap : 64, &names_index);
-            Py_XDECREF(names_index);
+            names = read_names(&d, cap < 64 ? cap : 64);
+            v = names ? names_list((NameIndex *)names) : NULL;
         } else if (n == 4 && !memcmp(p, "auth", 4)) {
-            if (users && names && (masks = zalloc(PyList_GET_SIZE(users), sizeof(u64))))
-                v = auth = read_auth(&d, users, (NameIndex *)index, names, masks);
+            if (users && names && (masks = zalloc(((NameIndex *)users)->n, sizeof(u64))))
+                v = auth = read_auth(&d, (NameIndex *)users, (NameIndex *)names, masks);
         } else {
             v = scan_value(&d);
         }
@@ -1213,17 +1413,17 @@ static PyObject *read_head(PyObject *Py_UNUSED(self), PyObject *args)
     }
     skip_ws(&d);
     if (step != 0 || d.i != d.len || !auth) goto done;
-    Py_ssize_t nu = PyList_GET_SIZE(users);
+    Py_ssize_t nu = ((NameIndex *)users)->n;
     if (!(out = PyList_New(nu))) goto done;
     for (Py_ssize_t u = 0; u < nu; u++) {
         PyObject *m = PyLong_FromUnsignedLongLong(masks[u]);
         if (!m) goto done;
         PyList_SET_ITEM(out, u, m);
     }
-    result = PyTuple_Pack(3, doc, index, out);
+    result = PyTuple_Pack(3, doc, users, out);
 done:
     Py_XDECREF(doc);
-    Py_XDECREF(index);
+    Py_XDECREF(names);
     Py_XDECREF(out);
     PyMem_Free(masks);
     if (result || (PyErr_Occurred() && PyErr_ExceptionMatches(PyExc_MemoryError)))
@@ -1240,7 +1440,7 @@ static PyMethodDef methods[] = {
     {"plan_search", plan_search, METH_VARARGS, "Compiled twin of _ref.plan_search."},
     {"subset_masks", subset_masks, METH_VARARGS, "Compiled twin of _ref.subset_masks."},
     {"read_head", read_head, METH_VARARGS,
-     "An instance or plan document read from its text, or None; see model._load_doc."},
+     "An instance or plan document read from its bytes, or None; see model._load_doc."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,24 +12,28 @@ They also share one document layer; `wsp` keeps only what is specific to
 plans.  Both loaders read the document head in `_doc_head`, walk the
 constraint list in `_constraint_walk` and build the instance in
 `_from_pairs`; both writers write through `_instance_doc` and `_dump_doc`.
-`load_instance` and `wsp.load_wsp` hand the file's text to the compiled
-reader (`_core.read_head`) when the compiled backend is selected.  It
-builds the users' index and masks straight from the text, with no object
-per `[user, name]` pair, and the document it returns holds them in place of
-the pairs (`_ReadPairs`).  That index is the compiled `NameIndex`, a table
-of positions with no object per user, which every instance keeps as its
-users' index under the compiled backend (`_user_index`); under the
-pure-Python backend it is `_name_index`'s dict.  Text the reader declines,
-and every document under the pure-Python backend or given to
-`instance_from_doc` or `wsp_from_doc`, is parsed by `json.loads`;
-`_doc_head` then builds the masks from the pairs, in passes that run in C
-(`map` over dict lookups), and when the pairs name every user once, in
-user order, each mask is just its pair's bit.  A fault in the pairs stops
-those passes, and a walk over the pairs in order reports the first one,
-with the message a per-pair loader would give.  Both routes check the rest
-of the document in the same code, so they give the same instance or the
-same error.  `AuthCost.base` is built from the masks only when something
-reads it.
+`load_instance` and `wsp.load_wsp` read the file as bytes and hand them to
+the compiled reader (`_core.read_head`) when the compiled backend is
+selected.  It builds the users' index and masks straight from the bytes,
+with no object per user and none per `[user, name]` pair, and no decoded
+copy of the text; the document it returns holds them in place of the users
+list (`_ReadUsers`).  That index is the compiled `NameIndex`, a table of
+positions with no object per user, which every instance keeps as its
+users' index under the compiled backend (`_user_index`); the reader's keeps
+the names themselves as one byte table, so such an instance builds its
+`users` tuple only when something reads it, and `_user_name` gives one name
+without it.  Under the pure-Python backend the index is `_name_index`'s
+dict.  What the reader declines, and every document under the pure-Python
+backend or given to `instance_from_doc` or `wsp_from_doc`, is parsed by
+`json.loads` from the text a text-mode read gives (`_text`); `_doc_head`
+then builds the masks from the pairs, in passes that run in C (`map` over
+dict lookups), and when the pairs name every user once, in user order,
+each mask is just its pair's bit.  A fault in the pairs stops those passes,
+and a walk over the pairs in order reports the first one, with the message
+a per-pair loader would give.  Both routes check the rest of the document
+in the same code, so they give the same instance or the same error.
+`AuthCost.base`, and the (user, resource) dict of a per-pair penalty
+matrix, are built only when something reads them (`_OnFirstRead`).
 """
 from __future__ import annotations
 
@@ -94,37 +98,57 @@ class AuthCost:
         if isinstance(pp, bool) or (isinstance(pp, int) and not 0 <= pp <= MAX_PENALTY):
             raise ValueError(f"pair penalty must be in [0, {MAX_PENALTY}]")
         if isinstance(pp, dict):
-            values = pp.values()
-            # plain ints in range pass in C; anything else is decided one by one
-            if set(map(type, values)) == {int} and 0 <= min(values) and max(values) <= MAX_PENALTY:
-                return
-            for v in values:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= MAX_PENALTY:
-                    raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
+            _check_pair_penalties(pp.values())
 
 
-class _BaseOnFirstRead:
-    """The `base` of an AuthCost made by `_lazy_auth`: its `_build_base()`,
-    run on the first read and stored on the instance, where later reads find
-    it first.  A non-data descriptor rather than `__getattr__`, which would
-    take every field read (`omega_mask` reads two per call) off CPython's
-    specialized attribute lookup."""
+def _check_pair_penalties(values) -> None:
+    """Raise unless each of the values, a collection read more than once,
+    is an int (not a bool) in [0, MAX_PENALTY]."""
+    # plain ints in range pass in C; anything else is decided one by one
+    if set(map(type, values)) == {int} and 0 <= min(values) and max(values) <= MAX_PENALTY:
+        return
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= MAX_PENALTY:
+            raise ValueError(f"pair penalties must be in [0, {MAX_PENALTY}]")
 
-    def __get__(self, auth, owner=None):
-        if auth is None:
+
+class _OnFirstRead:
+    """A field whose value `build(obj)` makes on the first read of it on
+    obj, stored there, where later reads find it first.  A non-data
+    descriptor rather than `__getattr__`, which would take every field read
+    (`omega_mask` reads two per call) off CPython's specialized attribute
+    lookup."""
+
+    def __init__(self, name: str, build: Callable):
+        self.name, self.build = name, build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        base = auth.__dict__["base"] = auth.__dict__.pop("_build_base")()
-        return base
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
-AuthCost.base = _BaseOnFirstRead()
+def _built_later(name: str) -> _OnFirstRead:
+    """The AuthCost field `name`, made by `_lazy_auth`'s builder for it."""
+    return _OnFirstRead(name, lambda auth: auth.__dict__.pop("_build_" + name)())
+
+
+AuthCost.base = _built_later("base")
+AuthCost.pair_penalty = _built_later("pair_penalty")
 
 
 def _lazy_auth(build: Callable[[], dict], pair_penalty) -> AuthCost:
-    """An AuthCost whose base is `build()`, called on the first read of it."""
-    auth = AuthCost({}, pair_penalty)
+    """An AuthCost whose base is `build()`, called on the first read of it.
+    A callable `pair_penalty` likewise builds the per-pair penalties; the
+    caller has checked them."""
+    lazy_pp = callable(pair_penalty)
+    auth = AuthCost({}, 0 if lazy_pp else pair_penalty)
     del auth.base
     auth._build_base = build
+    if lazy_pp:
+        del auth.pair_penalty
+        auth._build_pair_penalty = pair_penalty
     return auth
 
 
@@ -150,6 +174,13 @@ def _name_index(names) -> dict:
     return index if len(index) == len(names) and "" not in index else {}
 
 
+def _user_name(inst, ui: int) -> str:
+    """inst.users[ui], read without building inst.users when the names are
+    still only in its index (`_index_users`)."""
+    users = inst.__dict__.get("users")
+    return inst._uindex.name(ui) if users is None else users[ui]
+
+
 def _user_index(users: tuple):
     """The users' name -> position index: the compiled `NameIndex` when the
     compiled backend is selected (`_core.name_index`), 8 to 16 bytes a user
@@ -161,8 +192,10 @@ def _user_index(users: tuple):
 def _index_names(names, what, cap, index=None, build=_name_index) -> tuple[tuple, Mapping]:
     """The names as a tuple and their name -> position index, `build(names)`,
     once the names are checked to be at most `cap` distinct non-empty
-    strings.  `index`, when given, is that index, already built."""
-    names = tuple(names)
+    strings.  `index`, when given, is that index, already built; names
+    given as that index itself are returned as it."""
+    if index is None or names is not index:
+        names = tuple(names)
     if not names:
         raise ValueError(f"at least one {what} is required")
     if len(names) > cap:
@@ -181,7 +214,22 @@ def _index_names(names, what, cap, index=None, build=_name_index) -> tuple[tuple
     return names, index
 
 
-def _auth_tables(auth: Optional[AuthCost], tables, users, uindex: Mapping, names, what: str
+def _index_users(inst, uindex: Optional[Mapping]) -> None:
+    """Check inst.users and set inst._uindex (`_index_names`).  Users given
+    as `uindex`, a `NameIndex` the compiled reader built, stay only in it:
+    inst.users is then its tuple, built on the first read."""
+    users, inst._uindex = _index_names(inst.users, "user", MAX_USERS, uindex, _user_index)
+    if users is uindex:
+        del inst.users
+    else:
+        inst.users = users
+
+
+# the `users` of an instance whose names stay in its index
+_users_of_index = _OnFirstRead("users", lambda inst: inst._uindex.keys())
+
+
+def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what: str
                  ) -> tuple[list[int], Optional[list[list[int]]]]:
     """The per-user authorization table of an instance: each user's
     authorized mask over `names`, in user-index order, and the per-(user,
@@ -219,7 +267,7 @@ def _auth_tables(auth: Optional[AuthCost], tables, users, uindex: Mapping, names
     for (u, r) in pp:
         if u not in uindex or r not in bit:
             raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
-    return masks, [[pp.get((u, r), 1) for r in names] for u in users]
+    return masks, [[pp.get((u, r), 1) for r in names] for u in uindex]
 
 
 def _row_sum(row: list[int], mask: int) -> int:
@@ -232,12 +280,13 @@ def _row_sum(row: list[int], mask: int) -> int:
     return w
 
 
-def _cost_row(masks: list[int], pen: Optional[list[list[int]]], pair_penalty, mask: int
+def _cost_row(masks: list[int], pen: Optional[list[list[int]]], auth: AuthCost, mask: int
               ) -> list[int]:
     """Every user's authorization cost for `mask` under `_auth_tables`'
     masks and penalty rows: its bits outside the user's mask, priced."""
     if pen is None:
-        return [pair_penalty * (mask & ~m).bit_count() for m in masks]
+        pp = auth.pair_penalty
+        return [pp * (mask & ~m).bit_count() for m in masks]
     return [_row_sum(row, mask & ~m) for row, m in zip(pen, masks)]
 
 
@@ -303,12 +352,19 @@ def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
+def _pair_dict(users, names, rows: list[list[int]]) -> dict:
+    """The (user, name) -> penalty dict of a per-pair penalty matrix."""
+    return dict(zip(product(users, names), chain.from_iterable(rows)))
+
+
 def _from_pairs(make: Callable, users, names, pairs, uindex: Mapping, masks: Optional[list[int]],
                 pp, cons, rows=None, **fields):
     """`make(names, users, cons, auth, **fields)` for a document head that
     `_doc_head` read.  Its base is built from the masks when first read, and
     the masks and penalty rows go to `make` as they are; without masks, the
-    base holds the pairs grouped per user, for `make` to report the fault."""
+    base holds the pairs grouped per user, for `make` to report the fault.
+    Per-pair penalties given as a builder of their dict (`_pair_dict`) are
+    checked in the rows and built when first read."""
     tables = None
     if masks is None:
         base: dict = {}
@@ -316,6 +372,8 @@ def _from_pairs(make: Callable, users, names, pairs, uindex: Mapping, masks: Opt
             base.setdefault(p[0], []).append(p[1])
         auth = AuthCost(base, pp)
     else:
+        if callable(pp):
+            _check_pair_penalties(list(chain.from_iterable(rows)))
         auth = _auth_of_masks(masks, users, names, pp)
         tables = masks, rows
     return make(names, users, cons, auth, _prebuilt=(uindex, tables), **fields)
@@ -338,8 +396,7 @@ class Instance:
         self.resources, self._rindex = _index_names(
             self.resources, "resource", MAX_RESOURCES
         )
-        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex,
-                                                _user_index)
+        _index_users(self, uindex)
         self.constraints = tuple(self.constraints)
         if len(self.constraints) > MAX_CONSTRAINTS:
             raise ValueError(f"at most {MAX_CONSTRAINTS} constraints are supported")
@@ -348,7 +405,7 @@ class Instance:
                 if r not in self._rindex:
                     raise ValueError(f"constraint scope uses unknown resource {r!r}")
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
-            self.auth, tables, self.users, self._uindex, self.resources, "resource"
+            self.auth, tables, self._uindex, self.resources, "resource"
         )
         self._groups: tuple[int, dict[int, list[int]]] = (0, {})
 
@@ -358,7 +415,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.users)
+        return len(self._uindex)
 
     def users_by_base(self, m: int) -> dict[int, list[int]]:
         """User indices grouped by authorized mask, in first-seen mask order;
@@ -408,8 +465,8 @@ class Instance:
     def omega_row(self, mask: int) -> list[int]:
         """omega_mask(u, mask) for every user index u, in one call."""
         if self.auth.custom is not None:
-            return [self.omega_mask(u, mask) for u in range(len(self.users))]
-        return _cost_row(self._base_mask, self._pen, self.auth.pair_penalty, mask)
+            return [self.omega_mask(u, mask) for u in range(self.n)]
+        return _cost_row(self._base_mask, self._pen, self.auth, mask)
 
     def omega_mask(self, ui: int, mask: int) -> int:
         """Authorization cost for user index ui holding the masked subset."""
@@ -424,6 +481,9 @@ class Instance:
         if self._pen is None:
             return self.auth.pair_penalty * extra.bit_count()
         return _row_sum(self._pen[ui], extra)
+
+
+Instance.users = _users_of_index
 
 
 @dataclass
@@ -762,10 +822,10 @@ def _constraint_from_doc(where: str, entry: dict, kind, scope: list) -> Constrai
     raise ValueError(f"{where}: unknown constraint type {kind!r}")
 
 
-class _ReadPairs:
+class _ReadUsers:
     """What a document that the compiled reader read holds in place of its
-    pairs list: the users' index (a `NameIndex`) and the masks the reader
-    built from the pairs."""
+    users list: the users' index, a `NameIndex` that holds their names, and
+    the masks the reader built from the pairs, which the document lacks."""
 
     __slots__ = ("uindex", "masks")
 
@@ -779,30 +839,32 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     the auth object, its keys and its pairs list, then the pairs' shapes and
     items.  Returns the users and names as tuples, the pairs, the users' index
     (`_name_index`), their authorized masks over the names (`_pair_masks`)
-    and the pair penalty as given.  Pairs the compiled reader read
-    (`_ReadPairs`) come with their index and masks, and the users are the
-    index's tuple, equal to the users list."""
+    and the pair penalty as given.  Users the compiled reader read
+    (`_ReadUsers`) come with their masks, and are returned as their index."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document must be a JSON object")
     _reject_unknown(doc, top_keys, what)
+    users = doc.get("users")
+    read = type(users) is _ReadUsers
     for key in (names_key, "users"):
-        if not isinstance(doc.get(key), list):
+        if not (isinstance(doc.get(key), list) or read and key == "users"):
             raise ValueError(f"{what} needs a {key!r} list")
     auth_doc = doc.get("auth", {})
     if not isinstance(auth_doc, dict):
         raise ValueError("auth must be an object")
     _reject_unknown(auth_doc, _AUTH_KEYS, "auth")
     pairs = auth_doc.get("pairs", [])
-    users, names = doc["users"], doc[names_key]
-    if type(pairs) is _ReadPairs:
-        uindex, masks = pairs.uindex, pairs.masks
-        users = uindex.keys()
+    names = doc[names_key]
+    if read:
+        uindex, masks = users.uindex, users.masks
+        users = uindex
     elif not isinstance(pairs, list):
         raise ValueError("auth.pairs must be a list")
     else:
         uindex = _name_index(users)
         masks = _pair_masks(pairs, shape, users, uindex, names, cap)
-    return tuple(users), tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
+        users = tuple(users)
+    return users, tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
 
 
 def instance_from_doc(doc: dict) -> Instance:
@@ -813,6 +875,8 @@ def instance_from_doc(doc: dict) -> Instance:
     penalties (`AuthCost`) and the names and references (`Instance`); the
     first fault raises.  Each user's authorized mask is built once, straight
     from the pairs, and per-pair penalty rows are copies of the matrix rows.
+    Once the names are known to be sound, the (user, resource) dict of those
+    penalties is built only when `auth.pair_penalty` is read.
     """
     users, resources, pairs, uindex, masks, pp = _doc_head(
         doc, "instance", _TOP_KEYS, "resources", "[user, resource]", MAX_RESOURCES
@@ -824,7 +888,11 @@ def instance_from_doc(doc: dict) -> Instance:
         ):
             raise ValueError("pair_penalty matrix must be |users| x |resources|")
         rows = list(map(list, pp))
-        pp = dict(zip(product(users, resources), chain.from_iterable(rows)))
+        pp = partial(_pair_dict, users, resources, rows)
+        if masks is None or not uindex or not _name_index(resources):
+            # a fault the constructors report: the dict is built here, where
+            # an unhashable name raises, and its values are checked in it
+            pp = pp()
     cons = tuple(_constraint_from_doc(*c) for c in _constraint_walk(doc, _CON_KEYS, []))
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
@@ -893,22 +961,32 @@ def _gc_paused():
 _scan_once = json.JSONDecoder().scan_once
 
 
+def _text(data: bytes) -> str:
+    """The text a text-mode read of a file holding `data` gives: decoded as
+    UTF-8, with each CRLF and each lone CR read as LF."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_doc(path: str, from_doc: Callable, names_key: Optional[str] = None, cap: int = 0):
     """from_doc applied to the JSON document at path, with the cyclic
-    collector paused (`_gc_paused`).  An instance or plan document, whose
-    `names_key` and name cap are given, goes to the compiled reader when it
-    is selected (`_core.read_head`); json.loads parses what the reader
-    declines, and every other document."""
+    collector paused (`_gc_paused`).  The file is read as bytes.  An
+    instance or plan document, whose `names_key` and name cap are given,
+    goes to the compiled reader when it is selected (`_core.read_head`);
+    json.loads parses what the reader declines, and every other document,
+    from the text a text-mode read gives (`_text`)."""
     with _gc_paused():
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         read = getattr(_kernels.selected_backend(), "read_head", None) if names_key else None
-        head = read(text, names_key, _scan_once, cap) if read else None
+        head = read(data, names_key, _scan_once, cap) if read else None
         if head is None:
-            return from_doc(json.loads(text))
-        del text  # not alive next to the instance built from it
+            return from_doc(json.loads(_text(data)))
+        del data  # not alive next to the instance built from it
         doc, uindex, masks = head
-        doc["auth"]["pairs"] = _ReadPairs(uindex, masks)
+        doc["users"] = _ReadUsers(uindex, masks)
         return from_doc(doc)
 
 

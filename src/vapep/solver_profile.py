@@ -42,6 +42,7 @@ from .model import (
     Instance,
     SolveResult,
     UserProfile,
+    _user_name,
     subset_order,
 )
 
@@ -223,7 +224,7 @@ def best_relation_for_profile(
     )
     match, om = min_cost_assignment(costs)
     assignment = {
-        instance.users[cols[j]]: frozenset(instance.mask_resources(mask))
+        _user_name(instance, cols[j]): frozenset(instance.mask_resources(mask))
         for mask, j in zip(slots, match)
     }
     return AuthorizationRelation(assignment), om + cw

@@ -34,7 +34,6 @@ from . import _kernels
 from .constraints import MAX_PENALTY, PenaltySpec
 from .matching import INF, TOO_HEAVY, assignment_cost, min_cost_assignment
 from .model import (
-    MAX_USERS,
     AuthCost,
     AuthorizationRelation,
     GuardError,
@@ -48,10 +47,12 @@ from .model import (
     _from_pairs,
     _gc_paused,
     _index_names,
+    _index_users,
     _instance_doc,
     _load_doc,
     _row_sum,
-    _user_index,
+    _user_name,
+    _users_of_index,
 )
 
 log = logging.getLogger("vapep.wsp")
@@ -139,8 +140,7 @@ class WspInstance:
     def __post_init__(self, _prebuilt, _monotone, _row_fn):
         uindex, tables = _prebuilt or (None, None)
         self.steps, self._sindex = _index_names(self.steps, "step", MAX_STEPS)
-        self.users, self._uindex = _index_names(self.users, "user", MAX_USERS, uindex,
-                                                _user_index)
+        _index_users(self, uindex)
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             names = c.scope[0] + c.scope[1] if c.kind == DISJOINT else c.scope
@@ -150,9 +150,9 @@ class WspInstance:
         if self.auth is None:
             if self.cost_fn is None:
                 raise ValueError("an authorization cost (auth or cost_fn) is required")
-            tables = [0] * len(self.users), None
+            tables = [0] * self.n, None
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
-            self.auth, tables, self.users, self._uindex, self.steps, "step"
+            self.auth, tables, self._uindex, self.steps, "step"
         )
         # what `solve_wsp` may assume of cost(u, B) for its interior bound:
         # ADDITIVE, a sum over the steps of B; MONOTONE, never smaller for a
@@ -167,7 +167,7 @@ class WspInstance:
 
     @property
     def n(self) -> int:
-        return len(self.users)
+        return len(self._uindex)
 
     def step_mask(self, names) -> int:
         m = 0
@@ -193,18 +193,21 @@ class WspInstance:
         """cost(u, mask) for every user index u, in one call; callers must
         not modify the list, which may be shared."""
         if mask == 0:
-            return [0] * len(self.users)
+            return [0] * self.n
         if self._row_fn is not None:
             return self._row_fn(mask)
         if self.cost_fn is not None:
             fn = self.cost_fn
-            return [fn(u, mask) for u in range(len(self.users))]
-        return _cost_row(self._base_mask, self._pen, self.auth.pair_penalty, mask)
+            return [fn(u, mask) for u in range(self.n)]
+        return _cost_row(self._base_mask, self._pen, self.auth, mask)
 
     def authorized(self, ui: int, si: int) -> bool:
         if self.auth is None:
             raise ValueError("authorization base unavailable for derived instances")
         return bool(self._base_mask[ui] >> si & 1)
+
+
+WspInstance.users = _users_of_index
 
 
 def _rgs(K: int) -> Iterator[list[int]]:
@@ -338,7 +341,7 @@ def solve_wsp(w: WspInstance) -> tuple[Plan, int]:
     blocks, costs = best
     match, _ = min_cost_assignment(costs)
     block_of = [g for i in range(K) for g, bm in enumerate(blocks) if bm >> i & 1]
-    plan = {w.steps[i]: w.users[match[block_of[i]]] for i in range(K)}
+    plan = {w.steps[i]: _user_name(w, match[block_of[i]]) for i in range(K)}
     log.info(
         "plan solve: steps=%d users=%d nodes=%d leaves=%d bound_cuts=%d "
         "matchings=%d weight=%d (%.3fs)",

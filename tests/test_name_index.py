@@ -188,3 +188,78 @@ def test_name_index_takes_at_most_16_bytes_a_user():
     assert len(index) == len(reference) == n
     assert size <= 16 * n, size
     assert dict_size > 4 * size  # the dict and its ints, for scale
+
+
+def _read_index(names):
+    """The users' index the compiled reader builds for these users, or None
+    when it declines them."""
+    from vapep._kernels._core import read_head
+    from vapep.model import _scan_once
+
+    doc = {"resources": ["r1"], "users": list(names), "auth": {"pairs": []}}
+    head = read_head(json.dumps(doc).encode(), "resources", _scan_once, 30)
+    return head and head[1]
+
+
+@needs_index
+def test_reader_built_index_answers_as_the_dict_does():
+    from vapep._kernels._core import NameIndex
+
+    rng = random.Random(29)
+    valid = 0
+    for _ in range(400):
+        names = tuple(nm for nm in map(str, _names(rng)) if nm.isascii() and "\\" not in nm
+                      and nm.isprintable())
+        want, got = _name_index(names), _read_index(names)
+        assert (got is None) == (not want and bool(names)), names
+        if got is None:
+            continue
+        valid += bool(names)
+        assert type(got) is NameIndex
+        assert len(got) == len(want) and bool(got) == bool(want)
+        assert [got.name(p) for p in range(len(names))] == list(names)
+        for p in (-1, len(names), 2**70, "0"):
+            with pytest.raises((IndexError, TypeError)):
+                got.name(p)
+        for key in _probes(rng, names) + [_Unequal(nm) for nm in names[:3]]:
+            for query in (lambda ix: key in ix, lambda ix: ix[key], lambda ix: ix.get(key),
+                          lambda ix: ix.get(key, -5)):
+                assert _answer(lambda: query(got)) == _answer(lambda: query(want)), key
+        for key in ([], {}, set(), ["u1"]):  # unhashable
+            for query in (lambda ix: key in ix, lambda ix: ix[key], lambda ix: ix.get(key)):
+                assert _answer(lambda: query(got)) == _answer(lambda: query(want))
+        # the tuple is built on the first call and kept
+        keys = got.keys()
+        assert keys == names and got.keys() is keys and list(got) == list(want)
+        assert dict(got) == want
+    assert valid > 200
+
+
+def _blocks() -> int:
+    """The number of memory blocks tracemalloc sees allocated."""
+    return sum(stat.count for stat in tracemalloc.take_snapshot().statistics("filename"))
+
+
+@needs_index
+def test_compiled_solve_builds_no_name_per_user(monkeypatch, tmp_path):
+    from vapep import dump_instance, solve
+    from vapep.generator import GeneratorConfig, generate
+
+    n = 20_000
+    path = tmp_path / "inst.json"
+    dump_instance(generate(GeneratorConfig(n=n, k=3, seed=1)), str(path))
+    monkeypatch.setenv("APEP_KERNEL", "cython")
+    tracemalloc.start()
+    try:
+        before = _blocks()
+        inst = load_instance(str(path))
+        grown = _blocks() - before
+    finally:
+        tracemalloc.stop()
+    assert grown < n // 100, grown  # one str per user would be n blocks
+    result = solve(inst)
+    result.to_json(inst)
+    assert "users" not in vars(inst)
+    monkeypatch.setenv("APEP_KERNEL", "python")
+    users = load_instance(str(path)).users
+    assert inst.users == users and inst.users is inst._uindex.keys()

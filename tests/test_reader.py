@@ -13,6 +13,7 @@ import pytest
 
 import vapep
 from vapep import dump_instance, dump_wsp, load_instance, load_wsp
+from vapep.constraints import MAX_PENALTY
 from vapep.model import MAX_RESOURCES, _scan_once
 from vapep.wsp import MAX_STEPS
 
@@ -29,8 +30,9 @@ LOADERS = {"resources": (load_instance, MAX_RESOURCES), "steps": (load_wsp, MAX_
 def _fields(inst):
     """Every attribute of a loaded instance, and the order of its dicts.  The
     users' index, a compiled `NameIndex` on the compiled backend, is
-    compared as the dict it maps."""
-    fields = dict(vars(inst))
+    compared as the dict it maps, and the users as read, since the reader's
+    instance builds them from its index on the first read."""
+    fields = dict(vars(inst), users=inst.users)
     uindex = fields["_uindex"] = dict(inst._uindex)
     fields["order"] = (list(uindex.items()), list(inst.auth.base.items()),
                        repr(getattr(inst, "meta", None)))
@@ -71,8 +73,9 @@ def _base_doc():
 
 
 def _mutations(doc, key):
-    """name -> text of documents made from doc, whose names sit under key;
-    some valid, some not."""
+    """name -> text (a str, or bytes where a str cannot hold it) of
+    documents made from doc, whose names sit under key; some valid, some
+    not."""
     dumps = json.dumps
     users, names = doc["users"], doc[key]
     pairs = doc["auth"]["pairs"]
@@ -91,6 +94,13 @@ def _mutations(doc, key):
         "CRLF and tabs": dumps(doc, indent="\t").replace("\n", "\r\n"),
         "space inside pairs": dumps(doc).replace('", "', '" ,\t "').replace('["', '[ "'),
         "trailing whitespace": text + " \r\n\t",
+        "lone CR between tokens": text.replace("\n", "\r"),
+        "CR inside a name": text.replace('"u4"', '"u\r4"'),
+        "CR inside a meta string": text.replace("tab\\there", "tab\rhere"),
+        "invalid UTF-8 in a name": text.encode().replace(b'"u5"', b'"u\xff5"'),
+        "invalid UTF-8 in meta": text.encode().replace(b"tab", b"t\xc3b"),
+        "compact, scalars before }": dumps(dict(doc, meta={"a": [1, {"b": 2}], "seed": 5}),
+                                           separators=(",", ":")),
         "keys reversed": dumps({f: doc[f] for f in reversed(list(doc))}),
         "constraints first": dumps({"constraints": doc.get("constraints", []), **doc}),
         "auth keys reversed": edit(auth={"pair_penalty": 2, "pairs": pairs}),
@@ -186,12 +196,13 @@ def test_reader_loads_files_as_json_loads_does(tmp_path, monkeypatch):
     path = tmp_path / "doc.json"
     read = {}
     for name, key, text in _cases():
-        path.write_text(text, encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode()
+        path.write_bytes(data)
         want = _load(path, key, "python", monkeypatch)
         got = _load(path, key, "cython", monkeypatch)
         assert got == want, name
-        if text.isascii():
-            accepted = _core.read_head(text, key, _scan_once, LOADERS[key][1]) is not None
+        if data.isascii():
+            accepted = _core.read_head(data, key, _scan_once, LOADERS[key][1]) is not None
             read[name, key] = (accepted, want[0] == "ok")
     # the corpus takes the reader's accept and decline paths, and declined
     # documents that load as well as ones that fail
@@ -199,6 +210,86 @@ def test_reader_loads_files_as_json_loads_does(tmp_path, monkeypatch):
     assert read["indented", "steps"] == read["64 names", "steps"] == (True, True)
     assert read["65 names", "steps"] == (False, True)
     assert read["at scale 20000 3", "resources"] == (True, True)
+    for name in ("CRLF and tabs", "lone CR between tokens", "compact, scalars before }"):
+        assert read[name, "resources"] == (True, True), name
+    assert read["CR inside a name", "resources"] == (False, False)
+    assert read["CR inside a meta string", "resources"] == (False, False)
+
+
+def _invalid_utf8_error(text):
+    try:
+        text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return "UnicodeDecodeError", str(exc)
+
+
+@needs_reader
+def test_text_faults_fail_as_a_text_mode_read_does(tmp_path, monkeypatch):
+    # a file read as bytes fails on both backends where a text-mode read
+    # fails, with the same error
+    path = tmp_path / "doc.json"
+    mutations = _mutations(_base_doc(), "resources")
+    for name in ("invalid UTF-8 in a name", "invalid UTF-8 in meta"):
+        path.write_bytes(mutations[name])
+        want = _invalid_utf8_error(mutations[name])
+        for backend in ("python", "cython"):
+            assert _load(path, "resources", backend, monkeypatch) == want, (name, backend)
+    for name in ("UTF-8 BOM", "CR inside a name"):
+        path.write_bytes(mutations[name].encode())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            want = type(exc).__name__, str(exc)
+        for backend in ("python", "cython"):
+            assert _load(path, "resources", backend, monkeypatch) == want, (name, backend)
+
+
+_BAD_MATRICES = {  # name -> an edit that spoils a valid matrix
+    "bool": lambda rows: rows[1].__setitem__(2, True),
+    "negative": lambda rows: rows[0].__setitem__(0, -1),
+    "above the cap": lambda rows: rows[-1].__setitem__(-1, MAX_PENALTY + 1),
+    "float": lambda rows: rows[3].__setitem__(1, 1.0),
+    "string": lambda rows: rows[2].__setitem__(0, "1"),
+    "null": lambda rows: rows[4].__setitem__(3, None),
+    "ragged": lambda rows: rows[5].pop(),
+    "a row too many": lambda rows: rows.append(list(rows[0])),
+    "a row short": lambda rows: rows.pop(),
+    "a row not a list": lambda rows: rows.__setitem__(1, 3),
+}
+
+
+@needs_reader
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+def test_bad_penalty_matrices_fail_alike_on_both_backends(case, tmp_path, monkeypatch):
+    doc = _base_doc()
+    rows = [[(i + j) % 4 for i in range(len(doc["resources"]))] for j in range(len(doc["users"]))]
+    _BAD_MATRICES[case](rows)
+    doc["auth"]["pair_penalty"] = rows
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    want = _load(path, "resources", "python", monkeypatch)
+    assert want[0] == "ValueError", want
+    assert _load(path, "resources", "cython", monkeypatch) == want
+
+
+@needs_reader
+def test_penalty_matrix_dict_is_built_on_first_read(tmp_path, monkeypatch):
+    doc = _base_doc()
+    users, resources = doc["users"], doc["resources"]
+    rows = [[(i + j) % 4 for i in range(len(resources))] for j in range(len(users))]
+    doc["auth"]["pair_penalty"] = rows
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    want = {(u, r): rows[j][i] for j, u in enumerate(users) for i, r in enumerate(resources)}
+    for backend in ("python", "cython"):
+        monkeypatch.setenv("APEP_KERNEL", backend)
+        inst = load_instance(str(path))
+        assert "pair_penalty" not in vars(inst.auth)
+        assert inst._pen == rows
+        assert inst.auth.pair_penalty == want and list(inst.auth.pair_penalty) == list(want)
+        assert "pair_penalty" in vars(inst.auth)
 
 
 def _benchmark_doc(rng, k, n):
