@@ -960,8 +960,8 @@ bad:
     return NULL;
 }
 
-/* The NameIndex of the n names in bytes and offs, whose buffers it takes
-   (and frees on failure); NULL with no error set when a name is empty or
+/* The NameIndex of the n non-empty names in bytes and offs, whose buffers
+   it takes (and frees on failure); NULL with no error set when a name is
    repeated. */
 static PyObject *table_build(char *bytes, Py_ssize_t *offs, Py_ssize_t n)
 {
@@ -977,8 +977,8 @@ static PyObject *table_build(char *bytes, Py_ssize_t *offs, Py_ssize_t n)
         Py_ssize_t len;
         const char *s = table_name(ix, p, &len);
         int32_t *slot;
-        if (len == 0 || table_probe(ix, s, len, _Py_HashBytes(s, len), &slot) >= 0) {
-            Py_DECREF(ix);  /* an empty name or a repeat */
+        if (table_probe(ix, s, len, _Py_HashBytes(s, len), &slot) >= 0) {
+            Py_DECREF(ix);  /* a repeat */
             return NULL;
         }
         *slot = (int32_t)p;
@@ -1289,7 +1289,7 @@ static PyObject *read_names(Doc *d, Py_ssize_t cap)
     while ((step = more(d, ']', &first)) == 1) {
         const char *p;
         Py_ssize_t len;
-        if (n >= cap || !plain(d, &p, &len)
+        if (n >= cap || !plain(d, &p, &len) || len == 0
             || grow((void **)&offs, &offs_room, n + 2, sizeof(Py_ssize_t)) < 0
             || grow((void **)&bytes, &bytes_room, offs[n] + len, 1) < 0)
             goto fail;

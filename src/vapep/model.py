@@ -407,7 +407,7 @@ class Instance:
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
             self.auth, tables, self._uindex, self.resources, "resource"
         )
-        self._groups: tuple[int, dict[int, list[int]]] = (0, {})
+        self._groups: tuple[int, dict[object, list[int]]] = (0, {})
 
     @property
     def k(self) -> int:
@@ -417,22 +417,30 @@ class Instance:
     def n(self) -> int:
         return len(self._uindex)
 
-    def users_by_base(self, m: int) -> dict[int, list[int]]:
-        """User indices grouped by authorized mask, in first-seen mask order;
-        each group holds at least the first min(m, size) users of its mask,
-        ascending.  Built once and kept for later calls that need no more
-        than m per group.
+    def user_types(self, m: int) -> dict[object, list[int]]:
+        """User indices grouped into types of users whose `omega_mask` costs
+        agree on every mask: keyed by authorized mask under a uniform pair
+        penalty, by (mask, penalty row) under a per-pair matrix and by the
+        user under a custom cost.  Types are in first-seen order; each holds
+        at least the first min(m, size) users of its type, ascending.  Built
+        once and kept for later calls that need no more than m per type.
 
-        The pass over the users stops once every mask's group is full."""
+        The pass over the users stops once every type is full."""
         cap, groups = self._groups
         if cap < m:
-            masks = self._base_mask
-            short = len(set(masks))  # groups not yet holding m users
+            def keys():  # each user's type, in user order, made afresh
+                if self.auth.custom is not None:
+                    return range(self.n)
+                if self._pen is None:
+                    return self._base_mask
+                return zip(self._base_mask, map(tuple, self._pen))
+
+            short = len(set(keys()))  # types not yet holding m users
             groups = {}
-            for u, base in enumerate(masks):
-                group = groups.get(base)
+            for u, key in enumerate(keys()):
+                group = groups.get(key)
                 if group is None:
-                    group = groups[base] = [u]
+                    group = groups[key] = [u]
                 elif len(group) < m:
                     group.append(u)
                 else:

@@ -26,7 +26,6 @@ nodes for every n.
 """
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import time
@@ -149,30 +148,20 @@ def cheapest_users(instance: Instance, masks: list[int], m: int) -> list[list[in
     """For each mask, the min(m, n) users of least `omega_mask` cost, ordered
     by (cost, user index).
 
-    Under a uniform pair penalty without a custom cost, a user's cost depends
-    only on its authorized mask, so only the first m users of each mask type
-    (`Instance.users_by_base`, one pass per instance) can be chosen and each
-    mask ranks at most 2^k * m users.  Per-pair matrices and custom costs
-    rank all n users per mask.
+    Users of one type (`Instance.user_types`, one pass per instance) cost the
+    same on every mask, so only the first m users of each type can be chosen:
+    each mask prices each type once, on its first user, and ranks at most m
+    users per type.
     """
     n = instance.n
     m = min(m, n)
-    if instance.auth.custom is not None or instance._pen is not None:
-        return [
-            heapq.nsmallest(
-                m, range(n), key=lambda u: (instance.omega_mask(u, mask), u)
-            )
-            for mask in masks
-        ]
-    types = instance.users_by_base(m)
+    types = [group[:m] for group in instance.user_types(m).values()]
     out = []
     for mask in masks:
-        ranked = []
-        for group in types.values():
-            w = instance.omega_mask(group[0], mask)
-            ranked.extend((w, u) for u in group[:m])
-        ranked.sort()
-        out.append([u for _, u in ranked[:m]])
+        costs = [instance.omega_mask(group[0], mask) for group in types]
+        # w * n + u orders as (w, u) does, and ints sort faster than pairs
+        ranked = sorted([w * n + u for w, group in zip(costs, types) for u in group])
+        out.append([key % n for key in ranked[:m]])
     return out
 
 

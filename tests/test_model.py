@@ -1013,13 +1013,15 @@ def test_loader_rejects_scope_entries_that_are_not_names(scope):
         instance_from_doc(doc)
 
 
-def _reference_users_by_base(masks, m):
-    """Instance.users_by_base as the one pass over the users it was."""
+def _reference_user_types(masks, pen, m):
+    """Instance.user_types as one pass over the users: keyed by mask under a
+    uniform penalty and by (mask, penalty row) under a per-pair matrix."""
+    keys = masks if pen is None else [(b, tuple(row)) for b, row in zip(masks, pen)]
     groups = {}
-    for u, base in enumerate(masks):
-        group = groups.get(base)
+    for u, key in enumerate(keys):
+        group = groups.get(key)
         if group is None:
-            groups[base] = [u]
+            groups[key] = [u]
         elif len(group) < m:
             group.append(u)
     return groups
@@ -1049,15 +1051,15 @@ def _scale_doc(n, k):
 
 @pytest.mark.parametrize("n, k", SCALE_CASES)
 def test_loader_matches_set_based_loader_at_scale(n, k):
-    # users_by_base stops early when m is 1 or 5 and passes over every user
-    # when m is n
+    # user_types stops early when m is 1 or 5 and passes over every user
+    # when m is n; at k=6 the users are typed by mask and penalty row
     text = json.dumps(_scale_doc(n, k))
     want = _reference_from_doc(json.loads(text))
     inst = instance_from_doc(json.loads(text))
     assert _loaded_fields(inst) == want
     for m in (1, 5, n):
-        got = inst.users_by_base(m)
-        ref = _reference_users_by_base(want["base_mask"], m)
+        got = inst.user_types(m)
+        ref = _reference_user_types(want["base_mask"], want["pen"], m)
         assert list(got.items()) == list(ref.items())
 
 

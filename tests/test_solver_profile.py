@@ -489,6 +489,33 @@ def test_cheapest_users_matches_full_sort(cost):
             assert users == want
 
 
+def test_cheapest_users_prices_each_type_once_under_a_penalty_matrix(monkeypatch):
+    # users with equal masks and penalty rows are priced once per mask: at
+    # most 2^3 masks x 4^3 rows = 512 types for each of the 7 masks, where
+    # pricing every user per mask takes 7n calls
+    n, L = 20000, 20
+    rng = random.Random(26)
+    doc = vapep.instance_to_doc(vapep.generate(vapep.GeneratorConfig(n=n, k=3, seed=3)))
+    doc["auth"]["pair_penalty"] = [[rng.randint(0, 3) for _ in range(3)] for _ in range(n)]
+    inst = vapep.instance_from_doc(doc)
+    masks = vapep.subset_order(3)
+    calls = 0
+    omega_mask = Instance.omega_mask
+
+    def counted(self, ui, mask):
+        nonlocal calls
+        calls += 1
+        return omega_mask(self, ui, mask)
+
+    monkeypatch.setattr(Instance, "omega_mask", counted)
+    got = solver_profile.cheapest_users(inst, masks, L)
+    assert calls < n
+    monkeypatch.undo()
+    for mask, users in zip(masks, got):
+        row = inst.omega_row(mask)
+        assert users == sorted(range(n), key=lambda u: (row[u], u))[:L]
+
+
 @pytest.mark.parametrize("cost", ["uniform", "matrix", "custom"])
 def test_best_relation_matches_all_user_reconstruction(cost):
     rng = random.Random(f"reconstruct:{cost}")
