@@ -64,14 +64,14 @@ def main() -> int:
         inst, lp = work / "instance.json", work / f"{args.form}.lp"
         run_child(["-m", "vapep.cli", "generate", "--n", str(args.n), "--k", str(args.k),
                    "--seed", str(SEED), "-o", str(inst)])
-        wall, rss, _ = run_child(["-m", "vapep.cli", "export-mip", "--in", str(inst),
-                                  "--form", args.form, "-o", str(lp)])
+        wall, rss, _, _ = run_child(["-m", "vapep.cli", "export-mip", "--in", str(inst),
+                                     "--form", args.form, "-o", str(lp)])
         print(f"n={args.n} k={args.k} form={args.form} seed={SEED} "
               f"python={sys.version.split()[0]}")
         print(f"export-mip: {wall:.2f} s wall, {rss:.1f} MiB peak RSS, "
               f"LP file {lp.stat().st_size / 1e6:.1f} MB")
-        _, _, out = run_child(["-c", SPLIT, str(inst), args.form, str(lp)],
-                              stdout=subprocess.PIPE)
+        _, _, _, out = run_child(["-c", SPLIT, str(inst), args.form, str(lp)],
+                                 stdout=subprocess.PIPE)
         load, build, export, write, nvars, size = out.split()
         print(f"split: load {float(load):.3f} s, build {float(build):.3f} s, "
               f"export {float(export):.3f} s, write {float(write):.3f} s")

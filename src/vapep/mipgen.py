@@ -40,7 +40,7 @@ from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .model import AuthorizationRelation, GuardError, Instance, _gc_paused
+from .model import AuthorizationRelation, GuardError, Instance, _gc_paused, _unknown
 
 log = logging.getLogger("vapep.mipgen")
 
@@ -426,7 +426,7 @@ def _fix_assignment(f: Formulation, rel: AuthorizationRelation) -> dict[str, int
         m = 0
         for r in rs:
             if r not in ridx:
-                raise ValueError(f"relation mentions unknown resource {r!r}")
+                raise ValueError(f"relation mentions unknown resource {_unknown(rs, ridx)}")
             m |= 1 << ridx[r]
         masks[uidx[u]] = m
     if f.kind == "naive":

@@ -26,12 +26,12 @@ without it.  Under the pure-Python backend the index is `_name_index`'s
 dict.  What the reader declines, and every document under the pure-Python
 backend or given to `instance_from_doc` or `wsp_from_doc`, is parsed by
 `json.loads` from the text a text-mode read gives (`_text`); `_doc_head`
-then builds the masks from the pairs, in passes that run in C (`map` over
-dict lookups), and when the pairs name every user once, in user order,
-each mask is just its pair's bit.  A fault in the pairs stops those passes,
-and a walk over the pairs in order reports the first one, with the message
-a per-pair loader would give.  Both routes check the rest of the document
-in the same code, so they give the same instance or the same error.
+then builds the users' index over their tuple (`_user_index`, so these
+instances keep the compiled index too) and the masks in one walk over the
+pairs, as the reader reads them (`_pair_masks`): the first faulty pair
+raises, with the message a per-pair loader would give.  Both routes check
+the rest of the document in the same code, so they give the same instance
+or the same error.
 `AuthCost.base`, and the (user, resource) dict of a per-pair penalty
 matrix, are built only when something reads them (`_OnFirstRead`).
 """
@@ -44,7 +44,6 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import partial
 from itertools import chain, compress, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import _kernels
@@ -229,6 +228,12 @@ def _index_users(inst, uindex: Optional[Mapping]) -> None:
 _users_of_index = _OnFirstRead("users", lambda inst: inst._uindex.keys())
 
 
+def _unknown(names, known) -> str:
+    """The repr of the name in `names` that `known` lacks whose repr sorts
+    first: a choice that the hash order of a set of names does not decide."""
+    return min(repr(nm) for nm in names if nm not in known)
+
+
 def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what: str
                  ) -> tuple[list[int], Optional[list[list[int]]]]:
     """The per-user authorization table of an instance: each user's
@@ -257,7 +262,7 @@ def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what:
             for r in rs:
                 b = bit.get(r)
                 if b is None:
-                    raise ValueError(f"authorization for unknown {what} {r!r}")
+                    raise ValueError(f"authorization for unknown {what} {_unknown(rs, bit)}")
                 m |= b
             known[rs] = m
         masks[ui] = m
@@ -290,49 +295,40 @@ def _cost_row(masks: list[int], pen: Optional[list[list[int]]], auth: AuthCost, 
     return [_row_sum(row, mask & ~m) for row, m in zip(pen, masks)]
 
 
-_user_of = itemgetter(0)
-_name_of = itemgetter(1)
-
-
-def _walk_pairs(pairs, shape: str) -> None:
-    """Raise, for the first pair in order that is not a two-item list or
-    holds an unhashable item, what grouping the pairs into per-user sets
-    raises."""
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2):
-            raise ValueError(f"auth.pairs entries must be {shape}")
-        hash(p[0])
-        hash(p[1])
-
-
-def _pair_masks(pairs, shape: str, users, uindex: dict, names, cap: int
+def _pair_masks(pairs, shape: str, users, uindex: Mapping, names, cap: int
                 ) -> Optional[list[int]]:
     """Each user's authorized mask over `names`, ORed from the
     `[user, name]` pairs, the users' positions taken from `uindex`; None if
     some pair's user is not in `uindex`, its name not one of `names`, or
     there are more than `cap` names, which the constructors report.
 
-    Pairs that are all plain two-item lists are checked and looked up in C;
-    pairs that name every user once, in the order of `users`, give each mask
-    straight from the pair's name.  Any fault found on the way is then
-    reported by a walk over the pairs in order (`_walk_pairs`).
+    One walk over the pairs in order, as the compiled reader's: the first
+    pair that is not a two-item list, or holds an unhashable item, raises.
+    A pair's user is compared with the user after the one before, then with
+    that one, and looked up in `uindex` only when neither matches.
     """
-    if len(names) > cap:
-        _walk_pairs(pairs, shape)  # no bit table: it grows as names squared
-        return None
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        _walk_pairs(pairs, shape)
-    bit = {nm: 1 << i for nm, i in _name_index(names).items()}
-    try:
-        if uindex and len(pairs) == len(users) and list(map(_user_of, pairs)) == users:
-            return list(map(bit.__getitem__, map(_name_of, pairs)))
-        masks = [0] * len(users)
-        for ui, b in zip(map(uindex.__getitem__, map(_user_of, pairs)),
-                         map(bit.__getitem__, map(_name_of, pairs))):
-            masks[ui] |= b
-    except (KeyError, TypeError):
-        _walk_pairs(pairs, shape)
-        return None  # an unknown user or name, which the constructors report
+    # no bit table past the cap: it grows as names squared
+    masks = None if len(names) > cap else [0] * len(users)
+    bit = {nm: 1 << i for nm, i in _name_index(names).items()} if masks is not None else {}
+    if not uindex:  # users that are not all names match none
+        users, uindex = (), {}
+    last, ui = len(users) - 1, -1
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(f"auth.pairs entries must be {shape}")
+        u, nm = p
+        if masks is None:
+            hash(u), hash(nm)  # raise for an unhashable item
+            continue
+        try:
+            if ui < last and u == users[ui + 1]:
+                ui += 1
+            elif ui < 0 or u != users[ui]:
+                ui = uindex[u]
+            masks[ui] |= bit[nm]
+        except KeyError:
+            hash(nm)
+            masks = None  # an unknown user or name, which the constructors report
     return masks
 
 
@@ -535,7 +531,9 @@ def validate_relation(instance: Instance, rel: AuthorizationRelation) -> None:
             raise ValueError(f"relation mentions unknown user {u!r}")
         for r in rs:
             if r not in instance._rindex:
-                raise ValueError(f"relation mentions unknown resource {r!r}")
+                raise ValueError(
+                    f"relation mentions unknown resource {_unknown(rs, instance._rindex)}"
+                )
 
 
 @dataclass
@@ -846,7 +844,7 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     order it is read: the document's keys, its `names_key` and users lists,
     the auth object, its keys and its pairs list, then the pairs' shapes and
     items.  Returns the users and names as tuples, the pairs, the users' index
-    (`_name_index`), their authorized masks over the names (`_pair_masks`)
+    (`_user_index`), their authorized masks over the names (`_pair_masks`)
     and the pair penalty as given.  Users the compiled reader read
     (`_ReadUsers`) come with their masks, and are returned as their index."""
     if not isinstance(doc, dict):
@@ -869,9 +867,9 @@ def _doc_head(doc, what: str, top_keys: set, names_key: str, shape: str, cap: in
     elif not isinstance(pairs, list):
         raise ValueError("auth.pairs must be a list")
     else:
-        uindex = _name_index(users)
-        masks = _pair_masks(pairs, shape, users, uindex, names, cap)
         users = tuple(users)
+        uindex = _user_index(users)
+        masks = _pair_masks(pairs, shape, users, uindex, names, cap)
     return users, tuple(names), pairs, uindex, masks, auth_doc.get("pair_penalty", 1)
 
 

@@ -2,10 +2,13 @@
 
 ``setup.py build_ext --inplace`` compiles ``vapep._kernels._core`` from the
 hand-written ``_core.c``, next to its sources, so ``PYTHONPATH=src`` picks it
-up.  setuptools skips the build when the extension is newer than its
-sources.  The build holds an exclusive lock on a file in the build
-directory, so test sessions started together in one checkout build one
-after another rather than racing on the extension file.
+up.  setuptools compiles only when the sources are newer than its own
+copy of the extension under ``build/lib.*``, not the in-place one, so a
+checkout with a current in-place extension but no ``build/`` directory
+compiles once, and later runs compile nothing.  The build holds an
+exclusive lock on a file in the build directory, so test sessions started
+together in one checkout build one after another rather than racing on the
+extension file.
 """
 import fcntl
 import shutil

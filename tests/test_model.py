@@ -1102,6 +1102,45 @@ def test_equal_authorized_sets_share_one_frozenset():
     }
 
 
+# the messages of names missing from a set, one a line
+_UNKNOWN_NAME_MESSAGES = """
+import vapep
+from vapep import mipgen
+def message(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        print(exc)
+names = {"zz", "xx", "yy"}
+message(vapep.Instance, ("r1",), ("u1",), (), vapep.AuthCost({"u1": names}))
+message(vapep.WspInstance, ("s1",), ("u1",), (), vapep.AuthCost({"u1": names}))
+inst = vapep.Instance(("r1",), ("u1",), (), vapep.AuthCost({"u1": {"r1"}}))
+rel = vapep.AuthorizationRelation({"u1": names | {"r1"}})
+message(vapep.validate_relation, inst, rel)
+message(mipgen.eval_at, mipgen.build_naive(inst), rel)
+"""
+
+
+def test_unknown_names_in_a_set_are_reported_whatever_the_hash_seed():
+    # under these two seeds the set iterates 'zz' and 'yy' first
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(vapep.__file__))
+    outs = set()
+    for seed in ("1", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _UNKNOWN_NAME_MESSAGES], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert outs == {"authorization for unknown resource 'xx'\n"
+                    "authorization for unknown step 'xx'\n"
+                    "relation mentions unknown resource 'xx'\n"
+                    "relation mentions unknown resource 'xx'\n"}
+
+
 # --------------------------------------------------------------------------
 # load_instance and the cyclic collector
 

@@ -121,7 +121,12 @@ def test_instances_keep_a_name_index_on_the_compiled_backend(monkeypatch, tmp_pa
         path = tmp_path / "inst.json"
         vapep.dump_instance(inst, str(path))
         loaded = load_instance(str(path))
-        for x in (inst, generated, loaded):
+        from_doc = vapep.instance_from_doc(vapep.instance_to_doc(generated))
+        # a file the reader declines, as its text is not ASCII, goes to json.loads
+        declined = tmp_path / "declined.json"
+        declined.write_text('{"resources": ["r1"], "users": ["ü1", "u2"],'
+                            ' "auth": {"pairs": [["ü1", "r1"]]}}', encoding="utf-8")
+        for x in (inst, generated, loaded, from_doc, load_instance(str(declined))):
             assert type(x._uindex) is kind
             assert dict(x._uindex) == {u: i for i, u in enumerate(x.users)}
         if kind is NameIndex:  # the reader's users are the index's own tuple
