@@ -19,7 +19,11 @@ solver's guard allows, so pass --ell there.
 import argparse
 import os
 import statistics
+import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's vapep
 
 from vapep import GeneratorConfig, available_backends, generate, get_backend, solve
 

@@ -3,8 +3,9 @@
 Copies `src/`, `tests/` and `pyproject.toml` to a temporary directory and
 compiles `_core.c` there with `-O1 -g -fsanitize=address,undefined`, so
 this checkout's extension is never touched.  It then runs `test_kernels`,
-`test_reader`, `test_name_index`, `test_solver_profile`, `test_wsp` and
-`test_generator` on that copy, with gcc's `libasan.so` and `libubsan.so`
+`test_kernels_properties`, `test_reader`, `test_name_index`,
+`test_solver_profile`, `test_solver_brute`, `test_wsp` and `test_generator`
+on that copy, with gcc's `libasan.so` and `libubsan.so`
 preloaded (the interpreter itself is not instrumented), leak detection off
 (the interpreter keeps objects alive until exit) and
 `UBSAN_OPTIONS=halt_on_error=1`, so any AddressSanitizer or
@@ -31,8 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ["test_kernels", "test_reader", "test_name_index", "test_solver_profile",
-         "test_wsp", "test_generator"]
+TESTS = ["test_kernels", "test_kernels_properties", "test_reader", "test_name_index",
+         "test_solver_profile", "test_solver_brute", "test_wsp", "test_generator"]
 FLAGS = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined"]
 REPORTS = ("ERROR: AddressSanitizer", "runtime error:")
 

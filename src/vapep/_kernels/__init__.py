@@ -9,7 +9,10 @@ solver output, which pinned outputs compare byte for byte.
 APEP_KERNEL=python|cython forces a choice, and it is the only one: every
 routine below follows it, so the label a solver writes names the backend
 that read the file, searched and wrote.  Both implementations search and
-draw in the same order and produce identical results.
+draw in the same order and produce identical results.  Both read every
+cost-table entry and callback value of the three searches clamped to
+``_ref.INF`` = 2^62, and each search keeps one incumbent, starting there, so
+the kernels alone decide how weights at or past it are read.
 
 Two compiled routines have no twin in ``_ref``.  The document reader
 ``_core.read_head`` is what `model` uses to load instance and plan

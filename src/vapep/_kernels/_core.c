@@ -12,6 +12,12 @@
  * ValueError, TypeError or OverflowError instead.  The GIL stays held, since
  * the callbacks are Python and no second thread runs a search.
  *
+ * The three searches share one convention for weights at or past C_INF =
+ * 2^62, _ref.INF: every cost-table entry and callback value is read clamped
+ * to C_INF (read_clamped), sums are exact, and each search keeps one int64
+ * incumbent, starting at C_INF.  No weight at or past C_INF can beat that
+ * incumbent, so the backends cut where Python ints would.
+ *
  * Two routines at the end of the file have no twin in _ref.py.  The user-name
  * index name_index, whose reference is the dict of model._name_index.  The
  * document reader read_head, which reads a file's bytes and builds that
@@ -27,7 +33,7 @@ typedef long long i64;
 typedef unsigned long long u64;
 typedef __int128 i128;
 #define C_INF ((i64)1 << 62)
-/* as_i64's hi for a plan table: each int in [0, C_INF], larger ones read
+/* as_i64's hi for a cost table: each int in [0, C_INF], larger ones read
    as C_INF */
 #define TO_INF (C_INF + 1)
 
@@ -274,10 +280,10 @@ static inline void bump(const Ragged *cls, Py_ssize_t j, i64 *cnt, i64 d)
         cnt[cls->flat[p]] += d;
 }
 
-/* r = evaluate(pairs, cw) with the nonzero counts val[0:j] as (level, count)
-   tuples; r becomes the incumbent when it is smaller.  -1 on error. */
+/* *inc = min(*inc, evaluate(pairs, cw)), the return read clamped, with the
+   nonzero counts val[0:j] as (level, count) tuples.  -1 on error. */
 static int evaluate_leaf(PyObject *evaluate, const i64 *val, Py_ssize_t j,
-                         i64 cw, PyObject **inc, i64 *inc_c)
+                         i64 cw, i64 *inc)
 {
     PyObject *pairs = PyList_New(0);
     for (Py_ssize_t i = 0; pairs && i < j; i++) {
@@ -289,17 +295,12 @@ static int evaluate_leaf(PyObject *evaluate, const i64 *val, Py_ssize_t j,
     if (!pairs) return -1;
     PyObject *r = PyObject_CallFunction(evaluate, "OL", pairs, cw);
     Py_DECREF(pairs);
-    int lt = r ? PyObject_RichCompareBool(r, *inc, Py_LT) : -1, over = 0;
-    i64 v = lt > 0 ? PyLong_AsLongLongAndOverflow(r, &over) : 0;
-    if (lt > 0 && !(v == -1 && PyErr_Occurred())) {
-        /* the incumbent stays the Python int evaluate returned, as in
-           _ref.py; the leaf test reads it clamped to the int64 range */
-        *inc_c = over > 0 || v > C_INF ? C_INF : over < 0 ? LLONG_MIN : v;
-        Py_SETREF(*inc, r);
-        return 0;
-    }
+    i64 v;
+    int rc = r ? read_clamped(r, &v) : -1;
     Py_XDECREF(r);
-    return lt == 0 ? 0 : -1;
+    if (rc < 0) return -1;
+    if (v < *inc) *inc = v;
+    return 0;
 }
 
 static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
@@ -319,12 +320,13 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
     if (M < 0) return NULL;
     Cons cons = {0}; Ragged cheap = {0}, clsA = {0}, clsB = {0};
     i64 *subs = NULL, *sufun = NULL, *last = NULL, *cntA = NULL, *cntB = NULL;
-    i64 *val = NULL, *budb = NULL, *olbb = NULL, *g = NULL;
+    i64 *val = NULL, *budb = NULL, *g = NULL;
+    i128 *olbb = NULL;  /* sums of entries up to C_INF each, exact */
     u64 *covb = NULL;
-    PyObject *inc = NULL, *result = NULL;
+    PyObject *result = NULL;
     if (cons_load(&cons, kinds, tvals, pkinds, pslopes, ptables) < 0
         || !(subs = as_i64(subs_o, M, -1, "subs"))
-        || flatten(cheap_o, M, ell + 1, -1, "cheap", &cheap) < 0
+        || flatten(cheap_o, M, ell + 1, TO_INF, "cheap", &cheap) < 0
         || !(sufun = as_i64(sufun_o, M + 1, -1, "sufun"))
         || flatten(clsA_o, M, -1, cons.C, "clsA", &clsA) < 0
         || flatten(clsB_o, M, -1, cons.C, "clsB", &clsB) < 0
@@ -334,9 +336,8 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         || !(val = zalloc(M + 1, sizeof(i64)))
         || !(budb = zalloc(M + 2, sizeof(i64)))  /* budget entering each level */
         || !(covb = zalloc(M + 2, sizeof(u64)))  /* coverage mask entering each level */
-        || !(olbb = zalloc(M + 2, sizeof(i64)))  /* authorization lower bound entering each level */
-        || !(g = zalloc(M, sizeof(i64)))  /* the least net gain of a level j' >= j */
-        || !(inc = PyLong_FromLongLong(C_INF)))
+        || !(olbb = zalloc(M + 2, sizeof(i128)))  /* authorization lower bound entering each level */
+        || !(g = zalloc(M, sizeof(i64))))  /* the least net gain of a level j' >= j */
         goto done;
     for (Py_ssize_t i = 0; i < cons.C; i++) last[i] = -1;
     for (Py_ssize_t j = 0; j < M; j++)
@@ -352,7 +353,7 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         g[j] = j == M - 1 || net < g[j + 1] ? net : g[j + 1];
     }
     const u64 full = ((u64)1 << k) - 1;
-    i64 m_assigned = 0, leaves = 0, nodes = 0, cuts = 0, inc_c = C_INF;
+    i64 m_assigned = 0, leaves = 0, nodes = 0, cuts = 0, inc = C_INF;
     int stop = 0;  /* the parent level's count loop ends */
     budb[0] = ell;
     Py_ssize_t j = 0;
@@ -367,17 +368,16 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
                 down = 0; j--; continue;
             }
             i64 mono, bound = node_bound(&cons, cntA, cntB, m_assigned, last, j, b, leaf, &mono);
-            i64 olb = olbb[j];
-            if (mono + olb >= inc_c) {
+            i128 olb = olbb[j];
+            if (mono + olb >= inc) {
                 cuts++;
                 stop = 1;
             } else if (leaf) {
                 leaves++;
-                if (bound + olb < inc_c
-                    && evaluate_leaf(evaluate, val, j, bound, &inc, &inc_c) < 0)
+                if (bound + olb < inc && evaluate_leaf(evaluate, val, j, bound, &inc) < 0)
                     goto done;
-            } else if (bound + olb >= inc_c
-                       || coupled_cut(&cons, cntA, m_assigned, last, j, b, g[j], inc_c - mono - olb)) {
+            } else if (bound + olb >= inc
+                       || coupled_cut(&cons, cntA, m_assigned, last, j, b, g[j], (i64)(inc - mono - olb))) {
                 cuts++;
             } else {
                 val[j] = 0;
@@ -405,9 +405,8 @@ static PyObject *profile_search(PyObject *Py_UNUSED(self), PyObject *args)
         j++;
         down = 1;
     }
-    result = Py_BuildValue("(LOLL)", leaves, inc, nodes, cuts);
+    result = Py_BuildValue("(LLLL)", leaves, inc, nodes, cuts);
 done:
-    Py_XDECREF(inc);
     cons_free(&cons);
     PyMem_Free(cheap.flat); PyMem_Free(cheap.off);
     PyMem_Free(clsA.flat); PyMem_Free(clsA.off); PyMem_Free(clsB.flat); PyMem_Free(clsB.off);
@@ -438,7 +437,7 @@ static PyObject *brute_search(PyObject *Py_UNUSED(self), PyObject *args)
         /* relation_weight reads rmask[rA[i]] and rmask[rB[i]] for every i */
         || !(rA = as_i64(rA_o, cons.C, k ? k : 1, "rA"))
         || !(rB = as_i64(rB_o, cons.C, k ? k : 1, "rB"))
-        || flatten(otab_o, n, S, -1, "otab", &otab) < 0
+        || flatten(otab_o, n, S, TO_INF, "otab", &otab) < 0
         || !(rmask = zalloc(k, sizeof(u64)))
         || !(val = zalloc(n + 1, sizeof(i64)))
         || !(best = zalloc(n, sizeof(i64)))

@@ -60,12 +60,17 @@ def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
     evaluate never returns less than that bound, cuts only drop profiles
     that could not beat the incumbent strictly, so the incumbent changes at
     the same profiles as in the full enumeration.
+
+    Every `cheap` entry and `evaluate` value is read clamped to INF, sums
+    are exact, and the search keeps one incumbent, starting at INF, so both
+    backends make the same decisions.
     Returns (leaves, incumbent, nodes, cuts): complete leaves tested against
     the incumbent, the incumbent, nodes entered, and nodes cut by the bound.
     """
     M = len(subs)
     C = len(kinds)
     full = (1 << k) - 1
+    cheap = [[min(v, INF) for v in row] for row in cheap]
     last = [-1] * C  # the last level bumping counter A of each constraint
     for jj in range(M):
         for i in clsA[jj]:
@@ -194,7 +199,7 @@ def profile_search(k, ell, subs, cheap, kinds, tvals, pkinds, pslopes, ptables,
                 leaves += 1
                 if mono + rest + olb < inc:
                     pairs = [(jj, val[jj]) for jj in range(j) if val[jj]]
-                    r = evaluate(pairs, mono + rest)
+                    r = min(evaluate(pairs, mono + rest), INF)
                     if r < inc:
                         inc = r
             elif mono + rest + olb >= inc or coupled_cut(m_assigned, j, b,
@@ -249,11 +254,15 @@ def brute_search(n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes,
     optimum found is kept, and `solve_exhaustive` reads only its weight.
     Subtrees whose accumulated authorization cost already reaches the
     incumbent are skipped; that never discards a strictly better relation.
+    Every `otab` entry is read clamped to INF, sums are exact, and the
+    enumeration keeps one incumbent, starting at INF, so both backends make
+    the same decisions.
     Returns (best_total, best_indices, leaves_visited); best_total is INF
     when no complete relation weighs less.
     """
     S = len(subs_all)
     C = len(kinds)
+    otab = [[min(v, INF) for v in row] for row in otab]
     bits_of = [
         tuple(r for r in range(k) if subs_all[s] >> r & 1) for s in range(S)
     ]

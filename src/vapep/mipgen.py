@@ -40,7 +40,7 @@ from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .model import AuthorizationRelation, GuardError, Instance, _gc_paused, _unknown
+from .model import AuthorizationRelation, GuardError, Instance, _gc_paused, _names_mask
 
 log = logging.getLogger("vapep.mipgen")
 
@@ -423,12 +423,7 @@ def _fix_assignment(f: Formulation, rel: AuthorizationRelation) -> dict[str, int
     for u, rs in rel.assignment.items():
         if u not in uidx:
             raise ValueError(f"relation mentions unknown user {u!r}")
-        m = 0
-        for r in rs:
-            if r not in ridx:
-                raise ValueError(f"relation mentions unknown resource {_unknown(rs, ridx)}")
-            m |= 1 << ridx[r]
-        masks[uidx[u]] = m
+        masks[uidx[u]] = _names_mask(ridx, rs, "relation mentions unknown resource")
     if f.kind == "naive":
         for ri in range(len(f.resources)):
             for ui in range(len(f.users)):

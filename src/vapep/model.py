@@ -155,7 +155,7 @@ def _masks_base(masks: list[int], users, names) -> dict:
     """The base of the users' authorized masks over `names`: users with a
     non-zero mask, in order, keyed by the objects in `users`, and one
     frozenset per distinct mask."""
-    held = {m: _mask_names(names, m) for m in set(masks) if m}
+    held = {m: frozenset(_mask_names(names, m)) for m in set(masks) if m}
     return dict(zip(compress(users, masks), map(held.__getitem__, filter(None, masks))))
 
 
@@ -228,17 +228,30 @@ def _index_users(inst, uindex: Optional[Mapping]) -> None:
 _users_of_index = _OnFirstRead("users", lambda inst: inst._uindex.keys())
 
 
-def _unknown(names, known) -> str:
-    """The repr of the name in `names` that `known` lacks whose repr sorts
-    first: a choice that the hash order of a set of names does not decide."""
-    return min(repr(nm) for nm in names if nm not in known)
+def _names_mask(index: Mapping, names, prefix: str) -> int:
+    """The mask of `names` by their positions in `index`.  ValueError
+    "<prefix> <name>" reports the unknown name whose repr sorts first: a
+    choice that the hash order of a set of names does not decide.  A
+    one-shot iterator is read into a tuple first, so that it can be read
+    again to report."""
+    if iter(names) is names:
+        names = tuple(names)
+    m = 0
+    try:
+        for nm in names:
+            m |= 1 << index[nm]
+    except KeyError:
+        first = min(repr(nm) for nm in names if nm not in index)
+        raise ValueError(f"{prefix} {first}") from None
+    return m
 
 
-def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what: str
+def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, index: Mapping, what: str
                  ) -> tuple[list[int], Optional[list[list[int]]]]:
     """The per-user authorization table of an instance: each user's
-    authorized mask over `names`, in user-index order, and the per-(user,
-    name) penalty rows, None under a uniform pair penalty.
+    authorized mask over the names of `index` (name -> position, in
+    position order), in user-index order, and the per-(user, name) penalty
+    rows, None under a uniform pair penalty.
 
     `tables`, when the caller already holds them, are taken as they are.
     Otherwise one pass checks every user and name of `auth.base` and builds
@@ -249,7 +262,7 @@ def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what:
         return tables
     if auth is None:
         raise ValueError("an authorization cost is required")
-    bit = {nm: 1 << i for i, nm in enumerate(names)}
+    unknown = f"authorization for unknown {what}"
     known: dict[frozenset, int] = {}
     masks = [0] * len(uindex)
     for u, rs in auth.base.items():
@@ -258,21 +271,15 @@ def _auth_tables(auth: Optional[AuthCost], tables, uindex: Mapping, names, what:
             raise ValueError(f"authorization for unknown user {u!r}")
         m = known.get(rs)
         if m is None:
-            m = 0
-            for r in rs:
-                b = bit.get(r)
-                if b is None:
-                    raise ValueError(f"authorization for unknown {what} {_unknown(rs, bit)}")
-                m |= b
-            known[rs] = m
+            m = known[rs] = _names_mask(index, rs, unknown)
         masks[ui] = m
     pp = auth.pair_penalty
     if not isinstance(pp, dict):
         return masks, None
     for (u, r) in pp:
-        if u not in uindex or r not in bit:
+        if u not in uindex or r not in index:
             raise ValueError(f"pair penalty for unknown pair ({u!r}, {r!r})")
-    return masks, [[pp.get((u, r), 1) for r in names] for u in uindex]
+    return masks, [[pp.get((u, r), 1) for r in index] for u in uindex]
 
 
 def _row_sum(row: list[int], mask: int) -> int:
@@ -332,19 +339,22 @@ def _pair_masks(pairs, shape: str, users, uindex: Mapping, names, cap: int
     return masks
 
 
-def _mask_names(names, mask: int) -> frozenset:
+def _mask_names(names, mask: int) -> tuple:
+    """The names at the bits of `mask`, in position order; bits from
+    len(names) up name none."""
     held = []
+    mask &= (1 << len(names)) - 1
     while mask:
         low = mask & -mask
         held.append(names[low.bit_length() - 1])
         mask ^= low
-    return frozenset(held)
+    return tuple(held)
 
 
 def _mask_pairs(users, names, masks: list[int]) -> list[list]:
     """The `[user, name]` pairs of the users' authorized masks over `names`,
     in user order and then name order."""
-    held = {m: [nm for i, nm in enumerate(names) if m >> i & 1] for m in set(masks)}
+    held = {m: _mask_names(names, m) for m in set(masks)}
     return [[u, nm] for u, m in zip(users, masks) for nm in held[m]]
 
 
@@ -401,7 +411,7 @@ class Instance:
                 if r not in self._rindex:
                     raise ValueError(f"constraint scope uses unknown resource {r!r}")
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
-            self.auth, tables, self._uindex, self.resources, "resource"
+            self.auth, tables, self._uindex, self._rindex, "resource"
         )
         self._groups: tuple[int, dict[object, list[int]]] = (0, {})
 
@@ -449,16 +459,10 @@ class Instance:
         return groups
 
     def resource_mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for r in names:
-            try:
-                m |= 1 << self._rindex[r]
-            except KeyError:
-                raise ValueError(f"unknown resource {r!r}") from None
-        return m
+        return _names_mask(self._rindex, names, "unknown resource")
 
     def mask_resources(self, mask: int) -> tuple[str, ...]:
-        return tuple(r for i, r in enumerate(self.resources) if mask >> i & 1)
+        return _mask_names(self.resources, mask)
 
     def user_index(self, name: str) -> int:
         try:
@@ -529,11 +533,7 @@ def validate_relation(instance: Instance, rel: AuthorizationRelation) -> None:
     for u, rs in rel.assignment.items():
         if u not in instance._uindex:
             raise ValueError(f"relation mentions unknown user {u!r}")
-        for r in rs:
-            if r not in instance._rindex:
-                raise ValueError(
-                    f"relation mentions unknown resource {_unknown(rs, instance._rindex)}"
-                )
+        _names_mask(instance._rindex, rs, "relation mentions unknown resource")
 
 
 @dataclass

@@ -10,7 +10,6 @@ import logging
 import time
 
 from . import _kernels
-from .matching import INF
 from .model import GuardError, Instance, SolveResult, subset_order
 from .solver_profile import _compile_constraints, check_preparation, solve
 
@@ -38,12 +37,7 @@ def solve_exhaustive(instance: Instance) -> SolveResult:
     check_preparation(k, n, len(instance.constraints))
     kb = _kernels.get_backend()
     subs_all = [0] + subset_order(k)
-    # costs capped at INF, which no relation that holds one can beat, so
-    # that the compiled kernel's int64 holds them
-    otab = [
-        [min(instance.omega_mask(u, mask), INF) for mask in subs_all]
-        for u in range(n)
-    ]
+    otab = [[instance.omega_mask(u, mask) for mask in subs_all] for u in range(n)]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     best_total, _, leaves = kb.brute_search(
         n, k, subs_all, otab, kinds, rA, rB, tvals, pkinds, pslopes, ptables

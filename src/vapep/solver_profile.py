@@ -350,11 +350,6 @@ def solve(instance: Instance, ell: Optional[int] = None) -> SolveResult:
         list(accumulate((instance.omega_mask(u, mask) for u in us), initial=0))
         for us, mask in zip(by_cost, subs)
     ]
-    for row in cheap:
-        if row[-1] >= INF:
-            # capped at INF, which keeps it a lower bound and within the
-            # compiled kernel's int64; rows never fall, so the last is largest
-            row[:] = [min(w, INF) for w in row]
     kinds, tvals, pkinds, pslopes, ptables, rA, rB = _compile_constraints(instance)
     clsA, clsB = _level_classes(kinds, rA, rB, subs)
     sufun = [0] * (M + 1)

@@ -50,6 +50,7 @@ from .model import (
     _index_users,
     _instance_doc,
     _load_doc,
+    _names_mask,
     _row_sum,
     _user_name,
     _users_of_index,
@@ -152,7 +153,7 @@ class WspInstance:
                 raise ValueError("an authorization cost (auth or cost_fn) is required")
             tables = [0] * self.n, None
         self._base_mask, self._pen = _auth_tables(  # _pen None: uniform
-            self.auth, tables, self._uindex, self.steps, "step"
+            self.auth, tables, self._uindex, self._sindex, "step"
         )
         # what `solve_wsp` may assume of cost(u, B) for its interior bound:
         # ADDITIVE, a sum over the steps of B; MONOTONE, never smaller for a
@@ -170,13 +171,7 @@ class WspInstance:
         return len(self._uindex)
 
     def step_mask(self, names) -> int:
-        m = 0
-        for s in names:
-            try:
-                m |= 1 << self._sindex[s]
-            except KeyError:
-                raise ValueError(f"unknown step {s!r}") from None
-        return m
+        return _names_mask(self._sindex, names, "unknown step")
 
     def cost(self, ui: int, mask: int) -> int:
         """Authorization cost for user index ui covering the masked steps."""

@@ -91,17 +91,18 @@ def test_brute_solver_backends_bit_identical(monkeypatch):
 # --------------------------------------------------------------------------
 # the kernels called directly, outside the solvers
 
-def _kernel_case(rng, k, n, ell, coupled=False):
+def _kernel_case(rng, k, n, ell, coupled=False, cons=None):
     """Random constraints compiled for the kernels, and seeded
     profile-search inputs over them (all but k, ell and evaluate).  The
     constraints are of any kind, or with `coupled` those of
-    `helpers.rand_coupled`.  The authorization rows are prefix sums of sorted
-    random costs, as the solver builds them, one entry per count 0..ell."""
+    `helpers.rand_coupled`, or `cons` when given.  The authorization rows
+    are prefix sums of sorted random costs, as the solver builds them, one
+    entry per count 0..ell."""
     resources = tuple(f"r{i + 1}" for i in range(k))
     users = tuple(f"u{j + 1}" for j in range(n))
-    if coupled:
+    if cons is None and coupled:
         cons = helpers.rand_coupled(rng, resources, n)
-    else:
+    elif cons is None:
         cons = [c for c in (helpers.rand_constraint(rng, resources)
                             for _ in range(rng.randint(1, 6))) if c is not None]
     inst = vapep.Instance(resources, users, tuple(cons),
@@ -254,6 +255,8 @@ def test_compiled_kernel_rejects_malformed_input():
         search(cheap=[row + [9] for row in cheap])
     with pytest.raises(TypeError):
         search(cheap=cheap[:-1] + [cheap[-1][:-1] + ["9"]])
+    with pytest.raises(ValueError):  # a cost below 0; past 2^62 reads as 2^62
+        search(cheap=cheap[:-1] + [[-1] + cheap[-1][1:]])
     with pytest.raises(ValueError):
         search(k=64)
     with pytest.raises(ValueError):
@@ -270,6 +273,9 @@ def test_compiled_kernel_rejects_malformed_input():
                         pkinds, pslopes, ptables)
     with pytest.raises(ValueError):  # a cost row missing a subset
         kb.brute_search(2, 3, subs_all, [otab[0], otab[1][:-1]], kinds, rA,
+                        rB, tvals, pkinds, pslopes, ptables)
+    with pytest.raises(ValueError):  # a cost below 0
+        kb.brute_search(2, 3, subs_all, [otab[0], [-1] * len(subs_all)], kinds, rA,
                         rB, tvals, pkinds, pslopes, ptables)
 
 

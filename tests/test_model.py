@@ -56,6 +56,16 @@ def test_omega_rejects_unknown_names():
         omega(inst, "u1", {"r9"})
 
 
+def test_resource_mask_reads_a_one_shot_iterator():
+    inst = small_instance()
+    assert inst.resource_mask(r for r in ("r2", "r1")) == 3
+    with pytest.raises(ValueError) as err:  # read again to report
+        inst.resource_mask(r for r in ("r1", "r9", "r8"))
+    assert str(err.value) == "unknown resource 'r8'"
+    assert inst.mask_resources(3) == ("r1", "r2")
+    assert inst.mask_resources(-1) == inst.mask_resources(7) == ("r1", "r2")
+
+
 def test_omega_matches_direct_sum_random():
     rng = random.Random(11)
     for _ in range(100):
@@ -1118,6 +1128,9 @@ inst = vapep.Instance(("r1",), ("u1",), (), vapep.AuthCost({"u1": {"r1"}}))
 rel = vapep.AuthorizationRelation({"u1": names | {"r1"}})
 message(vapep.validate_relation, inst, rel)
 message(mipgen.eval_at, mipgen.build_naive(inst), rel)
+message(vapep.omega, inst, "u1", names)
+w = vapep.WspInstance(("s1",), ("u1",), (), vapep.AuthCost({}))
+message(w.step_mask, names | {"s1"})
 """
 
 
@@ -1138,7 +1151,9 @@ def test_unknown_names_in_a_set_are_reported_whatever_the_hash_seed():
     assert outs == {"authorization for unknown resource 'xx'\n"
                     "authorization for unknown step 'xx'\n"
                     "relation mentions unknown resource 'xx'\n"
-                    "relation mentions unknown resource 'xx'\n"}
+                    "relation mentions unknown resource 'xx'\n"
+                    "unknown resource 'xx'\n"
+                    "unknown step 'xx'\n"}
 
 
 # --------------------------------------------------------------------------
